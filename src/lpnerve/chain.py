@@ -10,6 +10,7 @@ the magnitude-style localization.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -108,13 +109,14 @@ def generators_at(fc: FilteredComplex, degree: int, grade: float,
             f"degree {degree} exceeds the enumerated max_dim {fc.max_dim}")
     if degree < 0:
         return []
-    out = []
-    for t in fc.degree(degree):
-        if t.birth > grade + eps:
-            break  # tuples are sorted by birth
-        if not sieve.kills(t.birth, grade, eps):
-            out.append(t)
-    return out
+    tuples = fc.degree(degree)
+    births = fc.births[degree]  # sorted, like the tuples
+    hi = bisect_right(births, grade + eps)
+    if sieve.kind == EMPTY:
+        return tuples[:hi]
+    if sieve.kind == STRICT_PREDECESSORS:
+        return tuples[bisect_left(births, grade - eps, 0, hi):hi]
+    return [t for t in tuples[:hi] if not sieve.kills(t.birth, grade, eps)]
 
 
 def boundary_matrix(fc: FilteredComplex, degree: int, grade: float,

@@ -21,9 +21,15 @@ from .vgraph import free_category, validate
 def _parse_degrees(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    d = int(text)
-    return range(d, d + 1)
+        degrees = range(int(lo), int(hi) + 1)
+    else:
+        d = int(text)
+        degrees = range(d, d + 1)
+    if not degrees:
+        raise argparse.ArgumentTypeError(f"empty degree range {text!r}")
+    if degrees[0] < 0:
+        raise argparse.ArgumentTypeError(f"degrees must be >= 0, got {text!r}")
+    return degrees
 
 
 def _parse_coeff(text: str) -> Coefficients:

@@ -1,7 +1,9 @@
 """Homology of the filtered nerve: graded tables and persistence barcodes.
 
 Integer homology goes through an exact Smith normal form (Python integers,
-so no overflow); field homology through Gaussian elimination mod q.  The
+so no overflow), eliminated separately on each connected block of the
+matrix's nonzero pattern; field homology through Gaussian elimination
+mod q.  The
 barcode pipeline orders all tuples by (birth, degree, vertices) and runs
 the standard column reduction (compiled kernel when available).  A
 classical Vietoris-Rips computation on unordered simplices, with its own
@@ -71,9 +73,58 @@ class Barcode:
 
 
 def smith_normal_form(M: IntMatrix | Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
-    """Rank and elementary divisors of an integer matrix (exact)."""
+    """Rank and elementary divisors of an integer matrix (exact).
+
+    Rows and columns linked by a nonzero entry form connected blocks, and
+    the matrix is a permuted direct sum of them.  Each block is eliminated
+    on its own; invariant factors are unique, so normalizing the pooled
+    diagonal gives the divisors of the whole matrix.
+    """
     entries = M.entries if isinstance(M, IntMatrix) else M
-    a = [list(map(int, row)) for row in entries]
+    divisors: List[int] = []
+    for block in _blocks(entries):
+        divisors.extend(_eliminate(block))
+    return len(divisors), _divisibility_fixup(divisors)
+
+
+def _blocks(entries: Sequence[Sequence[int]]) -> List[List[List[int]]]:
+    """Connected blocks of the nonzero pattern, as dense submatrices.
+
+    Union-find over rows (nodes ``0..nrows-1``) and columns (nodes
+    ``nrows..``); all-zero rows and columns belong to no block.
+    """
+    nrows = len(entries)
+    ncols = len(entries[0]) if nrows else 0
+    parent = list(range(nrows + ncols))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    support = [list(itertools.compress(range(ncols), row)) for row in entries]
+    for i, cols in enumerate(support):
+        ri = find(i)
+        for j in cols:
+            rj = find(nrows + j)
+            if rj != ri:
+                parent[rj] = ri
+    rows_of: Dict[int, List[int]] = {}
+    cols_of: Dict[int, List[int]] = {}
+    for i, cols in enumerate(support):
+        if cols:
+            rows_of.setdefault(find(i), []).append(i)
+    for j in range(ncols):
+        cols_of.setdefault(find(nrows + j), []).append(j)
+    return [
+        [[int(entries[i][j]) for j in cols_of[root]] for i in rows]
+        for root, rows in rows_of.items()
+    ]
+
+
+def _eliminate(a: List[List[int]]) -> List[int]:
+    """Diagonalize ``a`` in place; the nonzero diagonal, not yet normalized."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     divisors: List[int] = []
@@ -122,7 +173,11 @@ def smith_normal_form(M: IntMatrix | Sequence[Sequence[int]]) -> Tuple[int, List
                 break
         divisors.append(abs(a[t][t]))
         t += 1
-    # divisibility fixup: d_i | d_{i+1}
+    return divisors
+
+
+def _divisibility_fixup(divisors: List[int]) -> List[int]:
+    """Invariant factors of a nonzero diagonal: make d_i | d_{i+1}."""
     changed = True
     while changed:
         changed = False
@@ -132,7 +187,7 @@ def smith_normal_form(M: IntMatrix | Sequence[Sequence[int]]) -> Tuple[int, List
                 g = math.gcd(x, y)
                 divisors[i], divisors[i + 1] = g, x * y // g
                 changed = True
-    return len(divisors), divisors
+    return divisors
 
 
 def _field_rank(entries: Sequence[Sequence[int]], q: int) -> int:

@@ -14,6 +14,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
 from .values import (EPS, INF, BudgetExceededError, check_exponent,
@@ -45,6 +46,11 @@ class FilteredComplex:
         if n < 0 or n > self.max_dim:
             return []
         return self.tuples[n]
+
+    @cached_property
+    def births(self) -> List[List[float]]:
+        """Per degree, the births of ``tuples`` in order, for bisection."""
+        return [[t.birth for t in level] for level in self.tuples]
 
     @property
     def grades(self) -> List[float]:

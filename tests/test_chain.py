@@ -6,9 +6,9 @@ import pytest
 from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, IntMatrix,
                            SieveSpec, boundary_matrix, generators_at)
 from lpnerve.nerve import enumerate_complex
-from lpnerve.values import INF, InputError
+from lpnerve.values import EPS, INF, InputError
 from lpnerve.vgraph import VGraph
-from util import random_honest_space, random_l1_space
+from util import random_honest_space, random_l1_space, random_vgraph
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -68,6 +68,44 @@ def test_generators_at_strict():
     assert generators_at(fc, 1, 2.0, STRICT) == []
     assert [t.verts for t in generators_at(fc, 2, 2.0, STRICT)] == [
         ("a", "b", "a"), ("b", "a", "b")]
+
+
+def linear_scan_generators(fc, degree, grade, sieve, eps):
+    """Reference: scan the birth-sorted tuples up to grade + eps."""
+    out = []
+    for t in fc.degree(degree):
+        if t.birth > grade + eps:
+            break
+        if not sieve.kills(t.birth, grade, eps):
+            out.append(t)
+    return out
+
+
+def test_generators_at_matches_linear_scan():
+    rng = random.Random(21)
+    for make in (random_honest_space, random_l1_space, random_vgraph):
+        X = make(rng, 4)
+        for p in (1.0, 2.0, INF):
+            fc = enumerate_complex(X, p, 2)
+            grades = fc.grades
+            custom = SieveSpec(CUSTOM_GRID, {
+                r: frozenset(grades[:i // 2]) for i, r in enumerate(grades)})
+            births = sorted({t.birth for level in fc.tuples for t in level})
+            for eps in (EPS, 0.25):
+                probes = {-1.0, births[-1] + 1.0}
+                for b in births:
+                    probes |= {b, b - eps, b + eps}
+                for lo, hi in zip(births, births[1:]):
+                    probes.add((lo + hi) / 2)
+                for n in range(3):
+                    for r in sorted(probes):
+                        for sieve in (GLOBAL, STRICT):
+                            assert generators_at(fc, n, r, sieve, eps) == \
+                                linear_scan_generators(fc, n, r, sieve, eps)
+                    # a custom grid is only defined at its own grades
+                    for r in grades:
+                        assert generators_at(fc, n, r, custom, eps) == \
+                            linear_scan_generators(fc, n, r, custom, eps)
 
 
 def test_boundary_global_two_points():

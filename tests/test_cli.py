@@ -164,5 +164,13 @@ def test_exit_code_budget(capsys, c4_path):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degrees", ["2..0", "-1", "-1..1"])
+def test_exit_code_bad_degrees(capsys, c4_path, degrees):
+    with pytest.raises(SystemExit) as exc:
+        main(["mh", c4_path, f"--degrees={degrees}"])
+    assert exc.value.code == 2
+    assert "--degrees" in capsys.readouterr().err
+
+
 def test_exit_code_bad_max_dim(capsys, c4_path):
     assert main(["ph", c4_path, "--degrees", "2", "--max-dim", "1"]) == 2

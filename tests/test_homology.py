@@ -7,14 +7,16 @@ import pytest
 
 from lpnerve.chain import (EMPTY, STRICT_PREDECESSORS, SieveSpec,
                            boundary_matrix, generators_at)
+from lpnerve import homology
 from lpnerve.homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
-                              HomologySummary, homology_at,
-                              magnitude_homology, persistence_barcode,
-                              smith_normal_form, vr_oracle)
+                              HomologySummary, _divisibility_fixup,
+                              _eliminate, homology_at, magnitude_homology,
+                              persistence_barcode, smith_normal_form,
+                              vr_oracle)
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF, InputError
 from lpnerve.vgraph import VGraph, asymmetrize, free_category
-from util import random_honest_space, random_l1_space
+from util import random_honest_space, random_l1_space, random_vgraph
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -68,6 +70,72 @@ def test_snf_divisibility_random():
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
         assert rank == np.linalg.matrix_rank(np.array(M, dtype=float))
+
+
+def whole_matrix_snf(M):
+    """Reference: the elimination loop on the whole matrix as one block."""
+    entries = getattr(M, "entries", M)
+    divisors = _eliminate([list(map(int, row)) for row in entries])
+    return len(divisors), _divisibility_fixup(divisors)
+
+
+def test_snf_blockwise_matches_whole_matrix_random():
+    rng = random.Random(17)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 8), rng.randint(1, 8)
+        density = rng.random()
+        M = [[rng.randint(-5, 5) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        assert smith_normal_form(M) == whole_matrix_snf(M)
+
+
+def test_snf_permuted_blocks_with_coprime_torsion():
+    # connected blocks whose invariant factors are (4), (1, 5), (2, 4),
+    # (3, 3) and (7): torsion for coprime primes sits in different blocks
+    blocks = [
+        [[4]],
+        [[1, 1], [-1, 4]],
+        [[2, 2], [2, -2]],
+        [[3, 3, 0], [0, 3, 3]],
+        [[7]],
+    ]
+    rng = random.Random(23)
+    for _ in range(20):
+        nrows = sum(len(b) for b in blocks) + rng.randint(0, 3)
+        ncols = sum(len(b[0]) for b in blocks) + rng.randint(0, 3)
+        row_perm = rng.sample(range(nrows), nrows)
+        col_perm = rng.sample(range(ncols), ncols)
+        M = [[0] * ncols for _ in range(nrows)]
+        r0 = c0 = 0
+        for b in rng.sample(blocks, len(blocks)):
+            for i, row in enumerate(b):
+                for j, v in enumerate(row):
+                    M[row_perm[r0 + i]][col_perm[c0 + j]] = v
+            r0 += len(b)
+            c0 += len(b[0])
+        expected = (8, [1, 1, 1, 1, 1, 2, 12, 420])
+        assert smith_normal_form(M) == expected
+        assert whole_matrix_snf(M) == expected
+
+
+def test_tables_match_whole_matrix_snf(monkeypatch):
+    rng = random.Random(29)
+    spaces = [random_honest_space(rng, 4), random_honest_space(rng, 4),
+              random_vgraph(rng, 4), random_vgraph(rng, 4)]
+    for X in spaces:
+        for p in (1.0, 2.0, INF):
+            fc = enumerate_complex(X, p, 3)
+
+            def tables():
+                mh = magnitude_homology(X, p, [0, 1, 2])
+                glob = [homology_at(fc, n, r, GLOBAL)
+                        for r in fc.grades for n in (0, 1, 2)]
+                return mh, glob
+
+            blockwise = tables()
+            with monkeypatch.context() as m:
+                m.setattr(homology, "smith_normal_form", whole_matrix_snf)
+                assert tables() == blockwise
 
 
 def test_homology_two_points_global():
