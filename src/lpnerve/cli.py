@@ -15,7 +15,7 @@ from .homology import (GF2, INTEGERS, Coefficients, magnitude_homology,
                        persistence_barcode)
 from .nerve import DEFAULT_BUDGET, enumerate_complex
 from .values import EPS, INF, BudgetExceededError, InputError, parse_exponent
-from .vgraph import free_category, validate
+from .vgraph import asymmetrize, free_category, validate
 
 
 def _parse_degrees(text: str) -> range:
@@ -52,7 +52,6 @@ def _add_common(sub: argparse.ArgumentParser, default_p: str) -> None:
     sub.add_argument("--eps", type=float, default=EPS)
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="tuple count cap (default %(default)s)")
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--format", choices=["json", "csv", "svg"], default="json")
     sub.add_argument("-o", "--output", default=None,
                      help="output path (default stdout)")
@@ -133,8 +132,7 @@ def run(args) -> int:
         X = _load_validated(args)
         # no homology here, so max_dim is just the tuple cap
         dim = args.max_dim if args.max_dim is not None else max(_degrees(args)) + 1
-        fc = enumerate_complex(X, p, dim,
-                               budget=args.budget, workers=args.workers)
+        fc = enumerate_complex(X, p, dim, budget=args.budget)
         _emit(args, io.dumps(io.complex_to_json(fc)))
         return 0
 
@@ -142,8 +140,12 @@ def run(args) -> int:
         X = _load_validated(args)
         degrees = _degrees(args)
         coeff = _parse_coeff(args.coeff)
+        if p == INF and X.is_symmetric(0.0):
+            # same bars from the ordered-subset (Vietoris-Rips) complex,
+            # which has one tuple per subset instead of all orderings
+            X = asymmetrize(X)
         fc = enumerate_complex(X, p, _max_dim(args, degrees),
-                               budget=args.budget, workers=args.workers)
+                               budget=args.budget)
         bc = persistence_barcode(fc, max(degrees), coeff, eps=args.eps)
         bc.bars = [b for b in bc.bars if b.degree in degrees]
         if args.format == "svg":
@@ -158,7 +160,7 @@ def run(args) -> int:
         X = _load_validated(args)
         degrees = _degrees(args)
         rows = magnitude_homology(X, p, degrees, _max_dim(args, degrees),
-                                  budget=args.budget, workers=args.workers)
+                                  budget=args.budget)
         if args.format == "csv":
             _emit(args, io.homology_to_csv(rows))
         else:
@@ -173,7 +175,7 @@ def run(args) -> int:
         coeff = _parse_coeff(args.coeff)
         sieve = SieveSpec(STRICT_PREDECESSORS if args.sieve == "strict" else EMPTY)
         fc = enumerate_complex(X, p, _max_dim(args, degrees),
-                               budget=args.budget, workers=args.workers)
+                               budget=args.budget)
         rows = [
             homology_at(fc, n, r, sieve, coeff, eps=args.eps)
             for r in fc.grades for n in degrees
@@ -237,7 +239,7 @@ def run(args) -> int:
         degrees = _degrees(args, default_hi=1)
         table = magnitude_homology(strict_C, 1.0, [1],
                                    max(2, _max_dim(args, range(1, 2))),
-                                   budget=args.budget, workers=args.workers)
+                                   budget=args.budget)
         _emit(args, io.dumps({
             "cost_space": {
                 "vertices": C.vertices,

@@ -249,14 +249,16 @@ def homology_at(fc: FilteredComplex, degree: int, grade: float,
 
 def magnitude_homology(X: VGraph, p: float, degrees: Iterable[int],
                        max_dim: Optional[int] = None,
-                       budget: Optional[int] = None,
-                       workers: int = 1) -> List[HomologySummary]:
+                       budget: Optional[int] = None) -> List[HomologySummary]:
     """Localized homology table over the critical grades.
 
     p = 1 on a space satisfying the additive triangle inequality gives the
     classical magnitude homology; other p give its +_p variants.
     """
     degrees = sorted(set(degrees))
+    if not degrees or degrees[0] < 0:
+        raise InputError(
+            f"degrees must be a nonempty set of integers >= 0, got {degrees}")
     if max_dim is None:
         max_dim = max(degrees) + 1
     if max_dim < max(degrees) + 1:
@@ -264,7 +266,7 @@ def magnitude_homology(X: VGraph, p: float, degrees: Iterable[int],
             f"max_dim must be at least {max(degrees) + 1} for degree "
             f"{max(degrees)}")
     kwargs = {} if budget is None else {"budget": budget}
-    fc = enumerate_complex(X, p, max_dim, workers=workers, **kwargs)
+    fc = enumerate_complex(X, p, max_dim, **kwargs)
     sieve = SieveSpec(STRICT_PREDECESSORS)
     out: List[HomologySummary] = []
     for r in fc.grades:

@@ -6,16 +6,22 @@ For finite p the birth is computed by a longest-chain dynamic program in
 the p-th-power domain (the witness LP has an interval constraint matrix,
 so its optimum is attained on a chain of index pairs); for p = inf it is
 the maximum forward distance.
+
+``enumerate_complex`` runs one depth-first search over all tuples and
+carries the dynamic program down it: a tuple's chain values are those of
+its parent plus one new entry, so no birth is recomputed from scratch.
+``membership_scale`` computes one birth on its own and is the reference
+the search agrees with bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .values import (EPS, INF, BudgetExceededError, check_exponent,
                      tensor_fold)
@@ -113,36 +119,66 @@ def membership_scale_category(X: VGraph, verts: Sequence[str], p: float) -> floa
     return tensor_fold([X.dist[idx[i], idx[i + 1]] for i in range(len(idx) - 1)], p)
 
 
-def _enumerate_from(X: VGraph, p: float, max_dim: int, first: int) -> List[List[Tuple[float, Tuple[int, ...]]]]:
-    """All finite-birth nondegenerate tuples starting at vertex ``first``.
+def _search(X: VGraph, p: float, max_dim: int,
+            budget: int | None) -> List[List[Tuple[float, Tuple[str, ...]]]]:
+    """All finite-birth nondegenerate tuples as (birth, verts), per degree,
+    in one depth-first search.
 
-    Extending a tuple can only raise its birth, so infinite-birth branches
-    are pruned.
+    Each stacked tuple carries its reach vector: ``reach[v]`` is the
+    longest-chain value (p-th-power domain; plain max at p = inf) of the
+    tuple extended by vertex index ``v``.  Extending by ``nxt`` appends the
+    chain entry ``top = reach[nxt]``, and the child's reach is
+    ``max(reach[v], top + w[nxt][v])`` (``max(top, d[nxt][v])`` at
+    p = inf).  Every candidate is the same single addition that
+    ``membership_scale`` makes and maxima are exact, so the births are
+    bit-identical to it.  Extending a tuple can only raise its birth, so
+    infinite branches are pruned.
     """
-    n = len(X)
-    out: List[List[Tuple[float, Tuple[int, ...]]]] = [[] for _ in range(max_dim + 1)]
     names = X.vertices
-    stack: List[Tuple[Tuple[int, ...], float]] = [((first,), 0.0)]
-    while stack:
-        tup, birth = stack.pop()
-        out[len(tup) - 1].append((birth, tup))
-        if len(tup) - 1 == max_dim:
-            continue
-        last = tup[-1]
+    n = len(names)
+    limit = INF if budget is None else budget
+    out: List[List[Tuple[float, Tuple[str, ...]]]] = [[] for _ in range(max_dim + 1)]
+    out[0] = [(0.0, (v,)) for v in names]
+    count = n
+    stack: List[Tuple[Tuple[str, ...], int, List[float]]] = []
+    if max_dim > 0:
+        d = X.dist.tolist()
+        if p == INF:
+            op, w, root = max, d, None
+        else:
+            op, w, root = operator.add, [[x ** p for x in row] for row in d], 1.0 / p
+        stack = [((v,), i, [op(0.0, x) for x in w[i]]) for i, v in enumerate(names)]
+    while count <= limit and stack:
+        verts, last, reach = stack.pop()
+        found = out[len(verts)]
+        deeper = len(verts) < max_dim
         for nxt in range(n):
-            if nxt == last:
+            top = reach[nxt]
+            if nxt == last or top == INF:
                 continue
-            verts = tuple(names[i] for i in tup) + (names[nxt],)
-            b = membership_scale(X, verts, p)
-            if math.isfinite(b):
-                stack.append((tup + (nxt,), b))
+            count += 1
+            if count > limit:
+                break
+            child = verts + (names[nxt],)
+            if root is None:
+                found.append((top, child))
+            else:
+                found.append((top ** root if top > 0.0 else 0.0, child))
+            if deeper:
+                stack.append((child, nxt, list(map(
+                    max, reach, [op(top, x) for x in w[nxt]]))))
+    if count > limit:
+        raise BudgetExceededError(f"tuple count exceeded the budget of {budget}")
     return out
 
 
 def enumerate_complex(X: VGraph, p: float, max_dim: int,
-                      budget: int | None = DEFAULT_BUDGET,
-                      workers: int = 1) -> FilteredComplex:
-    """All nondegenerate tuples of degree <= max_dim with finite birth."""
+                      budget: int | None = DEFAULT_BUDGET) -> FilteredComplex:
+    """All nondegenerate tuples of degree <= max_dim with finite birth.
+
+    Raises ``BudgetExceededError`` as soon as more than ``budget`` tuples
+    have been found.
+    """
     p = check_exponent(p)
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -153,29 +189,10 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
             f"which exceeds the budget of {budget}",
             RuntimeWarning,
         )
-    levels: List[List[Tuple[float, Tuple[int, ...]]]] = [[] for _ in range(max_dim + 1)]
-    if workers > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(lambda v: _enumerate_from(X, p, max_dim, v), range(n))
-    else:
-        parts = (_enumerate_from(X, p, max_dim, v) for v in range(n))
-    count = 0
-    for part in parts:
-        for deg, items in enumerate(part):
-            levels[deg].extend(items)
-            count += len(items)
-            if budget is not None and count > budget:
-                raise BudgetExceededError(
-                    f"tuple count exceeded the budget of {budget}")
-    names = X.vertices
-    tuples = [
-        sorted(
-            (SimplexTuple(tuple(names[i] for i in tup), birth)
-             for birth, tup in level),
-            key=lambda t: (t.birth, t.verts),
-        )
-        for level in levels
-    ]
+    tuples = []
+    for level in _search(X, p, max_dim, budget):
+        level.sort()
+        tuples.append([SimplexTuple(verts, birth) for birth, verts in level])
     return FilteredComplex(X, p, max_dim, tuples)
 
 

@@ -1,8 +1,17 @@
 import json
+import math
+import random
 
+import numpy as np
 import pytest
 
+import lpnerve.cli
+from lpnerve import io
 from lpnerve.cli import main
+from lpnerve.homology import Barcode, Coefficients, persistence_barcode
+from lpnerve.nerve import enumerate_complex
+from lpnerve.vgraph import VGraph, asymmetrize
+from util import random_honest_space, random_vgraph
 
 C4_CSV = """a,b,c,d
 0,1,2,1
@@ -134,14 +143,105 @@ def test_automaton(capsys, tmp_path):
     assert obj["cost_space"]["vertices"] == ["s0", "s1", "s2"]
 
 
-def test_deterministic_across_workers(capsys, c4_path):
-    code = main(["ph", c4_path, "--degrees", "0..2", "--workers", "1"])
+def test_deterministic_across_runs(capsys, c4_path):
+    code = main(["ph", c4_path, "--degrees", "0..2"])
     out1 = capsys.readouterr().out
     assert code == 0
-    code = main(["ph", c4_path, "--degrees", "0..2", "--workers", "4"])
+    code = main(["ph", c4_path, "--degrees", "0..2"])
     out2 = capsys.readouterr().out
     assert code == 0
     assert out1 == out2
+
+
+def symmetric_space(rng, n, alphabet):
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i, j] = mat[j, i] = rng.choice(alphabet)
+    return VGraph([f"v{i}" for i in range(n)], mat)
+
+
+def write_space(path, X):
+    rows = [",".join(X.vertices)] + [
+        ",".join("inf" if math.isinf(x) else repr(x) for x in row)
+        for row in X.dist.tolist()
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def bars_json(X, p, degrees, max_dim, q):
+    """``ph`` output as the general path computes it on X itself."""
+    bc = persistence_barcode(enumerate_complex(X, p, max_dim), max(degrees),
+                             Coefficients(q))
+    return io.dumps(io.barcode_to_json(
+        Barcode([b for b in bc.bars if b.degree in degrees])))
+
+
+def run_ph(capsys, monkeypatch, path, p, max_dim, q):
+    """CLI ``ph`` output, and the spaces the CLI enumerated."""
+    seen = []
+
+    def recording(X, *args, **kwargs):
+        seen.append(X)
+        return enumerate_complex(X, *args, **kwargs)
+
+    monkeypatch.setattr(lpnerve.cli, "enumerate_complex", recording)
+    code = main(["ph", path, "--p", p, "--degrees", "0..1",
+                 "--max-dim", str(max_dim), "--coeff", f"z{q}"])
+    assert code == 0
+    return capsys.readouterr().out, seen
+
+
+SYMMETRIC_KINDS = {
+    "strict": lambda rng: random_honest_space(rng, 6),
+    "zero_off_diagonal": lambda rng: symmetric_space(rng, 6, (0.0, 1.0, 2.0)),
+    "inf_entries": lambda rng: symmetric_space(rng, 6, (0.5, 1.0, 3.0, math.inf)),
+    "non_metric": lambda rng: symmetric_space(rng, 6, (0.5, 1.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYMMETRIC_KINDS))
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("max_dim", [2, 3])
+def test_ph_symmetric_inf_matches_general_path(capsys, monkeypatch, tmp_path,
+                                               kind, q, max_dim):
+    rng = random.Random(61)
+    for k in range(3):
+        X = SYMMETRIC_KINDS[kind](rng)
+        path = write_space(tmp_path / f"s{k}.csv", X)
+        out, seen = run_ph(capsys, monkeypatch, path, "inf", max_dim, q)
+        # the ordered-subset complex ran, and gave the general path's bars
+        assert [Y.dist.tolist() for Y in seen] == [asymmetrize(X).dist.tolist()]
+        assert out == bars_json(X, math.inf, range(0, 2), max_dim, q)
+
+
+def test_ph_general_path_off_the_gate(capsys, monkeypatch, tmp_path):
+    """Finite p, asymmetric and near-symmetric inputs enumerate the space
+    itself; the ordered-subset complex would give other bars there."""
+    rng = random.Random(67)
+    cases = []
+    for k in range(4):
+        X = random_honest_space(rng, 5)
+        cases.append((X, "2", True))
+        cases.append((X, "1", True))
+        cases.append((random_vgraph(rng, 5), "inf", False))
+        near = VGraph(X.vertices, X.dist.copy())
+        for i in range(5):
+            for j in range(i):
+                near.dist[i, j] -= 1e-10  # within --eps of symmetric
+        cases.append((near, "inf", True))
+    differs = set()
+    for k, (X, p, comparable) in enumerate(cases):
+        path = write_space(tmp_path / f"s{k}.csv", X)
+        out, seen = run_ph(capsys, monkeypatch, path, p, 2, 2)
+        assert [Y.dist.tolist() for Y in seen] == [X.dist.tolist()]
+        want = bars_json(X, float(p), range(0, 2), 2, 2)
+        assert out == want
+        if comparable and want != bars_json(asymmetrize(X), float(p),
+                                            range(0, 2), 2, 2):
+            differs.add(p)
+    assert differs == {"1", "2", "inf"}
 
 
 def test_exit_code_missing_file(capsys):

@@ -186,6 +186,13 @@ def test_magnitude_homology_degree0():
     assert all(r.grade == 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("degrees", [[], [-1], [0, -1]])
+def test_magnitude_homology_bad_degrees(degrees):
+    X = random_honest_space(random.Random(7), 3)
+    with pytest.raises(InputError):
+        magnitude_homology(X, 1.0, degrees)
+
+
 def test_persistence_two_points():
     X = VGraph(["a", "b"], np.array([[0.0, 3.0], [3.0, 0.0]]))
     fc = enumerate_complex(X, INF, 2)

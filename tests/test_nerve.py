@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from lpnerve.nerve import (FilteredComplex, SimplexTuple, critical_grades,
                            membership_scale_category)
 from lpnerve.values import INF, BudgetExceededError, close
 from lpnerve.vgraph import VGraph, free_category
-from util import random_honest_space, random_vgraph, sigma_oracle
+from util import (random_honest_space, random_l1_space, random_vgraph,
+                  sigma_oracle)
 
 
 def test_is_degenerate():
@@ -157,10 +159,10 @@ def test_enumerate_sorted_and_sizes():
     assert fc.size() == 105
 
 
-def test_enumerate_workers_deterministic():
+def test_enumerate_deterministic():
     X = random_honest_space(random.Random(41), 6)
-    a = enumerate_complex(X, 2.0, 2, workers=1)
-    b = enumerate_complex(X, 2.0, 2, workers=3)
+    a = enumerate_complex(X, 2.0, 2)
+    b = enumerate_complex(X, 2.0, 2)
     assert a.tuples == b.tuples
 
 
@@ -169,6 +171,44 @@ def test_budget():
     with pytest.raises(BudgetExceededError):
         with pytest.warns(RuntimeWarning):
             enumerate_complex(X, 1.0, 3, budget=50)
+
+
+def test_budget_stops_the_search_early():
+    # one first vertex alone roots about 29^4 tuples; the search must stop
+    # at the budget, not after building that subtree
+    X = random_honest_space(random.Random(47), 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            with pytest.warns(RuntimeWarning):
+                enumerate_complex(X, INF, 4, budget=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+def test_enumerate_matches_membership_scale(p):
+    """The births carried down the search equal membership_scale exactly,
+    and each degree holds exactly the finite-birth nondegenerate tuples."""
+    rng = random.Random(53)
+    floats = tuple(rng.uniform(0.1, 3.0) for _ in range(5)) + (INF,)
+    spaces = [random_vgraph(rng, 4), random_vgraph(rng, 5, alphabet=floats),
+              random_l1_space(rng, 4), random_l1_space(rng, 5),
+              random_honest_space(rng, 4), random_honest_space(rng, 5)]
+    for X in spaces:
+        fc = enumerate_complex(X, p, 3)
+        for degree, level in enumerate(fc.tuples):
+            for t in level:
+                assert t.birth == membership_scale(X, t.verts, p)
+            want = {
+                tup for tup in itertools.product(X.vertices, repeat=degree + 1)
+                if not is_degenerate(tup)
+                and math.isfinite(membership_scale(X, tup, p))
+            }
+            assert len(level) == len(want)
+            assert {t.verts for t in level} == want
 
 
 def test_critical_grades():
