@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from .values import EPS, INF, InputError, check_exponent, close
+from .values import EPS, INF, InputError, check_exponent, check_powers, close
 from .vgraph import VGraph, is_enriched_category
 
 
@@ -46,6 +46,7 @@ def interpolators(X: VGraph, a: str, b: str, p: float,
     p = check_exponent(p)
     if a == b:
         raise InputError("interpolation needs two distinct endpoints")
+    check_powers(X.dist.flat, p, 2)
     D = X.d(a, b)
     if p == math.inf:
         warnings.warn(
@@ -105,6 +106,8 @@ def p_critical(X: VGraph, a: str, b: str, tol: float = 1e-6,
     """
     if a == b:
         raise InputError("p_critical needs two distinct endpoints")
+    if not tol > 0.0:
+        raise InputError(f"p_critical needs a positive tolerance, got {tol!r}")
     D = X.d(a, b)
     if D <= eps or math.isinf(D):
         raise InputError(

@@ -1,10 +1,12 @@
 """Integer chain groups of the filtered nerve, with grade localization.
 
 Chains are normalized from the start: generators are the nondegenerate
-tuples, and a degenerate face contributes nothing to a boundary.  A sieve
-selects which births survive at each grade; the strict-predecessor sieve
-keeps only generators born exactly at the grade under inspection, which is
-the magnitude-style localization.
+tuples, and a degenerate face contributes nothing to a boundary.  ``faces``
+is the one alternating-face builder: ``boundary_matrix`` and the barcode
+columns of ``homology.persistence_barcode`` both read their coefficients
+from it.  A sieve selects which births survive at each grade; the
+strict-predecessor sieve keeps only generators born exactly at the grade
+under inspection, which is the magnitude-style localization.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .values import EPS, InputError, close
-from .nerve import FilteredComplex, SimplexTuple, is_degenerate
+from .nerve import FilteredComplex, SimplexTuple
 
 EMPTY = "empty"
 STRICT_PREDECESSORS = "strict"
@@ -90,15 +92,22 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.col_labels)
 
-    def to_triplets(self) -> dict:
-        """Sparse triplet form for debugging dumps."""
-        triplets = [
-            [i, j, v]
-            for i, row in enumerate(self.entries)
-            for j, v in enumerate(row)
-            if v != 0
-        ]
-        return {"rows": self.rows, "cols": self.cols, "entries": triplets}
+
+def faces(verts: Tuple[str, ...]) -> Iterator[Tuple[Tuple[str, ...], int]]:
+    """The nondegenerate faces of a tuple with their boundary signs.
+
+    ``verts`` must itself be nondegenerate (no two equal neighbours).  Then
+    deleting vertex ``i`` makes a degenerate face exactly when ``i`` is
+    inner and its two neighbours are equal, and distinct deletions give
+    distinct faces, so each face appears once with coefficient +1 or -1.
+    """
+    last = len(verts) - 1
+    if last < 1:
+        return
+    for i in range(last + 1):
+        if 0 < i < last and verts[i - 1] == verts[i + 1]:
+            continue
+        yield verts[:i] + verts[i + 1:], -1 if i % 2 else 1
 
 
 def generators_at(fc: FilteredComplex, degree: int, grade: float,
@@ -132,11 +141,8 @@ def boundary_matrix(fc: FilteredComplex, degree: int, grade: float,
     row_index = {t.verts: i for i, t in enumerate(rows)}
     entries = [[0] * len(cols) for _ in rows]
     for j, t in enumerate(cols):
-        for i in range(degree + 1):
-            face = t.verts[:i] + t.verts[i + 1:]
-            if is_degenerate(face):
-                continue
+        for face, sign in faces(t.verts):
             k = row_index.get(face)
             if k is not None:
-                entries[k][j] += -1 if i % 2 else 1
+                entries[k][j] = sign
     return IntMatrix(entries, rows, cols)

@@ -32,6 +32,20 @@ def _parse_degrees(text: str) -> range:
     return degrees
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _parse_coeff(text: str) -> Coefficients:
     text = text.lower()
     if text == "z":
@@ -49,7 +63,7 @@ def _add_common(sub: argparse.ArgumentParser, default_p: str) -> None:
                      help="tuple dimension cap (default: max degree + 1)")
     sub.add_argument("--degrees", type=_parse_degrees, default=None,
                      metavar="A..B", help="homology degrees to report")
-    sub.add_argument("--eps", type=float, default=EPS)
+    sub.add_argument("--eps", type=_nonnegative, default=EPS)
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="tuple count cap (default %(default)s)")
     sub.add_argument("--format", choices=["json", "csv", "svg"], default="json")
@@ -87,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ultrametric flag, critical exponents, "
                               "degree-1 generator pairs")
     _add_common(an, "1")
-    an.add_argument("--tol", type=float, default=1e-6)
+    an.add_argument("--tol", type=_positive, default=1e-6)
 
     auto = subs.add_parser("automaton",
                            help="cost space and cost-primitive pairs")

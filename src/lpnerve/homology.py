@@ -2,11 +2,11 @@
 
 Integer homology goes through an exact Smith normal form (Python integers,
 so no overflow), eliminated separately on each connected block of the
-matrix's nonzero pattern; field homology through Gaussian elimination
-mod q.  The
-barcode pipeline orders all tuples by (birth, degree, vertices) and runs
-the standard column reduction (compiled kernel when available).  A
-classical Vietoris-Rips computation on unordered simplices, with its own
+matrix's nonzero pattern.  The barcode pipeline orders all tuples by
+(birth, degree, vertices) and runs the standard column reduction over
+GF(q) (compiled kernel when available); field homology ranks each
+boundary matrix with that same column reduction.  A classical
+Vietoris-Rips computation on unordered simplices, with its own
 self-contained mod-2 reduction, serves as an independent cross-check.
 """
 
@@ -19,8 +19,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import kernels
 from .chain import (EMPTY, STRICT_PREDECESSORS, IntMatrix, SieveSpec,
-                    boundary_matrix, generators_at)
-from .nerve import FilteredComplex, SimplexTuple, enumerate_complex, is_degenerate
+                    boundary_matrix, faces, generators_at)
+from .nerve import FilteredComplex, SimplexTuple, enumerate_complex
 from .values import EPS, INF, InputError, close
 from .vgraph import VGraph, is_enriched_category
 
@@ -190,31 +190,28 @@ def _divisibility_fixup(divisors: List[int]) -> List[int]:
     return divisors
 
 
-def _field_rank(entries: Sequence[Sequence[int]], q: int) -> int:
-    a = [[v % q for v in row] for row in entries]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, nrows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = pow(a[row][col], q - 2, q)
-        a[row] = [(v * inv) % q for v in a[row]]
-        for i in range(nrows):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [(v - f * w) % q for v, w in zip(a[i], a[row])]
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
-
-
 # -- graded homology --------------------------------------------------
+
+
+def _rank(M: IntMatrix, coefficients: Coefficients) -> Tuple[int, Tuple[int, ...]]:
+    """Rank and torsion of a boundary matrix.
+
+    Over Z: the Smith normal form rank and the invariant factors above 1.
+    Over GF(q): the number of pivots the barcode column reduction finds
+    on the columns mod q, with no torsion.
+    """
+    q = coefficients.modulus
+    if q is None:
+        rank, divisors = smith_normal_form(M)
+        return rank, tuple(d for d in divisors if d > 1)
+    col_rows: List[List[int]] = []
+    col_coeffs: List[List[int]] = []
+    for col in zip(*M.entries):
+        rows = [i for i, v in enumerate(col) if v % q]
+        col_rows.append(rows)
+        col_coeffs.append([col[i] % q for i in rows])
+    lows = kernels.reduce_columns(col_rows, col_coeffs, q)
+    return sum(1 for low in lows if low >= 0), ()
 
 
 def homology_at(fc: FilteredComplex, degree: int, grade: float,
@@ -231,18 +228,10 @@ def homology_at(fc: FilteredComplex, degree: int, grade: float,
     if degree == 0:
         rank_lower = 0
     else:
-        lower = boundary_matrix(fc, degree, grade, sieve, eps)
-        if coefficients.modulus is None:
-            rank_lower, _ = smith_normal_form(lower)
-        else:
-            rank_lower = _field_rank(lower.entries, coefficients.modulus)
-    upper = boundary_matrix(fc, degree + 1, grade, sieve, eps)
-    if coefficients.modulus is None:
-        rank_upper, divisors = smith_normal_form(upper)
-        torsion = tuple(d for d in divisors if d > 1)
-    else:
-        rank_upper = _field_rank(upper.entries, coefficients.modulus)
-        torsion = ()
+        rank_lower, _ = _rank(boundary_matrix(fc, degree, grade, sieve, eps),
+                              coefficients)
+    rank_upper, torsion = _rank(
+        boundary_matrix(fc, degree + 1, grade, sieve, eps), coefficients)
     nullity = len(gens) - rank_lower
     return HomologySummary(grade, degree, nullity - rank_upper, torsion)
 
@@ -318,15 +307,7 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
     col_rows: List[List[int]] = []
     col_coeffs: List[List[int]] = []
     for t in simplices:
-        entries: Dict[int, int] = {}
-        if t.degree > 0:
-            for i in range(t.degree + 1):
-                face = t.verts[:i] + t.verts[i + 1:]
-                if is_degenerate(face):
-                    continue
-                k = index[face]
-                entries[k] = (entries.get(k, 0) + (-1 if i % 2 else 1)) % q
-        items = sorted((k, c) for k, c in entries.items() if c)
+        items = sorted((index[f], s % q) for f, s in faces(t.verts))
         col_rows.append([k for k, _ in items])
         col_coeffs.append([c for _, c in items])
     lows = kernels.reduce_columns(col_rows, col_coeffs, q)

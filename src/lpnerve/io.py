@@ -14,7 +14,6 @@ from typing import List, Sequence
 import numpy as np
 
 from .automata import Automaton, Transition
-from .chain import IntMatrix
 from .homology import Bar, Barcode, HomologySummary
 from .nerve import FilteredComplex, SimplexTuple
 from .values import INF, InputError, grade_str, parse_grade
@@ -153,10 +152,6 @@ def dumps(obj) -> str:
             return [walk(x) for x in v]
         return v
     return json.dumps(walk(obj), indent=2, sort_keys=False) + "\n"
-
-
-def matrix_to_json(M: IntMatrix) -> dict:
-    return M.to_triplets()
 
 
 # -- homology reports -------------------------------------------------

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .values import (EPS, INF, BudgetExceededError, check_exponent,
-                     tensor_fold)
+                     check_powers, tensor_fold)
 from .vgraph import VGraph
 
 #: default cap on the number of enumerated tuples
@@ -177,11 +177,13 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
     """All nondegenerate tuples of degree <= max_dim with finite birth.
 
     Raises ``BudgetExceededError`` as soon as more than ``budget`` tuples
-    have been found.
+    have been found, and ``InputError`` when a birth at finite p would
+    overflow.
     """
     p = check_exponent(p)
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
+    check_powers(X.dist.flat, p, max_dim)
     n = len(X)
     if budget is not None and n ** (max_dim + 1) > budget:
         warnings.warn(

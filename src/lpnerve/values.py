@@ -33,6 +33,27 @@ def check_exponent(p: float) -> float:
     return p
 
 
+def check_powers(distances: Iterable[float], p: float, hops: int) -> None:
+    """Reject distances whose p-th powers overflow when summed.
+
+    Finite-p code adds up to ``hops`` p-th powers of distances; that sum
+    stays a finite float for every path exactly when ``hops * dmax ** p``
+    does, where ``dmax`` is the largest finite distance.  Raises
+    ``InputError`` otherwise.  Nothing is summed at p = inf.
+    """
+    if p == INF or hops < 1:
+        return
+    dmax = max((float(d) for d in distances if d < INF), default=0.0)
+    try:
+        total = hops * dmax ** p
+    except OverflowError:
+        total = INF
+    if total == INF:
+        raise InputError(
+            f"distance {dmax!r} is too large at p = {p!r}: {hops} times "
+            f"its p-th power overflows a float")
+
+
 def is_grade(r: float) -> bool:
     return not math.isnan(r) and r >= 0.0
 

@@ -17,7 +17,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .values import EPS, INF, InputError, check_exponent, leq, tensor, tensor_fold
+from .values import (EPS, INF, InputError, check_exponent, check_powers, leq,
+                     tensor, tensor_fold)
 
 
 @dataclass
@@ -189,6 +190,7 @@ def free_category(X: VGraph, p: float) -> VGraph:
     """
     p = check_exponent(p)
     n = len(X)
+    check_powers(X.dist.flat, p, n - 1)
     d = X.dist.copy()
     np.fill_diagonal(d, 0.0)
     if p == math.inf:

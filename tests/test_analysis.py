@@ -128,3 +128,17 @@ def test_p_critical_input_checks():
     Y = VGraph.from_entries(["a", "b"], {})
     with pytest.raises(InputError):
         p_critical(Y, "a", "b")
+    for tol in (math.nan, 0.0, -1.0):  # nan first: it cannot hang
+        with pytest.raises(InputError):
+            p_critical(X, "a", "c", tol=tol)
+
+
+def test_interpolators_reject_overflowing_powers():
+    X = VGraph(["a", "b", "c"], np.array([
+        [0.0, 1e200, 1.0],
+        [1e200, 0.0, 1.0],
+        [1.0, 1.0, 0.0],
+    ]))
+    with pytest.raises(InputError):
+        interpolators(X, "a", "b", 2.0)
+    assert interpolators(X, "a", "b", 1.0).witnesses == ["c"]

@@ -1,11 +1,12 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, IntMatrix,
-                           SieveSpec, boundary_matrix, generators_at)
-from lpnerve.nerve import enumerate_complex
+from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
+                           boundary_matrix, faces, generators_at)
+from lpnerve.nerve import enumerate_complex, is_degenerate
 from lpnerve.values import EPS, INF, InputError
 from lpnerve.vgraph import VGraph
 from util import random_honest_space, random_l1_space, random_vgraph
@@ -196,8 +197,22 @@ def test_exponent_inclusion_commutes_with_boundary():
                         Mq.entries[qr[s.verts]][qi[t.verts]]
 
 
-def test_int_matrix_triplets():
-    M = IntMatrix([[0, 2], [-1, 0]], row_labels=[None, None],
-                  col_labels=[None, None])
-    assert M.to_triplets() == {
-        "rows": 2, "cols": 2, "entries": [[0, 1, 2], [1, 0, -1]]}
+
+def test_faces_match_degeneracy_oracle():
+    """Every nondegenerate tuple of length 1 to 6 over three letters."""
+    checked = 0
+    for length in range(1, 7):
+        for verts in itertools.product("abc", repeat=length):
+            if is_degenerate(verts):
+                continue
+            expected = []
+            if length > 1:
+                for i in range(length):
+                    face = verts[:i] + verts[i + 1:]
+                    if not is_degenerate(face):
+                        expected.append((face, -1 if i % 2 else 1))
+            got = list(faces(verts))
+            assert got == expected
+            assert len({face for face, _ in got}) == len(got)
+            checked += 1
+    assert checked == 3 * (1 + 2 + 4 + 8 + 16 + 32)

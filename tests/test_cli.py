@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -274,3 +277,65 @@ def test_exit_code_bad_degrees(capsys, c4_path, degrees):
 
 def test_exit_code_bad_max_dim(capsys, c4_path):
     assert main(["ph", c4_path, "--degrees", "2", "--max-dim", "1"]) == 2
+
+
+BIG_CSV = """a,b,c
+0,1e200,1
+1e200,0,1
+1,1,0
+"""
+
+
+@pytest.mark.parametrize("command", ["mh", "nerve", "ph", "homology",
+                                     "analyze", "free"])
+def test_exit_code_overflowing_powers(capsys, tmp_path, command):
+    path = tmp_path / "big.csv"
+    path.write_text(BIG_CSV)
+    assert main([command, str(path), "--p", "2"]) == 2
+    assert "overflows" in capsys.readouterr().err
+    for p in ("1", "inf"):
+        assert main([command, str(path), "--p", p]) == 0
+        assert capsys.readouterr().out
+
+
+def test_overflowing_powers_edge_cases(capsys, tmp_path):
+    # every chain sum of a degree-2 tuple would overflow to inf
+    path = tmp_path / "mid.csv"
+    path.write_text("a,b,c\n0,1e154,1e154\n1e154,0,1e154\n1e154,1e154,0\n")
+    assert main(["nerve", str(path), "--p", "2", "--max-dim", "2"]) == 2
+    assert main(["nerve", str(path), "--p", "2", "--max-dim", "1"]) == 0
+    capsys.readouterr()
+    path = tmp_path / "two.csv"
+    path.write_text("a,b\n0,1e200\n1e200,0\n")
+    assert main(["free", str(path), "--p", "2"]) == 2
+    path = tmp_path / "big.csv"
+    path.write_text(BIG_CSV)
+    for p, dist in (("1", 2.0), ("inf", 1.0)):
+        code, obj = run_json(capsys, ["free", str(path), "--p", p])
+        assert code == 0
+        assert obj["edges"][0] == {"from": "a", "to": "b", "dist": dist}
+        code, obj = run_json(capsys, ["nerve", str(path), "--p", p,
+                                      "--max-dim", "1"])
+        assert code == 0
+        births = {tuple(t["verts"]): t["birth"] for t in obj["tuples"]}
+        assert births[("a", "b")] == 1e200
+
+
+def run_cli(argv, timeout=60):
+    """Run the CLI in a child process, so a hang fails instead of blocking."""
+    src = os.path.dirname(os.path.dirname(lpnerve.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "lpnerve.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("flag,value,code", [
+    ("--tol", "0", 2), ("--tol", "-1", 2), ("--tol", "nan", 2),
+    ("--eps", "nan", 2), ("--eps", "-1", 2),
+    ("--tol", "0.001", 0), ("--eps", "0", 0)])
+def test_exit_code_bad_tolerance(line_path, flag, value, code):
+    done = run_cli(["analyze", line_path, f"{flag}={value}"])
+    assert done.returncode == code
+    if code:
+        assert flag in done.stderr

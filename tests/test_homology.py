@@ -5,12 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from lpnerve.chain import (EMPTY, STRICT_PREDECESSORS, SieveSpec,
+from lpnerve.chain import (EMPTY, STRICT_PREDECESSORS, IntMatrix, SieveSpec,
                            boundary_matrix, generators_at)
 from lpnerve import homology
 from lpnerve.homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
                               HomologySummary, _divisibility_fixup,
-                              _eliminate, homology_at, magnitude_homology,
+                              _eliminate, _rank, homology_at, magnitude_homology,
                               persistence_barcode, smith_normal_form,
                               vr_oracle)
 from lpnerve.nerve import enumerate_complex
@@ -136,6 +136,42 @@ def test_tables_match_whole_matrix_snf(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(homology, "smith_normal_form", whole_matrix_snf)
                 assert tables() == blockwise
+
+
+def test_rank_planted_torsion():
+    M = IntMatrix([[2, 0], [0, 3]], [None, None], [None, None])
+    assert _rank(M, INTEGERS) == (2, (6,))
+    assert _rank(M, Coefficients(2)) == (1, ())
+    assert _rank(M, Coefficients(3)) == (1, ())
+    assert _rank(M, Coefficients(5)) == (2, ())
+
+
+def test_field_homology_matches_universal_coefficients():
+    """Over GF(q) a boundary's rank is the number of its invariant
+    factors over Z that q does not divide."""
+
+    def field_rank(divisors, q):
+        return sum(1 for d in divisors if d % q)
+
+    rng = random.Random(31)
+    for make in (random_honest_space, random_l1_space, random_vgraph):
+        X = make(rng, 4)
+        for p in (1.0, 2.0, INF):
+            fc = enumerate_complex(X, p, 3)
+            for sieve in (GLOBAL, STRICT):
+                for r in fc.grades:
+                    divisors = {0: []}
+                    for n in (1, 2, 3):
+                        _, divisors[n] = smith_normal_form(
+                            boundary_matrix(fc, n, r, sieve))
+                    for n in (0, 1, 2):
+                        gens = len(generators_at(fc, n, r, sieve))
+                        for q in (2, 3, 5):
+                            h = homology_at(fc, n, r, sieve, Coefficients(q))
+                            assert h.torsion == ()
+                            assert h.rank == (gens
+                                              - field_rank(divisors[n], q)
+                                              - field_rank(divisors[n + 1], q))
 
 
 def test_homology_two_points_global():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpnerve.values import (EPS, INF, InputError, check_exponent, close,
-                            grade_str, leq, parse_exponent, parse_grade,
-                            tensor, tensor_fold)
+from lpnerve.values import (EPS, INF, InputError, check_exponent,
+                            check_powers, close, grade_str, leq,
+                            parse_exponent, parse_grade, tensor, tensor_fold)
 
 grades = st.one_of(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -112,3 +112,15 @@ def test_grade_round_trip():
     assert parse_exponent("inf") == INF
     with pytest.raises(InputError):
         parse_exponent("0.3")
+
+
+def test_check_powers():
+    check_powers([0.0, 1e154, INF], 2.0, 1)
+    check_powers([1e200], 1.0, 3)
+    check_powers([1e200], INF, 3)
+    check_powers([1e200], 2.0, 0)  # nothing is summed
+    check_powers([], 2.0, 3)
+    for distances, p, hops in (([1e154], 2.0, 2), ([1e200], 2.0, 1),
+                               ([1e308], 1.0, 2)):
+        with pytest.raises(InputError):
+            check_powers(distances, p, hops)
