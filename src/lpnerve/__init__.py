@@ -14,8 +14,9 @@ from .nerve import (FilteredComplex, SimplexTuple, critical_grades,
                     enumerate_complex, membership_scale)
 from .chain import IntMatrix, SieveSpec, boundary_matrix, generators_at
 from .homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
-                       HomologySummary, homology_at, magnitude_homology,
-                       persistence_barcode, smith_normal_form, vr_oracle)
+                       HomologySummary, homology_at, homology_table,
+                       magnitude_homology, persistence_barcode,
+                       smith_normal_form, vr_oracle)
 from .analysis import (InterpolationReport, h1_generators, interpolators,
                        is_ultrametric, p_critical)
 from .automata import (Automaton, Transition, cost_primitive_pairs,

@@ -11,20 +11,16 @@ from typing import List, Optional
 
 from . import analysis, automata, io
 from .chain import EMPTY, STRICT_PREDECESSORS, SieveSpec
-from .homology import (GF2, INTEGERS, Coefficients, magnitude_homology,
-                       persistence_barcode)
+from .homology import (INTEGERS, Coefficients, homology_table,
+                       magnitude_homology, persistence_barcode)
 from .nerve import DEFAULT_BUDGET, enumerate_complex
 from .values import EPS, INF, BudgetExceededError, InputError, parse_exponent
 from .vgraph import asymmetrize, free_category, validate
 
 
 def _parse_degrees(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        degrees = range(int(lo), int(hi) + 1)
-    else:
-        d = int(text)
-        degrees = range(d, d + 1)
+    lo, sep, hi = text.partition("..")
+    degrees = range(int(lo), int(hi if sep else lo) + 1)
     if not degrees:
         raise argparse.ArgumentTypeError(f"empty degree range {text!r}")
     if degrees[0] < 0:
@@ -55,18 +51,25 @@ def _parse_coeff(text: str) -> Coefficients:
     raise InputError(f"unknown coefficient spec {text!r} (use z, z2, z5, ...)")
 
 
-def _add_common(sub: argparse.ArgumentParser, default_p: str) -> None:
+def _add_common(sub: argparse.ArgumentParser, default_p: Optional[str],
+                formats=("json",), tuples: bool = True,
+                degrees: bool = True) -> None:
+    """The input and output, and only the flags the command reads."""
     sub.add_argument("input", help="distance matrix (CSV or JSON)")
-    sub.add_argument("--p", default=default_p,
-                     help="exponent in [1, inf] (default %(default)s)")
-    sub.add_argument("--max-dim", type=int, default=None,
-                     help="tuple dimension cap (default: max degree + 1)")
-    sub.add_argument("--degrees", type=_parse_degrees, default=None,
-                     metavar="A..B", help="homology degrees to report")
-    sub.add_argument("--eps", type=_nonnegative, default=EPS)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                     help="tuple count cap (default %(default)s)")
-    sub.add_argument("--format", choices=["json", "csv", "svg"], default="json")
+    if default_p is not None:
+        sub.add_argument("--p", default=default_p,
+                         help="exponent in [1, inf] (default %(default)s)")
+    if tuples:
+        sub.add_argument("--max-dim", type=int, default=None,
+                         help="tuple dimension cap (default: max degree + 1)")
+        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                         help="tuple count cap (default %(default)s)")
+    if degrees:
+        sub.add_argument("--degrees", type=_parse_degrees, default=None,
+                         metavar="A..B", help="homology degrees to report")
+    sub.add_argument("--eps", type=_nonnegative, default=EPS,
+                     help="tolerance: births within it share a grade")
+    sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("-o", "--output", default=None,
                      help="output path (default stdout)")
 
@@ -83,29 +86,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(nerve, "inf")
 
     ph = subs.add_parser("ph", help="persistence barcode (default p=inf, GF(2))")
-    _add_common(ph, "inf")
+    _add_common(ph, "inf", formats=("json", "csv", "svg"))
     ph.add_argument("--coeff", default="z2")
 
-    mh = subs.add_parser("mh", help="localized homology table (default p=1, Z)")
-    _add_common(mh, "1")
+    mh = subs.add_parser("mh", help="localized table (default p=1): "
+                                    "homology --sieve strict --coeff z")
+    _add_common(mh, "1", formats=("json", "csv"))
 
     hom = subs.add_parser("homology", help="graded homology with explicit p/sieve")
-    _add_common(hom, "1")
+    _add_common(hom, "1", formats=("json", "csv"))
     hom.add_argument("--sieve", choices=["none", "strict"], default="none")
     hom.add_argument("--coeff", default="z")
 
     free = subs.add_parser("free", help="(min, +_p) path closure of a space")
-    _add_common(free, "1")
+    _add_common(free, "1", formats=("json", "csv"), tuples=False,
+                degrees=False)
 
     an = subs.add_parser("analyze",
                          help="ultrametric flag, critical exponents, "
                               "degree-1 generator pairs")
-    _add_common(an, "1")
+    _add_common(an, "1", tuples=False, degrees=False)
     an.add_argument("--tol", type=_positive, default=1e-6)
 
     auto = subs.add_parser("automaton",
-                           help="cost space and cost-primitive pairs")
-    _add_common(auto, "1")
+                           help="cost space, cost-primitive pairs and the "
+                                "degree-1 table at p=1")
+    _add_common(auto, None, degrees=False)
     return parser
 
 
@@ -125,8 +131,8 @@ def _load_validated(args):
     return X
 
 
-def _degrees(args, default_hi: int = 1) -> range:
-    return args.degrees if args.degrees is not None else range(0, default_hi + 1)
+def _degrees(args) -> range:
+    return args.degrees if args.degrees is not None else range(0, 2)
 
 
 def _max_dim(args, degrees: range) -> int:
@@ -140,8 +146,15 @@ def _max_dim(args, degrees: range) -> int:
     return args.max_dim
 
 
+def _emit_rows(args, rows) -> None:
+    if args.format == "csv":
+        _emit(args, io.homology_to_csv(rows))
+    else:
+        _emit(args, io.dumps(io.homology_to_json(rows)))
+
+
 def run(args) -> int:
-    p = parse_exponent(args.p)
+    p = parse_exponent(args.p) if "p" in args else None
     if args.command == "nerve":
         X = _load_validated(args)
         # no homology here, so max_dim is just the tuple cap
@@ -173,31 +186,19 @@ def run(args) -> int:
     if args.command == "mh":
         X = _load_validated(args)
         degrees = _degrees(args)
-        rows = magnitude_homology(X, p, degrees, _max_dim(args, degrees),
-                                  budget=args.budget)
-        if args.format == "csv":
-            _emit(args, io.homology_to_csv(rows))
-        else:
-            _emit(args, io.dumps(io.homology_to_json(rows)))
+        _emit_rows(args, magnitude_homology(
+            X, p, degrees, _max_dim(args, degrees), budget=args.budget,
+            eps=args.eps))
         return 0
 
     if args.command == "homology":
-        from .chain import generators_at
-        from .homology import homology_at
         X = _load_validated(args)
         degrees = _degrees(args)
         coeff = _parse_coeff(args.coeff)
         sieve = SieveSpec(STRICT_PREDECESSORS if args.sieve == "strict" else EMPTY)
         fc = enumerate_complex(X, p, _max_dim(args, degrees),
                                budget=args.budget)
-        rows = [
-            homology_at(fc, n, r, sieve, coeff, eps=args.eps)
-            for r in fc.grades for n in degrees
-        ]
-        if args.format == "csv":
-            _emit(args, io.homology_to_csv(rows))
-        else:
-            _emit(args, io.dumps(io.homology_to_json(rows)))
+        _emit_rows(args, homology_table(fc, degrees, sieve, coeff, args.eps))
         return 0
 
     if args.command == "free":
@@ -221,10 +222,8 @@ def run(args) -> int:
         pairs = []
         for a in X.vertices:
             for b in X.vertices:
-                if a == b:
-                    continue
                 d = X.d(a, b)
-                if d <= args.eps or math.isinf(d):
+                if a == b or d <= args.eps or math.isinf(d):
                     continue
                 pairs.append({
                     "a": a, "b": b, "dist": d,
@@ -250,15 +249,14 @@ def run(args) -> int:
         C = automata.cost_space(A)
         strict_C, proj = automata.strictify(C, args.eps)
         primitives = automata.cost_primitive_pairs(strict_C, args.eps)
-        degrees = _degrees(args, default_hi=1)
+        # degree 1 at p = 1 is where the cost-primitive theorem applies
         table = magnitude_homology(strict_C, 1.0, [1],
-                                   max(2, _max_dim(args, range(1, 2))),
-                                   budget=args.budget)
+                                   _max_dim(args, range(1, 2)),
+                                   budget=args.budget, eps=args.eps)
         _emit(args, io.dumps({
             "cost_space": {
                 "vertices": C.vertices,
-                "matrix": [[C.dist[i, j] for j in range(len(C))]
-                           for i in range(len(C))],
+                "matrix": C.dist.tolist(),
             },
             "collapsed": {v: proj.map[v] for v in C.vertices},
             "cost_primitive_pairs": [
@@ -272,17 +270,13 @@ def run(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return run(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,16 @@
 """Homology of the filtered nerve: graded tables and persistence barcodes.
 
-Integer homology goes through an exact Smith normal form (Python integers,
-so no overflow), eliminated separately on each connected block of the
-matrix's nonzero pattern.  The barcode pipeline orders all tuples by
-(birth, degree, vertices) and runs the standard column reduction over
-GF(q) (compiled kernel when available); field homology ranks each
-boundary matrix with that same column reduction.  A classical
-Vietoris-Rips computation on unordered simplices, with its own
-self-contained mod-2 reduction, serves as an independent cross-check.
+``homology_table`` is the one grade-by-degree loop of graded homology,
+for every sieve and ring; ``magnitude_homology`` is its strict sieve over
+the integers and ``homology_at`` one cell of it.  Integer ranks go
+through an exact Smith normal form (Python integers, so no overflow),
+eliminated separately on each connected block of the matrix's nonzero
+pattern.  The barcode pipeline orders all tuples by (birth, degree,
+vertices) and runs the standard column reduction over GF(q) (compiled
+kernel when available); field homology ranks each boundary matrix with
+that same column reduction.  A classical Vietoris-Rips computation on
+unordered simplices, with its own self-contained mod-2 reduction, serves
+as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import kernels
-from .chain import (EMPTY, STRICT_PREDECESSORS, IntMatrix, SieveSpec,
+from .chain import (STRICT_PREDECESSORS, IntMatrix, SieveSpec,
                     boundary_matrix, faces, generators_at)
-from .nerve import FilteredComplex, SimplexTuple, enumerate_complex
-from .values import EPS, INF, InputError, close
+from .nerve import DEFAULT_BUDGET, FilteredComplex, enumerate_complex
+from .values import EPS, INF, InputError
 from .vgraph import VGraph, is_enriched_category
 
 
@@ -33,9 +36,9 @@ class Coefficients:
 
     def __post_init__(self):
         q = self.modulus
-        if q is not None:
-            if q < 2 or any(q % k == 0 for k in range(2, int(q ** 0.5) + 1)):
-                raise InputError(f"field order must be prime, got {q}")
+        if q is not None and (
+                q < 2 or any(q % k == 0 for k in range(2, int(q ** 0.5) + 1))):
+            raise InputError(f"field order must be prime, got {q}")
 
 
 INTEGERS = Coefficients(None)
@@ -131,8 +134,7 @@ def _eliminate(a: List[List[int]]) -> List[int]:
     t = 0
     while t < nrows and t < ncols:
         # pick the nonzero pivot of smallest magnitude
-        pivot = None
-        best = None
+        pivot = best = None
         for i in range(t, nrows):
             for j in range(t, ncols):
                 v = abs(a[i][j])
@@ -194,76 +196,82 @@ def _divisibility_fixup(divisors: List[int]) -> List[int]:
 
 
 def _rank(M: IntMatrix, coefficients: Coefficients) -> Tuple[int, Tuple[int, ...]]:
-    """Rank and torsion of a boundary matrix.
-
-    Over Z: the Smith normal form rank and the invariant factors above 1.
-    Over GF(q): the number of pivots the barcode column reduction finds
-    on the columns mod q, with no torsion.
-    """
+    """Rank and torsion of a boundary matrix: over Z the Smith normal form
+    rank and the invariant factors above 1; over GF(q) the number of
+    pivots of the barcode column reduction, with no torsion."""
     q = coefficients.modulus
     if q is None:
         rank, divisors = smith_normal_form(M)
         return rank, tuple(d for d in divisors if d > 1)
-    col_rows: List[List[int]] = []
-    col_coeffs: List[List[int]] = []
-    for col in zip(*M.entries):
-        rows = [i for i, v in enumerate(col) if v % q]
-        col_rows.append(rows)
-        col_coeffs.append([col[i] % q for i in rows])
+    cols = list(zip(*M.entries))
+    col_rows = [[i for i, v in enumerate(col) if v % q] for col in cols]
+    col_coeffs = [[col[i] % q for i in rows]
+                  for col, rows in zip(cols, col_rows)]
     lows = kernels.reduce_columns(col_rows, col_coeffs, q)
     return sum(1 for low in lows if low >= 0), ()
+
+
+def _check_degrees(degrees: List[int], max_dim: int) -> None:
+    if not degrees or degrees[0] < 0 or degrees[-1] >= max_dim:
+        raise InputError(
+            f"degrees must be a nonempty set of integers in 0..{max_dim - 1}"
+            f" (homology in degree n needs max_dim >= n + 1), got {degrees}")
+
+
+def homology_table(fc: FilteredComplex, degrees: Iterable[int],
+                   sieve: SieveSpec, coefficients: Coefficients = INTEGERS,
+                   eps: float = EPS, grades: Optional[Sequence[float]] = None
+                   ) -> List[HomologySummary]:
+    """Homology rows over the grades, one per degree with generators.
+
+    Grades default to the births merged at ``eps``, the tolerance of the
+    generator windows, so a birth within ``eps`` of a grade is not a grade
+    of its own.  Each boundary d_n is built and ranked once per grade,
+    for degrees n and n - 1.
+    """
+    degrees = sorted(set(degrees))
+    _check_degrees(degrees, fc.max_dim)
+    out: List[HomologySummary] = []
+    for r in fc.merged_grades(eps) if grades is None else grades:
+        ranks = {0: (0, ())}  # n -> rank and torsion of d_n at r
+        for n in degrees:
+            gens = generators_at(fc, n, r, sieve, eps)
+            if not gens:
+                continue  # an empty chain group has zero homology
+            for k in (n, n + 1):
+                if k not in ranks:
+                    ranks[k] = _rank(boundary_matrix(fc, k, r, sieve, eps),
+                                     coefficients)
+            rank_upper, torsion = ranks[n + 1]
+            out.append(HomologySummary(
+                r, n, len(gens) - ranks[n][0] - rank_upper, torsion))
+    return out
 
 
 def homology_at(fc: FilteredComplex, degree: int, grade: float,
                 sieve: SieveSpec, coefficients: Coefficients = INTEGERS,
                 eps: float = EPS) -> HomologySummary:
     """Homology rank (and torsion, over the integers) at one grade."""
-    if degree < 0:
-        raise InputError("degree must be >= 0")
-    if degree + 1 > fc.max_dim:
-        raise InputError(
-            f"homology in degree {degree} needs max_dim >= {degree + 1}, "
-            f"but the complex was enumerated with max_dim {fc.max_dim}")
-    gens = generators_at(fc, degree, grade, sieve, eps)
-    if degree == 0:
-        rank_lower = 0
-    else:
-        rank_lower, _ = _rank(boundary_matrix(fc, degree, grade, sieve, eps),
-                              coefficients)
-    rank_upper, torsion = _rank(
-        boundary_matrix(fc, degree + 1, grade, sieve, eps), coefficients)
-    nullity = len(gens) - rank_lower
-    return HomologySummary(grade, degree, nullity - rank_upper, torsion)
+    rows = homology_table(fc, [degree], sieve, coefficients, eps, [grade])
+    return rows[0] if rows else HomologySummary(grade, degree, 0)
 
 
 def magnitude_homology(X: VGraph, p: float, degrees: Iterable[int],
                        max_dim: Optional[int] = None,
-                       budget: Optional[int] = None) -> List[HomologySummary]:
-    """Localized homology table over the critical grades.
+                       budget: Optional[int] = DEFAULT_BUDGET,
+                       eps: float = EPS) -> List[HomologySummary]:
+    """``homology_table`` under the strict sieve over the integers.
 
     p = 1 on a space satisfying the additive triangle inequality gives the
     classical magnitude homology; other p give its +_p variants.
     """
     degrees = sorted(set(degrees))
-    if not degrees or degrees[0] < 0:
-        raise InputError(
-            f"degrees must be a nonempty set of integers >= 0, got {degrees}")
     if max_dim is None:
-        max_dim = max(degrees) + 1
-    if max_dim < max(degrees) + 1:
-        raise InputError(
-            f"max_dim must be at least {max(degrees) + 1} for degree "
-            f"{max(degrees)}")
-    kwargs = {} if budget is None else {"budget": budget}
-    fc = enumerate_complex(X, p, max_dim, **kwargs)
-    sieve = SieveSpec(STRICT_PREDECESSORS)
-    out: List[HomologySummary] = []
-    for r in fc.grades:
-        for n in degrees:
-            if not generators_at(fc, n, r, sieve):
-                continue
-            out.append(homology_at(fc, n, r, sieve, INTEGERS))
-    return out
+        max_dim = max(degrees, default=0) + 1
+    _check_degrees(degrees, max_dim)
+    fc = enumerate_complex(X, p, max_dim, budget=budget)
+    return homology_table(fc, degrees, SieveSpec(STRICT_PREDECESSORS),
+                          INTEGERS, eps)
 
 
 # -- persistence ------------------------------------------------------
@@ -299,9 +307,7 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
             f"barcodes up to degree {max_degree} need max_dim >= "
             f"{max_degree + 1}, got {fc.max_dim}")
     q = field_coeffs.modulus
-    simplices: List[SimplexTuple] = [
-        t for level in fc.tuples for t in level
-    ]
+    simplices = [t for level in fc.tuples for t in level]
     simplices.sort(key=lambda t: (t.birth, t.degree, t.verts))
     index = {t.verts: i for i, t in enumerate(simplices)}
     col_rows: List[List[int]] = []

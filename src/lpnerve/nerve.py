@@ -60,14 +60,19 @@ class FilteredComplex:
 
     @property
     def grades(self) -> List[float]:
-        """Sorted, tolerance-deduplicated finite birth grades; contains 0."""
+        """Sorted finite birth grades, deduplicated at ``EPS``; contains 0."""
+        return self.merged_grades(EPS)
+
+    def merged_grades(self, eps: float) -> List[float]:
+        """Sorted finite birth grades, each more than ``eps`` above the
+        last one kept; contains 0."""
         births = sorted(
             t.birth for level in self.tuples for t in level
             if math.isfinite(t.birth)
         )
         out = [0.0]
         for b in births:
-            if b > out[-1] + EPS:
+            if b > out[-1] + eps:
                 out.append(b)
         return out
 

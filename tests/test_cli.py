@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import lpnerve.cli
-from lpnerve import io
+from lpnerve import homology, io
 from lpnerve.cli import main
-from lpnerve.homology import Barcode, Coefficients, persistence_barcode
+from lpnerve.homology import (Barcode, Coefficients, magnitude_homology,
+                              persistence_barcode)
 from lpnerve.nerve import enumerate_complex
 from lpnerve.vgraph import VGraph, asymmetrize
 from util import random_honest_space, random_vgraph
@@ -112,6 +113,120 @@ def test_homology_subcommand(capsys, line_path):
     assert code == 0
     ranks = {r["grade"]: r["rank"] for r in rows if r["degree"] == 1}
     assert ranks[1.0] == 4
+
+
+NEAR_CSV = """a,b,c
+0,1,1.0000001
+1,0,3
+1.0000001,3,0
+"""
+
+
+def test_eps_merges_grades(capsys, tmp_path):
+    # d(a, b) and d(a, c) differ by 1e-7: at --eps 1e-6 the four degree-1
+    # tuples share grade 1 and each counts there once
+    path = tmp_path / "near.csv"
+    path.write_text(NEAR_CSV)
+    row = lambda grade, rank: {"grade": grade, "degree": 1, "rank": rank,
+                               "torsion": []}
+    for argv in (["homology", str(path), "--sieve", "strict", "--coeff", "z"],
+                 ["mh", str(path)]):
+        code, rows = run_json(capsys, argv + ["--degrees", "1", "--eps", "1e-6"])
+        assert code == 0
+        assert rows == [row(1.0, 4), row(3.0, 0)]
+        code, rows = run_json(capsys, argv + ["--degrees", "1"])
+        assert code == 0
+        assert rows == [row(1.0, 2), row(1.0000001, 2), row(3.0, 0)]
+
+
+def test_mh_is_homology_strict_z(capsys, tmp_path):
+    rng = random.Random(71)
+    spaces = [random_honest_space(rng, 4), random_honest_space(rng, 4),
+              random_vgraph(rng, 4)]
+    for X in list(spaces):
+        # births 1e-7 apart: distinct grades at eps 1e-9, one at 1e-6
+        near = X.dist + np.array([[rng.choice((0.0, 1e-7)) for _ in X.vertices]
+                                  for _ in X.vertices])
+        np.fill_diagonal(near, 0.0)
+        spaces.append(VGraph(X.vertices, near))
+    merged = False
+    for k, X in enumerate(spaces):
+        path = write_space(tmp_path / f"s{k}.csv", X)
+        for p in ("1", "2", "inf"):
+            outs = {}
+            for eps in ("1e-9", "1e-6"):
+                for fmt in ("json", "csv"):
+                    common = [path, "--p", p, "--degrees", "0..2",
+                              "--eps", eps, "--format", fmt]
+                    assert main(["mh", *common]) == 0
+                    mh = capsys.readouterr().out
+                    assert main(["homology", *common, "--sieve", "strict",
+                                 "--coeff", "z"]) == 0
+                    assert capsys.readouterr().out == mh
+                    outs[eps, fmt] = mh
+            merged |= outs["1e-9", "json"] != outs["1e-6", "json"]
+    assert merged  # --eps changed some table
+
+
+def test_each_boundary_built_once(capsys, monkeypatch, tmp_path):
+    built = []
+    real = homology.boundary_matrix
+
+    def counting(fc, degree, grade, sieve, eps):
+        built.append((grade, degree))
+        return real(fc, degree, grade, sieve, eps)
+
+    def check(run):
+        built.clear()
+        run()
+        assert built and len(built) == len(set(built))
+
+    monkeypatch.setattr(homology, "boundary_matrix", counting)
+    rng = random.Random(73)
+    for k in range(3):
+        X = random_honest_space(rng, 5)
+        path = write_space(tmp_path / f"s{k}.csv", X)
+        for p in ("1", "2", "inf"):
+            check(lambda: magnitude_homology(X, float(p), range(0, 3)))
+            for sieve in ("strict", "none"):
+                check(lambda: main(["homology", path, "--p", p, "--sieve",
+                                    sieve, "--degrees", "0..2"]))
+            capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["nerve", "--format", "csv"], ["nerve", "--format", "svg"],
+    ["mh", "--format", "svg"], ["homology", "--format", "svg"],
+    ["free", "--format", "svg"], ["analyze", "--format", "csv"],
+    ["free", "--max-dim", "2"], ["free", "--degrees", "1"],
+    ["free", "--budget", "10"], ["analyze", "--max-dim", "2"],
+    ["analyze", "--degrees", "1"], ["analyze", "--budget", "10"],
+    ["automaton", "--p", "2"], ["automaton", "--degrees", "1"],
+    ["automaton", "--format", "csv"]])
+def test_flags_a_command_does_not_read(capsys, line_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], line_path, *argv[1:]])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+def test_flags_a_command_reads(capsys, line_path, tmp_path):
+    auto = tmp_path / "auto.json"
+    auto.write_text(json.dumps(AUTOMATON))
+    for argv in (
+            ["nerve", line_path, "--p", "2", "--max-dim", "1", "--degrees",
+             "0", "--budget", "100", "--eps", "0", "--format", "json"],
+            ["ph", line_path, "--coeff", "z3", "--format", "svg"],
+            ["mh", line_path, "--max-dim", "3", "--budget", "1000",
+             "--format", "csv"],
+            ["homology", line_path, "--sieve", "strict", "--format", "csv"],
+            ["free", line_path, "--p", "2", "--eps", "0", "--format", "csv"],
+            ["analyze", line_path, "--p", "2", "--tol", "1e-3",
+             "--format", "json"],
+            ["automaton", str(auto), "--max-dim", "3", "--budget", "1000",
+             "--eps", "1e-6", "--format", "json"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
 
 
 def test_free(capsys, tmp_path):
