@@ -10,9 +10,9 @@ from .vgraph import (GraphMorphism, VGraph, asymmetrize, check_morphism,
                      coequalizer, coproduct, delta_path, equalizer,
                      free_category, gamma_path, is_enriched_category, product,
                      validate)
-from .nerve import (FilteredComplex, SimplexTuple, critical_grades,
-                    enumerate_complex, membership_scale)
-from .chain import IntMatrix, SieveSpec, boundary_matrix, generators_at
+from .nerve import (FilteredComplex, SimplexTuple, enumerate_complex,
+                    membership_scale)
+from .chain import SieveSpec, boundary_matrix, generators_at
 from .homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
                        HomologySummary, homology_at, homology_table,
                        magnitude_homology, persistence_barcode,

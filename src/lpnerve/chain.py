@@ -1,20 +1,22 @@
 """Integer chain groups of the filtered nerve, with grade localization.
 
 Chains are normalized from the start: generators are the nondegenerate
-tuples, and a degenerate face contributes nothing to a boundary.  ``faces``
-is the one alternating-face builder: ``boundary_matrix`` and the barcode
-columns of ``homology.persistence_barcode`` both read their coefficients
-from it.  A sieve selects which births survive at each grade; the
-strict-predecessor sieve keeps only generators born exactly at the grade
-under inspection, which is the magnitude-style localization.
+tuples, and a degenerate face contributes nothing to a boundary.  A
+boundary has one format, sparse columns: per column, the increasing row
+indices of its nonzero entries and a parallel list of their coefficients.
+``columns`` is the one builder of that format, from the alternating faces
+of ``faces``; ``boundary_matrix`` calls it per grade and
+``homology.persistence_barcode`` on the whole filtration.  A sieve
+selects which births survive at each grade; the strict-predecessor sieve
+keeps only generators born exactly at the grade under inspection, which
+is the magnitude-style localization.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .values import EPS, InputError, close
 from .nerve import FilteredComplex, SimplexTuple
@@ -22,6 +24,9 @@ from .nerve import FilteredComplex, SimplexTuple
 EMPTY = "empty"
 STRICT_PREDECESSORS = "strict"
 CUSTOM_GRID = "custom"
+
+#: sparse columns: per column, increasing row indices and their coefficients
+Columns = Tuple[List[List[int]], List[List[int]]]
 
 
 @dataclass(frozen=True)
@@ -76,23 +81,6 @@ class SieveSpec:
         raise InputError(f"grade {grade} is not on the sieve grid")
 
 
-@dataclass
-class IntMatrix:
-    """Dense integer matrix with simplex-tuple labels on both axes."""
-
-    entries: List[List[int]]  # rows x cols
-    row_labels: List[SimplexTuple]
-    col_labels: List[SimplexTuple]
-
-    @property
-    def rows(self) -> int:
-        return len(self.row_labels)
-
-    @property
-    def cols(self) -> int:
-        return len(self.col_labels)
-
-
 def faces(verts: Tuple[str, ...]) -> Iterator[Tuple[Tuple[str, ...], int]]:
     """The nondegenerate faces of a tuple with their boundary signs.
 
@@ -108,6 +96,33 @@ def faces(verts: Tuple[str, ...]) -> Iterator[Tuple[Tuple[str, ...], int]]:
         if 0 < i < last and verts[i - 1] == verts[i + 1]:
             continue
         yield verts[:i] + verts[i + 1:], -1 if i % 2 else 1
+
+
+def columns(tuples: Sequence[SimplexTuple],
+            index: Dict[Tuple[str, ...], int]) -> Columns:
+    """Boundary columns of ``tuples`` over the rows numbered by ``index``.
+
+    Column j holds the faces of ``tuples[j]`` that ``index`` numbers, with
+    their signs; a face missing from ``index`` (killed by a sieve, or not
+    yet born) contributes nothing.
+    """
+    col_rows: List[List[int]] = []
+    col_coeffs: List[List[int]] = []
+    for t in tuples:
+        rows: List[int] = []
+        coeffs: List[int] = []
+        for face, sign in faces(t.verts):
+            k = index.get(face)
+            if k is not None:
+                rows.append(k)
+                coeffs.append(sign)
+        if len(rows) > 1:
+            pairs = sorted(zip(rows, coeffs))
+            rows = [k for k, _ in pairs]
+            coeffs = [c for _, c in pairs]
+        col_rows.append(rows)
+        col_coeffs.append(coeffs)
+    return col_rows, col_coeffs
 
 
 def generators_at(fc: FilteredComplex, degree: int, grade: float,
@@ -129,20 +144,15 @@ def generators_at(fc: FilteredComplex, degree: int, grade: float,
 
 
 def boundary_matrix(fc: FilteredComplex, degree: int, grade: float,
-                    sieve: SieveSpec, eps: float = EPS) -> IntMatrix:
+                    sieve: SieveSpec, eps: float = EPS) -> Columns:
     """Alternating-face boundary from degree to degree-1 survivors.
 
-    Faces that are degenerate or killed by the sieve contribute zero.
+    Rows follow ``generators_at(degree - 1)`` and columns follow
+    ``generators_at(degree)``; faces that are degenerate or killed by the
+    sieve contribute zero.
     """
     if degree < 1:
         raise InputError("boundary_matrix requires degree >= 1")
-    cols = generators_at(fc, degree, grade, sieve, eps)
     rows = generators_at(fc, degree - 1, grade, sieve, eps)
-    row_index = {t.verts: i for i, t in enumerate(rows)}
-    entries = [[0] * len(cols) for _ in rows]
-    for j, t in enumerate(cols):
-        for face, sign in faces(t.verts):
-            k = row_index.get(face)
-            if k is not None:
-                entries[k][j] = sign
-    return IntMatrix(entries, rows, cols)
+    return columns(generators_at(fc, degree, grade, sieve, eps),
+                   {t.verts: i for i, t in enumerate(rows)})

@@ -52,10 +52,10 @@ def _parse_coeff(text: str) -> Coefficients:
 
 
 def _add_common(sub: argparse.ArgumentParser, default_p: Optional[str],
-                formats=("json",), tuples: bool = True,
-                degrees: bool = True) -> None:
+                formats=("json",), tuples: bool = True, degrees: bool = True,
+                input_help: str = "distance matrix (CSV or JSON)") -> None:
     """The input and output, and only the flags the command reads."""
-    sub.add_argument("input", help="distance matrix (CSV or JSON)")
+    sub.add_argument("input", help=input_help)
     if default_p is not None:
         sub.add_argument("--p", default=default_p,
                          help="exponent in [1, inf] (default %(default)s)")
@@ -111,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     auto = subs.add_parser("automaton",
                            help="cost space, cost-primitive pairs and the "
                                 "degree-1 table at p=1")
-    _add_common(auto, None, degrees=False)
+    _add_common(auto, None, degrees=False,
+                input_help="automaton JSON: states, alphabet costs and "
+                           "transitions")
     return parser
 
 

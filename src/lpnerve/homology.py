@@ -2,15 +2,16 @@
 
 ``homology_table`` is the one grade-by-degree loop of graded homology,
 for every sieve and ring; ``magnitude_homology`` is its strict sieve over
-the integers and ``homology_at`` one cell of it.  Integer ranks go
-through an exact Smith normal form (Python integers, so no overflow),
-eliminated separately on each connected block of the matrix's nonzero
-pattern.  The barcode pipeline orders all tuples by (birth, degree,
-vertices) and runs the standard column reduction over GF(q) (compiled
-kernel when available); field homology ranks each boundary matrix with
-that same column reduction.  A classical Vietoris-Rips computation on
-unordered simplices, with its own self-contained mod-2 reduction, serves
-as an independent cross-check.
+the integers and ``homology_at`` one cell of it.  Every boundary comes in
+the one sparse column format of ``chain.columns``.  Integer ranks go
+through an exact Smith normal form (Python integers, so no overflow):
+the connected blocks are found from the nonzeros, and only each block is
+made dense for elimination.  The barcode pipeline orders all tuples by
+(birth, degree, vertices) and runs the standard column reduction over
+GF(q) (compiled kernel when available); field homology ranks each
+boundary with that same column reduction.  A classical Vietoris-Rips
+computation on unordered simplices, with its own self-contained mod-2
+reduction, serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import kernels
-from .chain import (STRICT_PREDECESSORS, IntMatrix, SieveSpec,
-                    boundary_matrix, faces, generators_at)
+from .chain import (STRICT_PREDECESSORS, Columns, SieveSpec, boundary_matrix,
+                    columns, generators_at)
 from .nerve import DEFAULT_BUDGET, FilteredComplex, enumerate_complex
 from .values import EPS, INF, InputError
 from .vgraph import VGraph, is_enriched_category
@@ -75,30 +76,22 @@ class Barcode:
 # -- Smith normal form ------------------------------------------------
 
 
-def smith_normal_form(M: IntMatrix | Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
-    """Rank and elementary divisors of an integer matrix (exact).
+def smith_normal_form(col_rows: Sequence[Sequence[int]],
+                      col_coeffs: Sequence[Sequence[int]]
+                      ) -> Tuple[int, List[int]]:
+    """Rank and elementary divisors of an integer matrix (exact), given as
+    sparse columns of increasing rows and nonzero coefficients.
 
     Rows and columns linked by a nonzero entry form connected blocks, and
-    the matrix is a permuted direct sum of them.  Each block is eliminated
-    on its own; invariant factors are unique, so normalizing the pooled
-    diagonal gives the divisors of the whole matrix.
+    the matrix is a permuted direct sum of them.  Union-find over the
+    nonzeros (columns are nodes ``0..ncols-1``, rows follow) finds the
+    blocks; each is made dense and eliminated on its own, and a 1x1 block
+    is its own divisor.  Invariant factors are unique, so normalizing the
+    pooled diagonal gives the divisors of the whole matrix.
     """
-    entries = M.entries if isinstance(M, IntMatrix) else M
-    divisors: List[int] = []
-    for block in _blocks(entries):
-        divisors.extend(_eliminate(block))
-    return len(divisors), _divisibility_fixup(divisors)
-
-
-def _blocks(entries: Sequence[Sequence[int]]) -> List[List[List[int]]]:
-    """Connected blocks of the nonzero pattern, as dense submatrices.
-
-    Union-find over rows (nodes ``0..nrows-1``) and columns (nodes
-    ``nrows..``); all-zero rows and columns belong to no block.
-    """
-    nrows = len(entries)
-    ncols = len(entries[0]) if nrows else 0
-    parent = list(range(nrows + ncols))
+    ncols = len(col_rows)
+    nrows = max((rows[-1] + 1 for rows in col_rows if rows), default=0)
+    parent = list(range(ncols + nrows))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -106,24 +99,31 @@ def _blocks(entries: Sequence[Sequence[int]]) -> List[List[List[int]]]:
             x = parent[x]
         return x
 
-    support = [list(itertools.compress(range(ncols), row)) for row in entries]
-    for i, cols in enumerate(support):
-        ri = find(i)
+    for j, rows in enumerate(col_rows):
+        rj = find(j)
+        for i in rows:
+            ri = find(ncols + i)
+            if ri != rj:
+                parent[ri] = rj
+    blocks: Dict[int, List[int]] = {}
+    for j, rows in enumerate(col_rows):
+        if rows:
+            blocks.setdefault(find(j), []).append(j)
+    divisors: List[int] = []
+    for cols in blocks.values():
+        if len(cols) == 1 and len(col_rows[cols[0]]) == 1:
+            divisors.append(abs(col_coeffs[cols[0]][0]))
+            continue
+        local: Dict[int, int] = {}
         for j in cols:
-            rj = find(nrows + j)
-            if rj != ri:
-                parent[rj] = ri
-    rows_of: Dict[int, List[int]] = {}
-    cols_of: Dict[int, List[int]] = {}
-    for i, cols in enumerate(support):
-        if cols:
-            rows_of.setdefault(find(i), []).append(i)
-    for j in range(ncols):
-        cols_of.setdefault(find(nrows + j), []).append(j)
-    return [
-        [[int(entries[i][j]) for j in cols_of[root]] for i in rows]
-        for root, rows in rows_of.items()
-    ]
+            for i in col_rows[j]:
+                local.setdefault(i, len(local))
+        block = [[0] * len(cols) for _ in local]
+        for c, j in enumerate(cols):
+            for i, v in zip(col_rows[j], col_coeffs[j]):
+                block[local[i]][c] = v
+        divisors.extend(_eliminate(block))
+    return len(divisors), _divisibility_fixup(divisors)
 
 
 def _eliminate(a: List[List[int]]) -> List[int]:
@@ -195,19 +195,19 @@ def _divisibility_fixup(divisors: List[int]) -> List[int]:
 # -- graded homology --------------------------------------------------
 
 
-def _rank(M: IntMatrix, coefficients: Coefficients) -> Tuple[int, Tuple[int, ...]]:
-    """Rank and torsion of a boundary matrix: over Z the Smith normal form
-    rank and the invariant factors above 1; over GF(q) the number of
-    pivots of the barcode column reduction, with no torsion."""
+def _rank(cols: Columns, coefficients: Coefficients) -> Tuple[int, Tuple[int, ...]]:
+    """Rank and torsion of a boundary: over Z the Smith normal form rank
+    and the invariant factors above 1; over GF(q) the number of pivots of
+    the barcode column reduction, with no torsion."""
     q = coefficients.modulus
     if q is None:
-        rank, divisors = smith_normal_form(M)
+        rank, divisors = smith_normal_form(*cols)
         return rank, tuple(d for d in divisors if d > 1)
-    cols = list(zip(*M.entries))
-    col_rows = [[i for i, v in enumerate(col) if v % q] for col in cols]
-    col_coeffs = [[col[i] % q for i in rows]
-                  for col, rows in zip(cols, col_rows)]
-    lows = kernels.reduce_columns(col_rows, col_coeffs, q)
+    # the reduction takes nonzero coefficients only
+    kept = [[(i, c) for i, c in zip(rows, coeffs) if c % q]
+            for rows, coeffs in zip(*cols)]
+    lows = kernels.reduce_columns([[i for i, _ in col] for col in kept],
+                                  [[c for _, c in col] for col in kept], q)
     return sum(1 for low in lows if low >= 0), ()
 
 
@@ -309,13 +309,8 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
     q = field_coeffs.modulus
     simplices = [t for level in fc.tuples for t in level]
     simplices.sort(key=lambda t: (t.birth, t.degree, t.verts))
-    index = {t.verts: i for i, t in enumerate(simplices)}
-    col_rows: List[List[int]] = []
-    col_coeffs: List[List[int]] = []
-    for t in simplices:
-        items = sorted((index[f], s % q) for f, s in faces(t.verts))
-        col_rows.append([k for k, _ in items])
-        col_coeffs.append([c for _, c in items])
+    col_rows, col_coeffs = columns(
+        simplices, {t.verts: i for i, t in enumerate(simplices)})
     lows = kernels.reduce_columns(col_rows, col_coeffs, q)
     order = [(t.birth, t.degree) for t in simplices]
     return _barcode_from_reduction(order, lows, max_degree, eps)

@@ -89,17 +89,20 @@ def vgraph_from_json(obj) -> VGraph:
     return VGraph(names, mat)
 
 
+def _parse_json(path: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_vgraph(path: str) -> VGraph:
     with open(path) as fh:
         text = fh.read()
-    if path.endswith(".json"):
-        return vgraph_from_json(json.loads(text))
-    if path.endswith(".csv"):
-        return vgraph_from_csv(text)
-    # sniff
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return vgraph_from_json(json.loads(text))
+    # a .json name, or content that looks like an object, is JSON
+    if path.endswith(".json") or (not path.endswith(".csv")
+                                  and text.lstrip().startswith("{")):
+        return vgraph_from_json(_parse_json(path, text))
     return vgraph_from_csv(text)
 
 
@@ -123,7 +126,7 @@ def automaton_from_json(obj) -> Automaton:
 
 def load_automaton(path: str) -> Automaton:
     with open(path) as fh:
-        return automaton_from_json(json.load(fh))
+        return automaton_from_json(_parse_json(path, fh.read()))
 
 
 # -- complexes and matrices -------------------------------------------

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .values import (EPS, INF, BudgetExceededError, check_exponent,
-                     check_powers, tensor_fold)
+                     check_powers)
 from .vgraph import VGraph
 
 #: default cap on the number of enumerated tuples
@@ -117,13 +117,6 @@ def membership_scale(X: VGraph, verts: Sequence[str], p: float) -> float:
     return total ** (1.0 / p) if total > 0.0 else 0.0
 
 
-def membership_scale_category(X: VGraph, verts: Sequence[str], p: float) -> float:
-    """Birth grade when X already satisfies the +_p triangle inequality:
-    just the fold of consecutive forward distances."""
-    idx = [X.index(v) for v in verts]
-    return tensor_fold([X.dist[idx[i], idx[i + 1]] for i in range(len(idx) - 1)], p)
-
-
 def _search(X: VGraph, p: float, max_dim: int,
             budget: int | None) -> List[List[Tuple[float, Tuple[str, ...]]]]:
     """All finite-birth nondegenerate tuples as (birth, verts), per degree,
@@ -201,9 +194,3 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
         level.sort()
         tuples.append([SimplexTuple(verts, birth) for birth, verts in level])
     return FilteredComplex(X, p, max_dim, tuples)
-
-
-def critical_grades(X: VGraph, p: float, max_dim: int,
-                    budget: int | None = DEFAULT_BUDGET) -> List[float]:
-    """Sorted deduplicated finite births of the enumerated nerve."""
-    return enumerate_complex(X, p, max_dim, budget=budget).grades

@@ -9,7 +9,8 @@ from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
 from lpnerve.nerve import enumerate_complex, is_degenerate
 from lpnerve.values import EPS, INF, InputError
 from lpnerve.vgraph import VGraph
-from util import random_honest_space, random_l1_space, random_vgraph
+from util import (columns_to_dense, dense_boundary, random_honest_space,
+                  random_l1_space, random_vgraph)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -113,23 +114,23 @@ def test_boundary_global_two_points():
     fc = two_point_complex()
     M = boundary_matrix(fc, 1, 1.0, GLOBAL)
     # d(a,b) = b - a, d(b,a) = a - b
-    assert M.entries == [[-1, 1], [1, -1]]
+    assert M == ([[0, 1], [0, 1]], [[-1, 1], [1, -1]])
+    assert columns_to_dense(M, 2) == [[-1, 1], [1, -1]]
     M2 = boundary_matrix(fc, 2, 2.0, GLOBAL)
     # faces (a,a) and (b,b) are degenerate, so only the middle face remains
-    cols = [t.verts for t in M2.col_labels]
+    cols = [t.verts for t in generators_at(fc, 2, 2.0, GLOBAL)]
     assert cols == [("a", "b", "a"), ("b", "a", "b")]
-    for j in range(M2.cols):
-        col = [M2.entries[i][j] for i in range(M2.rows)]
-        assert sum(abs(v) for v in col) == 2  # d0 and d2 survive
+    assert len(M2[0]) == 2
+    for coeffs in M2[1]:
+        assert sum(abs(v) for v in coeffs) == 2  # d0 and d2 survive
 
 
 def test_boundary_strict_kills_faces():
     fc = two_point_complex()
     M = boundary_matrix(fc, 2, 2.0, STRICT)
     # every face of a zigzag is born at 1 < 2, so the matrix is zero-shaped
-    assert M.rows == 0
-    assert M.cols == 2
-    assert M.entries == []
+    assert generators_at(fc, 1, 2.0, STRICT) == []
+    assert M == ([[], []], [[], []])
 
 
 def test_boundary_squares_to_zero():
@@ -141,14 +142,9 @@ def test_boundary_squares_to_zero():
             for sieve in (GLOBAL, STRICT):
                 for r in fc.grades:
                     for n in (2, 3):
-                        upper = boundary_matrix(fc, n, r, sieve)
-                        lower = boundary_matrix(fc, n - 1, r, sieve)
-                        if upper.cols == 0 or lower.rows == 0:
-                            continue
-                        A = np.array(lower.entries, dtype=int).reshape(
-                            lower.rows, lower.cols)
-                        B = np.array(upper.entries, dtype=int).reshape(
-                            upper.rows, upper.cols)
+                        B = dense_boundary(fc, n, r, sieve)
+                        A = dense_boundary(fc, n - 1, r, sieve)
+                        assert A.shape[1] == B.shape[0]
                         assert not np.any(A @ B)
 
 
@@ -158,22 +154,24 @@ def test_localization_commutes_with_boundary():
     fc = enumerate_complex(X, 1.0, 3)
     for r in fc.grades:
         for n in (1, 2, 3):
-            glob = boundary_matrix(fc, n, r, GLOBAL)
-            loc = boundary_matrix(fc, n, r, STRICT)
+            A = dense_boundary(fc, n, r, GLOBAL)
+            L = dense_boundary(fc, n, r, STRICT)
+            glob_rows = generators_at(fc, n - 1, r, GLOBAL)
+            glob_cols = generators_at(fc, n, r, GLOBAL)
+            loc_rows = generators_at(fc, n - 1, r, STRICT)
+            loc_cols = generators_at(fc, n, r, STRICT)
             # quotient matrices: identity on survivors, zero elsewhere
-            keep_rows = {t.verts for t in loc.row_labels}
-            keep_cols = {t.verts for t in loc.col_labels}
-            Qr = [[1 if g.verts == s.verts else 0 for g in glob.row_labels]
-                  for s in loc.row_labels]
-            Qc = [[1 if g.verts == s.verts else 0 for g in glob.col_labels]
-                  for s in loc.col_labels]
-            A = np.array(glob.entries, dtype=int).reshape(glob.rows, glob.cols)
-            L = np.array(loc.entries, dtype=int).reshape(loc.rows, loc.cols)
-            Qr = np.array(Qr, dtype=int).reshape(loc.rows, glob.rows)
-            Qc = np.array(Qc, dtype=int).reshape(loc.cols, glob.cols)
+            keep_rows = {t.verts for t in loc_rows}
+            keep_cols = {t.verts for t in loc_cols}
+            Qr = [[1 if g.verts == s.verts else 0 for g in glob_rows]
+                  for s in loc_rows]
+            Qc = [[1 if g.verts == s.verts else 0 for g in glob_cols]
+                  for s in loc_cols]
+            Qr = np.array(Qr, dtype=int).reshape(len(loc_rows), len(glob_rows))
+            Qc = np.array(Qc, dtype=int).reshape(len(loc_cols), len(glob_cols))
             assert np.array_equal(Qr @ A @ Qc.T, L)
-            assert keep_rows <= {t.verts for t in glob.row_labels}
-            assert keep_cols <= {t.verts for t in glob.col_labels}
+            assert keep_rows <= {t.verts for t in glob_rows}
+            assert keep_cols <= {t.verts for t in glob_cols}
 
 
 def test_exponent_inclusion_commutes_with_boundary():
@@ -183,18 +181,20 @@ def test_exponent_inclusion_commutes_with_boundary():
         fp = enumerate_complex(X, p, 2)
         fq = enumerate_complex(X, q, 2)
         for r in fp.grades:
-            Mp = boundary_matrix(fp, 1, r, GLOBAL)
-            Mq = boundary_matrix(fq, 1, r, GLOBAL)
+            Mp = dense_boundary(fp, 1, r, GLOBAL)
+            Mq = dense_boundary(fq, 1, r, GLOBAL)
             # inclusion on generators: birth can only drop as p grows
-            p_cols = {t.verts for t in Mp.col_labels}
-            q_cols = {t.verts for t in Mq.col_labels}
+            p_col_labels = generators_at(fp, 1, r, GLOBAL)
+            q_col_labels = generators_at(fq, 1, r, GLOBAL)
+            p_cols = {t.verts for t in p_col_labels}
+            q_cols = {t.verts for t in q_col_labels}
             assert p_cols <= q_cols
-            qi = {t.verts: i for i, t in enumerate(Mq.col_labels)}
-            qr = {t.verts: i for i, t in enumerate(Mq.row_labels)}
-            for j, t in enumerate(Mp.col_labels):
-                for i, s in enumerate(Mp.row_labels):
-                    assert Mp.entries[i][j] == \
-                        Mq.entries[qr[s.verts]][qi[t.verts]]
+            qi = {t.verts: i for i, t in enumerate(q_col_labels)}
+            qr = {t.verts: i
+                  for i, t in enumerate(generators_at(fq, 0, r, GLOBAL))}
+            for j, t in enumerate(p_col_labels):
+                for i, s in enumerate(generators_at(fp, 0, r, GLOBAL)):
+                    assert Mp[i, j] == Mq[qr[s.verts], qi[t.verts]]
 
 
 

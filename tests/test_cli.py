@@ -375,6 +375,30 @@ def test_exit_code_bad_input(capsys, tmp_path):
     assert "diagonal" in err
 
 
+@pytest.mark.parametrize("command,name,text", [
+    ("ph", "bad.json", '{"vertices": ["a", "b"'),
+    ("ph", "bad", '{"vertices": ["a", "b"], "edges": [{"from"'),
+    ("automaton", "space.csv", "a,b\n0,1\n1,0\n"),
+    ("automaton", "auto.json", '{"states": ["s0"], '),
+], ids=["ph-json", "ph-sniffed", "automaton-csv", "automaton-json"])
+def test_exit_code_bad_json(capsys, tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err
+    assert "Traceback" not in err
+
+
+def test_automaton_input_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["automaton", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "automaton JSON" in out
+    assert "distance matrix" not in out
+
+
 def test_exit_code_budget(capsys, c4_path):
     with pytest.warns(RuntimeWarning):
         code = main(["ph", c4_path, "--degrees", "0..2", "--budget", "10"])

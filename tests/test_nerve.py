@@ -6,13 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpnerve.nerve import (FilteredComplex, SimplexTuple, critical_grades,
-                           enumerate_complex, is_degenerate, membership_scale,
-                           membership_scale_category)
+from lpnerve.nerve import (FilteredComplex, SimplexTuple, enumerate_complex,
+                           is_degenerate, membership_scale)
 from lpnerve.values import INF, BudgetExceededError, close
 from lpnerve.vgraph import VGraph, free_category
-from util import (random_honest_space, random_l1_space, random_vgraph,
-                  sigma_oracle)
+from util import (membership_scale_category, random_honest_space,
+                  random_l1_space, random_vgraph, sigma_oracle)
 
 
 def test_is_degenerate():
@@ -213,5 +212,5 @@ def test_enumerate_matches_membership_scale(p):
 
 def test_critical_grades():
     X = VGraph(["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert critical_grades(X, 1.0, 2) == [0.0, 1.0, 2.0]
-    assert critical_grades(X, INF, 2) == [0.0, 1.0]
+    assert enumerate_complex(X, 1.0, 2).grades == [0.0, 1.0, 2.0]
+    assert enumerate_complex(X, INF, 2).grades == [0.0, 1.0]

@@ -9,6 +9,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from lpnerve.chain import boundary_matrix, generators_at
 from lpnerve.values import EPS, INF, close, tensor_fold
 from lpnerve.vgraph import GraphMorphism, VGraph, check_morphism, free_category
 
@@ -126,6 +127,94 @@ def sigma_oracle(X: VGraph, verts: Sequence[str], p: float) -> float:
     assert res.success, res.message
     total = max(res.fun, 0.0)
     return total ** (1.0 / p) if total > 0.0 else 0.0
+
+
+def membership_scale_category(X: VGraph, verts: Sequence[str], p: float) -> float:
+    """Birth grade when X already satisfies the +_p triangle inequality:
+    just the fold of consecutive forward distances."""
+    idx = [X.index(v) for v in verts]
+    return tensor_fold([X.dist[idx[i], idx[i + 1]] for i in range(len(idx) - 1)], p)
+
+
+# -- dense matrices and sparse columns --------------------------------
+
+
+def dense_to_columns(entries: Sequence[Sequence[int]]
+                     ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Sparse columns (increasing rows, nonzero coefficients) of a dense
+    rows x cols matrix; a matrix with no rows has no columns."""
+    cols = list(zip(*entries))
+    col_rows = [[i for i, v in enumerate(col) if v] for col in cols]
+    col_coeffs = [[int(col[i]) for i in rows]
+                  for col, rows in zip(cols, col_rows)]
+    return col_rows, col_coeffs
+
+
+def columns_to_dense(cols: Tuple[List[List[int]], List[List[int]]],
+                     nrows: int) -> List[List[int]]:
+    """The dense nrows x len(cols) matrix of sparse columns."""
+    col_rows, col_coeffs = cols
+    entries = [[0] * len(col_rows) for _ in range(nrows)]
+    for j, (rows, coeffs) in enumerate(zip(col_rows, col_coeffs)):
+        for i, v in zip(rows, coeffs):
+            entries[i][j] = v
+    return entries
+
+
+def dense_boundary(fc, degree: int, grade: float, sieve) -> np.ndarray:
+    """``boundary_matrix`` as a dense array, rows and columns labeled by
+    ``generators_at`` in degrees ``degree - 1`` and ``degree``."""
+    shape = (len(generators_at(fc, degree - 1, grade, sieve)),
+             len(generators_at(fc, degree, grade, sieve)))
+    entries = columns_to_dense(boundary_matrix(fc, degree, grade, sieve),
+                               shape[0])
+    return np.array(entries, dtype=np.int64).reshape(shape)
+
+
+# -- magnitude of a graph ---------------------------------------------
+
+
+def magnitude_series(X: VGraph, terms: int) -> List[int]:
+    """Coefficients of q^0 .. q^(terms-1) of the magnitude sum(Z(q)^-1),
+    Z(q) = [q^d(x, y)], for integer distances (infinite ones give 0).
+
+    Z = I + N with N divisible by q, so Z^-1 = sum_k (-1)^k N^k, truncated
+    as power series; no tuple, chain or Smith normal form is involved.
+    """
+    n = len(X)
+
+    def series(d: float) -> List[int]:
+        out = [0] * terms
+        if math.isfinite(d) and d < terms:
+            assert d == int(d) and d > 0, "integer distances only"
+            out[int(d)] = 1
+        return out
+
+    N = [[series(X.dist[i, j]) if i != j else [0] * terms for j in range(n)]
+         for i in range(n)]
+
+    def times(A, B):
+        C = [[[0] * terms for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                for j in range(n):
+                    a, b, c = A[i][k], B[k][j], C[i][j]
+                    for s in range(terms):
+                        if a[s]:
+                            for t in range(terms - s):
+                                c[s + t] += a[s] * b[t]
+        return C
+
+    total = [n] + [0] * (terms - 1)  # sum of the entries of I
+    power = N
+    for k in range(1, terms):  # N^k has no terms below q^k
+        if k > 1:
+            power = times(power, N)
+        for row in power:
+            for entry in row:
+                for s in range(terms):
+                    total[s] += (-1) ** k * entry[s]
+    return total
 
 
 # -- direct localized-chain construction ------------------------------
