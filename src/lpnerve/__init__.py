@@ -10,8 +10,7 @@ from .vgraph import (GraphMorphism, VGraph, asymmetrize, check_morphism,
                      coequalizer, coproduct, delta_path, equalizer,
                      free_category, gamma_path, is_enriched_category, product,
                      validate)
-from .nerve import (FilteredComplex, SimplexTuple, enumerate_complex,
-                    membership_scale)
+from .nerve import FilteredComplex, enumerate_complex, membership_scale
 from .chain import SieveSpec, boundary_matrix, generators_at
 from .homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
                        HomologySummary, homology_at, homology_table,

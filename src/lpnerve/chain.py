@@ -1,11 +1,18 @@
 """Integer chain groups of the filtered nerve, with grade localization.
 
 Chains are normalized from the start: generators are the nondegenerate
-tuples, and a degenerate face contributes nothing to a boundary.  A
-boundary has one format, sparse columns: per column, the increasing row
+tuples, and a degenerate face contributes nothing to a boundary.  A chain
+group is a set of rows of one degree of the columnar complex: since each
+degree is sorted by birth, ``generators_at`` finds the rows that survive
+at a grade by bisecting the births (a contiguous run under the empty and
+strict sieves).  Every boundary is read from the complex's face-index
+table (``FilteredComplex.faces``), which holds for each tuple and deleted
+vertex the row of the face one degree down.
+
+A boundary has one format, sparse columns: per column, the increasing row
 indices of its nonzero entries and a parallel list of their coefficients.
-``columns`` is the one builder of that format, from the alternating faces
-of ``faces``; ``boundary_matrix`` calls it per grade and
+``columns`` is the one builder of that format, from rows of the face
+table; ``boundary_matrix`` calls it per grade and
 ``homology.persistence_barcode`` on the whole filtration.  A sieve
 selects which births survive at each grade; the strict-predecessor sieve
 keeps only generators born exactly at the grade under inspection, which
@@ -14,12 +21,13 @@ is the magnitude-style localization.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .values import EPS, InputError, close
-from .nerve import FilteredComplex, SimplexTuple
+from .nerve import FilteredComplex
 
 EMPTY = "empty"
 STRICT_PREDECESSORS = "strict"
@@ -81,66 +89,44 @@ class SieveSpec:
         raise InputError(f"grade {grade} is not on the sieve grid")
 
 
-def faces(verts: Tuple[str, ...]) -> Iterator[Tuple[Tuple[str, ...], int]]:
-    """The nondegenerate faces of a tuple with their boundary signs.
+def columns(faces: np.ndarray, rows: np.ndarray) -> Columns:
+    """Boundary columns of tuples with face table ``faces`` (as from
+    ``FilteredComplex.faces``) over the sorted rows ``rows`` one degree down.
 
-    ``verts`` must itself be nondegenerate (no two equal neighbours).  Then
-    deleting vertex ``i`` makes a degenerate face exactly when ``i`` is
-    inner and its two neighbours are equal, and distinct deletions give
-    distinct faces, so each face appears once with coefficient +1 or -1.
+    Column j holds, with their signs, the faces of tuple j found in
+    ``rows``, numbered by position there; a degenerate face (-1) or one
+    missing from ``rows`` (killed by a sieve, or not yet born) contributes
+    nothing.
     """
-    last = len(verts) - 1
-    if last < 1:
-        return
-    for i in range(last + 1):
-        if 0 < i < last and verts[i - 1] == verts[i + 1]:
-            continue
-        yield verts[:i] + verts[i + 1:], -1 if i % 2 else 1
-
-
-def columns(tuples: Sequence[SimplexTuple],
-            index: Dict[Tuple[str, ...], int]) -> Columns:
-    """Boundary columns of ``tuples`` over the rows numbered by ``index``.
-
-    Column j holds the faces of ``tuples[j]`` that ``index`` numbers, with
-    their signs; a face missing from ``index`` (killed by a sieve, or not
-    yet born) contributes nothing.
-    """
-    col_rows: List[List[int]] = []
-    col_coeffs: List[List[int]] = []
-    for t in tuples:
-        rows: List[int] = []
-        coeffs: List[int] = []
-        for face, sign in faces(t.verts):
-            k = index.get(face)
-            if k is not None:
-                rows.append(k)
-                coeffs.append(sign)
-        if len(rows) > 1:
-            pairs = sorted(zip(rows, coeffs))
-            rows = [k for k, _ in pairs]
-            coeffs = [c for _, c in pairs]
-        col_rows.append(rows)
-        col_coeffs.append(coeffs)
-    return col_rows, col_coeffs
+    pos = np.searchsorted(rows, faces)
+    # pos == len(rows) reads the -1 pad, which only a degenerate face matches
+    hit = (np.append(rows, -1)[pos] == faces) & (faces >= 0)
+    local = np.where(hit, pos, len(rows))
+    order = np.argsort(local, axis=1, kind="stable")
+    local = np.take_along_axis(local, order, axis=1).tolist()
+    signs = np.where(order % 2, -1, 1).tolist()
+    counts = hit.sum(axis=1).tolist()
+    return ([r[:c] for r, c in zip(local, counts)],
+            [s[:c] for s, c in zip(signs, counts)])
 
 
 def generators_at(fc: FilteredComplex, degree: int, grade: float,
-                  sieve: SieveSpec, eps: float = EPS) -> List[SimplexTuple]:
-    """Surviving tuples of the given degree at the given grade."""
+                  sieve: SieveSpec, eps: float = EPS) -> np.ndarray:
+    """Rows of the tuples of the given degree that survive at the given
+    grade, increasing."""
     if degree > fc.max_dim:
         raise InputError(
             f"degree {degree} exceeds the enumerated max_dim {fc.max_dim}")
     if degree < 0:
-        return []
-    tuples = fc.degree(degree)
-    births = fc.births[degree]  # sorted, like the tuples
-    hi = bisect_right(births, grade + eps)
+        return np.empty(0, np.intp)
+    births = fc.births[degree]  # sorted
+    hi = int(np.searchsorted(births, grade + eps, side="right"))
     if sieve.kind == EMPTY:
-        return tuples[:hi]
+        return np.arange(hi)
     if sieve.kind == STRICT_PREDECESSORS:
-        return tuples[bisect_left(births, grade - eps, 0, hi):hi]
-    return [t for t in tuples[:hi] if not sieve.kills(t.birth, grade, eps)]
+        return np.arange(np.searchsorted(births[:hi], grade - eps), hi)
+    return np.array([i for i, b in enumerate(births[:hi].tolist())
+                     if not sieve.kills(b, grade, eps)], dtype=np.intp)
 
 
 def boundary_matrix(fc: FilteredComplex, degree: int, grade: float,
@@ -154,5 +140,5 @@ def boundary_matrix(fc: FilteredComplex, degree: int, grade: float,
     if degree < 1:
         raise InputError("boundary_matrix requires degree >= 1")
     rows = generators_at(fc, degree - 1, grade, sieve, eps)
-    return columns(generators_at(fc, degree, grade, sieve, eps),
-                   {t.verts: i for i, t in enumerate(rows)})
+    cols = generators_at(fc, degree, grade, sieve, eps)
+    return columns(fc.faces(degree)[cols], rows)

@@ -28,6 +28,13 @@ def _parse_degrees(text: str) -> range:
     return degrees
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not value > 0.0:
@@ -60,9 +67,9 @@ def _add_common(sub: argparse.ArgumentParser, default_p: Optional[str],
         sub.add_argument("--p", default=default_p,
                          help="exponent in [1, inf] (default %(default)s)")
     if tuples:
-        sub.add_argument("--max-dim", type=int, default=None,
+        sub.add_argument("--max-dim", type=_count, default=None,
                          help="tuple dimension cap (default: max degree + 1)")
-        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        sub.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                          help="tuple count cap (default %(default)s)")
     if degrees:
         sub.add_argument("--degrees", type=_parse_degrees, default=None,

@@ -2,16 +2,19 @@
 
 ``homology_table`` is the one grade-by-degree loop of graded homology,
 for every sieve and ring; ``magnitude_homology`` is its strict sieve over
-the integers and ``homology_at`` one cell of it.  Every boundary comes in
-the one sparse column format of ``chain.columns``.  Integer ranks go
-through an exact Smith normal form (Python integers, so no overflow):
-the connected blocks are found from the nonzeros, and only each block is
-made dense for elimination.  The barcode pipeline orders all tuples by
-(birth, degree, vertices) and runs the standard column reduction over
-GF(q) (compiled kernel when available); field homology ranks each
-boundary with that same column reduction.  A classical Vietoris-Rips
-computation on unordered simplices, with its own self-contained mod-2
-reduction, serves as an independent cross-check.
+the integers and ``homology_at`` one cell of it.  Each boundary is sliced
+from the complex's face-index tables to the rows ``generators_at`` keeps
+and handed over in the one sparse column format of ``chain.columns``.
+Integer ranks go through an exact Smith normal form (Python integers, so
+no overflow): the connected blocks are found from the nonzeros, and only
+each block is made dense for elimination.  The barcode pipeline orders
+all rows of all degrees by (birth, degree, position within the degree),
+which is (birth, degree, vertices), maps the same face tables into that
+order, and runs the standard column reduction over GF(q) (compiled
+kernel when available); field homology ranks each boundary with that
+same column reduction.  A classical Vietoris-Rips computation on
+unordered simplices, with its own self-contained mod-2 reduction, serves
+as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import kernels
 from .chain import (STRICT_PREDECESSORS, Columns, SieveSpec, boundary_matrix,
@@ -133,7 +138,8 @@ def _eliminate(a: List[List[int]]) -> List[int]:
     divisors: List[int] = []
     t = 0
     while t < nrows and t < ncols:
-        # pick the nonzero pivot of smallest magnitude
+        # pick the first nonzero pivot of smallest magnitude in row-major
+        # order; nothing is smaller than a unit, so the scan stops there
         pivot = best = None
         for i in range(t, nrows):
             for j in range(t, ncols):
@@ -141,6 +147,10 @@ def _eliminate(a: List[List[int]]) -> List[int]:
                 if v and (best is None or v < best):
                     best = v
                     pivot = (i, j)
+                    if v == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -236,7 +246,7 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
         ranks = {0: (0, ())}  # n -> rank and torsion of d_n at r
         for n in degrees:
             gens = generators_at(fc, n, r, sieve, eps)
-            if not gens:
+            if not len(gens):
                 continue  # an empty chain group has zero homology
             for k in (n, n + 1):
                 if k not in ranks:
@@ -307,13 +317,25 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
             f"barcodes up to degree {max_degree} need max_dim >= "
             f"{max_degree + 1}, got {fc.max_dim}")
     q = field_coeffs.modulus
-    simplices = [t for level in fc.tuples for t in level]
-    simplices.sort(key=lambda t: (t.birth, t.degree, t.verts))
-    col_rows, col_coeffs = columns(
-        simplices, {t.verts: i for i, t in enumerate(simplices)})
+    births = np.concatenate(fc.births)
+    sizes = [len(level) for level in fc.births]
+    degrees = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum([0] + sizes)  # first global row of each degree
+    # lexsort is stable: ties in (birth, degree) keep the order of the rows
+    order = np.lexsort((degrees, births))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    # every face as a position in the filtration order, padded to one width
+    width = len(sizes)
+    table = np.full((len(births), width), -1, dtype=np.intp)
+    for k in range(1, width):
+        faces = fc.faces(k)
+        table[starts[k]:starts[k + 1], :k + 1] = np.where(
+            faces >= 0, position[starts[k - 1] + faces], -1)
+    col_rows, col_coeffs = columns(table[order], np.arange(len(births)))
     lows = kernels.reduce_columns(col_rows, col_coeffs, q)
-    order = [(t.birth, t.degree) for t in simplices]
-    return _barcode_from_reduction(order, lows, max_degree, eps)
+    filtration = list(zip(births[order].tolist(), degrees[order].tolist()))
+    return _barcode_from_reduction(filtration, lows, max_degree, eps)
 
 
 # -- classical Vietoris-Rips oracle -----------------------------------

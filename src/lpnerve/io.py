@@ -15,7 +15,7 @@ import numpy as np
 
 from .automata import Automaton, Transition
 from .homology import Bar, Barcode, HomologySummary
-from .nerve import FilteredComplex, SimplexTuple
+from .nerve import FilteredComplex
 from .values import INF, InputError, grade_str, parse_grade
 from .vgraph import VGraph
 
@@ -137,9 +137,10 @@ def complex_to_json(fc: FilteredComplex) -> dict:
         "p": INF if math.isinf(fc.p) else fc.p,
         "max_dim": fc.max_dim,
         "tuples": [
-            {"degree": t.degree, "verts": list(t.verts),
-             "birth": INF if math.isinf(t.birth) else t.birth}
-            for level in fc.tuples for t in level
+            {"degree": degree, "verts": list(verts),
+             "birth": INF if math.isinf(birth) else birth}
+            for degree, births in enumerate(fc.births)
+            for verts, birth in zip(fc.labels(degree), births.tolist())
         ],
     }
 

@@ -7,56 +7,65 @@ the p-th-power domain (the witness LP has an interval constraint matrix,
 so its optimum is attained on a chain of index pairs); for p = inf it is
 the maximum forward distance.
 
-``enumerate_complex`` runs one depth-first search over all tuples and
-carries the dynamic program down it: a tuple's chain values are those of
-its parent plus one new entry, so no birth is recomputed from scratch.
-``membership_scale`` computes one birth on its own and is the reference
-the search agrees with bit for bit.
+The complex is columnar.  Vertices are numbered in sorted-name order, so
+ordering index rows is ordering name tuples, and each degree is an
+integer matrix (one row of vertex indices per tuple) with a float64
+births vector, both sorted by (birth, vertices).  Each row also records
+the row of its prefix (the tuple without its last vertex) one degree
+down; ``FilteredComplex.faces`` derives every face from it.  Names appear
+only when a result is emitted (``FilteredComplex.labels``).
+
+``enumerate_complex`` searches depth first over blocks of at most
+``BLOCK`` rows and carries the dynamic program down: a tuple's chain
+values are those of its prefix plus one new entry, so no birth is
+recomputed from scratch.  ``membership_scale`` computes one birth on its
+own and is the reference the search agrees with bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .values import (EPS, INF, BudgetExceededError, check_exponent,
-                     check_powers)
+import numpy as np
+
+from .values import (EPS, INF, BudgetExceededError, InputError,
+                     check_exponent, check_powers)
 from .vgraph import VGraph
 
 #: default cap on the number of enumerated tuples
 DEFAULT_BUDGET = 2_000_000
 
+#: rows expanded together by the search; the reach vectors alive at once
+#: number at most BLOCK per degree
+BLOCK = 64
 
-@dataclass(frozen=True)
-class SimplexTuple:
-    verts: Tuple[str, ...]
-    birth: float
-
-    @property
-    def degree(self) -> int:
-        return len(self.verts) - 1
+#: vertex index type of the tuple matrices
+VERTEX = np.int32
 
 
-@dataclass
+@dataclass(eq=False)
 class FilteredComplex:
+    """All finite-birth nondegenerate tuples of degree <= ``max_dim``.
+
+    Vertex index ``i`` stands for ``names[i]``, and ``names`` is sorted.
+    Per degree k: ``tuples[k]`` is a (rows, k + 1) integer matrix of vertex
+    indices, ``births[k]`` the float64 births, both sorted by (birth,
+    vertices), and ``prefix[k]`` the row in degree k - 1 of each tuple
+    without its last vertex (-1 at degree 0).
+    """
+
     space: VGraph
     p: float
     max_dim: int
-    tuples: List[List[SimplexTuple]]  # per degree, sorted by (birth, verts)
-
-    def degree(self, n: int) -> List[SimplexTuple]:
-        if n < 0 or n > self.max_dim:
-            return []
-        return self.tuples[n]
-
-    @cached_property
-    def births(self) -> List[List[float]]:
-        """Per degree, the births of ``tuples`` in order, for bisection."""
-        return [[t.birth for t in level] for level in self.tuples]
+    names: List[str]
+    tuples: List[np.ndarray]
+    births: List[np.ndarray]
+    prefix: List[np.ndarray]
+    _faces: Dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False)
 
     @property
     def grades(self) -> List[float]:
@@ -66,12 +75,11 @@ class FilteredComplex:
     def merged_grades(self, eps: float) -> List[float]:
         """Sorted finite birth grades, each more than ``eps`` above the
         last one kept; contains 0."""
-        births = sorted(
-            t.birth for level in self.tuples for t in level
-            if math.isfinite(t.birth)
-        )
+        births = np.sort(np.concatenate(self.births))
+        births = births[np.isfinite(births)]
         out = [0.0]
-        for b in births:
+        # each distinct birth once (np.unique would import numpy.ma)
+        for b in births[np.diff(births, prepend=-INF) > 0].tolist():
             if b > out[-1] + eps:
                 out.append(b)
         return out
@@ -79,9 +87,51 @@ class FilteredComplex:
     def size(self) -> int:
         return sum(len(level) for level in self.tuples)
 
+    def labels(self, degree: int,
+               rows: Optional[Sequence[int]] = None) -> List[Tuple[str, ...]]:
+        """Vertex-name tuples of the given rows (default all) of a degree."""
+        level = self.tuples[degree]
+        if rows is not None:
+            level = level[np.asarray(rows, dtype=np.intp)]
+        names = self.names
+        return [tuple(names[i] for i in row) for row in level.tolist()]
 
-def is_degenerate(verts: Sequence[str]) -> bool:
-    return any(verts[i] == verts[i + 1] for i in range(len(verts) - 1))
+    def faces(self, degree: int) -> np.ndarray:
+        """Face-index table of a degree >= 1, computed once.
+
+        Entry [r, i] is the row in ``degree - 1`` of tuple r with vertex i
+        deleted, or -1 when that face is degenerate (0 < i < degree and the
+        two neighbours of i are equal).  The last column is the prefix.
+        Other faces are found from the prefix's faces: deleting i < degree
+        from v is deleting i from the prefix and appending the last vertex.
+        A row one degree down is keyed by (its prefix row) * n + (its last
+        vertex), below (rows two degrees down) * n + n, so no key overflows.
+        """
+        table = self._faces.get(degree)
+        if table is not None:
+            return table
+        level = self.tuples[degree]
+        table = np.empty(level.shape, dtype=np.intp)
+        table[:, degree] = self.prefix[degree]
+        if degree == 1:
+            table[:, 0] = level[:, 1]  # degree-0 rows are the vertices
+        else:
+            n = len(self.names)
+            below = self.tuples[degree - 1]
+            keys = self.prefix[degree - 1] * n + below[:, -1]
+            order = np.argsort(keys, kind="stable")
+            keys = np.append(keys[order], -1)  # -1 matches no face
+            order = np.append(order, -1)
+            last = level[:, -1].astype(np.intp)
+            inner = self.faces(degree - 1)
+            for i in range(degree):  # one column at a time bounds the scratch
+                face = inner[self.prefix[degree], i]
+                want = face * n + last
+                pos = np.searchsorted(keys[:-1], want)
+                hit = (face >= 0) & (keys[pos] == want)
+                table[:, i] = np.where(hit, order[pos], -1)
+        self._faces[degree] = table
+        return table
 
 
 def membership_scale(X: VGraph, verts: Sequence[str], p: float) -> float:
@@ -117,57 +167,77 @@ def membership_scale(X: VGraph, verts: Sequence[str], p: float) -> float:
     return total ** (1.0 / p) if total > 0.0 else 0.0
 
 
-def _search(X: VGraph, p: float, max_dim: int,
-            budget: int | None) -> List[List[Tuple[float, Tuple[str, ...]]]]:
-    """All finite-birth nondegenerate tuples as (birth, verts), per degree,
-    in one depth-first search.
+def _python_power(values: np.ndarray, exponent: float) -> np.ndarray:
+    """``x ** exponent`` (0 for x = 0) by Python's float power, once per
+    distinct value; numpy's power may differ in the last bit."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    powered = np.array([x ** exponent if x > 0.0 else 0.0
+                        for x in distinct.tolist()], dtype=float)
+    return powered[inverse].reshape(values.shape)
 
-    Each stacked tuple carries its reach vector: ``reach[v]`` is the
-    longest-chain value (p-th-power domain; plain max at p = inf) of the
-    tuple extended by vertex index ``v``.  Extending by ``nxt`` appends the
-    chain entry ``top = reach[nxt]``, and the child's reach is
-    ``max(reach[v], top + w[nxt][v])`` (``max(top, d[nxt][v])`` at
-    p = inf).  Every candidate is the same single addition that
-    ``membership_scale`` makes and maxima are exact, so the births are
-    bit-identical to it.  Extending a tuple can only raise its birth, so
-    infinite branches are pruned.
+
+def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
+            ) -> List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """All finite-birth nondegenerate tuples, per degree, in unsorted
+    chunks: the vertex matrix, the top chain value and the prefix row of
+    each tuple, rows numbered in search order.
+
+    A block's reach matrix holds, per row and vertex v, the longest-chain
+    value (p-th-power domain; plain max at p = inf) of the row extended by
+    v.  Extending by ``nxt`` appends the chain entry ``top = reach[nxt]``,
+    and the child's reach is ``max(reach, top + w[nxt])``
+    (``max(reach, max(top, w[nxt]))`` at p = inf).  Every candidate is the
+    same single addition that ``membership_scale`` makes and maxima are
+    exact, so the births are bit-identical to it.  Extending a tuple can
+    only raise its birth, so infinite branches are pruned.
+
+    Blocks are expanded depth first and a block's reach is built only when
+    it is expanded, so the reach alive at once is at most ``max_dim``
+    blocks of ``BLOCK`` rows.  A block's children are counted before they
+    are built, and the budget is checked on that count.
     """
-    names = X.vertices
-    n = len(names)
-    limit = INF if budget is None else budget
-    out: List[List[Tuple[float, Tuple[str, ...]]]] = [[] for _ in range(max_dim + 1)]
-    out[0] = [(0.0, (v,)) for v in names]
-    count = n
-    stack: List[Tuple[Tuple[str, ...], int, List[float]]] = []
+    n = len(w)
+    vertices = np.arange(n, dtype=VERTEX)
+    found = [[(vertices[:, None], np.zeros(n), np.full(n, -1))]]
+    found += [[(np.empty((0, k + 1), VERTEX), np.empty(0), np.empty(0, np.intp))]
+              for k in range(1, max_dim + 1)]
+    rows = [n] + [0] * max_dim
+    if n > limit:
+        raise BudgetExceededError(f"tuple count exceeded the budget of {limit}")
+    # pending blocks: degree, first row, vertex matrix, and what its reach
+    # is built from (the parent block's reach and rows, new vertex, top)
+    stack = []
     if max_dim > 0:
-        d = X.dist.tolist()
-        if p == INF:
-            op, w, root = max, d, None
+        for lo in reversed(range(0, n, BLOCK)):
+            block = vertices[lo:lo + BLOCK]
+            stack.append((0, lo, block[:, None], None, None, block, None))
+    while stack:
+        k, first, verts, base, parents, last, top = stack.pop()
+        if base is None:
+            reach = w[last]
+        elif at_inf:
+            reach = np.maximum(base[parents], np.maximum(top[:, None], w[last]))
         else:
-            op, w, root = operator.add, [[x ** p for x in row] for row in d], 1.0 / p
-        stack = [((v,), i, [op(0.0, x) for x in w[i]]) for i, v in enumerate(names)]
-    while count <= limit and stack:
-        verts, last, reach = stack.pop()
-        found = out[len(verts)]
-        deeper = len(verts) < max_dim
-        for nxt in range(n):
-            top = reach[nxt]
-            if nxt == last or top == INF:
-                continue
-            count += 1
-            if count > limit:
-                break
-            child = verts + (names[nxt],)
-            if root is None:
-                found.append((top, child))
-            else:
-                found.append((top ** root if top > 0.0 else 0.0, child))
-            if deeper:
-                stack.append((child, nxt, list(map(
-                    max, reach, [op(top, x) for x in w[nxt]]))))
-    if count > limit:
-        raise BudgetExceededError(f"tuple count exceeded the budget of {budget}")
-    return out
+            reach = np.maximum(base[parents], top[:, None] + w[last])
+        grow = reach < INF
+        grow[np.arange(len(last)), last] = False
+        count = int(np.count_nonzero(grow))
+        if sum(rows) + count > limit:
+            raise BudgetExceededError(
+                f"tuple count exceeded the budget of {limit}")
+        local, nxt = np.nonzero(grow)
+        child_top = reach[local, nxt]
+        child = np.concatenate([verts[local], nxt[:, None]], axis=1,
+                               dtype=VERTEX)
+        start = rows[k + 1]
+        rows[k + 1] += count
+        found[k + 1].append((child, child_top, first + local))
+        if k + 1 < max_dim:
+            for lo in reversed(range(0, count, BLOCK)):
+                hi = lo + BLOCK
+                stack.append((k + 1, start + lo, child[lo:hi], reach,
+                              local[lo:hi], nxt[lo:hi], child_top[lo:hi]))
+    return found
 
 
 def enumerate_complex(X: VGraph, p: float, max_dim: int,
@@ -175,12 +245,14 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
     """All nondegenerate tuples of degree <= max_dim with finite birth.
 
     Raises ``BudgetExceededError`` as soon as more than ``budget`` tuples
-    have been found, and ``InputError`` when a birth at finite p would
-    overflow.
+    have been found, and ``InputError`` for a negative ``max_dim`` or
+    ``budget`` or when a birth at finite p would overflow.
     """
     p = check_exponent(p)
     if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
+        raise InputError(f"max_dim must be >= 0, got {max_dim}")
+    if budget is not None and budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
     check_powers(X.dist.flat, p, max_dim)
     n = len(X)
     if budget is not None and n ** (max_dim + 1) > budget:
@@ -189,8 +261,23 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
             f"which exceeds the budget of {budget}",
             RuntimeWarning,
         )
-    tuples = []
-    for level in _search(X, p, max_dim, budget):
-        level.sort()
-        tuples.append([SimplexTuple(verts, birth) for birth, verts in level])
-    return FilteredComplex(X, p, max_dim, tuples)
+    names = sorted(X.vertices)
+    perm = [X.index(v) for v in names]
+    d = X.dist[np.ix_(perm, perm)]
+    at_inf = p == INF
+    w = d if at_inf else _python_power(d, p)
+    limit = INF if budget is None else budget
+    tuples, births, prefix = [], [], []
+    found = _expand(w, at_inf, max_dim, limit)
+    for k in range(len(found)):
+        verts, top, parent = (np.concatenate(parts) for parts in zip(*found[k]))
+        found[k] = None  # drop the chunks once joined
+        birth = top if at_inf else _python_power(top, 1.0 / p)
+        order = np.lexsort((*verts.T[::-1], birth))
+        tuples.append(verts[order])
+        births.append(birth[order])
+        # parents were numbered in search order; renumber them sorted
+        prefix.append(rank[parent[order]] if k else parent)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+    return FilteredComplex(X, p, max_dim, names, tuples, births, prefix)

@@ -29,10 +29,10 @@ from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism, coequalizer,
                             product)
 from util import (columns_to_dense, coproduct_injections, dense_boundary,
                   dense_to_columns, direct_local_boundary,
-                  direct_local_generators, morphisms, product_projections,
-                  random_honest_space, random_l1_space, random_ultrametric,
-                  random_vgraph, sigma_oracle, sigma_oracle_chains,
-                  unique_factorization)
+                  direct_local_generators, levels, morphisms,
+                  product_projections, random_honest_space, random_l1_space,
+                  random_ultrametric, random_vgraph, sigma_oracle,
+                  sigma_oracle_chains, unique_factorization)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -141,8 +141,8 @@ def test_criterion_5_subfunctor_inclusion():
         X = random_vgraph(rng, rng.randint(2, 5))
         complexes = {p: enumerate_complex(X, p, 2) for p in ps}
         births = {
-            p: {t.verts: t.birth for level in complexes[p].tuples
-                for t in level}
+            p: {verts: b for level in levels(complexes[p])
+                for b, verts in level}
             for p in ps
         }
         for lo, hi in zip(ps, ps[1:]):
@@ -152,12 +152,14 @@ def test_criterion_5_subfunctor_inclusion():
         grades = sorted({g for p in ps for g in complexes[p].grades})
         for p in ps[:-1]:
             for r in grades:
-                at_p = {t.verts
+                at_p = {verts
                         for n in range(3)
-                        for t in generators_at(complexes[p], n, r, GLOBAL)}
-                at_max = {t.verts
+                        for verts in complexes[p].labels(
+                            n, generators_at(complexes[p], n, r, GLOBAL))}
+                at_max = {verts
                           for n in range(3)
-                          for t in generators_at(complexes[INF], n, r, GLOBAL)}
+                          for verts in complexes[INF].labels(
+                              n, generators_at(complexes[INF], n, r, GLOBAL))}
                 assert at_p <= at_max
     assert time.time() - started < 10
     report(5, True, "sigma_p nonincreasing in p and N_p included in N_max "
@@ -375,12 +377,12 @@ def test_criterion_8_magnitude_nerve_identity():
         for r in fc.grades:
             for n in (1, 2):
                 gens = generators_at(fc, n, r, STRICT)
-                assert [t.verts for t in gens] == \
+                assert fc.labels(n, gens) == \
                     direct_local_generators(X, 1.0, r, n)
             rows, cols, entries = direct_local_boundary(X, 1.0, r, 2)
             M = boundary_matrix(fc, 2, r, STRICT)
-            assert [t.verts for t in generators_at(fc, 1, r, STRICT)] == rows
-            assert [t.verts for t in generators_at(fc, 2, r, STRICT)] == cols
+            assert fc.labels(1, generators_at(fc, 1, r, STRICT)) == rows
+            assert fc.labels(2, generators_at(fc, 2, r, STRICT)) == cols
             assert len(M[0]) == len(cols)
             assert columns_to_dense(M, len(rows)) == entries
             record(fc, STRICT, r, 1)
@@ -509,7 +511,7 @@ def test_criterion_11_structural_sanity():
     for X, p in SPACES[:6]:
         a = enumerate_complex(X, p, 2)
         b = enumerate_complex(X, p, 2)
-        assert a.tuples == b.tuples
+        assert levels(a) == levels(b)
         bc1 = persistence_barcode(a, 1, GF2)
         bc2 = persistence_barcode(b, 1, GF2)
         assert bc1.bars == bc2.bars

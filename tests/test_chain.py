@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
-                           boundary_matrix, faces, generators_at)
-from lpnerve.nerve import enumerate_complex, is_degenerate
+                           boundary_matrix, generators_at)
+from lpnerve.nerve import enumerate_complex
 from lpnerve.values import EPS, INF, InputError
 from lpnerve.vgraph import VGraph
-from util import (columns_to_dense, dense_boundary, random_honest_space,
-                  random_l1_space, random_vgraph)
+from util import (columns_to_dense, dense_boundary, faces, is_degenerate,
+                  random_honest_space, random_l1_space, random_vgraph)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -54,8 +54,8 @@ def test_sieve_kinds():
 
 def test_generators_at_global():
     fc = two_point_complex()
-    assert [t.verts for t in generators_at(fc, 0, 0.0, GLOBAL)] == [("a",), ("b",)]
-    assert generators_at(fc, 1, 0.5, GLOBAL) == []
+    assert fc.labels(0, generators_at(fc, 0, 0.0, GLOBAL)) == [("a",), ("b",)]
+    assert len(generators_at(fc, 1, 0.5, GLOBAL)) == 0
     assert len(generators_at(fc, 1, 1.0, GLOBAL)) == 2
     assert len(generators_at(fc, 1, 2.0, GLOBAL)) == 2
     assert len(generators_at(fc, 2, 2.0, GLOBAL)) == 2
@@ -66,20 +66,20 @@ def test_generators_at_global():
 def test_generators_at_strict():
     fc = two_point_complex()
     # at grade 2 only the tuples born exactly at 2 survive
-    assert generators_at(fc, 0, 2.0, STRICT) == []
-    assert generators_at(fc, 1, 2.0, STRICT) == []
-    assert [t.verts for t in generators_at(fc, 2, 2.0, STRICT)] == [
+    assert len(generators_at(fc, 0, 2.0, STRICT)) == 0
+    assert len(generators_at(fc, 1, 2.0, STRICT)) == 0
+    assert fc.labels(2, generators_at(fc, 2, 2.0, STRICT)) == [
         ("a", "b", "a"), ("b", "a", "b")]
 
 
 def linear_scan_generators(fc, degree, grade, sieve, eps):
-    """Reference: scan the birth-sorted tuples up to grade + eps."""
+    """Reference: scan the birth-sorted rows up to grade + eps."""
     out = []
-    for t in fc.degree(degree):
-        if t.birth > grade + eps:
+    for row, birth in enumerate(fc.births[degree].tolist()):
+        if birth > grade + eps:
             break
-        if not sieve.kills(t.birth, grade, eps):
-            out.append(t)
+        if not sieve.kills(birth, grade, eps):
+            out.append(row)
     return out
 
 
@@ -92,7 +92,7 @@ def test_generators_at_matches_linear_scan():
             grades = fc.grades
             custom = SieveSpec(CUSTOM_GRID, {
                 r: frozenset(grades[:i // 2]) for i, r in enumerate(grades)})
-            births = sorted({t.birth for level in fc.tuples for t in level})
+            births = sorted(set(np.concatenate(fc.births).tolist()))
             for eps in (EPS, 0.25):
                 probes = {-1.0, births[-1] + 1.0}
                 for b in births:
@@ -102,12 +102,12 @@ def test_generators_at_matches_linear_scan():
                 for n in range(3):
                     for r in sorted(probes):
                         for sieve in (GLOBAL, STRICT):
-                            assert generators_at(fc, n, r, sieve, eps) == \
-                                linear_scan_generators(fc, n, r, sieve, eps)
+                            assert generators_at(fc, n, r, sieve, eps).tolist() \
+                                == linear_scan_generators(fc, n, r, sieve, eps)
                     # a custom grid is only defined at its own grades
                     for r in grades:
-                        assert generators_at(fc, n, r, custom, eps) == \
-                            linear_scan_generators(fc, n, r, custom, eps)
+                        assert generators_at(fc, n, r, custom, eps).tolist() \
+                            == linear_scan_generators(fc, n, r, custom, eps)
 
 
 def test_boundary_global_two_points():
@@ -118,7 +118,7 @@ def test_boundary_global_two_points():
     assert columns_to_dense(M, 2) == [[-1, 1], [1, -1]]
     M2 = boundary_matrix(fc, 2, 2.0, GLOBAL)
     # faces (a,a) and (b,b) are degenerate, so only the middle face remains
-    cols = [t.verts for t in generators_at(fc, 2, 2.0, GLOBAL)]
+    cols = fc.labels(2, generators_at(fc, 2, 2.0, GLOBAL))
     assert cols == [("a", "b", "a"), ("b", "a", "b")]
     assert len(M2[0]) == 2
     for coeffs in M2[1]:
@@ -129,7 +129,7 @@ def test_boundary_strict_kills_faces():
     fc = two_point_complex()
     M = boundary_matrix(fc, 2, 2.0, STRICT)
     # every face of a zigzag is born at 1 < 2, so the matrix is zero-shaped
-    assert generators_at(fc, 1, 2.0, STRICT) == []
+    assert len(generators_at(fc, 1, 2.0, STRICT)) == 0
     assert M == ([[], []], [[], []])
 
 
@@ -156,22 +156,20 @@ def test_localization_commutes_with_boundary():
         for n in (1, 2, 3):
             A = dense_boundary(fc, n, r, GLOBAL)
             L = dense_boundary(fc, n, r, STRICT)
-            glob_rows = generators_at(fc, n - 1, r, GLOBAL)
-            glob_cols = generators_at(fc, n, r, GLOBAL)
-            loc_rows = generators_at(fc, n - 1, r, STRICT)
-            loc_cols = generators_at(fc, n, r, STRICT)
+            glob_rows = fc.labels(n - 1, generators_at(fc, n - 1, r, GLOBAL))
+            glob_cols = fc.labels(n, generators_at(fc, n, r, GLOBAL))
+            loc_rows = fc.labels(n - 1, generators_at(fc, n - 1, r, STRICT))
+            loc_cols = fc.labels(n, generators_at(fc, n, r, STRICT))
             # quotient matrices: identity on survivors, zero elsewhere
-            keep_rows = {t.verts for t in loc_rows}
-            keep_cols = {t.verts for t in loc_cols}
-            Qr = [[1 if g.verts == s.verts else 0 for g in glob_rows]
-                  for s in loc_rows]
-            Qc = [[1 if g.verts == s.verts else 0 for g in glob_cols]
-                  for s in loc_cols]
+            keep_rows = set(loc_rows)
+            keep_cols = set(loc_cols)
+            Qr = [[1 if g == s else 0 for g in glob_rows] for s in loc_rows]
+            Qc = [[1 if g == s else 0 for g in glob_cols] for s in loc_cols]
             Qr = np.array(Qr, dtype=int).reshape(len(loc_rows), len(glob_rows))
             Qc = np.array(Qc, dtype=int).reshape(len(loc_cols), len(glob_cols))
             assert np.array_equal(Qr @ A @ Qc.T, L)
-            assert keep_rows <= {t.verts for t in glob_rows}
-            assert keep_cols <= {t.verts for t in glob_cols}
+            assert keep_rows <= set(glob_rows)
+            assert keep_cols <= set(glob_cols)
 
 
 def test_exponent_inclusion_commutes_with_boundary():
@@ -184,22 +182,27 @@ def test_exponent_inclusion_commutes_with_boundary():
             Mp = dense_boundary(fp, 1, r, GLOBAL)
             Mq = dense_boundary(fq, 1, r, GLOBAL)
             # inclusion on generators: birth can only drop as p grows
-            p_col_labels = generators_at(fp, 1, r, GLOBAL)
-            q_col_labels = generators_at(fq, 1, r, GLOBAL)
-            p_cols = {t.verts for t in p_col_labels}
-            q_cols = {t.verts for t in q_col_labels}
+            p_col_labels = fp.labels(1, generators_at(fp, 1, r, GLOBAL))
+            q_col_labels = fq.labels(1, generators_at(fq, 1, r, GLOBAL))
+            p_cols = set(p_col_labels)
+            q_cols = set(q_col_labels)
             assert p_cols <= q_cols
-            qi = {t.verts: i for i, t in enumerate(q_col_labels)}
-            qr = {t.verts: i
-                  for i, t in enumerate(generators_at(fq, 0, r, GLOBAL))}
+            qi = {t: i for i, t in enumerate(q_col_labels)}
+            qr = {t: i for i, t in enumerate(
+                fq.labels(0, generators_at(fq, 0, r, GLOBAL)))}
             for j, t in enumerate(p_col_labels):
-                for i, s in enumerate(generators_at(fp, 0, r, GLOBAL)):
-                    assert Mp[i, j] == Mq[qr[s.verts], qi[t.verts]]
+                for i, s in enumerate(
+                        fp.labels(0, generators_at(fp, 0, r, GLOBAL))):
+                    assert Mp[i, j] == Mq[qr[s], qi[t]]
 
 
 
 def test_faces_match_degeneracy_oracle():
-    """Every nondegenerate tuple of length 1 to 6 over three letters."""
+    """Every nondegenerate tuple of length 1 to 6 over three letters, and
+    the face table of the complex that holds them all."""
+    X = VGraph(["a", "b", "c"], 1.0 - np.eye(3))
+    fc = enumerate_complex(X, 1.0, 5)
+    row = [{verts: i for i, verts in enumerate(fc.labels(k))} for k in range(6)]
     checked = 0
     for length in range(1, 7):
         for verts in itertools.product("abc", repeat=length):
@@ -214,5 +217,11 @@ def test_faces_match_degeneracy_oracle():
             got = list(faces(verts))
             assert got == expected
             assert len({face for face, _ in got}) == len(got)
+            if length > 1:
+                k = length - 1
+                table = fc.faces(k)[row[k][verts]]
+                assert [(fc.labels(k - 1, [i])[0], -1 if d % 2 else 1)
+                        for d, i in enumerate(table.tolist()) if i >= 0] \
+                    == expected
             checked += 1
     assert checked == 3 * (1 + 2 + 4 + 8 + 16 + 32)

@@ -1,12 +1,16 @@
 import json
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpnerve.cli
 from lpnerve import homology, io
@@ -288,6 +292,47 @@ def write_space(path, X):
     return str(path)
 
 
+@st.composite
+def relabelings(draw):
+    """A space, and the same space under other names in another order."""
+    n = draw(st.integers(2, 5))
+    dist = np.zeros((n, n))
+    symmetric = draw(st.booleans())
+    for i in range(n):
+        for j in range(i + 1 if symmetric else 0, n):
+            if i != j:
+                dist[i, j] = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+                if symmetric:
+                    dist[j, i] = dist[i, j]
+    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    perm = draw(st.permutations(range(n)))
+    return (VGraph([f"v{i}" for i in range(n)], dist),
+            VGraph(names, dist[np.ix_(perm, perm)]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=relabelings(), p=st.sampled_from(["1", "2", "inf"]))
+def test_relabeling_leaves_outputs_unchanged(pair, p):
+    """Vertices are numbered in sorted-name order inside the complex; no
+    output may depend on the names or the order they come in."""
+    commands = [["mh"], ["ph"]] + [
+        ["homology", "--sieve", sieve, "--coeff", coeff]
+        for sieve in ("none", "strict") for coeff in ("z", "z2")]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [write_space(pathlib.Path(tmp) / f"{k}.csv", X)
+                 for k, X in enumerate(pair)]
+        out = os.path.join(tmp, "out")
+        for command in commands:
+            texts = []
+            for path in paths:
+                assert main([command[0], path, *command[1:], "--p", p,
+                             "--degrees", "0..2", "-o", out]) == 0
+                with open(out) as fh:
+                    texts.append(fh.read())
+            assert texts[0] == texts[1], command
+
+
 def bars_json(X, p, degrees, max_dim, q):
     """``ph`` output as the general path computes it on X itself."""
     bc = persistence_barcode(enumerate_complex(X, p, max_dim), max(degrees),
@@ -416,6 +461,18 @@ def test_exit_code_bad_degrees(capsys, c4_path, degrees):
 
 def test_exit_code_bad_max_dim(capsys, c4_path):
     assert main(["ph", c4_path, "--degrees", "2", "--max-dim", "1"]) == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--max-dim", "-1"), ("--budget", "-5")])
+def test_exit_code_negative_counts(capsys, tmp_path, flag, value):
+    path = tmp_path / "s.csv"
+    path.write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["nerve", str(path), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
 
 
 BIG_CSV = """a,b,c

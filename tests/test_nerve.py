@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpnerve.nerve import (FilteredComplex, SimplexTuple, enumerate_complex,
-                           is_degenerate, membership_scale)
-from lpnerve.values import INF, BudgetExceededError, close
+from lpnerve.nerve import enumerate_complex, membership_scale
+from lpnerve.values import INF, BudgetExceededError, InputError, close
 from lpnerve.vgraph import VGraph, free_category
-from util import (membership_scale_category, random_honest_space,
-                  random_l1_space, random_vgraph, sigma_oracle)
+from util import (dense_face_table, is_degenerate, levels,
+                  membership_scale_category, random_honest_space,
+                  random_l1_space, random_vgraph, search, sigma_oracle)
 
 
 def test_is_degenerate():
@@ -124,16 +124,16 @@ def test_enumerate_one_point():
 def test_enumerate_two_points():
     X = VGraph(["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]))
     fc = enumerate_complex(X, 1.0, 2)
-    assert [t.verts for t in fc.degree(0)] == [("a",), ("b",)]
-    assert [t.verts for t in fc.degree(1)] == [("a", "b"), ("b", "a")]
-    assert all(t.birth == 1.0 for t in fc.degree(1))
+    assert fc.labels(0) == [("a",), ("b",)]
+    assert fc.labels(1) == [("a", "b"), ("b", "a")]
+    assert all(b == 1.0 for b in fc.births[1])
     # zigzags accumulate length at p = 1
-    assert {t.verts: t.birth for t in fc.degree(2)} == {
+    assert {verts: b for b, verts in levels(fc)[2]} == {
         ("a", "b", "a"): 2.0, ("b", "a", "b"): 2.0}
     assert fc.grades == [0.0, 1.0, 2.0]
 
     fm = enumerate_complex(X, INF, 2)
-    assert {t.verts: t.birth for t in fm.degree(2)} == {
+    assert {verts: b for b, verts in levels(fm)[2]} == {
         ("a", "b", "a"): 1.0, ("b", "a", "b"): 1.0}
     assert fm.grades == [0.0, 1.0]
 
@@ -141,20 +141,19 @@ def test_enumerate_two_points():
 def test_enumerate_prunes_infinite_births():
     X = VGraph.from_entries(["a", "b"], {("a", "b"): 1.0})
     fc = enumerate_complex(X, 1.0, 3)
-    assert [t.verts for t in fc.degree(1)] == [("a", "b")]
-    assert fc.degree(2) == []
-    assert fc.degree(3) == []
+    assert fc.labels(1) == [("a", "b")]
+    assert len(fc.tuples[2]) == 0
+    assert len(fc.tuples[3]) == 0
 
 
 def test_enumerate_sorted_and_sizes():
     X = random_honest_space(random.Random(37), 5)
     fc = enumerate_complex(X, 1.0, 2)
-    for level in fc.tuples:
-        keys = [(t.birth, t.verts) for t in level]
+    for keys in levels(fc):
         assert keys == sorted(keys)
-    assert len(fc.degree(0)) == 5
-    assert len(fc.degree(1)) == 20
-    assert len(fc.degree(2)) == 80
+    assert len(fc.tuples[0]) == 5
+    assert len(fc.tuples[1]) == 20
+    assert len(fc.tuples[2]) == 80
     assert fc.size() == 105
 
 
@@ -162,7 +161,7 @@ def test_enumerate_deterministic():
     X = random_honest_space(random.Random(41), 6)
     a = enumerate_complex(X, 2.0, 2)
     b = enumerate_complex(X, 2.0, 2)
-    assert a.tuples == b.tuples
+    assert levels(a) == levels(b)
 
 
 def test_budget():
@@ -198,19 +197,70 @@ def test_enumerate_matches_membership_scale(p):
               random_honest_space(rng, 4), random_honest_space(rng, 5)]
     for X in spaces:
         fc = enumerate_complex(X, p, 3)
-        for degree, level in enumerate(fc.tuples):
-            for t in level:
-                assert t.birth == membership_scale(X, t.verts, p)
+        for degree, level in enumerate(levels(fc)):
+            for birth, verts in level:
+                assert birth == membership_scale(X, verts, p)
             want = {
                 tup for tup in itertools.product(X.vertices, repeat=degree + 1)
                 if not is_degenerate(tup)
                 and math.isfinite(membership_scale(X, tup, p))
             }
             assert len(level) == len(want)
-            assert {t.verts for t in level} == want
+            assert {verts for _, verts in level} == want
+        # the tuple-at-a-time search gives the same births, bit for bit
+        assert levels(fc) == [sorted(level) for level in search(X, p, 3)]
 
 
 def test_critical_grades():
     X = VGraph(["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert enumerate_complex(X, 1.0, 2).grades == [0.0, 1.0, 2.0]
     assert enumerate_complex(X, INF, 2).grades == [0.0, 1.0]
+
+
+def test_enumerate_rejects_negative_arguments():
+    X = random_honest_space(random.Random(59), 3)
+    with pytest.raises(InputError):
+        enumerate_complex(X, 1.0, -1)
+    with pytest.raises(InputError):
+        enumerate_complex(X, 1.0, 2, budget=-5)
+
+
+def test_face_keys_do_not_overflow():
+    """A 200-point path at max_dim 8: base-200 codes of the degree-8
+    tuples would exceed 2**63 (200**9 > 2**63)."""
+    n, max_dim = 200, 8
+    dist = np.full((n, n), INF)
+    np.fill_diagonal(dist, 0.0)
+    for i in range(n - 1):
+        dist[i, i + 1] = dist[i + 1, i] = 1.0 + i % 3
+    # vertex names sort in the reverse of the path order
+    X = VGraph([f"v{n - i:03d}" for i in range(n)], dist)
+    assert n ** (max_dim + 1) > 2 ** 63
+    fc = enumerate_complex(X, 2.0, max_dim, budget=None)
+    # only back-and-forth walks on one edge have finite births
+    assert [len(level) for level in fc.tuples] == [n] + [2 * (n - 1)] * max_dim
+    assert levels(fc) == [sorted(level) for level in search(X, 2.0, max_dim)]
+    for degree in range(1, max_dim + 1):
+        assert np.array_equal(fc.faces(degree), dense_face_table(fc, degree))
+
+
+def test_search_reach_memory_is_blocked():
+    """75 clusters of 4 mutually finite points, infinitely far apart: the
+    reach of all of degree 3 at once would take over four times the
+    asserted peak, so the search must expand it block by block."""
+    n, size, max_dim = 300, 4, 4
+    dist = np.full((n, n), INF)
+    for lo in range(0, n, size):
+        dist[lo:lo + size, lo:lo + size] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    X = VGraph([f"x{i:03d}" for i in range(n)], dist)
+    tracemalloc.start()
+    try:
+        fc = enumerate_complex(X, INF, max_dim, budget=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(level) for level in fc.tuples] == [
+        n * (size - 1) ** k for k in range(max_dim + 1)]
+    full_reach = len(fc.tuples[max_dim - 1]) * n * 8  # one float64 per cell
+    assert 4 * peak <= full_reach

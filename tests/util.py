@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -134,6 +135,92 @@ def membership_scale_category(X: VGraph, verts: Sequence[str], p: float) -> floa
     just the fold of consecutive forward distances."""
     idx = [X.index(v) for v in verts]
     return tensor_fold([X.dist[idx[i], idx[i + 1]] for i in range(len(idx) - 1)], p)
+
+
+# -- tuple-at-a-time nerve oracles ------------------------------------
+
+
+def is_degenerate(verts: Sequence[str]) -> bool:
+    return any(verts[i] == verts[i + 1] for i in range(len(verts) - 1))
+
+
+def search(X: VGraph, p: float,
+           max_dim: int) -> List[List[Tuple[float, Tuple[str, ...]]]]:
+    """All finite-birth nondegenerate tuples as (birth, verts), per degree,
+    in one depth-first search over single tuples.
+
+    Each stacked tuple carries its reach vector: ``reach[v]`` is the
+    longest-chain value (p-th-power domain; plain max at p = inf) of the
+    tuple extended by vertex index ``v``.  Extending by ``nxt`` appends the
+    chain entry ``top = reach[nxt]``, and the child's reach is
+    ``max(reach[v], top + w[nxt][v])`` (``max(top, d[nxt][v])`` at
+    p = inf).
+    """
+    names = X.vertices
+    n = len(names)
+    out: List[List[Tuple[float, Tuple[str, ...]]]] = [[] for _ in range(max_dim + 1)]
+    out[0] = [(0.0, (v,)) for v in names]
+    stack: List[Tuple[Tuple[str, ...], int, List[float]]] = []
+    if max_dim > 0:
+        d = X.dist.tolist()
+        if p == INF:
+            op, w, root = max, d, None
+        else:
+            op, w, root = operator.add, [[x ** p for x in row] for row in d], 1.0 / p
+        stack = [((v,), i, [op(0.0, x) for x in w[i]]) for i, v in enumerate(names)]
+    while stack:
+        verts, last, reach = stack.pop()
+        found = out[len(verts)]
+        deeper = len(verts) < max_dim
+        for nxt in range(n):
+            top = reach[nxt]
+            if nxt == last or top == INF:
+                continue
+            child = verts + (names[nxt],)
+            if root is None:
+                found.append((top, child))
+            else:
+                found.append((top ** root if top > 0.0 else 0.0, child))
+            if deeper:
+                stack.append((child, nxt, list(map(
+                    max, reach, [op(top, x) for x in w[nxt]]))))
+    return out
+
+
+def levels(fc) -> List[List[Tuple[float, Tuple[str, ...]]]]:
+    """The complex as (birth, name tuple) pairs per degree, in its order."""
+    return [list(zip(births.tolist(), fc.labels(k)))
+            for k, births in enumerate(fc.births)]
+
+
+def faces(verts: Tuple[str, ...]) -> Iterator[Tuple[Tuple[str, ...], int]]:
+    """The nondegenerate faces of a tuple with their boundary signs.
+
+    ``verts`` must itself be nondegenerate (no two equal neighbours).  Then
+    deleting vertex ``i`` makes a degenerate face exactly when ``i`` is
+    inner and its two neighbours are equal, and distinct deletions give
+    distinct faces, so each face appears once with coefficient +1 or -1.
+    """
+    last = len(verts) - 1
+    if last < 1:
+        return
+    for i in range(last + 1):
+        if 0 < i < last and verts[i - 1] == verts[i + 1]:
+            continue
+        yield verts[:i] + verts[i + 1:], -1 if i % 2 else 1
+
+
+def dense_face_table(fc, degree: int) -> np.ndarray:
+    """``fc.faces(degree)`` by name lookup: the row one degree down of each
+    face, -1 for a degenerate face."""
+    index = {verts: i for i, verts in enumerate(fc.labels(degree - 1))}
+    table = np.full((len(fc.tuples[degree]), degree + 1), -1)
+    for r, verts in enumerate(fc.labels(degree)):
+        for i in range(degree + 1):
+            face = verts[:i] + verts[i + 1:]
+            if not is_degenerate(face):
+                table[r, i] = index[face]
+    return table
 
 
 # -- dense matrices and sparse columns --------------------------------
