@@ -2,31 +2,34 @@
 
 Chains are normalized from the start: generators are the nondegenerate
 tuples, and a degenerate face contributes nothing to a boundary.  A chain
-group is a set of rows of one degree of the columnar complex: since each
-degree is sorted by birth, ``generators_at`` finds the rows that survive
-at a grade by bisecting the births (a contiguous run under the empty and
-strict sieves).  Every boundary is read from the complex's face-index
-table (``FilteredComplex.faces``), which holds for each tuple and deleted
-vertex the row of the face one degree down.
+group is a set of rows of one degree of the columnar complex.  Grades are
+the integer grade indices the complex gave every tuple, and a sieve kills,
+at grade index g, every grade below its floor ``floor(g) <= g``, so the
+rows that survive have grade index in floor(g)..g.  Each degree is sorted
+by birth, so these rows are one contiguous run, read from the complex's
+per-degree grade offsets (``FilteredComplex.starts``).  Every boundary is
+read from the complex's face-index table (``FilteredComplex.faces``),
+which holds for each tuple and deleted vertex the row of the face one
+degree down.
 
 A boundary has one format, sparse columns: per column, the increasing row
 indices of its nonzero entries and a parallel list of their coefficients.
 ``columns`` is the one builder of that format, from rows of the face
 table; ``boundary_matrix`` calls it per grade and
-``homology.persistence_barcode`` on the whole filtration.  A sieve
-selects which births survive at each grade; the strict-predecessor sieve
-keeps only generators born exactly at the grade under inspection, which
-is the magnitude-style localization.
+``homology.persistence_barcode`` on the whole filtration.  The empty sieve
+kills nothing; the strict-predecessor sieve keeps only generators born
+exactly at the grade under inspection, which is the magnitude-style
+localization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .values import EPS, InputError, close
+from .values import InputError
 from .nerve import FilteredComplex
 
 EMPTY = "empty"
@@ -39,69 +42,50 @@ Columns = Tuple[List[List[int]], List[List[int]]]
 
 @dataclass(frozen=True)
 class SieveSpec:
-    """Which birth grades are quotiented away at each grade.
+    """Which grade indices are quotiented away at each grade index.
 
-    kind "empty": nothing is killed (global chains).
-    kind "strict": every birth strictly below the grade is killed.
-    kind "custom": an explicit down-closed, grade-monotone assignment on
-    the critical grid, given as {grade: frozenset of killed grades}.
+    At grade index g every grade index below ``floor(g)`` is killed, with
+    ``floor`` non-decreasing and ``floor(g) <= g``: a down-closed killed
+    set below the grade is always such a prefix.
+    kind "empty": floor(g) = 0, nothing is killed (global chains).
+    kind "strict": floor(g) = g, every birth below the grade is killed.
+    kind "custom": floor(g) = floors[g], given for each grade index.
     """
 
     kind: str = EMPTY
-    grid: Optional[Dict[float, frozenset]] = None
+    floors: Optional[Sequence[int]] = None  # custom only
 
     def __post_init__(self):
         if self.kind not in (EMPTY, STRICT_PREDECESSORS, CUSTOM_GRID):
             raise InputError(f"unknown sieve kind {self.kind!r}")
+        floors = self.floors
+        if self.kind == CUSTOM_GRID and (
+                floors is None
+                or any(not 0 <= f <= g for g, f in enumerate(floors))
+                or any(lo > hi for lo, hi in zip(floors, floors[1:]))):
+            raise InputError("a custom sieve needs floors that never fall "
+                             "and lie in 0..g at each grade index g")
+
+    def floor(self, g: int) -> int:
+        """The lowest grade index that survives at grade index g."""
         if self.kind == CUSTOM_GRID:
-            if self.grid is None:
-                raise InputError("custom sieve requires a grid assignment")
-            self._check_grid()
-
-    def _check_grid(self):
-        grades = sorted(self.grid)
-        for r, killed in self.grid.items():
-            for s in killed:
-                if s >= r - EPS:
-                    raise InputError(
-                        f"sieve at grade {r} may only contain grades below it")
-            # down-closed on the grid: anything below a killed grade is killed
-            for t in grades:
-                if t not in killed and any(t < s - EPS for s in killed):
-                    raise InputError(
-                        f"sieve at grade {r} is not down-closed (misses {t})")
-        for lo, hi in zip(grades, grades[1:]):
-            if not self.grid[lo] <= self.grid[hi]:
-                raise InputError("sieve assignment must be monotone in the grade")
-
-    def kills(self, birth: float, grade: float, eps: float = EPS) -> bool:
-        if self.kind == EMPTY:
-            return False
-        if self.kind == STRICT_PREDECESSORS:
-            return birth < grade - eps
-        killed = self._lookup(grade)
-        return any(close(birth, s, eps) for s in killed)
-
-    def _lookup(self, grade: float) -> frozenset:
-        for r, killed in self.grid.items():
-            if close(r, grade):
-                return killed
-        raise InputError(f"grade {grade} is not on the sieve grid")
+            if g >= len(self.floors):
+                raise InputError(f"grade index {g} is not on the sieve")
+            return self.floors[g]
+        return g if self.kind == STRICT_PREDECESSORS else 0
 
 
-def columns(faces: np.ndarray, rows: np.ndarray) -> Columns:
+def columns(faces: np.ndarray, lo: int, hi: int) -> Columns:
     """Boundary columns of tuples with face table ``faces`` (as from
-    ``FilteredComplex.faces``) over the sorted rows ``rows`` one degree down.
+    ``FilteredComplex.faces``) over the rows ``lo .. hi - 1`` one degree
+    down.
 
-    Column j holds, with their signs, the faces of tuple j found in
-    ``rows``, numbered by position there; a degenerate face (-1) or one
-    missing from ``rows`` (killed by a sieve, or not yet born) contributes
-    nothing.
+    Column j holds, with their signs, the faces of tuple j among those
+    rows, numbered from ``lo``; a degenerate face (-1) or one outside them
+    (killed by a sieve, or not yet born) contributes nothing.
     """
-    pos = np.searchsorted(rows, faces)
-    # pos == len(rows) reads the -1 pad, which only a degenerate face matches
-    hit = (np.append(rows, -1)[pos] == faces) & (faces >= 0)
-    local = np.where(hit, pos, len(rows))
+    hit = (faces >= lo) & (faces < hi)
+    local = np.where(hit, faces - lo, hi - lo)
     order = np.argsort(local, axis=1, kind="stable")
     local = np.take_along_axis(local, order, axis=1).tolist()
     signs = np.where(order % 2, -1, 1).tolist()
@@ -110,28 +94,29 @@ def columns(faces: np.ndarray, rows: np.ndarray) -> Columns:
             [s[:c] for s, c in zip(signs, counts)])
 
 
-def generators_at(fc: FilteredComplex, degree: int, grade: float,
-                  sieve: SieveSpec, eps: float = EPS) -> np.ndarray:
-    """Rows of the tuples of the given degree that survive at the given
-    grade, increasing."""
-    if degree > fc.max_dim:
+def _span(fc: FilteredComplex, degree: int, g: int,
+          sieve: SieveSpec) -> Tuple[int, int]:
+    """First and past-last row of the given degree that survive at grade
+    index g: those with grade index in ``sieve.floor(g) .. g``."""
+    if not (0 <= degree <= fc.max_dim and 0 <= g < len(fc.grades)):
         raise InputError(
-            f"degree {degree} exceeds the enumerated max_dim {fc.max_dim}")
-    if degree < 0:
-        return np.empty(0, np.intp)
-    births = fc.births[degree]  # sorted
-    hi = int(np.searchsorted(births, grade + eps, side="right"))
-    if sieve.kind == EMPTY:
-        return np.arange(hi)
-    if sieve.kind == STRICT_PREDECESSORS:
-        return np.arange(np.searchsorted(births[:hi], grade - eps), hi)
-    return np.array([i for i, b in enumerate(births[:hi].tolist())
-                     if not sieve.kills(b, grade, eps)], dtype=np.intp)
+            f"degree {degree} or grade index {g} is outside the complex: "
+            f"degrees 0..{fc.max_dim}, grade indices 0..{len(fc.grades) - 1}")
+    starts = fc.starts[degree]
+    return int(starts[sieve.floor(g)]), int(starts[g + 1])
 
 
-def boundary_matrix(fc: FilteredComplex, degree: int, grade: float,
-                    sieve: SieveSpec, eps: float = EPS) -> Columns:
-    """Alternating-face boundary from degree to degree-1 survivors.
+def generators_at(fc: FilteredComplex, degree: int, g: int,
+                  sieve: SieveSpec) -> np.ndarray:
+    """Rows of the tuples of the given degree that survive at grade index
+    g, increasing."""
+    return np.arange(*_span(fc, degree, g, sieve))
+
+
+def boundary_matrix(fc: FilteredComplex, degree: int, g: int,
+                    sieve: SieveSpec) -> Columns:
+    """Alternating-face boundary from degree to degree-1 survivors at
+    grade index g.
 
     Rows follow ``generators_at(degree - 1)`` and columns follow
     ``generators_at(degree)``; faces that are degenerate or killed by the
@@ -139,6 +124,5 @@ def boundary_matrix(fc: FilteredComplex, degree: int, grade: float,
     """
     if degree < 1:
         raise InputError("boundary_matrix requires degree >= 1")
-    rows = generators_at(fc, degree - 1, grade, sieve, eps)
-    cols = generators_at(fc, degree, grade, sieve, eps)
-    return columns(fc.faces(degree)[cols], rows)
+    lo, hi = _span(fc, degree, g, sieve)
+    return columns(fc.faces(degree)[lo:hi], *_span(fc, degree - 1, g, sieve))

@@ -9,13 +9,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-from . import analysis, automata, io
+from . import analysis, automata, io, values
 from .chain import EMPTY, STRICT_PREDECESSORS, SieveSpec
 from .homology import (INTEGERS, Coefficients, homology_table,
                        magnitude_homology, persistence_barcode)
-from .nerve import DEFAULT_BUDGET, enumerate_complex
+from .nerve import DEFAULT_BUDGET, enumerate_complex, grade_clusters
 from .values import EPS, INF, BudgetExceededError, InputError, parse_exponent
-from .vgraph import asymmetrize, free_category, validate
+from .vgraph import asymmetrize, free_category, tolerance, validate
 
 
 def _parse_degrees(text: str) -> range:
@@ -44,8 +44,8 @@ def _positive(text: str) -> float:
 
 def _nonnegative(text: str) -> float:
     value = float(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    if not 0.0 <= value < INF:
+        raise argparse.ArgumentTypeError(f"must be in [0, inf), got {text!r}")
     return value
 
 
@@ -75,7 +75,8 @@ def _add_common(sub: argparse.ArgumentParser, default_p: Optional[str],
         sub.add_argument("--degrees", type=_parse_degrees, default=None,
                          metavar="A..B", help="homology degrees to report")
     sub.add_argument("--eps", type=_nonnegative, default=EPS,
-                     help="tolerance: births within it share a grade")
+                     help="relative tolerance: grades closer than eps times "
+                          "the largest finite distance are one grade")
     sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("-o", "--output", default=None,
                      help="output path (default stdout)")
@@ -133,11 +134,13 @@ def _emit(args, text: str) -> None:
 
 
 def _load_validated(args):
+    """The input space and its absolute tolerance, ``tolerance(X, eps)``."""
     X = io.load_vgraph(args.input)
-    report = validate(X, args.eps)
+    tol = tolerance(X, args.eps)
+    report = validate(X, tol)
     if not report.ok:
         raise InputError("; ".join(report.violations))
-    return X
+    return X, tol
 
 
 def _degrees(args) -> range:
@@ -165,15 +168,15 @@ def _emit_rows(args, rows) -> None:
 def run(args) -> int:
     p = parse_exponent(args.p) if "p" in args else None
     if args.command == "nerve":
-        X = _load_validated(args)
+        X, _ = _load_validated(args)
         # no homology here, so max_dim is just the tuple cap
         dim = args.max_dim if args.max_dim is not None else max(_degrees(args)) + 1
-        fc = enumerate_complex(X, p, dim, budget=args.budget)
+        fc = enumerate_complex(X, p, dim, budget=args.budget, eps=args.eps)
         _emit(args, io.dumps(io.complex_to_json(fc)))
         return 0
 
     if args.command == "ph":
-        X = _load_validated(args)
+        X, _ = _load_validated(args)
         degrees = _degrees(args)
         coeff = _parse_coeff(args.coeff)
         if p == INF and X.is_symmetric(0.0):
@@ -181,8 +184,8 @@ def run(args) -> int:
             # which has one tuple per subset instead of all orderings
             X = asymmetrize(X)
         fc = enumerate_complex(X, p, _max_dim(args, degrees),
-                               budget=args.budget)
-        bc = persistence_barcode(fc, max(degrees), coeff, eps=args.eps)
+                               budget=args.budget, eps=args.eps)
+        bc = persistence_barcode(fc, max(degrees), coeff)
         bc.bars = [b for b in bc.bars if b.degree in degrees]
         if args.format == "svg":
             _emit(args, io.barcode_to_svg(bc))
@@ -193,7 +196,7 @@ def run(args) -> int:
         return 0
 
     if args.command == "mh":
-        X = _load_validated(args)
+        X, _ = _load_validated(args)
         degrees = _degrees(args)
         _emit_rows(args, magnitude_homology(
             X, p, degrees, _max_dim(args, degrees), budget=args.budget,
@@ -201,17 +204,17 @@ def run(args) -> int:
         return 0
 
     if args.command == "homology":
-        X = _load_validated(args)
+        X, _ = _load_validated(args)
         degrees = _degrees(args)
         coeff = _parse_coeff(args.coeff)
         sieve = SieveSpec(STRICT_PREDECESSORS if args.sieve == "strict" else EMPTY)
         fc = enumerate_complex(X, p, _max_dim(args, degrees),
-                               budget=args.budget)
-        _emit_rows(args, homology_table(fc, degrees, sieve, coeff, args.eps))
+                               budget=args.budget, eps=args.eps)
+        _emit_rows(args, homology_table(fc, degrees, sieve, coeff))
         return 0
 
     if args.command == "free":
-        X = _load_validated(args)
+        X, _ = _load_validated(args)
         closed = free_category(X, p)
         if args.format == "csv":
             _emit(args, io.vgraph_to_csv(closed))
@@ -227,27 +230,29 @@ def run(args) -> int:
 
     if args.command == "analyze":
         import math
-        X = _load_validated(args)
+        X, tol = _load_validated(args)
+        # interpolation sums the p-th powers of two hops
+        values.check_powers(X.dist.flat, p, 2)
         pairs = []
         for a in X.vertices:
             for b in X.vertices:
                 d = X.d(a, b)
-                if a == b or d <= args.eps or math.isinf(d):
+                if a == b or d <= tol or math.isinf(d):
                     continue
                 pairs.append({
                     "a": a, "b": b, "dist": d,
                     "p_critical": analysis.p_critical(X, a, b, tol=args.tol,
-                                                      eps=args.eps),
+                                                      eps=tol),
                 })
-        grades = sorted({round(row["dist"], 9) for row in pairs})
+        grades = grade_clusters([row["dist"] for row in pairs], tol)
         generators = [
             {"grade": r, "p": p,
              "pairs": [list(g) for g in analysis.h1_generators(X, p, r,
-                                                               eps=args.eps)]}
+                                                               eps=tol)]}
             for r in grades
-        ] if X.is_strict(args.eps) and not math.isinf(p) else []
+        ] if X.is_strict(tol) and not math.isinf(p) else []
         _emit(args, io.dumps({
-            "ultrametric": analysis.is_ultrametric(X, args.eps),
+            "ultrametric": analysis.is_ultrametric(X, tol),
             "p_critical": pairs,
             "h1_generators": generators,
         }))
@@ -256,8 +261,9 @@ def run(args) -> int:
     if args.command == "automaton":
         A = io.load_automaton(args.input)
         C = automata.cost_space(A)
-        strict_C, proj = automata.strictify(C, args.eps)
-        primitives = automata.cost_primitive_pairs(strict_C, args.eps)
+        tol = tolerance(C, args.eps)
+        strict_C, proj = automata.strictify(C, tol)
+        primitives = automata.cost_primitive_pairs(strict_C, tol)
         # degree 1 at p = 1 is where the cost-primitive theorem applies
         table = magnitude_homology(strict_C, 1.0, [1],
                                    _max_dim(args, range(1, 2)),

@@ -2,17 +2,20 @@
 
 ``homology_table`` is the one grade-by-degree loop of graded homology,
 for every sieve and ring; ``magnitude_homology`` is its strict sieve over
-the integers and ``homology_at`` one cell of it.  Each boundary is sliced
-from the complex's face-index tables to the rows ``generators_at`` keeps
-and handed over in the one sparse column format of ``chain.columns``.
+the integers and ``homology_at`` one cell of it.  Grades are the integer
+grade indices of the complex, so no birth is compared here; a row prints
+the value of its grade, ``fc.grades[g]``.  Each boundary is sliced from
+the complex's face-index tables to the rows ``generators_at`` keeps and
+handed over in the one sparse column format of ``chain.columns``.
 Integer ranks go through an exact Smith normal form (Python integers, so
 no overflow): the connected blocks are found from the nonzeros, and only
 each block is made dense for elimination.  The barcode pipeline orders
-all rows of all degrees by (birth, degree, position within the degree),
-which is (birth, degree, vertices), maps the same face tables into that
-order, and runs the standard column reduction over GF(q) (compiled
-kernel when available); field homology ranks each boundary with that
-same column reduction.  A classical Vietoris-Rips computation on
+all rows of all degrees by (grade index, degree, position within the
+degree), which is (grade, degree, birth, vertices), maps the same face
+tables into that order, and runs the standard column reduction over GF(q)
+(compiled kernel when available); a pair born and killed at the same
+grade index is no bar.  Field homology ranks each boundary with that same
+column reduction.  A classical Vietoris-Rips computation on
 unordered simplices, with its own self-contained mod-2 reduction, serves
 as an independent cross-check.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,47 +233,47 @@ def _check_degrees(degrees: List[int], max_dim: int) -> None:
 
 def homology_table(fc: FilteredComplex, degrees: Iterable[int],
                    sieve: SieveSpec, coefficients: Coefficients = INTEGERS,
-                   eps: float = EPS, grades: Optional[Sequence[float]] = None
+                   grades: Optional[Sequence[int]] = None
                    ) -> List[HomologySummary]:
-    """Homology rows over the grades, one per degree with generators.
+    """Homology rows over the grade indices (default all), one per degree
+    with generators.
 
-    Grades default to the births merged at ``eps``, the tolerance of the
-    generator windows, so a birth within ``eps`` of a grade is not a grade
-    of its own.  Each boundary d_n is built and ranked once per grade,
-    for degrees n and n - 1.
+    Each boundary d_n is built and ranked once per grade, for degrees n
+    and n - 1.
     """
     degrees = sorted(set(degrees))
     _check_degrees(degrees, fc.max_dim)
     out: List[HomologySummary] = []
-    for r in fc.merged_grades(eps) if grades is None else grades:
-        ranks = {0: (0, ())}  # n -> rank and torsion of d_n at r
+    for g in range(len(fc.grades)) if grades is None else grades:
+        ranks = {0: (0, ())}  # n -> rank and torsion of d_n at g
         for n in degrees:
-            gens = generators_at(fc, n, r, sieve, eps)
+            gens = generators_at(fc, n, g, sieve)
             if not len(gens):
                 continue  # an empty chain group has zero homology
             for k in (n, n + 1):
                 if k not in ranks:
-                    ranks[k] = _rank(boundary_matrix(fc, k, r, sieve, eps),
+                    ranks[k] = _rank(boundary_matrix(fc, k, g, sieve),
                                      coefficients)
             rank_upper, torsion = ranks[n + 1]
-            out.append(HomologySummary(
-                r, n, len(gens) - ranks[n][0] - rank_upper, torsion))
+            rank = len(gens) - ranks[n][0] - rank_upper
+            out.append(HomologySummary(fc.grades[g], n, rank, torsion))
     return out
 
 
-def homology_at(fc: FilteredComplex, degree: int, grade: float,
-                sieve: SieveSpec, coefficients: Coefficients = INTEGERS,
-                eps: float = EPS) -> HomologySummary:
-    """Homology rank (and torsion, over the integers) at one grade."""
-    rows = homology_table(fc, [degree], sieve, coefficients, eps, [grade])
-    return rows[0] if rows else HomologySummary(grade, degree, 0)
+def homology_at(fc: FilteredComplex, degree: int, g: int,
+                sieve: SieveSpec, coefficients: Coefficients = INTEGERS
+                ) -> HomologySummary:
+    """Homology rank (and torsion, over the integers) at grade index g."""
+    rows = homology_table(fc, [degree], sieve, coefficients, [g])
+    return rows[0] if rows else HomologySummary(fc.grades[g], degree, 0)
 
 
 def magnitude_homology(X: VGraph, p: float, degrees: Iterable[int],
                        max_dim: Optional[int] = None,
                        budget: Optional[int] = DEFAULT_BUDGET,
                        eps: float = EPS) -> List[HomologySummary]:
-    """``homology_table`` under the strict sieve over the integers.
+    """``homology_table`` under the strict sieve over the integers, on the
+    complex ``enumerate_complex(X, p, max_dim, budget, eps)``.
 
     p = 1 on a space satisfying the additive triangle inequality gives the
     classical magnitude homology; other p give its +_p variants.
@@ -278,18 +281,18 @@ def magnitude_homology(X: VGraph, p: float, degrees: Iterable[int],
     degrees = sorted(set(degrees))
     if max_dim is None:
         max_dim = max(degrees, default=0) + 1
-    _check_degrees(degrees, max_dim)
-    fc = enumerate_complex(X, p, max_dim, budget=budget)
-    return homology_table(fc, degrees, SieveSpec(STRICT_PREDECESSORS),
-                          INTEGERS, eps)
+    fc = enumerate_complex(X, p, max_dim, budget=budget, eps=eps)
+    return homology_table(fc, degrees, SieveSpec(STRICT_PREDECESSORS))
 
 
 # -- persistence ------------------------------------------------------
 
 
 def _barcode_from_reduction(order: List[Tuple[float, int]], lows: List[int],
-                            max_degree: int, eps: float) -> Barcode:
-    """Pair pivots into bars.  ``order[j]`` is (birth, degree) of simplex j."""
+                            max_degree: int,
+                            persists: Callable[[int, int], bool]) -> Barcode:
+    """Pair pivots into bars.  ``order[j]`` is (birth, degree) of simplex
+    j; the pair of simplices i < j is a bar when ``persists(i, j)``."""
     bars: List[Bar] = []
     killed = [False] * len(order)
     for j, low in enumerate(lows):
@@ -297,9 +300,8 @@ def _barcode_from_reduction(order: List[Tuple[float, int]], lows: List[int],
             killed[j] = True
             killed[low] = True
             birth, deg = order[low]
-            death = order[j][0]
-            if deg <= max_degree and death > birth + eps:
-                bars.append(Bar(deg, birth, death))
+            if deg <= max_degree and persists(low, j):
+                bars.append(Bar(deg, birth, order[j][0]))
     for j, (birth, deg) in enumerate(order):
         if not killed[j] and lows[j] < 0 and deg <= max_degree:
             bars.append(Bar(deg, birth, INF))
@@ -307,8 +309,7 @@ def _barcode_from_reduction(order: List[Tuple[float, int]], lows: List[int],
 
 
 def persistence_barcode(fc: FilteredComplex, max_degree: int,
-                        field_coeffs: Coefficients = GF2,
-                        eps: float = EPS) -> Barcode:
+                        field_coeffs: Coefficients = GF2) -> Barcode:
     """Barcode of the global (unlocalized) complex over a prime field."""
     if field_coeffs.modulus is None:
         raise InputError("persistence requires field coefficients")
@@ -317,25 +318,28 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
             f"barcodes up to degree {max_degree} need max_dim >= "
             f"{max_degree + 1}, got {fc.max_dim}")
     q = field_coeffs.modulus
-    births = np.concatenate(fc.births)
-    sizes = [len(level) for level in fc.births]
+    grade = np.concatenate(fc.grade)
+    sizes = [len(level) for level in fc.grade]
     degrees = np.repeat(np.arange(len(sizes)), sizes)
     starts = np.cumsum([0] + sizes)  # first global row of each degree
-    # lexsort is stable: ties in (birth, degree) keep the order of the rows
-    order = np.lexsort((degrees, births))
+    # lexsort is stable: ties in (grade, degree) keep the order of the rows
+    order = np.lexsort((degrees, grade))
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     # every face as a position in the filtration order, padded to one width
     width = len(sizes)
-    table = np.full((len(births), width), -1, dtype=np.intp)
+    table = np.full((len(grade), width), -1, dtype=np.intp)
     for k in range(1, width):
         faces = fc.faces(k)
         table[starts[k]:starts[k + 1], :k + 1] = np.where(
             faces >= 0, position[starts[k - 1] + faces], -1)
-    col_rows, col_coeffs = columns(table[order], np.arange(len(births)))
+    col_rows, col_coeffs = columns(table[order], 0, len(grade))
     lows = kernels.reduce_columns(col_rows, col_coeffs, q)
-    filtration = list(zip(births[order].tolist(), degrees[order].tolist()))
-    return _barcode_from_reduction(filtration, lows, max_degree, eps)
+    grade = grade[order].tolist()
+    filtration = [(fc.grades[g], k)
+                  for g, k in zip(grade, degrees[order].tolist())]
+    return _barcode_from_reduction(filtration, lows, max_degree,
+                                   lambda i, j: grade[i] != grade[j])
 
 
 # -- classical Vietoris-Rips oracle -----------------------------------
@@ -392,4 +396,5 @@ def vr_oracle(X: VGraph, max_degree: int,
             pivot_of_row[low] = j
             stored[j] = col
     order = [(diam, len(combo) - 1) for diam, combo in simplices]
-    return _barcode_from_reduction(order, lows, max_degree, eps)
+    return _barcode_from_reduction(order, lows, max_degree,
+                                   lambda i, j: order[j][0] > order[i][0] + eps)

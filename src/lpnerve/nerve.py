@@ -15,6 +15,13 @@ the row of its prefix (the tuple without its last vertex) one degree
 down; ``FilteredComplex.faces`` derives every face from it.  Names appear
 only when a result is emitted (``FilteredComplex.labels``).
 
+Births are compared once, here: ``enumerate_complex`` clusters all births
+of all degrees by single linkage at a tolerance relative to the largest
+finite distance (``grade_clusters``), and gives every tuple the integer
+index of its cluster.  Everything downstream compares grade indices, so
+results do not depend on the scale of the input and a tuple sits in
+exactly one grade.
+
 ``enumerate_complex`` searches depth first over blocks of at most
 ``BLOCK`` rows and carries the dynamic program down: a tuple's chain
 values are those of its prefix plus one new entry, so no birth is
@@ -33,7 +40,7 @@ import numpy as np
 
 from .values import (EPS, INF, BudgetExceededError, InputError,
                      check_exponent, check_powers)
-from .vgraph import VGraph
+from .vgraph import VGraph, tolerance
 
 #: default cap on the number of enumerated tuples
 DEFAULT_BUDGET = 2_000_000
@@ -53,8 +60,12 @@ class FilteredComplex:
     Vertex index ``i`` stands for ``names[i]``, and ``names`` is sorted.
     Per degree k: ``tuples[k]`` is a (rows, k + 1) integer matrix of vertex
     indices, ``births[k]`` the float64 births, both sorted by (birth,
-    vertices), and ``prefix[k]`` the row in degree k - 1 of each tuple
-    without its last vertex (-1 at degree 0).
+    vertices), ``prefix[k]`` the row in degree k - 1 of each tuple
+    without its last vertex (-1 at degree 0), and ``grade[k]`` the grade
+    index of each tuple, non-decreasing.  ``grades[g]`` is the value of
+    grade index g, the smallest birth of its cluster (``grades[0]`` is 0),
+    and ``starts[k][g]`` the first row of degree k with grade index >= g,
+    for g up to ``len(grades)``.
     """
 
     space: VGraph
@@ -64,25 +75,11 @@ class FilteredComplex:
     tuples: List[np.ndarray]
     births: List[np.ndarray]
     prefix: List[np.ndarray]
+    grade: List[np.ndarray]
+    grades: List[float]
+    starts: List[np.ndarray]
     _faces: Dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False)
-
-    @property
-    def grades(self) -> List[float]:
-        """Sorted finite birth grades, deduplicated at ``EPS``; contains 0."""
-        return self.merged_grades(EPS)
-
-    def merged_grades(self, eps: float) -> List[float]:
-        """Sorted finite birth grades, each more than ``eps`` above the
-        last one kept; contains 0."""
-        births = np.sort(np.concatenate(self.births))
-        births = births[np.isfinite(births)]
-        out = [0.0]
-        # each distinct birth once (np.unique would import numpy.ma)
-        for b in births[np.diff(births, prepend=-INF) > 0].tolist():
-            if b > out[-1] + eps:
-                out.append(b)
-        return out
 
     def size(self) -> int:
         return sum(len(level) for level in self.tuples)
@@ -132,6 +129,27 @@ class FilteredComplex:
                 table[:, i] = np.where(hit, order[pos], -1)
         self._faces[degree] = table
         return table
+
+
+def grade_clusters(values: np.ndarray, tol: float, hops: int = 1
+                   ) -> List[float]:
+    """The smallest value of each single-linkage cluster of finite values,
+    increasing: sorted neighbours at most ``tol`` apart share a cluster.
+
+    A value v lies in cluster ``searchsorted(clusters, v, "right") - 1``.
+    A value folded from at most ``hops`` distances, each known to within
+    ``tol``, is known to within ``hops * tol``; a cluster wider than that
+    links values that can be told apart, and raises ``InputError``.
+    """
+    ordered = np.sort(values)
+    firsts = ordered[np.diff(ordered, prepend=-INF) > tol]
+    lasts = ordered[np.diff(ordered, append=INF) > tol]
+    wide = np.flatnonzero(lasts - firsts > hops * tol)
+    if len(wide):
+        raise InputError(f"grades {firsts[wide[0]]!r} to {lasts[wide[0]]!r} "
+                         f"span more than {hops * tol!r} in steps of at most "
+                         f"{tol!r}, so they cannot be told apart")
+    return firsts.tolist()
 
 
 def membership_scale(X: VGraph, verts: Sequence[str], p: float) -> float:
@@ -241,18 +259,26 @@ def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
 
 
 def enumerate_complex(X: VGraph, p: float, max_dim: int,
-                      budget: int | None = DEFAULT_BUDGET) -> FilteredComplex:
+                      budget: int | None = DEFAULT_BUDGET,
+                      eps: float = EPS) -> FilteredComplex:
     """All nondegenerate tuples of degree <= max_dim with finite birth.
+
+    Births are clustered by ``grade_clusters`` at ``tolerance(X, eps)``,
+    ``eps`` times the largest finite distance; a birth folds at most
+    ``max_dim`` hops, so a grade may span ``max_dim`` tolerances.
 
     Raises ``BudgetExceededError`` as soon as more than ``budget`` tuples
     have been found, and ``InputError`` for a negative ``max_dim`` or
-    ``budget`` or when a birth at finite p would overflow.
+    ``budget``, an ``eps`` that is not a finite number >= 0, births that
+    cannot be told apart, or when a birth at finite p would overflow.
     """
     p = check_exponent(p)
     if max_dim < 0:
         raise InputError(f"max_dim must be >= 0, got {max_dim}")
     if budget is not None and budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
+    if not 0.0 <= eps < INF:
+        raise InputError(f"eps must be a finite number >= 0, got {eps}")
     check_powers(X.dist.flat, p, max_dim)
     n = len(X)
     if budget is not None and n ** (max_dim + 1) > budget:
@@ -280,4 +306,14 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
         prefix.append(rank[parent[order]] if k else parent)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-    return FilteredComplex(X, p, max_dim, names, tuples, births, prefix)
+    # each degree is sorted, so its distinct births are cheap to take;
+    # a leading 0 keeps grade 0 when there are no vertices
+    distinct = [level[np.diff(level, prepend=-INF) > 0] for level in births]
+    grades = grade_clusters(np.concatenate([np.zeros(1), *distinct]),
+                            tolerance(X, eps), max(max_dim, 1))
+    grade = [np.searchsorted(grades, level, side="right") - 1
+             for level in births]
+    starts = [np.searchsorted(level, np.arange(len(grades) + 1))
+              for level in grade]
+    return FilteredComplex(X, p, max_dim, names, tuples, births, prefix,
+                           grade, grades, starts)

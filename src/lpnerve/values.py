@@ -2,8 +2,10 @@
 
 Grades live in [0, inf].  ``math.inf`` is the absorbing element: it is a
 genuine IEEE infinity, so max/addition absorb exactly and no sentinel
-arithmetic is needed.  All finite comparisons elsewhere in the package use
-the shared tolerance ``EPS``.
+arithmetic is needed.  ``EPS`` is the one default tolerance: relative for
+grades (``enumerate_complex`` and the CLI use ``EPS`` times the largest
+finite distance), and absolute for the metric checks in ``vgraph``,
+``analysis`` and ``automata``, which the CLI hands that same product.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable
 
 INF = math.inf
 
-#: shared absolute tolerance for grade comparisons
+#: default tolerance, relative to the largest finite distance for grades
 EPS = 1e-9
 
 

@@ -112,6 +112,12 @@ class ValidationReport:
         return not self.violations
 
 
+def tolerance(X: VGraph, eps: float = EPS) -> float:
+    """``eps`` times the largest finite distance magnitude of ``X``: the
+    absolute tolerance below which two grades of ``X`` are the same."""
+    return eps * float(np.abs(X.dist[np.isfinite(X.dist)]).max(initial=0.0))
+
+
 def validate(X: VGraph, eps: float = EPS) -> ValidationReport:
     """Report structural violations and classify symmetry/strictness."""
     report = ValidationReport()

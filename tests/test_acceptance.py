@@ -5,6 +5,7 @@ criteria execute.  Boundary matrices produced along the way are recorded
 so the final structural-sanity criterion can re-verify them.
 """
 
+import bisect
 import itertools
 import math
 import random
@@ -26,12 +27,14 @@ from lpnerve.values import INF, close
 from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism, coequalizer,
                             coproduct, delta_path, equalizer, free_category,
                             gamma_path, graphs_equal, is_enriched_category,
-                            product)
+                            product, tolerance)
 from util import (columns_to_dense, coproduct_injections, dense_boundary,
                   dense_to_columns, direct_local_boundary,
-                  direct_local_generators, levels, morphisms,
-                  product_projections, random_honest_space, random_l1_space,
-                  random_ultrametric, random_vgraph, sigma_oracle,
+                  direct_local_generators, index_at, levels,
+                  magnitude_series, morphisms, product_projections,
+                  random_honest_space, random_l1_space,
+                  random_real_honest_space, random_ultrametric,
+                  random_vgraph, sigma_oracle,
                   sigma_oracle_chains, unique_factorization)
 
 GLOBAL = SieveSpec(EMPTY)
@@ -43,9 +46,9 @@ RECORDED = []
 SPACES = []
 
 
-def record(fc, sieve, grade, degree):
-    RECORDED.append((dense_boundary(fc, degree, grade, sieve),
-                     dense_boundary(fc, degree + 1, grade, sieve)))
+def record(fc, sieve, g, degree):
+    RECORDED.append((dense_boundary(fc, degree, g, sieve),
+                     dense_boundary(fc, degree + 1, g, sieve)))
 
 
 def report(num, ok, text, started):
@@ -67,8 +70,8 @@ def test_criterion_1_vr_equivalence():
         ours = persistence_barcode(fc, 2, GF2)
         theirs = vr_oracle(X, 2)
         assert ours.bars == theirs.bars
-        for r in fc.grades:
-            record(fc, GLOBAL, r, 1)
+        for g in range(len(fc.grades)):
+            record(fc, GLOBAL, g, 1)
     assert time.time() - started < 30
     report(1, True, "tuple-nerve barcodes at p=inf match the classical "
            "Vietoris-Rips oracle on 20 spaces", started)
@@ -96,12 +99,12 @@ def test_criterion_3_h1_characterization():
         for p in (1.0, 1.5, 2.0):
             fc = enumerate_complex(X, p, 2)
             SPACES.append((X, p))
-            for r in fc.grades:
-                h = homology_at(fc, 1, r, STRICT, INTEGERS)
+            for g, r in enumerate(fc.grades):
+                h = homology_at(fc, 1, g, STRICT, INTEGERS)
                 gens = h1_generators(X, p, r) if r > 0 else []
                 assert h.rank == len(gens)
                 assert h.torsion == ()
-                record(fc, STRICT, r, 1)
+                record(fc, STRICT, g, 1)
     assert time.time() - started < 60
     report(3, True, "localized degree-1 rank equals the pair count with "
            "empty torsion for p in {1, 1.5, 2} on 20 spaces", started)
@@ -150,16 +153,15 @@ def test_criterion_5_subfunctor_inclusion():
             for verts, b in births[lo].items():
                 assert births[hi].get(verts, INF) <= b + 1e-9
         grades = sorted({g for p in ps for g in complexes[p].grades})
+        def at(p, r):
+            fc = complexes[p]
+            return {verts for n in range(3) for verts in fc.labels(
+                n, generators_at(fc, n, index_at(fc, r), GLOBAL))}
+
         for p in ps[:-1]:
             for r in grades:
-                at_p = {verts
-                        for n in range(3)
-                        for verts in complexes[p].labels(
-                            n, generators_at(complexes[p], n, r, GLOBAL))}
-                at_max = {verts
-                          for n in range(3)
-                          for verts in complexes[INF].labels(
-                              n, generators_at(complexes[INF], n, r, GLOBAL))}
+                at_p = at(p, r)
+                at_max = at(INF, r)
                 assert at_p <= at_max
     assert time.time() - started < 10
     report(5, True, "sigma_p nonincreasing in p and N_p included in N_max "
@@ -374,18 +376,18 @@ def test_criterion_8_magnitude_nerve_identity():
     for _ in range(20):
         X = random_l1_space(rng, rng.randint(2, 5))
         fc = enumerate_complex(X, 1.0, 3)
-        for r in fc.grades:
+        for g, r in enumerate(fc.grades):
             for n in (1, 2):
-                gens = generators_at(fc, n, r, STRICT)
+                gens = generators_at(fc, n, g, STRICT)
                 assert fc.labels(n, gens) == \
                     direct_local_generators(X, 1.0, r, n)
             rows, cols, entries = direct_local_boundary(X, 1.0, r, 2)
-            M = boundary_matrix(fc, 2, r, STRICT)
-            assert fc.labels(1, generators_at(fc, 1, r, STRICT)) == rows
-            assert fc.labels(2, generators_at(fc, 2, r, STRICT)) == cols
+            M = boundary_matrix(fc, 2, g, STRICT)
+            assert fc.labels(1, generators_at(fc, 1, g, STRICT)) == rows
+            assert fc.labels(2, generators_at(fc, 2, g, STRICT)) == cols
             assert len(M[0]) == len(cols)
             assert columns_to_dense(M, len(rows)) == entries
-            record(fc, STRICT, r, 1)
+            record(fc, STRICT, g, 1)
     assert time.time() - started < 10
     report(8, True, "localized generators and boundaries equal the direct "
            "fixed-length construction on 20 spaces", started)
@@ -465,15 +467,15 @@ def test_criterion_10_automaton_bridge():
         prims = cost_primitive_pairs(S)
         grades = sorted({r for (_, _, r) in prims})
         fc = enumerate_complex(S, 1.0, 2)
-        for r in fc.grades:
+        for g, r in enumerate(fc.grades):
             if r == 0.0:
                 continue
-            at_grade = {(a, b) for (a, b, g) in prims if close(g, r)}
+            at_grade = {(a, b) for (a, b, s) in prims if close(s, r)}
             assert at_grade == set(h1_generators(S, 1.0, r))
-            h = homology_at(fc, 1, r, STRICT, INTEGERS)
+            h = homology_at(fc, 1, g, STRICT, INTEGERS)
             assert h.rank == len(at_grade)
             assert h.torsion == ()
-            record(fc, STRICT, r, 1)
+            record(fc, STRICT, g, 1)
             checked += 1
         assert all(any(close(g, r) for r in fc.grades) for (_, _, g) in prims)
     assert time.time() - started < 60
@@ -491,9 +493,9 @@ def test_criterion_11_structural_sanity():
             for p in (1.0, INF):
                 fc = enumerate_complex(X, p, 2)
                 SPACES.append((X, p))
-                for r in fc.grades:
-                    record(fc, GLOBAL, r, 1)
-                    record(fc, STRICT, r, 1)
+                for g in range(len(fc.grades)):
+                    record(fc, GLOBAL, g, 1)
+                    record(fc, STRICT, g, 1)
     # every boundary pair recorded by criteria 1-10 composes to zero
     assert len(RECORDED) > 50
     for A, B in RECORDED:
@@ -502,10 +504,10 @@ def test_criterion_11_structural_sanity():
     # Euler consistency at every grade of the accumulated spaces
     for X, p in SPACES[:10]:
         fc = enumerate_complex(X, p, 2)
-        for r in fc.grades:
-            counts = [len(generators_at(fc, n, r, GLOBAL)) for n in range(2)]
-            h = [homology_at(fc, n, r, GLOBAL).rank for n in range(2)]
-            rank2, _ = smith_normal_form(*boundary_matrix(fc, 2, r, GLOBAL))
+        for g in range(len(fc.grades)):
+            counts = [len(generators_at(fc, n, g, GLOBAL)) for n in range(2)]
+            h = [homology_at(fc, n, g, GLOBAL).rank for n in range(2)]
+            rank2, _ = smith_normal_form(*boundary_matrix(fc, 2, g, GLOBAL))
             assert counts[0] - counts[1] + rank2 == h[0] - h[1]
     # determinism across repeated runs
     for X, p in SPACES[:6]:
@@ -518,3 +520,28 @@ def test_criterion_11_structural_sanity():
     report(11, True, f"dd = 0 on {len(RECORDED)} recorded boundary pairs, "
            "Euler consistency at every grade, deterministic across repeated "
            "runs", started)
+
+
+def test_criterion_12_magnitude_euler_characteristic():
+    """Sum_n (-1)^n rank MH_{n,l} is the q^l coefficient of the magnitude
+    sum(Z(q)^-1), for real distances: the series is keyed by grade index
+    through ``fc.grades`` at the complex's own tolerance."""
+    started = time.time()
+    rng = random.Random(157)
+    checked = 0
+    for _ in range(6):
+        X = random_real_honest_space(rng, rng.randint(3, 6))
+        # hops are at least 1, so grades below 4 have tuples of degree <= 3
+        fc = enumerate_complex(X, 1.0, 4)
+        grades = fc.grades[:bisect.bisect_left(fc.grades, 4.0)]
+        assert any(r != int(r) for r in grades)
+        euler = [0] * len(grades)
+        for h in magnitude_homology(X, 1.0, range(4), max_dim=4):
+            g = fc.grades.index(h.grade)
+            if g < len(grades):
+                euler[g] += (-1) ** h.degree * h.rank
+        assert euler == magnitude_series(X, grades, tolerance(X))
+        checked += len(grades)
+    assert time.time() - started < 30
+    report(12, True, f"localized Euler characteristics equal the magnitude "
+           f"series at {checked} real grades over 6 spaces", started)

@@ -3,14 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
                            boundary_matrix, generators_at)
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import EPS, INF, InputError
-from lpnerve.vgraph import VGraph
-from util import (columns_to_dense, dense_boundary, faces, is_degenerate,
-                  random_honest_space, random_l1_space, random_vgraph)
+from lpnerve.vgraph import VGraph, tolerance
+from util import (columns_to_dense, dense_boundary, faces, index_at,
+                  is_degenerate, random_honest_space, random_l1_space,
+                  random_vgraph)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -25,100 +28,135 @@ def test_sieve_validation():
     with pytest.raises(InputError):
         SieveSpec("bogus")
     with pytest.raises(InputError):
-        SieveSpec(CUSTOM_GRID)  # missing grid
+        SieveSpec(CUSTOM_GRID)  # missing floors
     with pytest.raises(InputError):
-        # killed grade above the inspection grade
-        SieveSpec(CUSTOM_GRID, {1.0: frozenset([2.0])})
+        # grade index 1 would kill itself
+        SieveSpec(CUSTOM_GRID, [0, 2])
     with pytest.raises(InputError):
-        # not down-closed: kills 1 but not 0 below it
-        SieveSpec(CUSTOM_GRID, {0.0: frozenset(), 1.0: frozenset(),
-                                2.0: frozenset([1.0])})
+        SieveSpec(CUSTOM_GRID, [-1])
     with pytest.raises(InputError):
         # not monotone in the grade
-        SieveSpec(CUSTOM_GRID, {1.0: frozenset([0.0]), 2.0: frozenset()})
-    ok = SieveSpec(CUSTOM_GRID, {0.0: frozenset(),
-                                 1.0: frozenset([0.0]),
-                                 2.0: frozenset([0.0, 1.0])})
-    assert ok.kills(0.0, 1.0)
-    assert not ok.kills(1.0, 1.0)
+        SieveSpec(CUSTOM_GRID, [0, 1, 0])
+    ok = SieveSpec(CUSTOM_GRID, [0, 1, 2])
+    assert ok.floor(1) == 1  # grade 0 is killed at grade 1
+    assert ok.floor(2) == 2
     with pytest.raises(InputError):
-        ok.kills(0.0, 5.0)  # off the grid
+        ok.floor(5)  # off the grid
 
 
 def test_sieve_kinds():
-    assert not GLOBAL.kills(0.0, 5.0)
-    assert STRICT.kills(0.0, 1.0)
-    assert not STRICT.kills(1.0, 1.0)
-    assert not STRICT.kills(1.0, 1.0 + 1e-12)
+    assert GLOBAL.floor(5) == 0
+    assert STRICT.floor(1) == 1
+    assert STRICT.floor(0) == 0
 
 
 def test_generators_at_global():
     fc = two_point_complex()
-    assert fc.labels(0, generators_at(fc, 0, 0.0, GLOBAL)) == [("a",), ("b",)]
-    assert len(generators_at(fc, 1, 0.5, GLOBAL)) == 0
-    assert len(generators_at(fc, 1, 1.0, GLOBAL)) == 2
-    assert len(generators_at(fc, 1, 2.0, GLOBAL)) == 2
-    assert len(generators_at(fc, 2, 2.0, GLOBAL)) == 2
+    assert fc.grades == [0.0, 1.0, 2.0]
+    assert fc.labels(0, generators_at(fc, 0, 0, GLOBAL)) == [("a",), ("b",)]
+    assert len(generators_at(fc, 1, 0, GLOBAL)) == 0
+    assert len(generators_at(fc, 1, 1, GLOBAL)) == 2
+    assert len(generators_at(fc, 1, 2, GLOBAL)) == 2
+    assert len(generators_at(fc, 2, 2, GLOBAL)) == 2
     with pytest.raises(InputError):
-        generators_at(fc, 5, 1.0, GLOBAL)
+        generators_at(fc, 5, 1, GLOBAL)
+    for g in (-1, 3):
+        with pytest.raises(InputError):
+            generators_at(fc, 1, g, GLOBAL)
 
 
 def test_generators_at_strict():
     fc = two_point_complex()
     # at grade 2 only the tuples born exactly at 2 survive
-    assert len(generators_at(fc, 0, 2.0, STRICT)) == 0
-    assert len(generators_at(fc, 1, 2.0, STRICT)) == 0
-    assert fc.labels(2, generators_at(fc, 2, 2.0, STRICT)) == [
+    assert len(generators_at(fc, 0, 2, STRICT)) == 0
+    assert len(generators_at(fc, 1, 2, STRICT)) == 0
+    assert fc.labels(2, generators_at(fc, 2, 2, STRICT)) == [
         ("a", "b", "a"), ("b", "a", "b")]
 
 
-def linear_scan_generators(fc, degree, grade, sieve, eps):
-    """Reference: scan the birth-sorted rows up to grade + eps."""
+def linear_scan_generators(fc, degree, g, sieve):
+    """Reference: scan the birth-sorted rows; a row's grade is the last
+    grade value at or below its birth."""
     out = []
     for row, birth in enumerate(fc.births[degree].tolist()):
-        if birth > grade + eps:
-            break
-        if not sieve.kills(birth, grade, eps):
+        grade = max(i for i, r in enumerate(fc.grades) if r <= birth)
+        if sieve.floor(g) <= grade <= g:
             out.append(row)
     return out
 
 
 def test_generators_at_matches_linear_scan():
     rng = random.Random(21)
+    merged = False
     for make in (random_honest_space, random_l1_space, random_vgraph):
         X = make(rng, 4)
-        for p in (1.0, 2.0, INF):
-            fc = enumerate_complex(X, p, 2)
-            grades = fc.grades
-            custom = SieveSpec(CUSTOM_GRID, {
-                r: frozenset(grades[:i // 2]) for i, r in enumerate(grades)})
-            births = sorted(set(np.concatenate(fc.births).tolist()))
-            for eps in (EPS, 0.25):
-                probes = {-1.0, births[-1] + 1.0}
-                for b in births:
-                    probes |= {b, b - eps, b + eps}
-                for lo, hi in zip(births, births[1:]):
-                    probes.add((lo + hi) / 2)
-                for n in range(3):
-                    for r in sorted(probes):
-                        for sieve in (GLOBAL, STRICT):
-                            assert generators_at(fc, n, r, sieve, eps).tolist() \
-                                == linear_scan_generators(fc, n, r, sieve, eps)
-                    # a custom grid is only defined at its own grades
-                    for r in grades:
-                        assert generators_at(fc, n, r, custom, eps).tolist() \
-                            == linear_scan_generators(fc, n, r, custom, eps)
+        # births 1e-7 apart: distinct grades at EPS, one at 1e-6
+        near = X.dist + np.array([[rng.choice((0.0, 1e-7)) for _ in X.vertices]
+                                  for _ in X.vertices])
+        np.fill_diagonal(near, 0.0)
+        for Y in (X, VGraph(X.vertices, near)):
+            for p in (1.0, 2.0, INF):
+                counts = []
+                for eps in (EPS, 1e-6):
+                    fc = enumerate_complex(Y, p, 2, eps=eps)
+                    counts.append(len(fc.grades))
+                    custom = SieveSpec(CUSTOM_GRID,
+                                       [g // 2 for g in range(len(fc.grades))])
+                    for n in range(3):
+                        for g in range(len(fc.grades)):
+                            for sieve in (GLOBAL, STRICT, custom):
+                                assert generators_at(fc, n, g, sieve).tolist() \
+                                    == linear_scan_generators(fc, n, g, sieve)
+                assert counts[1] <= counts[0]
+                merged |= counts[1] < counts[0]
+    assert merged
+
+
+@st.composite
+def near_spaces(draw):
+    """2 to 5 points, distances from a small alphabet, some moved by 1e-7
+    or 3e-7: apart at the default eps, one grade at 1e-6."""
+    n = draw(st.integers(2, 5))
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                dist[i, j] = (draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, INF]))
+                              + draw(st.sampled_from([0.0, 1e-7, 3e-7])))
+    return VGraph([f"v{i}" for i in range(n)], dist)
+
+
+@settings(max_examples=40, deadline=None)
+@given(X=near_spaces(), p=st.sampled_from([1.0, 2.0, INF]),
+       eps=st.sampled_from([EPS, 1e-6]))
+def test_strict_sieve_partitions_every_degree(X, p, eps):
+    """Under the strict sieve each tuple counts at exactly one grade; its
+    birth lies in that grade's cluster, and distinct clusters are more
+    than the tolerance apart."""
+    max_dim = 3
+    fc = enumerate_complex(X, p, max_dim, eps=eps)
+    for k in range(max_dim + 1):
+        rows = [generators_at(fc, k, g, STRICT) for g in range(len(fc.grades))]
+        assert np.concatenate(rows).tolist() == list(range(len(fc.tuples[k])))
+    births = np.concatenate(fc.births)
+    grade = np.concatenate(fc.grade)
+    lo = [births[grade == g].min() for g in range(len(fc.grades))]
+    hi = [births[grade == g].max() for g in range(len(fc.grades))]
+    tol = tolerance(X, eps)
+    assert lo == fc.grades
+    assert all(b - a <= max_dim * tol for a, b in zip(lo, hi))
+    assert all(a - b > tol for a, b in zip(lo[1:], hi))
 
 
 def test_boundary_global_two_points():
     fc = two_point_complex()
-    M = boundary_matrix(fc, 1, 1.0, GLOBAL)
+    M = boundary_matrix(fc, 1, 1, GLOBAL)
     # d(a,b) = b - a, d(b,a) = a - b
     assert M == ([[0, 1], [0, 1]], [[-1, 1], [1, -1]])
     assert columns_to_dense(M, 2) == [[-1, 1], [1, -1]]
-    M2 = boundary_matrix(fc, 2, 2.0, GLOBAL)
+    M2 = boundary_matrix(fc, 2, 2, GLOBAL)
     # faces (a,a) and (b,b) are degenerate, so only the middle face remains
-    cols = fc.labels(2, generators_at(fc, 2, 2.0, GLOBAL))
+    cols = fc.labels(2, generators_at(fc, 2, 2, GLOBAL))
     assert cols == [("a", "b", "a"), ("b", "a", "b")]
     assert len(M2[0]) == 2
     for coeffs in M2[1]:
@@ -127,9 +165,9 @@ def test_boundary_global_two_points():
 
 def test_boundary_strict_kills_faces():
     fc = two_point_complex()
-    M = boundary_matrix(fc, 2, 2.0, STRICT)
+    M = boundary_matrix(fc, 2, 2, STRICT)
     # every face of a zigzag is born at 1 < 2, so the matrix is zero-shaped
-    assert len(generators_at(fc, 1, 2.0, STRICT)) == 0
+    assert len(generators_at(fc, 1, 2, STRICT)) == 0
     assert M == ([[], []], [[], []])
 
 
@@ -140,10 +178,10 @@ def test_boundary_squares_to_zero():
         for p in (1.0, 2.0, INF):
             fc = enumerate_complex(X, p, 3)
             for sieve in (GLOBAL, STRICT):
-                for r in fc.grades:
+                for g in range(len(fc.grades)):
                     for n in (2, 3):
-                        B = dense_boundary(fc, n, r, sieve)
-                        A = dense_boundary(fc, n - 1, r, sieve)
+                        B = dense_boundary(fc, n, g, sieve)
+                        A = dense_boundary(fc, n - 1, g, sieve)
                         assert A.shape[1] == B.shape[0]
                         assert not np.any(A @ B)
 
@@ -152,14 +190,14 @@ def test_localization_commutes_with_boundary():
     """The quotient onto exactly-born generators intertwines boundaries."""
     X = random_honest_space(random.Random(9), 5)
     fc = enumerate_complex(X, 1.0, 3)
-    for r in fc.grades:
+    for g in range(len(fc.grades)):
         for n in (1, 2, 3):
-            A = dense_boundary(fc, n, r, GLOBAL)
-            L = dense_boundary(fc, n, r, STRICT)
-            glob_rows = fc.labels(n - 1, generators_at(fc, n - 1, r, GLOBAL))
-            glob_cols = fc.labels(n, generators_at(fc, n, r, GLOBAL))
-            loc_rows = fc.labels(n - 1, generators_at(fc, n - 1, r, STRICT))
-            loc_cols = fc.labels(n, generators_at(fc, n, r, STRICT))
+            A = dense_boundary(fc, n, g, GLOBAL)
+            L = dense_boundary(fc, n, g, STRICT)
+            glob_rows = fc.labels(n - 1, generators_at(fc, n - 1, g, GLOBAL))
+            glob_cols = fc.labels(n, generators_at(fc, n, g, GLOBAL))
+            loc_rows = fc.labels(n - 1, generators_at(fc, n - 1, g, STRICT))
+            loc_cols = fc.labels(n, generators_at(fc, n, g, STRICT))
             # quotient matrices: identity on survivors, zero elsewhere
             keep_rows = set(loc_rows)
             keep_cols = set(loc_cols)
@@ -178,21 +216,22 @@ def test_exponent_inclusion_commutes_with_boundary():
     for p, q in ((1.0, 2.0), (2.0, INF)):
         fp = enumerate_complex(X, p, 2)
         fq = enumerate_complex(X, q, 2)
-        for r in fp.grades:
-            Mp = dense_boundary(fp, 1, r, GLOBAL)
-            Mq = dense_boundary(fq, 1, r, GLOBAL)
+        for g, r in enumerate(fp.grades):
+            h = index_at(fq, r)
+            Mp = dense_boundary(fp, 1, g, GLOBAL)
+            Mq = dense_boundary(fq, 1, h, GLOBAL)
             # inclusion on generators: birth can only drop as p grows
-            p_col_labels = fp.labels(1, generators_at(fp, 1, r, GLOBAL))
-            q_col_labels = fq.labels(1, generators_at(fq, 1, r, GLOBAL))
+            p_col_labels = fp.labels(1, generators_at(fp, 1, g, GLOBAL))
+            q_col_labels = fq.labels(1, generators_at(fq, 1, h, GLOBAL))
             p_cols = set(p_col_labels)
             q_cols = set(q_col_labels)
             assert p_cols <= q_cols
             qi = {t: i for i, t in enumerate(q_col_labels)}
             qr = {t: i for i, t in enumerate(
-                fq.labels(0, generators_at(fq, 0, r, GLOBAL)))}
+                fq.labels(0, generators_at(fq, 0, h, GLOBAL)))}
             for j, t in enumerate(p_col_labels):
                 for i, s in enumerate(
-                        fp.labels(0, generators_at(fp, 0, r, GLOBAL))):
+                        fp.labels(0, generators_at(fp, 0, g, GLOBAL))):
                     assert Mp[i, j] == Mq[qr[s], qi[t]]
 
 

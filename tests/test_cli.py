@@ -9,15 +9,17 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpnerve.cli
 from lpnerve import homology, io
+from lpnerve.chain import STRICT_PREDECESSORS, SieveSpec, generators_at
 from lpnerve.cli import main
-from lpnerve.homology import (Barcode, Coefficients, magnitude_homology,
-                              persistence_barcode)
+from lpnerve.homology import (Barcode, Coefficients, _divisibility_fixup,
+                              magnitude_homology, persistence_barcode)
 from lpnerve.nerve import enumerate_complex
+from lpnerve.values import EPS, INF
 from lpnerve.vgraph import VGraph, asymmetrize
 from util import random_honest_space, random_vgraph
 
@@ -143,6 +145,48 @@ def test_eps_merges_grades(capsys, tmp_path):
         assert rows == [row(1.0, 2), row(1.0000001, 2), row(3.0, 0)]
 
 
+CHAIN_CSV = """a,b,c,d
+0,1,1.0000008,1.0000016
+1,0,3,3
+1.0000008,3,0,3
+1.0000016,3,3,0
+"""
+
+
+def test_chained_births_count_once(capsys, tmp_path):
+    """Births 1, 1.0000008 and 1.0000016 link in steps under --eps 1e-6
+    (tolerance 3e-6 at the largest distance 3), so they are one grade:
+    under the strict sieve each degree-1 tuple counts at exactly one."""
+    path = tmp_path / "chain.csv"
+    path.write_text(CHAIN_CSV)
+    path = str(path)
+    code, obj = run_json(capsys, ["nerve", path, "--max-dim", "1"])
+    near = [t for t in obj["tuples"] if t["degree"] == 1 and t["birth"] < 2]
+    assert len(near) == 6
+    argv = ["homology", path, "--degrees", "1", "--sieve", "strict",
+            "--coeff", "z"]
+    code, rows = run_json(capsys, argv + ["--eps", "1e-6"])
+    assert code == 0
+    assert [(r["grade"], r["rank"]) for r in rows if r["grade"] < 2] == \
+        [(1.0, 6)]
+    code, rows = run_json(capsys, argv)
+    assert [(r["grade"], r["rank"]) for r in rows if r["grade"] < 2] == \
+        [(1.0, 2), (1.0000008, 2), (1.0000016, 2)]
+    # the generator counts of all grades add up to the degree-1 tuples
+    X = io.load_vgraph(path)
+    for eps in (EPS, 1e-6):
+        fc = enumerate_complex(X, 1.0, 2, eps=eps)
+        assert sum(len(generators_at(fc, 1, g, SieveSpec(STRICT_PREDECESSORS)))
+                   for g in range(len(fc.grades))) == len(fc.tuples[1]) == 12
+    # tolerance 1.2e-6: 1 and 1.0000016 are told apart, but 1.0000008 is
+    # within it of both
+    for command in (["nerve", path, "--max-dim", "1"], ["analyze", path]):
+        done = run_cli([*command, "--eps", "4e-7"])
+        assert done.returncode == 2
+        assert "cannot be told apart" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 def test_mh_is_homology_strict_z(capsys, tmp_path):
     rng = random.Random(71)
     spaces = [random_honest_space(rng, 4), random_honest_space(rng, 4),
@@ -176,9 +220,9 @@ def test_each_boundary_built_once(capsys, monkeypatch, tmp_path):
     built = []
     real = homology.boundary_matrix
 
-    def counting(fc, degree, grade, sieve, eps):
-        built.append((grade, degree))
-        return real(fc, degree, grade, sieve, eps)
+    def counting(fc, degree, g, sieve):
+        built.append((g, degree))
+        return real(fc, degree, g, sieve)
 
     def check(run):
         built.clear()
@@ -254,6 +298,49 @@ def test_analyze(capsys, tmp_path):
     assert pc[("a", "c")] == "inf"
 
 
+SCALED_KEYS = {"grade", "birth", "death", "dist", "matrix"}
+
+
+def assert_scaled(a, b, lam, scaled=False):
+    """JSON ``b`` is ``a`` with every number under a key of SCALED_KEYS
+    multiplied by lam, up to rounding, and everything else equal."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_scaled(a[key], b[key], lam, key in SCALED_KEYS)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_scaled(x, y, lam, scaled)
+    elif scaled and isinstance(a, float):
+        assert b == pytest.approx(lam * a, rel=1e-9)
+    else:
+        assert a == b
+
+
+# the automaton's short-decimal cost check is on a fixed 1/4096 grid
+@pytest.mark.filterwarnings("ignore:cost of letter")
+@pytest.mark.parametrize("lam", [1e-11, 1e-9, 1e3])
+def test_analyze_and_automaton_are_scale_free(capsys, tmp_path, lam):
+    """Their tolerance is --eps times the largest finite distance: on a
+    scaled input every distance and grade scales and nothing else moves."""
+    outs = []
+    for k, scale in enumerate((1.0, lam)):
+        path = write_space(tmp_path / f"line{k}.csv", VGraph(
+            ["a", "b", "c"], scale * np.array([[0.0, 1.0, 2.0],
+                                               [1.0, 0.0, 1.0],
+                                               [2.0, 1.0, 0.0]])))
+        auto = tmp_path / f"auto{k}.json"
+        auto.write_text(json.dumps(dict(AUTOMATON, alphabet={
+            a: scale * c for a, c in AUTOMATON["alphabet"].items()})))
+        outs.append([run_json(capsys, ["analyze", path])[1],
+                     run_json(capsys, ["automaton", str(auto)])[1]])
+    analyze = outs[0][0]
+    assert len(analyze["p_critical"]) == 6
+    assert [g["grade"] for g in analyze["h1_generators"]] == [1.0, 2.0]
+    assert_scaled(outs[0], outs[1], lam)
+
+
 def test_automaton(capsys, tmp_path):
     path = tmp_path / "auto.json"
     path.write_text(json.dumps(AUTOMATON))
@@ -293,9 +380,10 @@ def write_space(path, X):
 
 
 @st.composite
-def relabelings(draw):
-    """A space, and the same space under other names in another order."""
-    n = draw(st.integers(2, 5))
+def spaces(draw, max_points=5):
+    """2 to ``max_points`` points, symmetric or not, distances from a small
+    alphabet."""
+    n = draw(st.integers(2, max_points))
     dist = np.zeros((n, n))
     symmetric = draw(st.booleans())
     for i in range(n):
@@ -304,11 +392,18 @@ def relabelings(draw):
                 dist[i, j] = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
                 if symmetric:
                     dist[j, i] = dist[i, j]
+    return VGraph([f"v{i}" for i in range(n)], dist)
+
+
+@st.composite
+def relabelings(draw):
+    """A space, and the same space under other names in another order."""
+    X = draw(spaces())
+    n = len(X)
     names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
                           min_size=n, max_size=n, unique=True))
     perm = draw(st.permutations(range(n)))
-    return (VGraph([f"v{i}" for i in range(n)], dist),
-            VGraph(names, dist[np.ix_(perm, perm)]))
+    return X, VGraph(names, X.dist[np.ix_(perm, perm)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -331,6 +426,84 @@ def test_relabeling_leaves_outputs_unchanged(pair, p):
                 with open(out) as fh:
                     texts.append(fh.read())
             assert texts[0] == texts[1], command
+
+
+def run_tables(tmp, spaces, argv):
+    """The JSON output of one command on each space."""
+    out = os.path.join(tmp, "out")
+    tables = []
+    for k, X in enumerate(spaces):
+        path = write_space(pathlib.Path(tmp) / f"{k}.csv", X)
+        assert main([argv[0], path, *argv[1:], "-o", out]) == 0
+        with open(out) as fh:
+            tables.append(json.load(fh))
+    return tables
+
+
+@settings(max_examples=25, deadline=None)
+@given(X=spaces(), p=st.sampled_from(["1", "2", "inf"]),
+       lam=st.sampled_from([1e-11, 1e-9, 1e3]))
+@example(X=random_honest_space(random.Random(5), 6), p="1", lam=1e-11)
+@example(X=random_honest_space(random.Random(5), 6), p="1", lam=1e-9)
+def test_scaling_scales_grades_and_keeps_ranks(X, p, lam):
+    """Tolerances are relative to the largest distance: scaling a space by
+    lam scales every grade by lam and keeps each rank and torsion at its
+    (grade index, degree), and each bar."""
+    scaled = VGraph(X.vertices, lam * X.dist)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in (["mh"], ["ph"],
+                     ["homology", "--sieve", "none", "--coeff", "z"]):
+            base, moved = run_tables(tmp, [X, scaled],
+                                     argv + ["--p", p, "--degrees", "0..2"])
+            assert_scaled(base, moved, lam)
+
+
+def table_sum(tables, strict):
+    """The table of a disjoint union from the tables of its parts: at each
+    grade and degree the ranks add and the torsion pools.  A part with no
+    row there adds its last row below it under the global sieve, nothing
+    under the strict sieve."""
+    grades = []
+    for r in sorted({row["grade"] for rows in tables for row in rows}):
+        if not grades or not math.isclose(r, grades[-1], rel_tol=1e-9):
+            grades.append(r)
+    out = []
+    for r in grades:
+        for n in range(3):
+            found = []
+            for rows in tables:
+                mine = [row for row in rows if row["degree"] == n and (
+                    math.isclose(row["grade"], r, rel_tol=1e-9)
+                    or not strict and row["grade"] < r)]
+                if mine:
+                    found.append(mine[-1])
+            if found:
+                torsion = _divisibility_fixup(
+                    sorted(t for row in found for t in row["torsion"]))
+                out.append({"grade": r, "degree": n,
+                            "rank": sum(row["rank"] for row in found),
+                            "torsion": [t for t in torsion if t > 1]})
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(parts=st.tuples(spaces(max_points=3), spaces(max_points=3)),
+       p=st.sampled_from(["1", "2", "inf"]))
+def test_disjoint_union_adds_tables(parts, p):
+    """With infinite distances between two parts no tuple crosses over, so
+    every chain group, and with it every table, is the sum of the parts'."""
+    A, B = parts
+    dist = np.full((len(A) + len(B),) * 2, INF)
+    dist[:len(A), :len(A)] = A.dist
+    dist[len(A):, len(A):] = B.dist
+    union = VGraph([f"a{i}" for i in range(len(A))]
+                   + [f"b{i}" for i in range(len(B))], dist)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, strict in ((["mh"], True),
+                             (["homology", "--sieve", "none"], False)):
+            *tables, got = run_tables(tmp, [A, B, union],
+                                      argv + ["--p", p, "--degrees", "0..2"])
+            assert_scaled(table_sum(tables, strict), got, 1.0)
 
 
 def bars_json(X, p, degrees, max_dim, q):

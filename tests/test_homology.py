@@ -195,8 +195,8 @@ def test_tables_match_whole_matrix_snf(monkeypatch):
 
             def tables():
                 mh = magnitude_homology(X, p, [0, 1, 2])
-                glob = [homology_at(fc, n, r, GLOBAL)
-                        for r in fc.grades for n in (0, 1, 2)]
+                glob = [homology_at(fc, n, g, GLOBAL)
+                        for g in range(len(fc.grades)) for n in (0, 1, 2)]
                 return mh, glob
 
             blockwise = tables()
@@ -226,15 +226,15 @@ def test_field_homology_matches_universal_coefficients():
         for p in (1.0, 2.0, INF):
             fc = enumerate_complex(X, p, 3)
             for sieve in (GLOBAL, STRICT):
-                for r in fc.grades:
+                for g in range(len(fc.grades)):
                     divisors = {0: []}
                     for n in (1, 2, 3):
                         _, divisors[n] = smith_normal_form(
-                            *boundary_matrix(fc, n, r, sieve))
+                            *boundary_matrix(fc, n, g, sieve))
                     for n in (0, 1, 2):
-                        gens = len(generators_at(fc, n, r, sieve))
+                        gens = len(generators_at(fc, n, g, sieve))
                         for q in (2, 3, 5):
-                            h = homology_at(fc, n, r, sieve, Coefficients(q))
+                            h = homology_at(fc, n, g, sieve, Coefficients(q))
                             assert h.torsion == ()
                             assert h.rank == (gens
                                               - field_rank(divisors[n], q)
@@ -244,13 +244,14 @@ def test_field_homology_matches_universal_coefficients():
 def test_homology_two_points_global():
     X = VGraph(["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]))
     fc = enumerate_complex(X, INF, 2)
+    assert fc.grades == [0.0, 1.0]
     # below the merge grade: two components
-    h0 = homology_at(fc, 0, 0.0, GLOBAL)
+    h0 = homology_at(fc, 0, 0, GLOBAL)
     assert (h0.rank, h0.torsion) == (2, ())
     # at grade 1 everything is contractible
-    h0 = homology_at(fc, 0, 1.0, GLOBAL)
+    h0 = homology_at(fc, 0, 1, GLOBAL)
     assert h0.rank == 1
-    h1 = homology_at(fc, 1, 1.0, GLOBAL)
+    h1 = homology_at(fc, 1, 1, GLOBAL)
     assert h1.rank == 0
 
 
@@ -258,7 +259,7 @@ def test_homology_requires_headroom():
     X = VGraph(["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]))
     fc = enumerate_complex(X, INF, 1)
     with pytest.raises(InputError):
-        homology_at(fc, 1, 1.0, GLOBAL)
+        homology_at(fc, 1, 1, GLOBAL)
 
 
 def test_magnitude_homology_cycle4():
@@ -294,6 +295,21 @@ def test_magnitude_homology_bad_degrees(degrees):
     X = random_honest_space(random.Random(7), 3)
     with pytest.raises(InputError):
         magnitude_homology(X, 1.0, degrees)
+
+
+def test_magnitude_homology_is_scale_free():
+    """Grades are told apart relative to the largest distance, so scaling a
+    space scales its grades and keeps every rank and torsion."""
+    X = random_honest_space(random.Random(5), 6)
+    base = magnitude_homology(X, 1.0, range(3))
+    assert len(base) == 15
+    for lam in (1e-9, 1e-11):
+        rows = magnitude_homology(VGraph(X.vertices, X.dist * lam), 1.0,
+                                  range(3))
+        assert [(h.degree, h.rank, h.torsion) for h in rows] == \
+            [(h.degree, h.rank, h.torsion) for h in base]
+        assert [h.grade for h in rows] == pytest.approx(
+            [lam * h.grade for h in base], rel=1e-12)
 
 
 def test_persistence_two_points():
@@ -357,16 +373,16 @@ def test_euler_characteristic_consistency():
     X = random_honest_space(random.Random(17), 5)
     fc = enumerate_complex(X, 1.0, 3)
     for sieve in (GLOBAL, STRICT):
-        for r in fc.grades:
+        for g in range(len(fc.grades)):
             chi_chain = sum(
-                (-1) ** n * len(generators_at(fc, n, r, sieve))
+                (-1) ** n * len(generators_at(fc, n, g, sieve))
                 for n in range(3)
             )
             # correct for the part of degree-2 cycles killed from degree 3
-            d3 = boundary_matrix(fc, 3, r, sieve)
+            d3 = boundary_matrix(fc, 3, g, sieve)
             rank3, _ = smith_normal_form(*d3)
             chi_hom = sum(
-                (-1) ** n * homology_at(fc, n, r, sieve).rank
+                (-1) ** n * homology_at(fc, n, g, sieve).rank
                 for n in range(3)
             )
             assert chi_chain - rank3 == chi_hom
@@ -401,15 +417,15 @@ def test_magnitude_homology_euler_characteristic():
             assert h.grade == int(h.grade)
             if h.grade < 5:
                 euler[int(h.grade)] += (-1) ** h.degree * h.rank
-        assert euler == magnitude_series(X, 5)
+        assert euler == magnitude_series(X, [0, 1, 2, 3, 4])
 
 
 def test_homology_field_vs_integer_when_torsion_free():
     X = random_honest_space(random.Random(19), 4)
     fc = enumerate_complex(X, 2.0, 2)
-    for r in fc.grades:
+    for g in range(len(fc.grades)):
         for n in (0, 1):
-            hz = homology_at(fc, n, r, STRICT, INTEGERS)
+            hz = homology_at(fc, n, g, STRICT, INTEGERS)
             if not hz.torsion:
-                hq = homology_at(fc, n, r, STRICT, Coefficients(2))
+                hq = homology_at(fc, n, g, STRICT, Coefficients(2))
                 assert hq.rank == hz.rank

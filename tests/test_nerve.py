@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpnerve.nerve import enumerate_complex, membership_scale
+from lpnerve.nerve import enumerate_complex, grade_clusters, membership_scale
 from lpnerve.values import INF, BudgetExceededError, InputError, close
 from lpnerve.vgraph import VGraph, free_category
 from util import (dense_face_table, is_degenerate, levels,
@@ -215,6 +215,45 @@ def test_critical_grades():
     X = VGraph(["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert enumerate_complex(X, 1.0, 2).grades == [0.0, 1.0, 2.0]
     assert enumerate_complex(X, INF, 2).grades == [0.0, 1.0]
+
+
+def test_grade_clusters():
+    assert grade_clusters(np.array([]), 1.0) == []
+    assert grade_clusters(np.array([3.0, 0.0, 1.4, 1.0]), 0.5) == [0.0, 1.0, 3.0]
+    assert grade_clusters(np.array([2.0, 1.0, 1.0]), 0.0) == [1.0, 2.0]
+    # 1 and 1.8 are told apart, but 1.4 is within 0.5 of both
+    with pytest.raises(InputError):
+        grade_clusters(np.array([1.0, 1.4, 1.8]), 0.5)
+    assert grade_clusters(np.array([1.0, 1.4, 1.8]), 0.5, hops=2) == [1.0]
+
+
+def test_grade_indices_cluster_births():
+    """Births closer than eps times the largest distance share a grade,
+    valued at the smallest of them; each degree's grade indices rise with
+    its births, and ``starts`` finds the first row of each grade."""
+    X = VGraph(["a", "b", "c"], np.array([
+        [0.0, 1.0, 1.0 + 1e-12], [1.0, 0.0, 3.0], [1.0 + 1e-12, 3.0, 0.0]]))
+    fc = enumerate_complex(X, 1.0, 2)
+    assert fc.grades == [0.0, 1.0, 2.0, 3.0, 4.0, 6.0]
+    assert fc.grade[1].tolist() == [1, 1, 1, 1, 3, 3]
+    for k in range(3):
+        assert np.all(np.diff(fc.grade[k]) >= 0)
+        for g in range(len(fc.grades) + 1):
+            assert fc.starts[k][g] == np.count_nonzero(fc.grade[k] < g)
+    # at an absolute 1e-12 the two are told apart, relative to 3 they are not
+    assert len(enumerate_complex(X, 1.0, 2, eps=1e-13).grades) > 6
+    # tolerance 5e-7 * 3: 1 and 1 + 2e-6 are linked through 1 + 1e-6, and
+    # told apart within one tolerance but not within two (two hops)
+    Y = VGraph(["a", "b", "c", "d"], np.array([
+        [0.0, 1.0, 1.0 + 1e-6, 1.0 + 2e-6], [1.0, 0.0, 3.0, 3.0],
+        [1.0 + 1e-6, 3.0, 0.0, 3.0], [1.0 + 2e-6, 3.0, 3.0, 0.0]]))
+    with pytest.raises(InputError):
+        enumerate_complex(Y, 1.0, 1, eps=5e-7)
+    assert enumerate_complex(Y, 1.0, 2, eps=5e-7).grade[1].tolist()[:6] == \
+        [1] * 6
+    for eps in (-1.0, INF, math.nan):
+        with pytest.raises(InputError):
+            enumerate_complex(Y, 1.0, 1, eps=eps)
 
 
 def test_enumerate_rejects_negative_arguments():

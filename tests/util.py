@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -39,6 +40,18 @@ def random_honest_space(rng: random.Random, n: int, hi: int = 8) -> VGraph:
             d = float(rng.randint(1, hi))
             mat[i, j] = mat[j, i] = d
     return free_category(VGraph(names, mat), 1.0)
+
+
+def random_real_honest_space(rng: random.Random, n: int) -> VGraph:
+    """Strict symmetric space with real distances in [1, 2]: every
+    two-hop sum is at least 2, so the additive triangle inequality holds
+    and a tuple's birth at p = 1 is the sum of its consecutive hops."""
+    names = [f"v{i}" for i in range(n)]
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i, j] = mat[j, i] = rng.uniform(1.0, 2.0)
+    return VGraph(names, mat)
 
 
 def random_ultrametric(rng: random.Random, n: int) -> VGraph:
@@ -223,6 +236,12 @@ def dense_face_table(fc, degree: int) -> np.ndarray:
     return table
 
 
+def index_at(fc, r: float) -> int:
+    """The grade index of a complex in force at the value r: the last grade
+    at or below it."""
+    return bisect.bisect_right(fc.grades, r) - 1
+
+
 # -- dense matrices and sparse columns --------------------------------
 
 
@@ -248,12 +267,13 @@ def columns_to_dense(cols: Tuple[List[List[int]], List[List[int]]],
     return entries
 
 
-def dense_boundary(fc, degree: int, grade: float, sieve) -> np.ndarray:
-    """``boundary_matrix`` as a dense array, rows and columns labeled by
-    ``generators_at`` in degrees ``degree - 1`` and ``degree``."""
-    shape = (len(generators_at(fc, degree - 1, grade, sieve)),
-             len(generators_at(fc, degree, grade, sieve)))
-    entries = columns_to_dense(boundary_matrix(fc, degree, grade, sieve),
+def dense_boundary(fc, degree: int, g: int, sieve) -> np.ndarray:
+    """``boundary_matrix`` at grade index g as a dense array, rows and
+    columns labeled by ``generators_at`` in degrees ``degree - 1`` and
+    ``degree``."""
+    shape = (len(generators_at(fc, degree - 1, g, sieve)),
+             len(generators_at(fc, degree, g, sieve)))
+    entries = columns_to_dense(boundary_matrix(fc, degree, g, sieve),
                                shape[0])
     return np.array(entries, dtype=np.int64).reshape(shape)
 
@@ -261,47 +281,59 @@ def dense_boundary(fc, degree: int, grade: float, sieve) -> np.ndarray:
 # -- magnitude of a graph ---------------------------------------------
 
 
-def magnitude_series(X: VGraph, terms: int) -> List[int]:
-    """Coefficients of q^0 .. q^(terms-1) of the magnitude sum(Z(q)^-1),
-    Z(q) = [q^d(x, y)], for integer distances (infinite ones give 0).
+def magnitude_series(X: VGraph, grades: Sequence[float],
+                     tol: float = 0.0) -> List[int]:
+    """Coefficients of the magnitude sum(Z(q)^-1), Z(q) = [q^d(x, y)],
+    keyed by grade index: entry g is the coefficient of q^r summed over
+    the exponents r in grade ``grades[g]`` (``grades`` increasing from 0,
+    as ``fc.grades``), truncated above ``grades[-1] + tol``.
 
-    Z = I + N with N divisible by q, so Z^-1 = sum_k (-1)^k N^k, truncated
-    as power series; no tuple, chain or Smith normal form is involved.
+    Z = I + N with every exponent of N positive, so Z^-1 = sum_k (-1)^k N^k,
+    and the entries of N^k sum to one term q^(d(x0,x1) + ... + d(xk-1,xk))
+    per walk with distinct consecutive vertices.  Exponents are real sums
+    added hop by hop; an exponent counts at the last grade at or below
+    it plus ``tol``, and must lie within ``k * tol`` of that grade.  No
+    tuple, chain or Smith normal form is involved.
     """
     n = len(X)
+    top = grades[-1] + tol
+    d = X.dist.tolist()
+    total = [0] * len(grades)
 
-    def series(d: float) -> List[int]:
-        out = [0] * terms
-        if math.isfinite(d) and d < terms:
-            assert d == int(d) and d > 0, "integer distances only"
-            out[int(d)] = 1
-        return out
+    def add(exponent: float, coeff: int, hops: int) -> None:
+        g = bisect.bisect_right(grades, exponent + tol) - 1
+        assert exponent - grades[g] <= max(hops, 1) * tol, \
+            f"q^{exponent!r} lies in no grade"
+        total[g] += coeff
 
-    N = [[series(X.dist[i, j]) if i != j else [0] * terms for j in range(n)]
-         for i in range(n)]
-
-    def times(A, B):
-        C = [[[0] * terms for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                for j in range(n):
-                    a, b, c = A[i][k], B[k][j], C[i][j]
-                    for s in range(terms):
-                        if a[s]:
-                            for t in range(terms - s):
-                                c[s + t] += a[s] * b[t]
-        return C
-
-    total = [n] + [0] * (terms - 1)  # sum of the entries of I
-    power = N
-    for k in range(1, terms):  # N^k has no terms below q^k
-        if k > 1:
-            power = times(power, N)
-        for row in power:
-            for entry in row:
-                for s in range(terms):
-                    total[s] += (-1) ** k * entry[s]
+    assert X.is_strict(0.0), "positive distances only"
+    for _ in range(n):
+        add(0.0, 1, 0)  # the entries of I
+    # walks[y]: exponent -> count of walks of k hops ending at y
+    walks = [{0.0: 1} for _ in range(n)]
+    k = 0
+    while True:
+        k += 1
+        walks = [_extend(walks, d, y, top) for y in range(n)]
+        if not any(walks):
+            break
+        for ending in walks:
+            for exponent, count in ending.items():
+                add(exponent, (-1) ** k * count, k)
     return total
+
+
+def _extend(walks, d, y: int, top: float):
+    """Walks one hop longer ending at y, exponents at most ``top``."""
+    out = {}
+    for x, ending in enumerate(walks):
+        if x == y or not math.isfinite(d[x][y]):
+            continue
+        for exponent, count in ending.items():
+            e = exponent + d[x][y]
+            if e <= top:
+                out[e] = out.get(e, 0) + count
+    return out
 
 
 # -- direct localized-chain construction ------------------------------
