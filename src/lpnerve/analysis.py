@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from .values import EPS, INF, InputError, check_exponent, check_powers, close
-from .vgraph import VGraph, is_enriched_category
+from .values import INF, InputError, check_exponent, check_powers, close
+from .vgraph import VGraph, is_enriched_category, tolerance
 
 
 @dataclass
@@ -30,19 +30,25 @@ class InterpolationReport:
         return bool(self.witnesses)
 
 
-def is_ultrametric(X: VGraph, eps: float = EPS) -> bool:
-    """Strict, symmetric, and max-triangle inequality."""
+def is_ultrametric(X: VGraph, eps: Optional[float] = None) -> bool:
+    """Strict, symmetric, and max-triangle inequality, up to the absolute
+    tolerance ``eps`` (by default ``tolerance(X)``)."""
+    if eps is None:
+        eps = tolerance(X)
     return (X.is_strict(eps) and X.is_symmetric(eps)
             and is_enriched_category(X, INF, eps))
 
 
 def interpolators(X: VGraph, a: str, b: str, p: float,
-                  eps: float = EPS) -> InterpolationReport:
-    """Points strictly between a and b at exponent p.
+                  eps: Optional[float] = None) -> InterpolationReport:
+    """Points strictly between a and b at exponent p, up to the absolute
+    tolerance ``eps`` (by default ``tolerance(X)``).
 
     p = inf is accepted with the max feasibility rule but is outside the
     scope of the degree-1 generator characterization, so it warns.
     """
+    if eps is None:
+        eps = tolerance(X)
     p = check_exponent(p)
     if a == b:
         raise InputError("interpolation needs two distinct endpoints")
@@ -71,12 +77,15 @@ def interpolators(X: VGraph, a: str, b: str, p: float,
 
 
 def h1_generators(X: VGraph, p: float, grade: float,
-                  eps: float = EPS) -> List[Tuple[str, str]]:
+                  eps: Optional[float] = None) -> List[Tuple[str, str]]:
     """Ordered pairs at the given distance with no interpolating point.
 
     On honest metric spaces these freely generate the localized degree-1
-    homology at that grade.
+    homology at that grade.  ``eps`` is an absolute tolerance, by default
+    ``tolerance(X)``.
     """
+    if eps is None:
+        eps = tolerance(X)
     p = check_exponent(p)
     if p == math.inf:
         raise InputError("the generator characterization requires finite p")
@@ -98,12 +107,15 @@ def h1_generators(X: VGraph, p: float, grade: float,
 
 
 def p_critical(X: VGraph, a: str, b: str, tol: float = 1e-6,
-               eps: float = EPS) -> float:
+               eps: Optional[float] = None) -> float:
     """Infimal exponent at which some point starts to interpolate.
 
     Bisection on (u/D)^p + (v/D)^p = 1 per candidate; candidates with a
-    leg not strictly shorter than D never become feasible.
+    leg not strictly shorter than D (by more than the absolute tolerance
+    ``eps``, by default ``tolerance(X)``) never become feasible.
     """
+    if eps is None:
+        eps = tolerance(X)
     if a == b:
         raise InputError("p_critical needs two distinct endpoints")
     if not tol > 0.0:

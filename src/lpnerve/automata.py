@@ -13,12 +13,12 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .values import EPS, INF, InputError, close
-from .vgraph import GraphMorphism, VGraph, coequalizer, free_category
+from .values import INF, InputError, close
+from .vgraph import GraphMorphism, VGraph, coequalizer, free_category, tolerance
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,17 @@ def cost_space(A: Automaton) -> VGraph:
     return VGraph(list(A.states), mat)
 
 
-def cost_primitive_pairs(C: VGraph, eps: float = EPS) -> List[Tuple[str, str, float]]:
+def cost_primitive_pairs(C: VGraph, eps: Optional[float] = None
+                         ) -> List[Tuple[str, str, float]]:
     """Ordered pairs whose optimal cost beats every two-leg composite.
 
     Each returned pair carries its cost as the grade.  These are exactly
     the degree-1 generators of the localized homology of a strict cost
-    space.
+    space.  Costs are compared up to the absolute tolerance ``eps``, by
+    default ``tolerance(C)``.
     """
+    if eps is None:
+        eps = tolerance(C)
     if not C.is_strict(eps):
         raise InputError(
             "cost space has distinct states at cost 0; apply strictify first")
@@ -124,12 +128,17 @@ def cost_primitive_pairs(C: VGraph, eps: float = EPS) -> List[Tuple[str, str, fl
     return out
 
 
-def strictify(X: VGraph, eps: float = EPS) -> Tuple[VGraph, GraphMorphism]:
+def strictify(X: VGraph, eps: Optional[float] = None
+              ) -> Tuple[VGraph, GraphMorphism]:
     """Collapse mutually-zero-distance vertices and restore transitivity.
 
     Quotient distances take the infimum over representatives; the additive
-    path closure afterwards repairs any triangle-inequality damage.
+    path closure afterwards repairs any triangle-inequality damage.  Two
+    vertices are at distance zero within the absolute tolerance ``eps``,
+    by default ``tolerance(X)``.
     """
+    if eps is None:
+        eps = tolerance(X)
     pairs = [
         (a, b)
         for a in X.vertices for b in X.vertices

@@ -34,7 +34,7 @@ from .chain import (STRICT_PREDECESSORS, Columns, SieveSpec, boundary_matrix,
                     columns, generators_at)
 from .nerve import DEFAULT_BUDGET, FilteredComplex, enumerate_complex
 from .values import EPS, INF, InputError
-from .vgraph import VGraph, is_enriched_category
+from .vgraph import VGraph, is_enriched_category, tolerance
 
 
 @dataclass(frozen=True)
@@ -345,13 +345,16 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
 # -- classical Vietoris-Rips oracle -----------------------------------
 
 
-def vr_oracle(X: VGraph, max_degree: int,
-              field_coeffs: Coefficients = GF2, eps: float = EPS) -> Barcode:
+def vr_oracle(X: VGraph, max_degree: int, field_coeffs: Coefficients = GF2,
+              eps: Optional[float] = None) -> Barcode:
     """Persistence of the classical Vietoris-Rips complex.
 
     Works on unordered vertex subsets with a self-contained mod-2
-    reduction, fully independent of the tuple-nerve pipeline.
+    reduction, fully independent of the tuple-nerve pipeline.  ``eps`` is
+    an absolute tolerance, by default ``tolerance(X)``.
     """
+    if eps is None:
+        eps = tolerance(X)
     if field_coeffs.modulus not in (None, 2):
         raise InputError("the classical oracle is implemented over GF(2)")
     if not X.is_symmetric(eps) or not X.is_strict(eps):

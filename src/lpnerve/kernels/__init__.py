@@ -1,8 +1,9 @@
 """Hot-loop kernels: compiled extension when available, pure Python otherwise.
 
 ``reduce_columns`` is the persistence column reduction over GF(q).  The
-compiled variant is built from ``_reduction.pyx`` at install time; if the
-build was skipped or failed, the pure-Python twin is used transparently.
+compiled variant is built at install time from ``_reduction.c``, which
+Cython generates from ``_reduction.pyx``; if no C compiler was available,
+the pure-Python twin is used transparently.
 """
 
 from . import _reduction_py

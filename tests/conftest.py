@@ -1,0 +1,34 @@
+"""Session fixtures shared by the test modules."""
+
+import importlib.util
+
+import pytest
+
+from util import KERNELS
+
+
+@pytest.fixture(scope="session")
+def compiled_reduction(tmp_path_factory):
+    """The compiled column reduction, built from the committed
+    ``_reduction.c`` into a temporary directory, so the tests exercise it
+    even when ``lpnerve`` is imported from a source tree with no built
+    extension.  Skips, with the compiler's error, where nothing compiles."""
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+    from setuptools.errors import BaseError, CCompilerError
+
+    name = "lpnerve.kernels._reduction"
+    out = tmp_path_factory.mktemp("kernels")
+    cmd = build_ext(Distribution({"ext_modules": [Extension(
+        name, [str(KERNELS / "_reduction.c")], extra_compile_args=["-O3"])]}))
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "temp")
+    try:
+        cmd.ensure_finalized()
+        cmd.run()
+    except (BaseError, CCompilerError) as exc:
+        pytest.skip(f"cannot compile _reduction.c: {exc}")
+    spec = importlib.util.spec_from_file_location(name, cmd.get_ext_fullpath(name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

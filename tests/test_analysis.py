@@ -82,6 +82,20 @@ def test_h1_generators_input_checks():
         h1_generators(zero, 1.0, 1.0)
 
 
+def test_default_tolerance_is_relative():
+    """Without an explicit eps the diagnostics compare distances relative
+    to the largest one, so scaling a space changes none of their answers."""
+    U = random_ultrametric(random.Random(3), 6)
+    X = random_honest_space(random.Random(5), 5)
+    for lam in (1e-9, 1e-11):
+        assert is_ultrametric(VGraph(U.vertices, U.dist * lam))
+        small = VGraph(X.vertices, X.dist * lam)
+        for r in sorted(set(X.dist.flat) - {0.0}):
+            assert h1_generators(small, 1.0, r * lam) == \
+                h1_generators(X, 1.0, r)
+        assert p_critical(small, "v0", "v1") == p_critical(X, "v0", "v1")
+
+
 def test_p_critical_345():
     X = VGraph(["a", "b", "c"], np.array([
         [0.0, 5.0, 3.0],

@@ -122,6 +122,17 @@ def test_strictify_collapses_zero_cycles():
     assert is_enriched_category(S, 1.0)
 
 
+def test_strictify_default_tolerance_is_relative():
+    """Scaled costs are still told apart from zero: nothing collapses and
+    the cost-primitive pairs keep their (scaled) grades."""
+    C = cost_space(three_state())
+    for lam in (1e-9, 1e-11):
+        S, proj = strictify(VGraph(C.vertices, C.dist * lam))
+        assert S.vertices == C.vertices
+        assert cost_primitive_pairs(S) == [
+            (a, b, r * lam) for a, b, r in cost_primitive_pairs(C)]
+
+
 def test_primitive_pairs_are_h1_generators():
     """Cost-primitive pairs coincide with the degree-1 generator pairs of
     the localized homology of the strict cost space."""

@@ -343,6 +343,17 @@ def test_vr_oracle_agreement_random():
         assert persistence_barcode(fc, 2).bars == vr_oracle(X, 2).bars
 
 
+def test_vr_oracle_is_scale_free():
+    """The oracle's default tolerance is relative to the largest distance,
+    so a scaled space gives the scaled bars."""
+    X = random_honest_space(random.Random(5), 5)
+    base = vr_oracle(X, 2).bars
+    assert base
+    for lam in (1e-9, 1e-11):
+        assert vr_oracle(VGraph(X.vertices, X.dist * lam), 2).bars == \
+            [Bar(b.degree, b.birth * lam, b.death * lam) for b in base]
+
+
 def test_vr_oracle_input_checks():
     asym = VGraph(["a", "b"], np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(InputError):

@@ -6,6 +6,7 @@ import bisect
 import itertools
 import math
 import operator
+import pathlib
 import random
 from typing import Iterator, List, Sequence, Tuple
 
@@ -15,6 +16,8 @@ from lpnerve.chain import boundary_matrix, generators_at
 from lpnerve.values import EPS, INF, close, tensor_fold
 from lpnerve.vgraph import GraphMorphism, VGraph, check_morphism, free_category
 
+#: the kernel sources: each .pyx and the C that Cython generated from it
+KERNELS = pathlib.Path(__file__).resolve().parents[1] / "src" / "lpnerve" / "kernels"
 
 # -- random space generators ------------------------------------------
 
