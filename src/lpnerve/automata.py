@@ -43,11 +43,15 @@ class Automaton:
                 raise InputError(f"alphabet keys must be single letters, got {letter!r}")
             if not (cost >= 0.0 and math.isfinite(cost)):
                 raise InputError(f"letter {letter!r} must have a finite cost >= 0")
-            if abs(cost * 4096 - round(cost * 4096)) > 1e-12:
+        top = max(self.alphabet.values(), default=0.0)
+        for letter, cost in self.alphabet.items():
+            # scale-free: the ratio to the dearest letter, up to its rounding
+            ratio = cost / top if top > 0 else 0.0
+            if abs(ratio - round(ratio, 6)) > 1e-9:
                 warnings.warn(
-                    f"cost of letter {letter!r} does not look like a short "
-                    "decimal; the degree-1 generator equivalence assumes a "
-                    "discrete cost range", RuntimeWarning)
+                    f"cost of letter {letter!r} is not a short decimal "
+                    "fraction of the dearest letter's; the degree-1 generator "
+                    "equivalence assumes a discrete cost range", RuntimeWarning)
         for t in self.transitions:
             if t.source not in state_set or t.target not in state_set:
                 raise InputError(f"transition {t} mentions an unknown state")

@@ -1,9 +1,9 @@
-"""Hot-loop kernels: compiled extension when available, pure Python otherwise.
+"""Hot-loop kernel: compiled extension when available, pure Python otherwise.
 
-``reduce_columns`` is the persistence column reduction over GF(q).  The
-compiled variant is built at install time from ``_reduction.c``, which
-Cython generates from ``_reduction.pyx``; if no C compiler was available,
-the pure-Python twin is used transparently.
+``reduce_columns`` is the persistence column reduction over GF(q), the
+one compiled kernel.  It is built at install time from ``_reduction.c``,
+which Cython generates from ``_reduction.pyx``; if no C compiler was
+available, the pure-Python twin is used transparently.
 """
 
 from . import _reduction_py
@@ -18,9 +18,4 @@ except ImportError:
 reduce_columns = _impl.reduce_columns
 reduce_columns_py = _reduction_py.reduce_columns
 
-try:
-    from . import _fwsweep as fwsweep
-except ImportError:
-    fwsweep = None
-
-__all__ = ["reduce_columns", "reduce_columns_py", "BACKEND", "fwsweep"]
+__all__ = ["reduce_columns", "reduce_columns_py", "BACKEND"]

@@ -6,16 +6,16 @@ so the final structural-sanity criterion can re-verify them.
 """
 
 import bisect
+import functools
 import itertools
 import math
 import random
 import sys
 import time
+import tracemalloc
 
 import numpy as np
-import pytest
 
-from lpnerve import kernels
 from lpnerve.analysis import h1_generators, p_critical
 from lpnerve.chain import (EMPTY, STRICT_PREDECESSORS, SieveSpec,
                            boundary_matrix, generators_at)
@@ -28,14 +28,15 @@ from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism, coequalizer,
                             coproduct, delta_path, equalizer, free_category,
                             gamma_path, graphs_equal, is_enriched_category,
                             product, tolerance)
-from util import (columns_to_dense, coproduct_injections, dense_boundary,
-                  dense_to_columns, direct_local_boundary,
+from util import (columns_to_dense, coproduct_injections, decode_codes,
+                  dense_boundary, dense_to_columns, direct_local_boundary,
                   direct_local_generators, index_at, levels,
-                  magnitude_series, morphisms, product_projections,
+                  magnitude_series, morphisms, orbit_representatives,
+                  p_closure, path_closure, product_projections,
                   random_honest_space, random_l1_space,
                   random_real_honest_space, random_ultrametric,
-                  random_vgraph, sigma_oracle,
-                  sigma_oracle_chains, unique_factorization)
+                  random_vgraph, sigma_oracle, sigma_oracle_chains,
+                  sweep_four_vertex, unique_factorization)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -211,27 +212,54 @@ def _lifting_suite_one(X, p):
 
 
 def test_criterion_6_four_vertex_sweep():
-    if kernels.fwsweep is None:
-        pytest.skip("criterion 6 sweep of all 16.7M 4-vertex graphs needs "
-                    "the compiled sweep kernel, which is not built")
+    """The closure laws on every 4-vertex graph over {0, 1, 2, inf}, up to
+    relabeling: each law and each closure commutes with relabeling the
+    vertices, so one code per orbit covers every graph."""
     started = time.time()
-    total = 4 ** 12
-    failures, first_bad = kernels.fwsweep.sweep_four_vertex(0, total)
+    tracemalloc.start()
+    codes = orbit_representatives()
+    # Burnside: a relabeling of cycle type 1^4, 2 1^2, 2^2, 3 1, 4 fixes
+    # 4^(cycles on the 12 entries) codes
+    assert len(codes) == (4 ** 12 + 6 * 4 ** 7 + 3 * 4 ** 6 + 8 * 4 ** 4
+                          + 6 * 4 ** 3) // 24 == 703_760
+    failures, first_bad = sweep_four_vertex(codes)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     assert failures == 0, f"first failing code {first_bad}"
-    # the kernel closure agrees with the library closure on a sample
+    # both passes work in chunks; unchunked, the search alone takes 700 MB
+    assert peak < 200 * 2 ** 20
+    # the sweep's closure agrees with the library closure on a sample
     rng = random.Random(127)
     for _ in range(200):
-        code = rng.randrange(total)
+        code = rng.randrange(4 ** 12)
         X = _decode_code(code)
-        for mode, p in ((1, 1.0), (2, 2.0), (0, INF)):
-            flat = kernels.fwsweep.closure_of_code(code, mode)
+        d = decode_codes([code])
+        assert np.array_equal(d[0], X.dist)
+        for p in (1.0, 2.0, INF):
             C = free_category(X, p)
-            assert np.allclose(
-                np.nan_to_num(np.array(flat).reshape(4, 4), posinf=1e30),
-                np.nan_to_num(C.dist, posinf=1e30), atol=1e-9)
+            assert np.allclose(np.nan_to_num(p_closure(d, p)[0], posinf=1e30),
+                               np.nan_to_num(C.dist, posinf=1e30), atol=1e-9)
     assert time.time() - started < 60
-    report(6, True, "closure laws over all 16.7M 4-vertex graphs "
-           "(compiled sweep)", started)
+    report(6, True, f"closure laws over all 16.7M 4-vertex graphs "
+           f"({len(codes)} relabeling orbits)", started)
+
+
+def test_criterion_6_sweep_catches_a_skipped_pivot():
+    """A closure that never routes through the last vertex breaks the laws
+    exactly where it differs from the true closure: its result then fails
+    its own triangle inequality.  The sweep must report all of those
+    codes, the first one first."""
+    codes = np.arange(4 ** 6, dtype=np.int32)
+    skipped = functools.partial(path_closure, pivots=range(3))
+    d = decode_codes(codes)
+    differs = np.zeros(len(codes), dtype=bool)
+    for p in (1.0, 2.0, INF):
+        differs |= np.any(p_closure(d, p, skipped) != p_closure(d, p),
+                          axis=(1, 2))
+    failures, first_bad = sweep_four_vertex(codes, skipped, chunk=1000)
+    assert failures == np.count_nonzero(differs) > 0
+    assert first_bad == codes[differs][0]
+    assert sweep_four_vertex(codes) == (0, -1)
 
 
 def test_criterion_6_lifting_suite():
@@ -535,13 +563,46 @@ def test_criterion_12_magnitude_euler_characteristic():
         fc = enumerate_complex(X, 1.0, 4)
         grades = fc.grades[:bisect.bisect_left(fc.grades, 4.0)]
         assert any(r != int(r) for r in grades)
-        euler = [0] * len(grades)
-        for h in magnitude_homology(X, 1.0, range(4), max_dim=4):
-            g = fc.grades.index(h.grade)
-            if g < len(grades):
-                euler[g] += (-1) ** h.degree * h.rank
+        euler = _localized_euler(X, 1.0, fc, len(grades))
         assert euler == magnitude_series(X, grades, tolerance(X))
         checked += len(grades)
     assert time.time() - started < 30
     report(12, True, f"localized Euler characteristics equal the magnitude "
            f"series at {checked} real grades over 6 spaces", started)
+
+
+def test_criterion_12_euler_characteristic_at_p2():
+    """The same check at p = 2 on X = sqrt(Y), Y an integer space with the
+    additive triangle inequality.  X is +_2-enriched, so a tuple's longest
+    chain is its consecutive one and its birth squared is its length in
+    Y; the strict sieve of X at g is the strict sieve of Y at g^2, and the
+    Euler characteristics are Y's magnitude series at the squared grades."""
+    started = time.time()
+    rng = random.Random(163)
+    checked = 0
+    for _ in range(6):
+        Y = random_honest_space(rng, rng.randint(3, 6), hi=3)
+        X = VGraph(list(Y.vertices), np.sqrt(Y.dist))
+        assert is_enriched_category(X, 2.0)
+        # Y-hops are at least 1, so Y-lengths below 6 have degree <= 5
+        fc = enumerate_complex(X, 2.0, 6)
+        grades = [g for g in fc.grades if round(g * g) < 6]
+        euler = _localized_euler(X, 2.0, fc, len(grades))
+        assert euler == magnitude_series(Y, [g * g for g in grades],
+                                         tolerance(Y))
+        checked += len(grades)
+    assert time.time() - started < 30
+    report(12, True, f"localized Euler characteristics at p = 2 equal the "
+           f"magnitude series at {checked} squared grades over 6 spaces",
+           started)
+
+
+def _localized_euler(X, p, fc, count):
+    """Sum_n (-1)^n rank MH_n at each of the first ``count`` grade indices
+    of ``fc``, over every degree below ``fc.max_dim``."""
+    euler = [0] * count
+    for h in magnitude_homology(X, p, range(fc.max_dim), max_dim=fc.max_dim):
+        g = fc.grades.index(h.grade)
+        if g < count:
+            euler[g] += (-1) ** h.degree * h.rank
+    return euler

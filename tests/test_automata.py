@@ -37,8 +37,8 @@ def test_automaton_validation():
         Automaton(["s"], {"a": 1.0}, [Transition("s", "s", "")])
     with pytest.raises(InputError):
         Automaton(["s"], {"a": 1.0}, [Transition("s", "s", "ax")])
-    with pytest.warns(RuntimeWarning):
-        Automaton(["s"], {"a": 1.0 / 3.0}, [])
+    with pytest.warns(RuntimeWarning, match="letter 'b'"):
+        Automaton(["s"], {"a": 1.0, "b": 1.0 / 3.0}, [])
 
 
 def test_word_cost():

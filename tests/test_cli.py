@@ -318,8 +318,7 @@ def assert_scaled(a, b, lam, scaled=False):
         assert a == b
 
 
-# the automaton's short-decimal cost check is on a fixed 1/4096 grid
-@pytest.mark.filterwarnings("ignore:cost of letter")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lam", [1e-11, 1e-9, 1e3])
 def test_analyze_and_automaton_are_scale_free(capsys, tmp_path, lam):
     """Their tolerance is --eps times the largest finite distance: on a

@@ -61,14 +61,6 @@ def test_backend_flag():
     assert kernels.BACKEND in ("compiled", "python")
 
 
-def test_sweep_kernel_small_codes():
-    if kernels.fwsweep is None:
-        pytest.skip("sweep kernel not built")
-    failures, first_bad = kernels.fwsweep.sweep_four_vertex(0, 10000)
-    assert failures == 0
-    assert first_bad == -1
-
-
 def test_backends_give_the_same_barcodes(compiled_reduction, monkeypatch):
     rng = random.Random(73)
     for q in (2, 3, 5):
@@ -88,7 +80,7 @@ QUOTE_HEADER = re.compile(r'^\s*/\* "lpnerve/kernels/(\w+)\.pyx":(\d+)$')
 QUOTE_MARK = "# <<<<<<<<<<<<<<"
 
 
-@pytest.mark.parametrize("name", ["_reduction", "_fwsweep"])
+@pytest.mark.parametrize("name", ["_reduction"])
 def test_committed_c_matches_its_pyx(name):
     """The C that setup.py compiles was generated from the .pyx as it
     stands: every source line the C quotes is still that line of the .pyx.

@@ -422,3 +422,128 @@ def coproduct_injections(Xs: Sequence[VGraph], C: VGraph) -> List[GraphMorphism]
 def unique_factorization(candidates: List[GraphMorphism], predicate) -> bool:
     """Exactly one candidate morphism satisfies the compatibility predicate."""
     return sum(1 for u in candidates if predicate(u)) == 1
+
+
+# -- the four-vertex closure sweep (criterion 6) -----------------------
+#
+# A graph on the vertices 0..3 with distances in {0, 1, 2, inf} is a code:
+# its 12 off-diagonal entries, row by row, are the base-4 digits (least
+# significant first) indexing that alphabet.
+
+SWEEP_ENTRIES = [(i, j) for i in range(4) for j in range(4) if i != j]
+SWEEP_ALPHABET = np.array([0.0, 1.0, 2.0, INF])
+
+#: p -> (p-th power, join of p-th powers, p-th root) of the (min, +_p)
+#: closure.  On the sweep's alphabet each is exact in float64: integer
+#: sums, squared integers summed then a correctly rounded sqrt, and max.
+SWEEP_ARITHMETIC = {1.0: (np.positive, np.add, np.positive),
+                    2.0: (np.square, np.add, np.sqrt),
+                    INF: (np.positive, np.maximum, np.positive)}
+
+
+def _relabel_tables() -> np.ndarray:
+    """``tables[s, h, c]``: the part of a relabeled code that comes from
+    its 6-digit half ``h`` (0 low, 1 high) when those digits read ``c``,
+    for each of the 23 non-identity permutations ``s`` of the vertices.
+    Relabeling moves every digit to another place, so a relabeled code
+    is the sum of its two halves' entries."""
+    digits = (np.arange(4096)[:, None] >> (2 * np.arange(6))) & 3
+    tables = []
+    for perm in itertools.permutations(range(4)):
+        if perm == (0, 1, 2, 3):
+            continue
+        place = 4 ** np.array([SWEEP_ENTRIES.index((perm[i], perm[j]))
+                               for i, j in SWEEP_ENTRIES])
+        tables.append([digits @ place[:6], digits @ place[6:]])
+    return np.array(tables, dtype=np.int32)
+
+
+def orbit_representatives(chunk: int = 1 << 20) -> np.ndarray:
+    """The least code of every relabeling orbit, increasing: a code stays
+    when it is at most each of its 23 relabelings.  Codes are searched
+    ``chunk`` at a time, and each relabeling tests only the survivors."""
+    tables = _relabel_tables()
+    kept = []
+    for start in range(0, 4 ** 12, chunk):
+        codes = np.arange(start, start + chunk, dtype=np.int32)
+        for low, high in tables:
+            codes = codes[codes <= low[codes & 4095] + high[codes >> 12]]
+        kept.append(codes)
+    return np.concatenate(kept)
+
+
+def decode_codes(codes) -> np.ndarray:
+    """The distance matrices of ``codes``, stacked as an (m, 4, 4) array."""
+    digits = (np.asarray(codes)[:, None] >> (2 * np.arange(12))) & 3
+    d = np.zeros((len(digits), 4, 4))
+    rows, cols = zip(*SWEEP_ENTRIES)
+    d[:, rows, cols] = SWEEP_ALPHABET[digits]
+    return d
+
+
+def path_closure(w: np.ndarray, join, pivots=range(4)) -> np.ndarray:
+    """Floyd-Warshall in the (min, join) semiring on a stack of 4 x 4
+    matrices, relaxing through each vertex of ``pivots`` in turn."""
+    w = w.copy()
+    for k in pivots:
+        np.minimum(w, join(w[:, :, k, None], w[:, None, k, :]), out=w)
+    return w
+
+
+def p_closure(d: np.ndarray, p: float, closure=path_closure) -> np.ndarray:
+    """The (min, +_p) closure of a stack of 4 x 4 matrices."""
+    power, join, root = SWEEP_ARITHMETIC[p]
+    return root(closure(power(d), join))
+
+
+def _leq(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """Per matrix: a <= b entrywise up to eps; inf only below inf."""
+    return np.all(a <= b + eps, axis=(1, 2))
+
+
+def _triangle(w: np.ndarray, join, eps: float) -> np.ndarray:
+    """Per matrix: join(w[a, b], w[b, c]) >= w[a, c] for all a, b, c."""
+    via = join(w[:, :, :, None], w[:, None, :, :])
+    return np.all(via >= w[:, :, None, :] - eps, axis=(1, 2, 3))
+
+
+def closure_law_failures(d: np.ndarray, closure=path_closure,
+                         eps: float = 1e-9) -> np.ndarray:
+    """Mask of the matrices in the stack ``d`` that break a closure law
+    at some p in {1, 2, inf}: the closure lies below the input, a second
+    closure changes nothing, the closure's p-th powers satisfy their
+    triangle inequality, the closure fixes the input exactly when the
+    input satisfies it (a lift to a +_p category exists), and closures
+    do not grow with p."""
+    ok = np.ones(len(d), dtype=bool)
+    previous = None
+    for power, join, root in SWEEP_ARITHMETIC.values():
+        w = power(d)
+        cw = closure(w, join)
+        c = root(cw)
+        below = _leq(c, d, eps)
+        again = root(closure(cw, join))
+        ok &= below
+        ok &= _leq(again, c, eps) & _leq(c, again, eps)
+        ok &= _triangle(cw, join, eps)
+        ok &= _triangle(w, join, eps) == (below & _leq(d, c, eps))
+        if previous is not None:
+            ok &= _leq(c, previous, eps)
+        previous = c
+    return ~ok
+
+
+def sweep_four_vertex(codes: np.ndarray, closure=path_closure,
+                      chunk: int = 1 << 15) -> Tuple[int, int]:
+    """Run the closure laws on ``codes``, ``chunk`` graphs at a time.
+
+    Returns (failures, first failing code), the code -1 when all pass.
+    """
+    failures, first_bad = 0, -1
+    for start in range(0, len(codes), chunk):
+        part = codes[start:start + chunk]
+        bad = part[closure_law_failures(decode_codes(part), closure)]
+        failures += len(bad)
+        if first_bad < 0 and len(bad):
+            first_bad = int(bad[0])
+    return failures, first_bad
