@@ -39,15 +39,18 @@ from .vgraph import VGraph, is_enriched_category, tolerance
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Integer coefficients (modulus None) or a prime field GF(q)."""
+    """Integer coefficients (modulus None) or a prime field GF(q), q below
+    ``kernels.MAX_ORDER`` = 2^31 so that the column reduction's products
+    fit in int64."""
 
     modulus: Optional[int] = None
 
     def __post_init__(self):
         q = self.modulus
-        if q is not None and (
-                q < 2 or any(q % k == 0 for k in range(2, int(q ** 0.5) + 1))):
-            raise InputError(f"field order must be prime, got {q}")
+        if q is not None and not (
+                2 <= q < kernels.MAX_ORDER
+                and all(q % k for k in range(2, math.isqrt(q) + 1))):
+            raise InputError(f"field order must be a prime below 2^31, got {q}")
 
 
 INTEGERS = Coefficients(None)

@@ -1,6 +1,10 @@
 """Session fixtures shared by the test modules."""
 
 import importlib.util
+import os
+import shlex
+import shutil
+import sysconfig
 
 import pytest
 
@@ -9,14 +13,18 @@ from util import KERNELS
 
 @pytest.fixture(scope="session")
 def compiled_reduction(tmp_path_factory):
-    """The compiled column reduction, built from the committed
-    ``_reduction.c`` into a temporary directory, so the tests exercise it
-    even when ``lpnerve`` is imported from a source tree with no built
-    extension.  Skips, with the compiler's error, where nothing compiles."""
+    """The compiled column reduction, built from ``_reduction.c`` into a
+    temporary directory, so the tests exercise it even when ``lpnerve`` is
+    imported from a source tree with no built extension.  Skips only where
+    the configured C compiler ($CC, else Python's own) is not on PATH; if
+    it is there and the kernel does not compile, the test fails."""
     from setuptools import Distribution, Extension
     from setuptools.command.build_ext import build_ext
     from setuptools.errors import BaseError, CCompilerError
 
+    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler: {' '.join(cc)!r} is not on PATH")
     name = "lpnerve.kernels._reduction"
     out = tmp_path_factory.mktemp("kernels")
     cmd = build_ext(Distribution({"ext_modules": [Extension(
@@ -27,7 +35,7 @@ def compiled_reduction(tmp_path_factory):
         cmd.ensure_finalized()
         cmd.run()
     except (BaseError, CCompilerError) as exc:
-        pytest.skip(f"cannot compile _reduction.c: {exc}")
+        pytest.fail(f"{cc[0]} is on PATH but _reduction.c does not compile: {exc}")
     spec = importlib.util.spec_from_file_location(name, cmd.get_ext_fullpath(name))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

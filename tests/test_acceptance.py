@@ -15,6 +15,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from lpnerve.analysis import h1_generators, p_critical
 from lpnerve.chain import (EMPTY, STRICT_PREDECESSORS, SieveSpec,
@@ -571,30 +572,31 @@ def test_criterion_12_magnitude_euler_characteristic():
            f"series at {checked} real grades over 6 spaces", started)
 
 
-def test_criterion_12_euler_characteristic_at_p2():
-    """The same check at p = 2 on X = sqrt(Y), Y an integer space with the
-    additive triangle inequality.  X is +_2-enriched, so a tuple's longest
-    chain is its consecutive one and its birth squared is its length in
-    Y; the strict sieve of X at g is the strict sieve of Y at g^2, and the
-    Euler characteristics are Y's magnitude series at the squared grades."""
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0], ids=["1.5", "2", "3"])
+def test_criterion_12_euler_characteristic_at_finite_p(p):
+    """The same check at finite p on X = Y^(1/p), Y an integer space with
+    the additive triangle inequality.  X is +_p-enriched, so a tuple's
+    longest chain is its consecutive one and its birth to the p-th power
+    is its length in Y; the strict sieve of X at g is the strict sieve of
+    Y at g^p, and the Euler characteristics are Y's magnitude series at
+    the grades raised to the p-th power."""
     started = time.time()
     rng = random.Random(163)
     checked = 0
     for _ in range(6):
         Y = random_honest_space(rng, rng.randint(3, 6), hi=3)
-        X = VGraph(list(Y.vertices), np.sqrt(Y.dist))
-        assert is_enriched_category(X, 2.0)
+        X = VGraph(list(Y.vertices), Y.dist ** (1 / p))
+        assert is_enriched_category(X, p)
         # Y-hops are at least 1, so Y-lengths below 6 have degree <= 5
-        fc = enumerate_complex(X, 2.0, 6)
-        grades = [g for g in fc.grades if round(g * g) < 6]
-        euler = _localized_euler(X, 2.0, fc, len(grades))
-        assert euler == magnitude_series(Y, [g * g for g in grades],
+        fc = enumerate_complex(X, p, 6)
+        grades = [g for g in fc.grades if round(g ** p) < 6]
+        euler = _localized_euler(X, p, fc, len(grades))
+        assert euler == magnitude_series(Y, [g ** p for g in grades],
                                          tolerance(Y))
         checked += len(grades)
     assert time.time() - started < 30
-    report(12, True, f"localized Euler characteristics at p = 2 equal the "
-           f"magnitude series at {checked} squared grades over 6 spaces",
-           started)
+    report(12, True, f"localized Euler characteristics at p = {p:g} equal "
+           f"the magnitude series at {checked} grades over 6 spaces", started)
 
 
 def _localized_euler(X, p, fc, count):

@@ -635,6 +635,20 @@ def test_exit_code_bad_max_dim(capsys, c4_path):
     assert main(["ph", c4_path, "--degrees", "2", "--max-dim", "1"]) == 2
 
 
+def test_exit_code_field_order_too_large(capsys, c4_path):
+    """A prime order of 2^31 or more would overflow the reduction's int64
+    products (and once made it loop forever); 2^31 - 1 is the largest
+    prime accepted, and gives the barcode of GF(2) on the 4-cycle."""
+    done = run_cli(["ph", c4_path, "--degrees", "0..1",
+                    "--coeff", "z4294967311"])
+    assert done.returncode == 2
+    assert "2^31" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert run_json(capsys, ["ph", c4_path, "--degrees", "0..1",
+                             "--coeff", "z2147483647"]) == \
+        run_json(capsys, ["ph", c4_path, "--degrees", "0..1"])
+
+
 @pytest.mark.parametrize("flag,value", [("--max-dim", "-1"), ("--budget", "-5")])
 def test_exit_code_negative_counts(capsys, tmp_path, flag, value):
     path = tmp_path / "s.csv"

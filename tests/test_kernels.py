@@ -1,11 +1,13 @@
+import os
 import random
-import re
+import subprocess
+import sys
 
 import pytest
 
 from lpnerve import kernels
 from lpnerve.homology import Coefficients, persistence_barcode
-from lpnerve.kernels import reduce_columns, reduce_columns_py
+from lpnerve.kernels import _reduction_py, reduce_columns
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF
 from lpnerve.vgraph import asymmetrize
@@ -13,10 +15,11 @@ from util import KERNELS, random_honest_space
 
 
 def random_columns(rng, n, q, density=0.4):
+    """Signed coefficients, as ``chain.columns`` passes boundary signs of -1."""
     col_rows, col_coeffs = [], []
     for _ in range(n):
         rows = sorted(rng.sample(range(n), rng.randint(0, max(1, int(n * density)))))
-        coeffs = [rng.randint(1, q - 1) for _ in rows]
+        coeffs = [rng.choice((-1, 1)) * rng.randint(1, q - 1) for _ in rows]
         col_rows.append(rows)
         col_coeffs.append(coeffs)
     return col_rows, col_coeffs
@@ -24,7 +27,7 @@ def random_columns(rng, n, q, density=0.4):
 
 def test_empty_matrix():
     assert reduce_columns([], [], 2) == []
-    assert reduce_columns_py([], [], 2) == []
+    assert _reduction_py.reduce_columns([], [], 2) == []
 
 
 def test_small_reduction():
@@ -36,17 +39,17 @@ def test_small_reduction():
     assert lows[3] == 1
     assert lows[4] == 2
     assert lows[5] == -1  # cycle created
-    assert reduce_columns_py(col_rows, col_coeffs, 2) == lows
+    assert _reduction_py.reduce_columns(col_rows, col_coeffs, 2) == lows
 
 
 def test_backends_agree(compiled_reduction):
     rng = random.Random(61)
-    for q in (2, 3, 5, 7):
+    for q in (2, 3, 5, 7, 2147483647):  # the largest prime below MAX_ORDER
         for _ in range(25):
             n = rng.randint(1, 60)
             col_rows, col_coeffs = random_columns(rng, n, q)
             assert compiled_reduction.reduce_columns(col_rows, col_coeffs, q) == \
-                reduce_columns_py(col_rows, col_coeffs, q)
+                _reduction_py.reduce_columns(col_rows, col_coeffs, q)
 
 
 def test_pivots_are_unique():
@@ -70,34 +73,54 @@ def test_backends_give_the_same_barcodes(compiled_reduction, monkeypatch):
             monkeypatch.setattr(kernels, "reduce_columns",
                                 compiled_reduction.reduce_columns)
             compiled = persistence_barcode(fc, 2, Coefficients(q)).bars
-            monkeypatch.setattr(kernels, "reduce_columns", reduce_columns_py)
+            monkeypatch.setattr(kernels, "reduce_columns",
+                                _reduction_py.reduce_columns)
             assert compiled == persistence_barcode(fc, 2, Coefficients(q)).bars
 
 
-#: Cython's quote of a .pyx line in the generated C: a comment headed by
-#: the source position, whose line N carries this marker
-QUOTE_HEADER = re.compile(r'^\s*/\* "lpnerve/kernels/(\w+)\.pyx":(\d+)$')
-QUOTE_MARK = "# <<<<<<<<<<<<<<"
+@pytest.fixture(params=["compiled", "python"])
+def backend(request):
+    if request.param == "python":
+        return _reduction_py
+    return request.getfixturevalue("compiled_reduction")
 
 
-@pytest.mark.parametrize("name", ["_reduction"])
-def test_committed_c_matches_its_pyx(name):
-    """The C that setup.py compiles was generated from the .pyx as it
-    stands: every source line the C quotes is still that line of the .pyx.
-    On a mismatch, regenerate with ``cython -3`` (see README)."""
-    pyx = (KERNELS / f"{name}.pyx").read_text().splitlines()
-    c = (KERNELS / f"{name}.c").read_text().splitlines()
-    quoted = 0
-    for i, line in enumerate(c):
-        header = QUOTE_HEADER.match(line)
-        if header is None:
-            continue
-        assert header.group(1) == name
-        n = int(header.group(2))
-        end = c.index("*/", i)
-        marked = [q for q in c[i + 1:end] if q.endswith(QUOTE_MARK)]
-        assert len(marked) == 1, f"{name}.c:{i + 1}"
-        assert marked[0][3:-len(QUOTE_MARK)].rstrip() == pyx[n - 1].rstrip(), \
-            f"{name}.c:{i + 1} quotes a different line {n} of {name}.pyx"
-        quoted += 1
-    assert quoted > 100  # the generated C quotes its source throughout
+@pytest.mark.parametrize("col_rows,col_coeffs,q,error,message", [
+    ([[-1]], [[1]], 2, ValueError, "rows of column 0"),
+    ([[0, 0]], [[1, 1]], 2, ValueError, "rows of column 0"),
+    ([[0], [2, 1]], [[1], [1, 1]], 2, ValueError, "rows of column 1"),
+    ([[1 << 63]], [[1]], 2, ValueError, "rows of column 0"),
+    ([[0, 1]], [[1]], 2, ValueError, "column 0 has 2 rows but 1 coefficients"),
+    ([[0], [1]], [[1]], 2, ValueError, "2 columns of rows but 1 of coefficients"),
+    ([[0, 1]], [[1, -3]], 3, ValueError, "column 0 has a coefficient that is 0 mod 3"),
+    ([[0]], [[1]], 1, ValueError, "field order"),
+    ([[0]], [[1]], 1 << 31, ValueError, "field order"),
+    ([[0.0]], [[1]], 2, TypeError, "column 0 holds something other than an int"),
+], ids=["negative-row", "repeated-row", "decreasing-rows", "row-beyond-int64",
+        "column-lengths", "column-counts", "zero-coefficient", "order-too-small",
+        "order-too-large", "float-row"])
+def test_out_of_contract_input_raises(backend, col_rows, col_coeffs, q, error,
+                                      message):
+    """Both backends check their input the same way; the compiled one
+    once read past its arrays on such columns and crashed the process."""
+    with pytest.raises(error, match=message):
+        backend.reduce_columns(col_rows, col_coeffs, q)
+
+
+def test_build_without_a_compiler_falls_back(tmp_path):
+    """The kernel is optional: with a C compiler that always fails, the
+    build still succeeds, and the package it builds runs in Python."""
+    root = KERNELS.parents[2]
+    lib = tmp_path / "lib"
+    subprocess.run([sys.executable, "setup.py", "-q", "build",
+                    "--build-base", str(tmp_path / "build"), "--build-lib", str(lib)],
+                   cwd=root, env=dict(os.environ, CC="false"), check=True,
+                   capture_output=True)
+    done = subprocess.run(
+        [sys.executable, "-c", "from lpnerve import kernels; "
+         "print(kernels.BACKEND, kernels.__file__)"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(lib)), check=True,
+        capture_output=True, text=True)
+    backend, path = done.stdout.split()
+    assert backend == "python"
+    assert path.startswith(str(lib))

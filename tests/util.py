@@ -16,7 +16,7 @@ from lpnerve.chain import boundary_matrix, generators_at
 from lpnerve.values import EPS, INF, close, tensor_fold
 from lpnerve.vgraph import GraphMorphism, VGraph, check_morphism, free_category
 
-#: the kernel sources: each .pyx and the C that Cython generated from it
+#: the kernel sources: the C reduction and its pure-Python twin
 KERNELS = pathlib.Path(__file__).resolve().parents[1] / "src" / "lpnerve" / "kernels"
 
 # -- random space generators ------------------------------------------
