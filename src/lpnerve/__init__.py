@@ -12,10 +12,10 @@ from .vgraph import (GraphMorphism, VGraph, asymmetrize, check_morphism,
                      validate)
 from .nerve import FilteredComplex, enumerate_complex, membership_scale
 from .chain import SieveSpec, boundary_matrix, generators_at
+from .snf import smith_normal_form
 from .homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
                        HomologySummary, homology_at, homology_table,
-                       magnitude_homology, persistence_barcode,
-                       smith_normal_form, vr_oracle)
+                       magnitude_homology, persistence_barcode, vr_oracle)
 from .analysis import (InterpolationReport, h1_generators, interpolators,
                        is_ultrametric, p_critical)
 from .automata import (Automaton, Transition, cost_primitive_pairs,

@@ -15,11 +15,14 @@ degree down.
 A boundary has one format, sparse columns: per column, the increasing row
 indices of its nonzero entries and a parallel list of their coefficients.
 ``columns`` is the one builder of that format, from rows of the face
-table; ``boundary_matrix`` calls it per grade and
-``homology.persistence_barcode`` on the whole filtration.  The empty sieve
-kills nothing; the strict-predecessor sieve keeps only generators born
-exactly at the grade under inspection, which is the magnitude-style
-localization.
+table and a mask of the faces kept; ``boundary_matrix`` calls it per
+grade and ``homology.persistence_barcode`` on the whole filtration.  The
+empty sieve kills nothing; the strict-predecessor sieve keeps only
+generators born exactly at the grade under inspection, which is the
+magnitude-style localization.  Under it a face survives only at its
+tuple's own grade, so a localized boundary is a direct sum of one block
+per grade, and ``strict_boundary`` gives the face table and mask of all
+of them at once, as one matrix.
 """
 
 from __future__ import annotations
@@ -75,21 +78,20 @@ class SieveSpec:
         return g if self.kind == STRICT_PREDECESSORS else 0
 
 
-def columns(faces: np.ndarray, lo: int, hi: int) -> Columns:
+def columns(faces: np.ndarray, keep: np.ndarray) -> Columns:
     """Boundary columns of tuples with face table ``faces`` (as from
-    ``FilteredComplex.faces``) over the rows ``lo .. hi - 1`` one degree
-    down.
+    ``FilteredComplex.faces``, possibly renumbered), keeping the entries
+    where ``keep`` is true.
 
-    Column j holds, with their signs, the faces of tuple j among those
-    rows, numbered from ``lo``; a degenerate face (-1) or one outside them
-    (killed by a sieve, or not yet born) contributes nothing.
+    Column j holds the kept faces of tuple j, increasing, with the sign
+    (-1)^i of the deleted vertex i; a face not kept (degenerate, killed by
+    a sieve, or not yet born) contributes nothing.
     """
-    hit = (faces >= lo) & (faces < hi)
-    local = np.where(hit, faces - lo, hi - lo)
+    local = np.where(keep, faces, np.iinfo(faces.dtype).max)
     order = np.argsort(local, axis=1, kind="stable")
     local = np.take_along_axis(local, order, axis=1).tolist()
     signs = np.where(order % 2, -1, 1).tolist()
-    counts = hit.sum(axis=1).tolist()
+    counts = keep.sum(axis=1).tolist()
     return ([r[:c] for r, c in zip(local, counts)],
             [s[:c] for s, c in zip(signs, counts)])
 
@@ -125,4 +127,33 @@ def boundary_matrix(fc: FilteredComplex, degree: int, g: int,
     if degree < 1:
         raise InputError("boundary_matrix requires degree >= 1")
     lo, hi = _span(fc, degree, g, sieve)
-    return columns(fc.faces(degree)[lo:hi], *_span(fc, degree - 1, g, sieve))
+    faces = fc.faces(degree)[lo:hi]
+    lo, hi = _span(fc, degree - 1, g, sieve)
+    return columns(faces - lo, (faces >= lo) & (faces < hi))
+
+
+def strict_boundary(fc: FilteredComplex, degree: int,
+                    grades: Optional[Sequence[int]] = None
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The strict-sieve boundaries from ``degree`` to ``degree - 1`` at all
+    grade indices (or at those given) as one matrix: the face table of its
+    columns, the mask of the faces kept (the form ``columns`` takes) and
+    the grade index of each column.
+
+    A face is kept where it has its tuple's grade index, that is, where it
+    lies in the rows of that grade one degree down.  Rows are the
+    rows of degree - 1 in the complex, so the columns of different grades
+    share no row and the matrix is the direct sum of the per-grade
+    ``boundary_matrix`` blocks (up to the numbering of rows).
+    """
+    if degree < 1:
+        raise InputError("strict_boundary requires degree >= 1")
+    faces, grade = fc.faces(degree), fc.grade[degree]
+    if grades is not None:
+        starts = fc.starts[degree]
+        rows = np.concatenate([np.arange(starts[g], starts[g + 1])
+                               for g in grades] + [np.arange(0)])
+        faces, grade = faces[rows], grade[rows]
+    below = fc.starts[degree - 1]  # the rows of grade g one degree down
+    keep = (faces >= below[grade, None]) & (faces < below[grade + 1, None])
+    return faces, keep, grade

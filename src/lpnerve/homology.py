@@ -6,18 +6,19 @@ the integers and ``homology_at`` one cell of it.  Grades are the integer
 grade indices of the complex, so no birth is compared here; a row prints
 the value of its grade, ``fc.grades[g]``.  Each boundary is sliced from
 the complex's face-index tables to the rows ``generators_at`` keeps and
-handed over in the one sparse column format of ``chain.columns``.
-Integer ranks go through an exact Smith normal form (Python integers, so
-no overflow): the connected blocks are found from the nonzeros, and only
-each block is made dense for elimination.  The barcode pipeline orders
-all rows of all degrees by (grade index, degree, position within the
-degree), which is (grade, degree, birth, vertices), maps the same face
-tables into that order, and runs the standard column reduction over GF(q)
-(compiled kernel when available); a pair born and killed at the same
-grade index is no bar.  Field homology ranks each boundary with that same
-column reduction.  A classical Vietoris-Rips computation on
-unordered simplices, with its own self-contained mod-2 reduction, serves
-as an independent cross-check.
+handed over in the one sparse column format of ``chain.columns``; under
+the strict sieve a face survives only at its tuple's grade, so each d_n
+is built once for all grades (``chain.strict_boundary``) and ranked once,
+its ranks counted per column grade.  Integer ranks go through the one
+exact Smith normal form of ``snf``.  The barcode pipeline orders all rows
+of all degrees by (grade index, degree, position within the degree),
+which is (grade, degree, birth, vertices), maps the same face tables into
+that order, and runs the standard column reduction over GF(q) (compiled
+kernel when available); a pair born and killed at the same grade index
+is no bar.  Field homology ranks each boundary with that same column
+reduction.  A classical Vietoris-Rips computation on unordered
+simplices, with its own self-contained mod-2 reduction, serves as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import numpy as np
 
 from . import kernels
 from .chain import (STRICT_PREDECESSORS, Columns, SieveSpec, boundary_matrix,
-                    columns, generators_at)
+                    columns, generators_at, strict_boundary)
 from .nerve import DEFAULT_BUDGET, FilteredComplex, enumerate_complex
+from .snf import smith_normal_form, smith_normal_forms
 from .values import EPS, INF, InputError
 from .vgraph import VGraph, is_enriched_category, tolerance
 
@@ -84,130 +86,6 @@ class Barcode:
         return self
 
 
-# -- Smith normal form ------------------------------------------------
-
-
-def smith_normal_form(col_rows: Sequence[Sequence[int]],
-                      col_coeffs: Sequence[Sequence[int]]
-                      ) -> Tuple[int, List[int]]:
-    """Rank and elementary divisors of an integer matrix (exact), given as
-    sparse columns of increasing rows and nonzero coefficients.
-
-    Rows and columns linked by a nonzero entry form connected blocks, and
-    the matrix is a permuted direct sum of them.  Union-find over the
-    nonzeros (columns are nodes ``0..ncols-1``, rows follow) finds the
-    blocks; each is made dense and eliminated on its own, and a 1x1 block
-    is its own divisor.  Invariant factors are unique, so normalizing the
-    pooled diagonal gives the divisors of the whole matrix.
-    """
-    ncols = len(col_rows)
-    nrows = max((rows[-1] + 1 for rows in col_rows if rows), default=0)
-    parent = list(range(ncols + nrows))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j, rows in enumerate(col_rows):
-        rj = find(j)
-        for i in rows:
-            ri = find(ncols + i)
-            if ri != rj:
-                parent[ri] = rj
-    blocks: Dict[int, List[int]] = {}
-    for j, rows in enumerate(col_rows):
-        if rows:
-            blocks.setdefault(find(j), []).append(j)
-    divisors: List[int] = []
-    for cols in blocks.values():
-        if len(cols) == 1 and len(col_rows[cols[0]]) == 1:
-            divisors.append(abs(col_coeffs[cols[0]][0]))
-            continue
-        local: Dict[int, int] = {}
-        for j in cols:
-            for i in col_rows[j]:
-                local.setdefault(i, len(local))
-        block = [[0] * len(cols) for _ in local]
-        for c, j in enumerate(cols):
-            for i, v in zip(col_rows[j], col_coeffs[j]):
-                block[local[i]][c] = v
-        divisors.extend(_eliminate(block))
-    return len(divisors), _divisibility_fixup(divisors)
-
-
-def _eliminate(a: List[List[int]]) -> List[int]:
-    """Diagonalize ``a`` in place; the nonzero diagonal, not yet normalized."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    divisors: List[int] = []
-    t = 0
-    while t < nrows and t < ncols:
-        # pick the first nonzero pivot of smallest magnitude in row-major
-        # order; nothing is smaller than a unit, so the scan stops there
-        pivot = best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-                    if v == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(nrows):
-                if i != t and a[i][t]:
-                    qt = a[i][t] // a[t][t]
-                    for j in range(ncols):
-                        a[i][j] -= qt * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(ncols):
-                if j != t and a[t][j]:
-                    qt = a[t][j] // a[t][t]
-                    for i in range(nrows):
-                        a[i][j] -= qt * a[i][t]
-                    if a[t][j]:
-                        for i in range(nrows):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-            if not dirty and all(a[t][j] == 0 for j in range(ncols) if j != t) \
-                    and all(a[i][t] == 0 for i in range(nrows) if i != t):
-                break
-        divisors.append(abs(a[t][t]))
-        t += 1
-    return divisors
-
-
-def _divisibility_fixup(divisors: List[int]) -> List[int]:
-    """Invariant factors of a nonzero diagonal: make d_i | d_{i+1}."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(divisors) - 1):
-            x, y = divisors[i], divisors[i + 1]
-            if y % x != 0:
-                g = math.gcd(x, y)
-                divisors[i], divisors[i + 1] = g, x * y // g
-                changed = True
-    return divisors
-
-
 # -- graded homology --------------------------------------------------
 
 
@@ -222,9 +100,40 @@ def _rank(cols: Columns, coefficients: Coefficients) -> Tuple[int, Tuple[int, ..
     # the reduction takes nonzero coefficients only
     kept = [[(i, c) for i, c in zip(rows, coeffs) if c % q]
             for rows, coeffs in zip(*cols)]
-    lows = kernels.reduce_columns([[i for i, _ in col] for col in kept],
-                                  [[c for _, c in col] for col in kept], q)
-    return sum(1 for low in lows if low >= 0), ()
+    return len(_pivot_columns(([[i for i, _ in col] for col in kept],
+                               [[c for _, c in col] for col in kept]), q)), ()
+
+
+def _pivot_columns(cols: Columns, q: int) -> np.ndarray:
+    """The columns that keep a pivot in the column reduction over GF(q) of
+    columns with no coefficient divisible by q."""
+    lows = kernels.reduce_columns(*cols, q)
+    return np.flatnonzero(np.array(lows, dtype=np.int64) >= 0)
+
+
+def _strict_ranks(fc: FilteredComplex, degree: int,
+                  grades: Optional[Sequence[int]],
+                  coefficients: Coefficients
+                  ) -> List[Tuple[int, Tuple[int, ...]]]:
+    """``_rank`` of the strict-sieve boundary d_degree at every grade index
+    (0 at those not in ``grades``), from one matrix for all of them.
+
+    Its columns of different grades share no row, so the Smith normal
+    form counts its pivots per column grade, and the column reduction
+    reduces a column only by columns that share its lowest row.
+    """
+    faces, keep, grade = strict_boundary(fc, degree, grades)
+    n = len(fc.grades)
+    q = coefficients.modulus
+    if q is not None:
+        # a column with no entry has no pivot; signs of +-1 are never 0 mod q
+        live = keep.any(axis=1)
+        return [(int(rank), ()) for rank in np.bincount(grade[live][
+            _pivot_columns(columns(faces[live], keep[live]), q)], minlength=n)]
+    col, i = np.nonzero(keep)
+    return [(rank, tuple(d for d in divisors if d > 1))
+            for rank, divisors in smith_normal_forms(
+                col, faces[col, i], np.where(i % 2, -1, 1), grade, n)]
 
 
 def _check_degrees(degrees: List[int], max_dim: int) -> None:
@@ -241,24 +150,35 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
     """Homology rows over the grade indices (default all), one per degree
     with generators.
 
-    Each boundary d_n is built and ranked once per grade, for degrees n
-    and n - 1.
+    Under the strict sieve each boundary d_n is built and ranked once for
+    all grades (``strict_boundary``), as the direct sum of its per-grade
+    blocks; under the other sieves it is built and ranked once per grade.
     """
     degrees = sorted(set(degrees))
     _check_degrees(degrees, fc.max_dim)
+    strict = {}  # k -> rank and torsion of d_k at each grade index
+    if sieve.kind == STRICT_PREDECESSORS:
+        for k in {k for n in degrees for k in (n, n + 1)} - {0}:
+            strict[k] = _strict_ranks(fc, k, grades, coefficients)
+    ranks = {}  # (g, k) -> rank and torsion of d_k at grade index g
+
+    def rank_of(g: int, k: int) -> Tuple[int, Tuple[int, ...]]:
+        if k == 0:
+            return 0, ()
+        if k in strict:
+            return strict[k][g]
+        if (g, k) not in ranks:
+            ranks[g, k] = _rank(boundary_matrix(fc, k, g, sieve), coefficients)
+        return ranks[g, k]
+
     out: List[HomologySummary] = []
     for g in range(len(fc.grades)) if grades is None else grades:
-        ranks = {0: (0, ())}  # n -> rank and torsion of d_n at g
         for n in degrees:
             gens = generators_at(fc, n, g, sieve)
             if not len(gens):
                 continue  # an empty chain group has zero homology
-            for k in (n, n + 1):
-                if k not in ranks:
-                    ranks[k] = _rank(boundary_matrix(fc, k, g, sieve),
-                                     coefficients)
-            rank_upper, torsion = ranks[n + 1]
-            rank = len(gens) - ranks[n][0] - rank_upper
+            rank_upper, torsion = rank_of(g, n + 1)
+            rank = len(gens) - rank_of(g, n)[0] - rank_upper
             out.append(HomologySummary(fc.grades[g], n, rank, torsion))
     return out
 
@@ -336,7 +256,8 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
         faces = fc.faces(k)
         table[starts[k]:starts[k + 1], :k + 1] = np.where(
             faces >= 0, position[starts[k - 1] + faces], -1)
-    col_rows, col_coeffs = columns(table[order], 0, len(grade))
+    table = table[order]
+    col_rows, col_coeffs = columns(table, table >= 0)
     lows = kernels.reduce_columns(col_rows, col_coeffs, q)
     grade = grade[order].tolist()
     filtration = [(fc.grades[g], k)

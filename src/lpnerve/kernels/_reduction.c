@@ -12,13 +12,19 @@
  *
  * Columns are reduced left to right.  While the lowest row of column j is
  * the low of an earlier column k, the multiple of column k that cancels
- * it is added to column j.
+ * it is added to column j.  The column with a given low is looked up in a
+ * table indexed by row.  Where the largest row is far above the number of
+ * nonzeros, the distinct rows are first renumbered 0, 1, ... in order (so
+ * the table stays as small as the input, and the lows are mapped back).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 
 #define MAX_ORDER ((int64_t)1 << 31)
+/* rows are renumbered above SPARSE_ROWS * nonzeros + DIRECT_ROWS rows */
+#define SPARSE_ROWS 4
+#define DIRECT_ROWS 4096
 
 typedef struct {
     int64_t *rows;
@@ -162,6 +168,46 @@ done:
     return status;
 }
 
+static int compare_rows(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Renumber the rows of all columns by their rank among the distinct rows,
+   which are written to *distinct; their count, or -1 with an exception set. */
+static Py_ssize_t renumber_rows(Column *cols, Py_ssize_t ncols, size_t nnz,
+                                int64_t **distinct)
+{
+    int64_t *rows = PyMem_Malloc((nnz + 1) * sizeof(int64_t));
+    Py_ssize_t n = 0, m = 0;
+    if (rows == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t j = 0; j < ncols; j++)
+        for (Py_ssize_t i = 0; i < cols[j].size; i++)
+            rows[n++] = cols[j].rows[i];
+    qsort(rows, n, sizeof(int64_t), compare_rows);
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (m == 0 || rows[i] != rows[m - 1])
+            rows[m++] = rows[i];
+    for (Py_ssize_t j = 0; j < ncols; j++)
+        for (Py_ssize_t i = 0; i < cols[j].size; i++) {
+            Py_ssize_t lo = 0, hi = m;  /* the first distinct row >= this one */
+            while (lo < hi) {
+                Py_ssize_t mid = lo + (hi - lo) / 2;
+                if (rows[mid] < cols[j].rows[i])
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            cols[j].rows[i] = lo;
+        }
+    *distinct = rows;
+    return m;
+}
+
 static PyObject *reduce_columns(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {"col_rows", "col_coeffs", "q", NULL};
@@ -169,8 +215,9 @@ static PyObject *reduce_columns(PyObject *self, PyObject *args, PyObject *kwargs
     PyObject *rows_seq = NULL, *coeffs_seq = NULL, *lows = NULL, *result = NULL;
     Column *cols = NULL, scratch = {0};
     int64_t *pivot = NULL;  /* pivot[row] = 1 + the column whose low is row, or 0 */
+    int64_t *distinct = NULL;  /* the row numbered i is distinct[i], if renumbered */
     Py_ssize_t ncols = 0;
-    size_t nrows = 0;
+    size_t nrows = 0, nnz = 0;
     int overflow;
 
     (void)self;
@@ -208,6 +255,13 @@ static PyObject *reduce_columns(PyObject *self, PyObject *args, PyObject *kwargs
             goto done;
         if (c->size > 0 && (size_t)c->rows[c->size - 1] >= nrows)
             nrows = (size_t)c->rows[c->size - 1] + 1;
+        nnz += c->size;
+    }
+    if (nrows > SPARSE_ROWS * nnz + DIRECT_ROWS) {
+        Py_ssize_t m = renumber_rows(cols, ncols, nnz, &distinct);
+        if (m < 0)
+            goto done;
+        nrows = m;
     }
     /* calloc, not a fill: a wide row range costs only the pages touched */
     pivot = PyMem_Calloc(nrows + 1, sizeof(int64_t));
@@ -238,7 +292,8 @@ static PyObject *reduce_columns(PyObject *self, PyObject *args, PyObject *kwargs
             pivot[low] = j + 1;
         else
             low = -1;
-        PyObject *item = PyLong_FromLongLong(low);
+        PyObject *item = PyLong_FromLongLong(
+            low < 0 || distinct == NULL ? low : distinct[low]);
         if (item == NULL)
             goto done;
         PyList_SET_ITEM(lows, j, item);
@@ -254,6 +309,7 @@ done:
     PyMem_Free(scratch.rows);
     PyMem_Free(scratch.coeffs);
     PyMem_Free(pivot);
+    PyMem_Free(distinct);
     Py_XDECREF(rows_seq);
     Py_XDECREF(coeffs_seq);
     Py_XDECREF(lows);

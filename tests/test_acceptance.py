@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 
 from lpnerve.analysis import h1_generators, p_critical
-from lpnerve.chain import (EMPTY, STRICT_PREDECESSORS, SieveSpec,
+from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
                            boundary_matrix, generators_at)
-from lpnerve.homology import (Bar, GF2, INTEGERS, homology_at,
-                              magnitude_homology, persistence_barcode,
-                              smith_normal_form, vr_oracle)
+from lpnerve.homology import (Bar, Coefficients, GF2, INTEGERS, homology_at,
+                              homology_table, magnitude_homology,
+                              persistence_barcode, smith_normal_form,
+                              vr_oracle)
 from lpnerve.nerve import enumerate_complex, membership_scale
 from lpnerve.values import INF, close
 from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism, coequalizer,
@@ -34,7 +35,7 @@ from util import (columns_to_dense, coproduct_injections, decode_codes,
                   direct_local_generators, index_at, levels,
                   magnitude_series, morphisms, orbit_representatives,
                   p_closure, path_closure, product_projections,
-                  random_honest_space, random_l1_space,
+                  random_floors, random_honest_space, random_l1_space,
                   random_real_honest_space, random_ultrametric,
                   random_vgraph, sigma_oracle, sigma_oracle_chains,
                   sweep_four_vertex, unique_factorization)
@@ -597,6 +598,54 @@ def test_criterion_12_euler_characteristic_at_finite_p(p):
     assert time.time() - started < 30
     report(12, True, f"localized Euler characteristics at p = {p:g} equal "
            f"the magnitude series at {checked} grades over 6 spaces", started)
+
+
+def _relative_count(bars, index, n, floor, g):
+    """dim H_n(F_g, F_{floor - 1}) read off a barcode by the long exact
+    sequence of the pair: the n-bars born in floor..g and alive after g,
+    plus the (n-1)-bars born before floor that die in floor..g.  Births
+    and deaths are taken as grade indices through ``index``."""
+    born = lambda b: index[b.birth]
+    dies = lambda b: math.inf if b.death == INF else index[b.death]
+    return (sum(1 for b in bars if b.degree == n
+                and floor <= born(b) <= g < dies(b))
+            + sum(1 for b in bars if b.degree == n - 1
+                  and born(b) < floor <= dies(b) <= g))
+
+
+def test_criterion_13_localized_field_tables_are_relative_persistence():
+    """Over a field the sieve with floor f at grade g is the quotient
+    F_g / F_{f-1} of the filtered nerve, so its table is relative
+    homology, read off the one global barcode.  Checked under the strict,
+    empty and a random custom sieve, over GF(2) and GF(3), on random
+    honest and asymmetric spaces."""
+    started = time.time()
+    rng = random.Random(167)
+    checked = 0
+    for make in (random_honest_space, random_vgraph):
+        for _ in range(5):
+            X = make(rng, rng.randint(3, 5))
+            for p in (1.0, 2.0, INF):
+                fc = enumerate_complex(X, p, 3)
+                index = {v: g for g, v in enumerate(fc.grades)}
+                floors = random_floors(rng, len(fc.grades))
+                for q in (2, 3):
+                    bars = persistence_barcode(fc, 2, Coefficients(q)).bars
+                    for sieve in (STRICT, GLOBAL,
+                                  SieveSpec(CUSTOM_GRID, floors)):
+                        table = {(h.grade, h.degree): h.rank for h in
+                                 homology_table(fc, range(3), sieve,
+                                                Coefficients(q))}
+                        for g in range(len(fc.grades)):
+                            for n in range(3):
+                                assert table.get((fc.grades[g], n), 0) == \
+                                    _relative_count(bars, index, n,
+                                                    sieve.floor(g), g)
+                                checked += 1
+    assert time.time() - started < 30
+    report(13, True, f"localized tables over GF(2) and GF(3) equal the "
+           f"relative persistence counts of the barcode in {checked} cells "
+           f"(strict, empty and custom sieves)", started)
 
 
 def _localized_euler(X, p, fc, count):

@@ -16,9 +16,10 @@ import lpnerve.cli
 from lpnerve import homology, io
 from lpnerve.chain import STRICT_PREDECESSORS, SieveSpec, generators_at
 from lpnerve.cli import main
-from lpnerve.homology import (Barcode, Coefficients, _divisibility_fixup,
-                              magnitude_homology, persistence_barcode)
+from lpnerve.homology import (Barcode, Coefficients, magnitude_homology,
+                              persistence_barcode)
 from lpnerve.nerve import enumerate_complex
+from lpnerve.snf import _divisibility_fixup
 from lpnerve.values import EPS, INF
 from lpnerve.vgraph import VGraph, asymmetrize
 from util import random_honest_space, random_vgraph
@@ -217,12 +218,19 @@ def test_mh_is_homology_strict_z(capsys, tmp_path):
 
 
 def test_each_boundary_built_once(capsys, monkeypatch, tmp_path):
+    """The empty sieve builds each d_n once per grade; the strict sieve
+    builds it once for all grades."""
     built = []
     real = homology.boundary_matrix
+    real_strict = homology.strict_boundary
 
     def counting(fc, degree, g, sieve):
         built.append((g, degree))
         return real(fc, degree, g, sieve)
+
+    def counting_strict(fc, degree, grades=None):
+        built.append(("every grade", degree))
+        return real_strict(fc, degree, grades)
 
     def check(run):
         built.clear()
@@ -230,6 +238,7 @@ def test_each_boundary_built_once(capsys, monkeypatch, tmp_path):
         assert built and len(built) == len(set(built))
 
     monkeypatch.setattr(homology, "boundary_matrix", counting)
+    monkeypatch.setattr(homology, "strict_boundary", counting_strict)
     rng = random.Random(73)
     for k in range(3):
         X = random_honest_space(rng, 5)

@@ -5,19 +5,24 @@ import random
 import numpy as np
 import pytest
 
-from lpnerve.chain import (EMPTY, STRICT_PREDECESSORS, SieveSpec,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
                            boundary_matrix, generators_at)
-from lpnerve import homology
+from lpnerve import snf as snf_module
 from lpnerve.homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
-                              HomologySummary, _divisibility_fixup,
-                              _eliminate, _rank, homology_at, magnitude_homology,
+                              HomologySummary, _rank, homology_at,
+                              homology_table, magnitude_homology,
                               persistence_barcode, smith_normal_form,
                               vr_oracle)
+from lpnerve.snf import _eliminate
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF, InputError
 from lpnerve.vgraph import VGraph, asymmetrize, free_category
-from util import (columns_to_dense, dense_to_columns, magnitude_series,
-                  random_honest_space, random_l1_space, random_vgraph)
+from util import (dense_to_columns, magnitude_series, random_floors,
+                  random_honest_space, random_l1_space, random_vgraph,
+                  whole_matrix_snf, whole_matrix_table)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -78,13 +83,6 @@ def test_snf_divisibility_random():
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
         assert rank == np.linalg.matrix_rank(np.array(M, dtype=float))
-
-
-def whole_matrix_snf(col_rows, col_coeffs):
-    """Reference: the elimination loop on the whole matrix as one block."""
-    nrows = max((max(rows) + 1 for rows in col_rows if rows), default=0)
-    divisors = _eliminate(columns_to_dense((col_rows, col_coeffs), nrows))
-    return len(divisors), _divisibility_fixup(divisors)
 
 
 def test_snf_blockwise_matches_whole_matrix_random():
@@ -185,24 +183,93 @@ def test_snf_sparse_columns_with_planted_coprime_torsion():
         assert whole_matrix_snf(*cols) == expected
 
 
-def test_tables_match_whole_matrix_snf(monkeypatch):
+def test_tables_match_whole_matrix_snf():
+    """The tables equal the plain computation: per-grade boundaries, each
+    eliminated whole (``util.whole_matrix_table``)."""
     rng = random.Random(29)
     spaces = [random_honest_space(rng, 4), random_honest_space(rng, 4),
               random_vgraph(rng, 4), random_vgraph(rng, 4)]
     for X in spaces:
         for p in (1.0, 2.0, INF):
             fc = enumerate_complex(X, p, 3)
+            assert magnitude_homology(X, p, [0, 1, 2]) == \
+                whole_matrix_table(fc, [0, 1, 2], STRICT)
+            for g in range(len(fc.grades)):
+                for n in (0, 1, 2):
+                    rows = whole_matrix_table(fc, [n], GLOBAL, [g])
+                    assert homology_at(fc, n, g, GLOBAL) == (
+                        rows[0] if rows else HomologySummary(fc.grades[g], n, 0))
 
-            def tables():
-                mh = magnitude_homology(X, p, [0, 1, 2])
-                glob = [homology_at(fc, n, g, GLOBAL)
-                        for g in range(len(fc.grades)) for n in (0, 1, 2)]
-                return mh, glob
 
-            blockwise = tables()
-            with monkeypatch.context() as m:
-                m.setattr(homology, "smith_normal_form", whole_matrix_snf)
-                assert tables() == blockwise
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       make=st.sampled_from([random_honest_space, random_l1_space,
+                             random_vgraph]),
+       n=st.integers(2, 4), p=st.sampled_from([1.0, 2.0, INF]))
+def test_tables_match_whole_matrix_snf_on_random_spaces(seed, make, n, p):
+    """Over Z, under the empty, strict and a random custom sieve."""
+    rng = random.Random(seed)
+    fc = enumerate_complex(make(rng, n), p, 3)
+    custom = SieveSpec(CUSTOM_GRID, random_floors(rng, len(fc.grades)))
+    for sieve in (GLOBAL, STRICT, custom):
+        assert homology_table(fc, [0, 1, 2], sieve) == \
+            whole_matrix_table(fc, [0, 1, 2], sieve)
+
+
+def test_torsion_that_shows_only_after_unit_elimination():
+    """Every entry is a unit, and the torsion is in the residue the unit
+    pivots leave: [[1, 1], [1, -1]] leaves the 1x1 residue 2, and the 3x3
+    matrix below, diag(1, [[2, 2], [2, -2]]) with its first row and column
+    added to the others, leaves a 2x2 block for the dense elimination."""
+    M = dense_to_columns([[1, 1], [1, -1]])
+    assert smith_normal_form(*M) == (2, [1, 2])
+    assert _rank(M, INTEGERS) == (2, (2,))
+    sides = []
+
+    def recording(a):
+        sides.append((len(a), len(a[0])))
+        return _eliminate(a)
+
+    M = dense_to_columns([[1, 1, 1], [1, 3, 3], [1, 3, -1]])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(snf_module, "_eliminate", recording)
+        assert smith_normal_form(*M) == (3, [1, 2, 4])
+    assert sides == [(2, 2)]
+    assert whole_matrix_snf(*M) == (3, [1, 2, 4])
+
+
+def test_snf_matches_whole_matrix_on_sparse_small_entries():
+    """Sparse matrices with entries in -3..3: units, fill and a residue."""
+    rng = random.Random(43)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        density = rng.uniform(0.1, 0.6)
+        M = [[rng.randint(-3, 3) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        assert snf(M) == whole_matrix_snf(*dense_to_columns(M))
+
+
+def test_large_boundaries_leave_no_large_dense_block(monkeypatch):
+    """Unit pivots take the boundaries that made ``_eliminate`` rescan large
+    dense blocks: the empty sieve at p = 1 on 7 points, and the strict
+    sieve at p = inf on the space of the first ph_inf benchmark input of
+    seed 11 (14 points, up to the names and order of its vertices).  Each
+    took seconds before; no block larger than 4 on a side may reach the
+    dense loop now."""
+    sides = []
+
+    def recording(a):
+        sides.append(max(len(a), len(a[0])))
+        return _eliminate(a)
+
+    monkeypatch.setattr(snf_module, "_eliminate", recording)
+    for X, p, sieve in [
+            (random_honest_space(random.Random(7), 7), 1.0, GLOBAL),
+            (random_honest_space(random.Random("ph_inf:11"), 14), INF, STRICT)]:
+        fc = enumerate_complex(X, p, 3)
+        rows = homology_table(fc, [0, 1, 2], sieve)
+        assert rows and all(r.rank >= 0 for r in rows)
+    assert max(sides, default=0) <= 4
 
 
 def test_rank_planted_torsion():

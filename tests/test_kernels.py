@@ -107,6 +107,26 @@ def test_out_of_contract_input_raises(backend, col_rows, col_coeffs, q, error,
         backend.reduce_columns(col_rows, col_coeffs, q)
 
 
+def test_sparse_huge_rows(backend):
+    """Rows far above the number of nonzeros: the compiled kernel
+    renumbers them instead of sizing its pivot table by the largest row
+    (which once raised MemoryError), and both backends give the rows back
+    as they came in."""
+    assert backend.reduce_columns([[1 << 62]], [[1]], 2) == [1 << 62]
+    assert backend.reduce_columns([[5, (1 << 63) - 1], [(1 << 63) - 1]],
+                                  [[1, 1], [1]], 2) == [(1 << 63) - 1, 5]
+    rng = random.Random(79)
+    pool = sorted(rng.sample(range(1 << 62), 12))
+    for q in (2, 3, 7):
+        for _ in range(20):
+            col_rows = [sorted(rng.sample(pool, rng.randint(0, 4)))
+                        for _ in range(rng.randint(1, 15))]
+            col_coeffs = [[rng.choice((-1, 1)) * rng.randint(1, q - 1)
+                           for _ in rows] for rows in col_rows]
+            assert backend.reduce_columns(col_rows, col_coeffs, q) == \
+                _reduction_py.reduce_columns(col_rows, col_coeffs, q)
+
+
 def test_build_without_a_compiler_falls_back(tmp_path):
     """The kernel is optional: with a C compiler that always fails, the
     build still succeeds, and the package it builds runs in Python."""

@@ -13,6 +13,8 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from lpnerve.chain import boundary_matrix, generators_at
+from lpnerve.homology import HomologySummary
+from lpnerve.snf import _divisibility_fixup, _eliminate
 from lpnerve.values import EPS, INF, close, tensor_fold
 from lpnerve.vgraph import GraphMorphism, VGraph, check_morphism, free_category
 
@@ -79,6 +81,15 @@ def random_l1_space(rng: random.Random, n: int) -> VGraph:
     """Possibly asymmetric space closed under the additive inequality."""
     X = random_vgraph(rng, n, alphabet=(0.5, 1.0, 1.5, 2.0, 2.5, INF))
     return free_category(X, 1.0)
+
+
+def random_floors(rng: random.Random, count: int) -> List[int]:
+    """Floors of a random custom sieve over ``count`` grade indices: never
+    falling, and at most g at grade index g."""
+    floors: List[int] = []
+    for g in range(count):
+        floors.append(max(floors[-1] if floors else 0, rng.randint(0, g)))
+    return floors
 
 
 # -- independent birth-grade oracles ----------------------------------
@@ -268,6 +279,35 @@ def columns_to_dense(cols: Tuple[List[List[int]], List[List[int]]],
         for i, v in zip(rows, coeffs):
             entries[i][j] = v
     return entries
+
+
+def whole_matrix_snf(col_rows, col_coeffs) -> Tuple[int, List[int]]:
+    """Rank and invariant factors from the dense elimination loop
+    ``snf._eliminate`` run on the whole matrix as one block."""
+    nrows = max((max(rows) + 1 for rows in col_rows if rows), default=0)
+    divisors = _eliminate(columns_to_dense((col_rows, col_coeffs), nrows))
+    return len(divisors), _divisibility_fixup(divisors)
+
+
+def whole_matrix_table(fc, degrees: Sequence[int], sieve,
+                       grades=None) -> List[HomologySummary]:
+    """``homology.homology_table`` over Z computed the plain way: every
+    d_n built per grade by ``boundary_matrix`` and ranked by
+    ``whole_matrix_snf``, with no unit pivots and no blocks."""
+    degrees = sorted(set(degrees))
+    out = []
+    for g in range(len(fc.grades)) if grades is None else grades:
+        snf = {0: (0, [])}
+        for k in range(1, degrees[-1] + 2):
+            snf[k] = whole_matrix_snf(*boundary_matrix(fc, k, g, sieve))
+        for n in degrees:
+            gens = len(generators_at(fc, n, g, sieve))
+            if gens:
+                rank_upper, divisors = snf[n + 1]
+                out.append(HomologySummary(
+                    fc.grades[g], n, gens - snf[n][0] - rank_upper,
+                    tuple(d for d in divisors if d > 1)))
+    return out
 
 
 def dense_boundary(fc, degree: int, g: int, sieve) -> np.ndarray:
