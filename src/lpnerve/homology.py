@@ -160,25 +160,21 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
     if sieve.kind == STRICT_PREDECESSORS:
         for k in {k for n in degrees for k in (n, n + 1)} - {0}:
             strict[k] = _strict_ranks(fc, k, grades, coefficients)
-    ranks = {}  # (g, k) -> rank and torsion of d_k at grade index g
-
-    def rank_of(g: int, k: int) -> Tuple[int, Tuple[int, ...]]:
-        if k == 0:
-            return 0, ()
-        if k in strict:
-            return strict[k][g]
-        if (g, k) not in ranks:
-            ranks[g, k] = _rank(boundary_matrix(fc, k, g, sieve), coefficients)
-        return ranks[g, k]
-
     out: List[HomologySummary] = []
     for g in range(len(fc.grades)) if grades is None else grades:
+        ranks = {0: (0, ())}  # k -> rank and torsion of d_k at grade g
+        for k in strict:
+            ranks[k] = strict[k][g]
         for n in degrees:
             gens = generators_at(fc, n, g, sieve)
             if not len(gens):
                 continue  # an empty chain group has zero homology
-            rank_upper, torsion = rank_of(g, n + 1)
-            rank = len(gens) - rank_of(g, n)[0] - rank_upper
+            for k in (n, n + 1):
+                if k not in ranks:
+                    ranks[k] = _rank(boundary_matrix(fc, k, g, sieve),
+                                     coefficients)
+            rank_upper, torsion = ranks[n + 1]
+            rank = len(gens) - ranks[n][0] - rank_upper
             out.append(HomologySummary(fc.grades[g], n, rank, torsion))
     return out
 

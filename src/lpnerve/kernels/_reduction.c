@@ -13,18 +13,15 @@
  * Columns are reduced left to right.  While the lowest row of column j is
  * the low of an earlier column k, the multiple of column k that cancels
  * it is added to column j.  The column with a given low is looked up in a
- * table indexed by row.  Where the largest row is far above the number of
- * nonzeros, the distinct rows are first renumbered 0, 1, ... in order (so
- * the table stays as small as the input, and the lows are mapped back).
+ * hash table keyed by row, with two slots per column, so any row below
+ * 2^63 costs the same.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 #define MAX_ORDER ((int64_t)1 << 31)
-/* rows are renumbered above SPARSE_ROWS * nonzeros + DIRECT_ROWS rows */
-#define SPARSE_ROWS 4
-#define DIRECT_ROWS 4096
 
 typedef struct {
     int64_t *rows;
@@ -168,44 +165,37 @@ done:
     return status;
 }
 
-static int compare_rows(const void *a, const void *b)
-{
-    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
-}
+/* The column whose low is a given row: open addressing with linear
+   probing, at most half full, since each column has at most one low. */
+typedef struct {
+    int64_t *rows;  /* -1 marks an empty slot */
+    Py_ssize_t *cols;
+    size_t mask;
+} PivotTable;
 
-/* Renumber the rows of all columns by their rank among the distinct rows,
-   which are written to *distinct; their count, or -1 with an exception set. */
-static Py_ssize_t renumber_rows(Column *cols, Py_ssize_t ncols, size_t nnz,
-                                int64_t **distinct)
+static int pivots_init(PivotTable *t, Py_ssize_t ncols)
 {
-    int64_t *rows = PyMem_Malloc((nnz + 1) * sizeof(int64_t));
-    Py_ssize_t n = 0, m = 0;
-    if (rows == NULL) {
+    size_t size = 2;
+    while (size < 2 * (size_t)ncols)
+        size <<= 1;
+    t->rows = PyMem_Malloc(size * sizeof(int64_t));
+    t->cols = PyMem_Malloc(size * sizeof(Py_ssize_t));
+    if (t->rows == NULL || t->cols == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    for (Py_ssize_t j = 0; j < ncols; j++)
-        for (Py_ssize_t i = 0; i < cols[j].size; i++)
-            rows[n++] = cols[j].rows[i];
-    qsort(rows, n, sizeof(int64_t), compare_rows);
-    for (Py_ssize_t i = 0; i < n; i++)
-        if (m == 0 || rows[i] != rows[m - 1])
-            rows[m++] = rows[i];
-    for (Py_ssize_t j = 0; j < ncols; j++)
-        for (Py_ssize_t i = 0; i < cols[j].size; i++) {
-            Py_ssize_t lo = 0, hi = m;  /* the first distinct row >= this one */
-            while (lo < hi) {
-                Py_ssize_t mid = lo + (hi - lo) / 2;
-                if (rows[mid] < cols[j].rows[i])
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
-            cols[j].rows[i] = lo;
-        }
-    *distinct = rows;
-    return m;
+    memset(t->rows, 0xff, size * sizeof(int64_t));
+    t->mask = size - 1;
+    return 0;
+}
+
+/* the slot holding row, or the empty slot where it would go */
+static size_t pivot_slot(const PivotTable *t, int64_t row)
+{
+    size_t i = (size_t)(((uint64_t)row * 0x9E3779B97F4A7C15u) >> 32) & t->mask;
+    while (t->rows[i] != -1 && t->rows[i] != row)
+        i = (i + 1) & t->mask;
+    return i;
 }
 
 static PyObject *reduce_columns(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -214,10 +204,8 @@ static PyObject *reduce_columns(PyObject *self, PyObject *args, PyObject *kwargs
     PyObject *col_rows, *col_coeffs, *q_obj;
     PyObject *rows_seq = NULL, *coeffs_seq = NULL, *lows = NULL, *result = NULL;
     Column *cols = NULL, scratch = {0};
-    int64_t *pivot = NULL;  /* pivot[row] = 1 + the column whose low is row, or 0 */
-    int64_t *distinct = NULL;  /* the row numbered i is distinct[i], if renumbered */
+    PivotTable pivots = {0};
     Py_ssize_t ncols = 0;
-    size_t nrows = 0, nnz = 0;
     int overflow;
 
     (void)self;
@@ -253,33 +241,22 @@ static PyObject *reduce_columns(PyObject *self, PyObject *args, PyObject *kwargs
         if (load_column(c, PyTuple_GET_ITEM(rows_seq, j),
                         PyTuple_GET_ITEM(coeffs_seq, j), q, j) < 0)
             goto done;
-        if (c->size > 0 && (size_t)c->rows[c->size - 1] >= nrows)
-            nrows = (size_t)c->rows[c->size - 1] + 1;
-        nnz += c->size;
     }
-    if (nrows > SPARSE_ROWS * nnz + DIRECT_ROWS) {
-        Py_ssize_t m = renumber_rows(cols, ncols, nnz, &distinct);
-        if (m < 0)
-            goto done;
-        nrows = m;
-    }
-    /* calloc, not a fill: a wide row range costs only the pages touched */
-    pivot = PyMem_Calloc(nrows + 1, sizeof(int64_t));
-    if (pivot == NULL) {
-        PyErr_NoMemory();
+    if (pivots_init(&pivots, ncols) < 0)
         goto done;
-    }
     lows = PyList_New(ncols);
     if (lows == NULL)
         goto done;
     for (Py_ssize_t j = 0; j < ncols; j++) {
         Column *c = &cols[j];
         int64_t low = -1;
+        size_t slot = 0;
         while (c->size > 0) {
             low = c->rows[c->size - 1];
-            if (pivot[low] == 0)
+            slot = pivot_slot(&pivots, low);
+            if (pivots.rows[slot] == -1)
                 break;
-            const Column *k = &cols[pivot[low] - 1];
+            const Column *k = &cols[pivots.cols[slot]];
             int64_t factor = c->coeffs[c->size - 1]
                 * mod_inverse(k->coeffs[k->size - 1], q) % q;
             if (axpy(&scratch, c, k, q - factor, q) < 0)
@@ -288,12 +265,12 @@ static PyObject *reduce_columns(PyObject *self, PyObject *args, PyObject *kwargs
             *c = scratch;
             scratch = tmp;
         }
-        if (c->size > 0)
-            pivot[low] = j + 1;
-        else
+        if (c->size > 0) {
+            pivots.rows[slot] = low;
+            pivots.cols[slot] = j;
+        } else
             low = -1;
-        PyObject *item = PyLong_FromLongLong(
-            low < 0 || distinct == NULL ? low : distinct[low]);
+        PyObject *item = PyLong_FromLongLong(low);
         if (item == NULL)
             goto done;
         PyList_SET_ITEM(lows, j, item);
@@ -308,8 +285,8 @@ done:
     PyMem_Free(cols);
     PyMem_Free(scratch.rows);
     PyMem_Free(scratch.coeffs);
-    PyMem_Free(pivot);
-    PyMem_Free(distinct);
+    PyMem_Free(pivots.rows);
+    PyMem_Free(pivots.cols);
     Py_XDECREF(rows_seq);
     Py_XDECREF(coeffs_seq);
     Py_XDECREF(lows);

@@ -97,12 +97,16 @@ def _free_pivots(col: np.ndarray, row: np.ndarray, unit: np.ndarray,
     its row by dropping the row's other entries: its row is dropped.
     Either splits off an invariant factor 1 (see ``_unit_pivots``), and
     neither changes an entry that stays, so the steps repeat on what is
-    left until neither finds a pivot.
+    left.  Each round scans every entry left, so a round repeats only
+    after one that dropped over half of them: the scans then add up to
+    less than twice the entries, where a chain peeled a few pivots per
+    round would cost rounds x entries.  ``_unit_pivots`` takes the rest.
     """
     ncols, nrows = len(labels), int(row.max(initial=-1)) + 1
     units = np.zeros(nlabels, dtype=np.intp)
     left = np.arange(len(col))
     while True:
+        before = len(left)
         r = row[left]
         alone = left[unit[left] & (np.bincount(r, minlength=nrows)[r] == 1)]
         pivots = np.zeros(ncols, dtype=bool)
@@ -116,7 +120,7 @@ def _free_pivots(col: np.ndarray, row: np.ndarray, unit: np.ndarray,
         dropped = np.zeros(nrows, dtype=bool)
         dropped[cleared] = True
         left = left[~dropped[row[left]]]
-        if not pivots.any() and not len(cleared):
+        if 2 * len(left) >= before:
             return units, left
 
 

@@ -16,7 +16,7 @@ from lpnerve.homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
                               homology_table, magnitude_homology,
                               persistence_barcode, smith_normal_form,
                               vr_oracle)
-from lpnerve.snf import _eliminate
+from lpnerve.snf import _eliminate, _unit_pivots
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF, InputError
 from lpnerve.vgraph import VGraph, asymmetrize, free_category
@@ -247,6 +247,25 @@ def test_snf_matches_whole_matrix_on_sparse_small_entries():
         M = [[rng.randint(-3, 3) if rng.random() < density else 0
               for _ in range(cols)] for _ in range(rows)]
         assert snf(M) == whole_matrix_snf(*dense_to_columns(M))
+
+
+def test_whole_array_steps_stop_when_a_round_takes_little(monkeypatch):
+    """The boundary of a path with n edges has two units alone in their
+    row per round, so peeling it in whole-array rounds takes n / 2 rounds
+    over every entry left.  The rounds stop after the first, which drops
+    only the 4 entries of the end edges, and the one-at-a-time pivots take
+    the other 2n - 4."""
+    handed = []
+
+    def recording(cols):
+        handed.append(sum(len(col) for col in cols.values()))
+        return _unit_pivots(cols)
+
+    monkeypatch.setattr(snf_module, "_unit_pivots", recording)
+    n = 2000
+    assert smith_normal_form([[i, i + 1] for i in range(n)],
+                             [[-1, 1]] * n) == (n, [1] * n)
+    assert handed == [2 * n - 4]
 
 
 def test_large_boundaries_leave_no_large_dense_block(monkeypatch):

@@ -108,10 +108,10 @@ def test_out_of_contract_input_raises(backend, col_rows, col_coeffs, q, error,
 
 
 def test_sparse_huge_rows(backend):
-    """Rows far above the number of nonzeros: the compiled kernel
-    renumbers them instead of sizing its pivot table by the largest row
-    (which once raised MemoryError), and both backends give the rows back
-    as they came in."""
+    """Rows far above the number of nonzeros: the compiled kernel keys
+    its pivot table by row instead of indexing it by row (sized by the
+    largest row, which once raised MemoryError), and both backends give
+    the rows back as they came in."""
     assert backend.reduce_columns([[1 << 62]], [[1]], 2) == [1 << 62]
     assert backend.reduce_columns([[5, (1 << 63) - 1], [(1 << 63) - 1]],
                                   [[1, 1], [1]], 2) == [(1 << 63) - 1, 5]
