@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input error, 3 tuple budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -82,6 +83,7 @@ def _add_common(sub: argparse.ArgumentParser, default_p: Optional[str],
                      help="output path (default stdout)")
 
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpnerve",

@@ -26,7 +26,8 @@ exactly one grade.
 ``BLOCK`` rows and carries the dynamic program down: a tuple's chain
 values are those of its prefix plus one new entry, so no birth is
 recomputed from scratch.  ``membership_scale`` computes one birth on its
-own and is the reference the search agrees with bit for bit.
+own and is the reference the search agrees with bit for bit.  It finds
+each degree in lexicographic order, so sorting by birth alone is enough.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ class FilteredComplex:
         from v is deleting i from the prefix and appending the last vertex.
         A row one degree down is keyed by (its prefix row) * n + (its last
         vertex), below (rows two degrees down) * n + n, so no key overflows.
+        The rows with prefix F start at ``start[F]`` in key order, and in a
+        complete space (F, v) is at ``start[F] + v - (v > last(F))``: each
+        guess is checked by its key and only the misses are searched for.
         """
         table = self._faces.get(degree)
         if table is not None:
@@ -117,16 +121,25 @@ class FilteredComplex:
             below = self.tuples[degree - 1]
             keys = self.prefix[degree - 1] * n + below[:, -1]
             order = np.argsort(keys, kind="stable")
-            keys = np.append(keys[order], -1)  # -1 matches no face
-            order = np.append(order, -1)
+            # n entries of -1 past the end take any guess and match no face
+            keys = np.concatenate([keys[order], np.full(n, -1)])
+            order = np.concatenate([order, np.full(n, -1)])
+            counts = np.bincount(self.prefix[degree - 1],
+                                 minlength=len(self.tuples[degree - 2]))
+            start = np.cumsum(counts) - counts
+            tail = self.tuples[degree - 2][:, -1].astype(np.intp)
             last = level[:, -1].astype(np.intp)
             inner = self.faces(degree - 1)
             for i in range(degree):  # one column at a time bounds the scratch
                 face = inner[self.prefix[degree], i]
                 want = face * n + last
-                pos = np.searchsorted(keys[:-1], want)
-                hit = (face >= 0) & (keys[pos] == want)
-                table[:, i] = np.where(hit, order[pos], -1)
+                ends = tail[face]
+                pos = start[face] + last - (last > ends)
+                # a face of -1 or ending in a repeat is in no row: no search
+                miss = np.flatnonzero((keys[pos] != want) & (face >= 0)
+                                      & (ends != last))
+                pos[miss] = np.searchsorted(keys[:len(below)], want[miss])
+                table[:, i] = np.where(keys[pos] == want, order[pos], -1)
         self._faces[degree] = table
         return table
 
@@ -196,9 +209,11 @@ def _python_power(values: np.ndarray, exponent: float) -> np.ndarray:
 
 def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
             ) -> List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """All finite-birth nondegenerate tuples, per degree, in unsorted
-    chunks: the vertex matrix, the top chain value and the prefix row of
-    each tuple, rows numbered in search order.
+    """All finite-birth nondegenerate tuples, per degree, in chunks: the
+    vertex matrix, the top chain value and the prefix row of each tuple,
+    rows numbered in search order, which is lexicographic (the birth sort
+    of ``enumerate_complex`` relies on it): blocks of each degree are
+    popped in row order and a row's children in next-vertex order.
 
     A block's reach matrix holds, per row and vertex v, the longest-chain
     value (p-th-power domain; plain max at p = inf) of the row extended by
@@ -299,7 +314,7 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
         verts, top, parent = (np.concatenate(parts) for parts in zip(*found[k]))
         found[k] = None  # drop the chunks once joined
         birth = top if at_inf else _python_power(top, 1.0 / p)
-        order = np.lexsort((*verts.T[::-1], birth))
+        order = np.argsort(birth, kind="stable")  # rows are lexicographic
         tuples.append(verts[order])
         births.append(birth[order])
         # parents were numbered in search order; renumber them sorted

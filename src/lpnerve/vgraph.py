@@ -105,7 +105,6 @@ class GraphMorphism:
 @dataclass
 class ValidationReport:
     violations: List[str] = field(default_factory=list)
-    flags: set = field(default_factory=set)
 
     @property
     def ok(self) -> bool:
@@ -119,7 +118,8 @@ def tolerance(X: VGraph, eps: float = EPS) -> float:
 
 
 def validate(X: VGraph, eps: float = EPS) -> ValidationReport:
-    """Report structural violations and classify symmetry/strictness."""
+    """Report structural violations: a nonzero diagonal, missing or
+    negative entries."""
     report = ValidationReport()
     n = len(X)
     for i, v in enumerate(X.vertices):
@@ -133,9 +133,6 @@ def validate(X: VGraph, eps: float = EPS) -> ValidationReport:
         elif r < -eps:
             report.violations.append(
                 f"negative entry at ({X.vertices[i]}, {X.vertices[j]})")
-    if X.is_symmetric(eps):
-        report.flags.add("symmetric")
-    report.flags.add("strict" if X.is_strict(eps) else "non-strict")
     return report
 
 
@@ -331,23 +328,9 @@ def asymmetrize(X: VGraph, order: Sequence[str] | None = None) -> VGraph:
         order = list(X.vertices)
     if sorted(order) != sorted(X.vertices):
         raise InputError("order must be a permutation of the vertices")
-    rank = {v: i for i, v in enumerate(order)}
-    n = len(X)
-    mat = X.dist.copy()
-    for i, a in enumerate(X.vertices):
-        for j, b in enumerate(X.vertices):
-            if rank[a] > rank[b]:
-                mat[i, j] = INF
+    position = {v: i for i, v in enumerate(order)}
+    rank = np.array([position[v] for v in X.vertices])
+    mat = np.where(rank[:, None] > rank, INF, X.dist)
     np.fill_diagonal(mat, 0.0)
     return VGraph(list(X.vertices), mat)
 
-
-def graphs_equal(X: VGraph, Y: VGraph, eps: float = EPS) -> bool:
-    """Same vertex list and elementwise-equal distances (up to eps)."""
-    if X.vertices != Y.vertices:
-        return False
-    both_inf = np.isinf(X.dist) & np.isinf(Y.dist)
-    diff_ok = np.abs(np.where(np.isfinite(X.dist), X.dist, 0.0)
-                     - np.where(np.isfinite(Y.dist), Y.dist, 0.0)) <= eps
-    same_finiteness = np.isinf(X.dist) == np.isinf(Y.dist)
-    return bool(np.all(same_finiteness & (both_inf | diff_ok)))

@@ -28,11 +28,11 @@ from lpnerve.nerve import enumerate_complex, membership_scale
 from lpnerve.values import INF, close
 from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism, coequalizer,
                             coproduct, delta_path, equalizer, free_category,
-                            gamma_path, graphs_equal, is_enriched_category,
-                            product, tolerance)
+                            gamma_path, is_enriched_category, product,
+                            tolerance)
 from util import (columns_to_dense, coproduct_injections, decode_codes,
                   dense_boundary, dense_to_columns, direct_local_boundary,
-                  direct_local_generators, index_at, levels,
+                  direct_local_generators, graphs_equal, index_at, levels,
                   magnitude_series, morphisms, orbit_representatives,
                   p_closure, path_closure, product_projections,
                   random_floors, random_honest_space, random_l1_space,

@@ -616,6 +616,23 @@ def test_exit_code_bad_json(capsys, tmp_path, command, name, text):
     assert "Traceback" not in err
 
 
+def test_one_parser_serves_every_call(capsys, c4_path):
+    """main builds its parser once per process, and calls that alternate
+    subcommands and flags print and exit as fresh processes do."""
+    assert lpnerve.cli.build_parser() is lpnerve.cli.build_parser()
+    for argv in (["mh", c4_path, "--p", "2"], ["mh", c4_path], ["ph", c4_path],
+                 ["mh", c4_path, "--format", "svg"], ["mh", c4_path, "--p", "2"],
+                 ["mh", c4_path]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = run_cli(argv)
+        assert (code, out.out, out.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 def test_automaton_input_help(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["automaton", "--help"])

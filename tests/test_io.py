@@ -9,8 +9,8 @@ from lpnerve import io
 from lpnerve.homology import Bar, Barcode, HomologySummary
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF, InputError
-from lpnerve.vgraph import VGraph, graphs_equal
-from util import random_honest_space
+from lpnerve.vgraph import VGraph
+from util import graphs_equal, random_honest_space
 
 
 def sample_graph():

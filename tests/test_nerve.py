@@ -5,13 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lpnerve import nerve
 from lpnerve.nerve import enumerate_complex, grade_clusters, membership_scale
 from lpnerve.values import INF, BudgetExceededError, InputError, close
 from lpnerve.vgraph import VGraph, free_category
-from util import (dense_face_table, is_degenerate, levels,
+from util import (dense_face_table, is_degenerate, levels, lexsorted_complex,
                   membership_scale_category, random_honest_space,
-                  random_l1_space, random_vgraph, search, sigma_oracle)
+                  random_l1_space, random_vgraph, search, searched_faces,
+                  sigma_oracle)
 
 
 def test_is_degenerate():
@@ -303,3 +307,59 @@ def test_search_reach_memory_is_blocked():
         n * (size - 1) ** k for k in range(max_dim + 1)]
     full_reach = len(fc.tuples[max_dim - 1]) * n * 8  # one float64 per cell
     assert 4 * peak <= full_reach
+
+
+@st.composite
+def spaces(draw):
+    """1 to 6 points: honest, l1 (possibly asymmetric) or arbitrary
+    asymmetric spaces, the last two with infinite distances."""
+    make = draw(st.sampled_from(
+        [random_honest_space, random_l1_space, random_vgraph]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return make(rng, draw(st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(X=spaces(), p=st.sampled_from([1.0, 2.0, INF]),
+       max_dim=st.integers(0, 4), block=st.integers(1, 5))
+def test_birth_sort_and_face_guess_match_the_full_sorts(X, p, max_dim, block):
+    """Sorting by birth alone gives the complex a full (birth, vertices)
+    sort gives, and the guessed face rows are the binary-searched ones,
+    dtypes included, whatever order the search visits its blocks in."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nerve, "BLOCK", block)
+        fc = enumerate_complex(X, p, max_dim, budget=None)
+        want = lexsorted_complex(X, p, max_dim)
+    for name in ("tuples", "births", "prefix", "grade", "starts"):
+        for a, b in zip(getattr(fc, name), getattr(want, name), strict=True):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+    assert fc.grades == want.grades
+    for degree in range(1, max_dim + 1):
+        a, b = fc.faces(degree), searched_faces(want, degree)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_face_lookup_memory_is_linear():
+    """1000 pairs of points, infinitely far apart, at max_dim 3: 2000 rows
+    per degree, so a lookup table of (prefix rows) x n cells would take
+    some 30 MB, where the face tables need well under 2 MB."""
+    n = 2000
+    dist = np.full((n, n), INF)
+    for lo in range(0, n, 2):
+        dist[lo:lo + 2, lo:lo + 2] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    fc = enumerate_complex(VGraph([f"x{i:04d}" for i in range(n)], dist),
+                           1.0, 3, budget=None)
+    assert [len(level) for level in fc.tuples] == [n] * 4
+    tracemalloc.start()
+    try:
+        for degree in range(1, 4):
+            fc.faces(degree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    for degree in range(1, 4):
+        assert np.array_equal(fc.faces(degree), searched_faces(fc, degree))

@@ -8,9 +8,9 @@ import pytest
 from lpnerve.values import INF, InputError
 from lpnerve.vgraph import (GraphMorphism, VGraph, asymmetrize, check_morphism,
                             coequalizer, coproduct, delta_path, equalizer,
-                            free_category, gamma_path, graphs_equal,
-                            is_enriched_category, product, validate)
-from util import morphisms, random_honest_space, random_vgraph
+                            free_category, gamma_path, is_enriched_category,
+                            product, validate)
+from util import graphs_equal, morphisms, random_honest_space, random_vgraph
 
 
 def two_points(d_ab=1.0, d_ba=1.0):

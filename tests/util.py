@@ -14,9 +14,12 @@ import numpy as np
 
 from lpnerve.chain import boundary_matrix, generators_at
 from lpnerve.homology import HomologySummary
+from lpnerve.nerve import (FilteredComplex, _expand, _python_power,
+                           grade_clusters)
 from lpnerve.snf import _divisibility_fixup, _eliminate
 from lpnerve.values import EPS, INF, close, tensor_fold
-from lpnerve.vgraph import GraphMorphism, VGraph, check_morphism, free_category
+from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism,
+                            free_category, tolerance)
 
 #: the kernel sources: the C reduction and its pure-Python twin
 KERNELS = pathlib.Path(__file__).resolve().parents[1] / "src" / "lpnerve" / "kernels"
@@ -81,6 +84,17 @@ def random_l1_space(rng: random.Random, n: int) -> VGraph:
     """Possibly asymmetric space closed under the additive inequality."""
     X = random_vgraph(rng, n, alphabet=(0.5, 1.0, 1.5, 2.0, 2.5, INF))
     return free_category(X, 1.0)
+
+
+def graphs_equal(X: VGraph, Y: VGraph, eps: float = EPS) -> bool:
+    """Same vertex list and elementwise-equal distances (up to eps)."""
+    if X.vertices != Y.vertices:
+        return False
+    both_inf = np.isinf(X.dist) & np.isinf(Y.dist)
+    diff_ok = np.abs(np.where(np.isfinite(X.dist), X.dist, 0.0)
+                     - np.where(np.isfinite(Y.dist), Y.dist, 0.0)) <= eps
+    same_finiteness = np.isinf(X.dist) == np.isinf(Y.dist)
+    return bool(np.all(same_finiteness & (both_inf | diff_ok)))
 
 
 def random_floors(rng: random.Random, count: int) -> List[int]:
@@ -247,6 +261,59 @@ def dense_face_table(fc, degree: int) -> np.ndarray:
             face = verts[:i] + verts[i + 1:]
             if not is_degenerate(face):
                 table[r, i] = index[face]
+    return table
+
+
+def lexsorted_complex(X: VGraph, p: float, max_dim: int,
+                      eps: float = EPS) -> FilteredComplex:
+    """``enumerate_complex`` with each degree put in order by a full sort on
+    (birth, vertices), which does not rely on the search order."""
+    names = sorted(X.vertices)
+    perm = [X.index(v) for v in names]
+    d = X.dist[np.ix_(perm, perm)]
+    w = d if p == INF else _python_power(d, p)
+    tuples, births, prefix = [], [], []
+    for k, parts in enumerate(_expand(w, p == INF, max_dim, INF)):
+        verts, top, parent = (np.concatenate(part) for part in zip(*parts))
+        birth = top if p == INF else _python_power(top, 1.0 / p)
+        order = np.lexsort((*verts.T[::-1], birth))
+        tuples.append(verts[order])
+        births.append(birth[order])
+        prefix.append(rank[parent[order]] if k else parent)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+    grades = grade_clusters(np.concatenate([np.zeros(1), *births]),
+                            tolerance(X, eps), max(max_dim, 1))
+    grade = [np.searchsorted(grades, level, side="right") - 1
+             for level in births]
+    starts = [np.searchsorted(level, np.arange(len(grades) + 1))
+              for level in grade]
+    return FilteredComplex(X, p, max_dim, names, tuples, births, prefix,
+                           grade, grades, starts)
+
+
+def searched_faces(fc, degree: int) -> np.ndarray:
+    """``fc.faces(degree)`` by one binary search per face over the sorted
+    keys (prefix row) * n + (last vertex) of the rows one degree down."""
+    level = fc.tuples[degree]
+    table = np.empty(level.shape, dtype=np.intp)
+    table[:, degree] = fc.prefix[degree]
+    if degree == 1:
+        table[:, 0] = level[:, 1]
+        return table
+    n = len(fc.names)
+    keys = fc.prefix[degree - 1] * n + fc.tuples[degree - 1][:, -1]
+    order = np.argsort(keys, kind="stable")
+    keys = np.append(keys[order], -1)
+    order = np.append(order, -1)
+    last = level[:, -1].astype(np.intp)
+    inner = searched_faces(fc, degree - 1)
+    for i in range(degree):
+        face = inner[fc.prefix[degree], i]
+        want = face * n + last
+        pos = np.searchsorted(keys[:-1], want)
+        hit = (face >= 0) & (keys[pos] == want)
+        table[:, i] = np.where(hit, order[pos], -1)
     return table
 
 
