@@ -6,23 +6,22 @@ group is a set of rows of one degree of the columnar complex.  Grades are
 the integer grade indices the complex gave every tuple, and a sieve kills,
 at grade index g, every grade below its floor ``floor(g) <= g``, so the
 rows that survive have grade index in floor(g)..g.  Each degree is sorted
-by birth, so these rows are one contiguous run, read from the complex's
+by birth, so these rows are one contiguous slice, read from the complex's
 per-degree grade offsets (``FilteredComplex.starts``).  Every boundary is
 read from the complex's face-index table (``FilteredComplex.faces``),
 which holds for each tuple and deleted vertex the row of the face one
 degree down.
 
-A boundary has one format, sparse columns: per column, the increasing row
-indices of its nonzero entries and a parallel list of their coefficients.
-``columns`` is the one builder of that format, from rows of the face
-table and a mask of the faces kept; ``boundary_matrix`` calls it per
-grade and ``homology.persistence_barcode`` on the whole filtration.  The
-empty sieve kills nothing; the strict-predecessor sieve keeps only
-generators born exactly at the grade under inspection, which is the
-magnitude-style localization.  Under it a face survives only at its
-tuple's own grade, so a localized boundary is a direct sum of one block
-per grade, and ``strict_boundary`` gives the face table and mask of all
-of them at once, as one matrix.
+Every boundary is built by ``sieve_boundary`` for a run of consecutive
+grade indices, each after the first keeping only itself, as one slice of
+the face table with a mask of the faces kept: the direct sum of the
+boundaries at the run's grades.  The empty sieve kills nothing, so each
+grade is a run of its own; the strict-predecessor sieve, the
+magnitude-style localization, keeps only generators born exactly at the
+grade, so all its grades make one run.  ``boundary_matrix`` is a
+one-grade run renumbered to its generators, in the sparse column format
+of ``columns``: per column, the increasing row indices of its nonzero
+entries and a parallel list of their coefficients.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class SieveSpec:
     def floor(self, g: int) -> int:
         """The lowest grade index that survives at grade index g."""
         if self.kind == CUSTOM_GRID:
-            if g >= len(self.floors):
+            if not 0 <= g < len(self.floors):
                 raise InputError(f"grade index {g} is not on the sieve")
             return self.floors[g]
         return g if self.kind == STRICT_PREDECESSORS else 0
@@ -115,45 +114,45 @@ def generators_at(fc: FilteredComplex, degree: int, g: int,
     return np.arange(*_span(fc, degree, g, sieve))
 
 
+def sieve_boundary(fc: FilteredComplex, degree: int, first: int, last: int,
+                   sieve: SieveSpec
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boundaries d_degree at the grade indices ``first..last`` as one
+    matrix: the face table of its columns, the mask of the faces kept (the
+    form ``columns`` takes) and the grade index of each column.
+
+    Each grade index after ``first`` must keep only itself, so the columns
+    are one slice of the face table, taken with no copy: those at ``first``
+    (grade indices ``floor(first)..first``), then those of each later
+    grade.  A face is kept where it lies in the rows one degree down that
+    survive at its column's grade, so columns of different grades share
+    no row.
+    """
+    if degree < 1:
+        raise InputError("a boundary needs degree >= 1")
+    if any(sieve.floor(g) != g for g in range(first + 1, last + 1)):
+        raise InputError(f"grade indices {first}..{last} are not one run")
+    lo = _span(fc, degree, first, sieve)[0]
+    hi = _span(fc, degree, last, sieve)[1]
+    faces, grade = fc.faces(degree)[lo:hi], fc.grade[degree][lo:hi]
+    floor = sieve.floor(first)
+    if floor < first:
+        grade = np.maximum(grade, first)  # columns below first are at first
+    below = fc.starts[degree - 1]  # the rows of each grade one degree down
+    lowest = below.copy()  # the first row that survives at each grade
+    lowest[first] = below[floor]
+    keep = (faces >= lowest[grade, None]) & (faces < below[grade + 1, None])
+    return faces, keep, grade
+
+
 def boundary_matrix(fc: FilteredComplex, degree: int, g: int,
                     sieve: SieveSpec) -> Columns:
     """Alternating-face boundary from degree to degree-1 survivors at
-    grade index g.
+    grade index g: the one-grade ``sieve_boundary``, renumbered.
 
     Rows follow ``generators_at(degree - 1)`` and columns follow
     ``generators_at(degree)``; faces that are degenerate or killed by the
     sieve contribute zero.
     """
-    if degree < 1:
-        raise InputError("boundary_matrix requires degree >= 1")
-    lo, hi = _span(fc, degree, g, sieve)
-    faces = fc.faces(degree)[lo:hi]
-    lo, hi = _span(fc, degree - 1, g, sieve)
-    return columns(faces - lo, (faces >= lo) & (faces < hi))
-
-
-def strict_boundary(fc: FilteredComplex, degree: int,
-                    grades: Optional[Sequence[int]] = None
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The strict-sieve boundaries from ``degree`` to ``degree - 1`` at all
-    grade indices (or at those given) as one matrix: the face table of its
-    columns, the mask of the faces kept (the form ``columns`` takes) and
-    the grade index of each column.
-
-    A face is kept where it has its tuple's grade index, that is, where it
-    lies in the rows of that grade one degree down.  Rows are the
-    rows of degree - 1 in the complex, so the columns of different grades
-    share no row and the matrix is the direct sum of the per-grade
-    ``boundary_matrix`` blocks (up to the numbering of rows).
-    """
-    if degree < 1:
-        raise InputError("strict_boundary requires degree >= 1")
-    faces, grade = fc.faces(degree), fc.grade[degree]
-    if grades is not None:
-        starts = fc.starts[degree]
-        rows = np.concatenate([np.arange(starts[g], starts[g + 1])
-                               for g in grades] + [np.arange(0)])
-        faces, grade = faces[rows], grade[rows]
-    below = fc.starts[degree - 1]  # the rows of grade g one degree down
-    keep = (faces >= below[grade, None]) & (faces < below[grade + 1, None])
-    return faces, keep, grade
+    faces, keep, _ = sieve_boundary(fc, degree, g, g, sieve)
+    return columns(faces - fc.starts[degree - 1][sieve.floor(g)], keep)

@@ -4,19 +4,18 @@
 for every sieve and ring; ``magnitude_homology`` is its strict sieve over
 the integers and ``homology_at`` one cell of it.  Grades are the integer
 grade indices of the complex, so no birth is compared here; a row prints
-the value of its grade, ``fc.grades[g]``.  Each boundary is sliced from
-the complex's face-index tables to the rows ``generators_at`` keeps and
-handed over in the one sparse column format of ``chain.columns``; under
-the strict sieve a face survives only at its tuple's grade, so each d_n
-is built once for all grades (``chain.strict_boundary``) and ranked once,
-its ranks counted per column grade.  Integer ranks go through the one
+the value of its grade, ``fc.grades[g]``.  The grade indices split
+into runs that ``chain.sieve_boundary`` builds as one matrix each: one
+run for all grades under the strict sieve, one per grade under the empty
+sieve.  Each d_n is built once per run and ranked once (``_ranks``), its
+ranks counted per column grade.  Integer ranks go through the one
 exact Smith normal form of ``snf``.  The barcode pipeline orders all rows
 of all degrees by (grade index, degree, position within the degree),
 which is (grade, degree, birth, vertices), maps the same face tables into
 that order, and runs the standard column reduction over GF(q) (compiled
 kernel when available); a pair born and killed at the same grade index
-is no bar.  Field homology ranks each boundary with that same column
-reduction.  A classical Vietoris-Rips computation on unordered
+is no bar.  Field homology ranks each run's boundary with that same
+column reduction.  A classical Vietoris-Rips computation on unordered
 simplices, with its own self-contained mod-2 reduction, serves as an
 independent cross-check.
 """
@@ -31,12 +30,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .chain import (STRICT_PREDECESSORS, Columns, SieveSpec, boundary_matrix,
-                    columns, generators_at, strict_boundary)
+from .chain import STRICT_PREDECESSORS, SieveSpec, columns, sieve_boundary
 from .nerve import DEFAULT_BUDGET, FilteredComplex, enumerate_complex
-from .snf import smith_normal_form, smith_normal_forms
+from .snf import smith_normal_forms
 from .values import EPS, INF, InputError
 from .vgraph import VGraph, is_enriched_category, tolerance
+# not called here, but kept importable from this module, where the layer
+# tracer of ``pipebench/spans.py`` looks them up
+from .chain import boundary_matrix, generators_at  # noqa: F401
+from .snf import smith_normal_form  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -89,51 +91,27 @@ class Barcode:
 # -- graded homology --------------------------------------------------
 
 
-def _rank(cols: Columns, coefficients: Coefficients) -> Tuple[int, Tuple[int, ...]]:
-    """Rank and torsion of a boundary: over Z the Smith normal form rank
-    and the invariant factors above 1; over GF(q) the number of pivots of
-    the barcode column reduction, with no torsion."""
+def _ranks(faces: np.ndarray, keep: np.ndarray, grade: np.ndarray,
+           coefficients: Coefficients, ngrades: int
+           ) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Rank and torsion, at each grade index below ``ngrades``, of a
+    boundary from ``sieve_boundary``.  Its columns of different grades
+    share no row, so the pivots of the Smith normal form over Z, and of the
+    column reduction over GF(q), count per column grade.  Boundary signs
+    are +-1, never 0 mod q.
+    """
     q = coefficients.modulus
     if q is None:
-        rank, divisors = smith_normal_form(*cols)
-        return rank, tuple(d for d in divisors if d > 1)
-    # the reduction takes nonzero coefficients only
-    kept = [[(i, c) for i, c in zip(rows, coeffs) if c % q]
-            for rows, coeffs in zip(*cols)]
-    return len(_pivot_columns(([[i for i, _ in col] for col in kept],
-                               [[c for _, c in col] for col in kept]), q)), ()
-
-
-def _pivot_columns(cols: Columns, q: int) -> np.ndarray:
-    """The columns that keep a pivot in the column reduction over GF(q) of
-    columns with no coefficient divisible by q."""
-    lows = kernels.reduce_columns(*cols, q)
-    return np.flatnonzero(np.array(lows, dtype=np.int64) >= 0)
-
-
-def _strict_ranks(fc: FilteredComplex, degree: int,
-                  grades: Optional[Sequence[int]],
-                  coefficients: Coefficients
-                  ) -> List[Tuple[int, Tuple[int, ...]]]:
-    """``_rank`` of the strict-sieve boundary d_degree at every grade index
-    (0 at those not in ``grades``), from one matrix for all of them.
-
-    Its columns of different grades share no row, so the Smith normal
-    form counts its pivots per column grade, and the column reduction
-    reduces a column only by columns that share its lowest row.
-    """
-    faces, keep, grade = strict_boundary(fc, degree, grades)
-    n = len(fc.grades)
-    q = coefficients.modulus
-    if q is not None:
-        # a column with no entry has no pivot; signs of +-1 are never 0 mod q
-        live = keep.any(axis=1)
-        return [(int(rank), ()) for rank in np.bincount(grade[live][
-            _pivot_columns(columns(faces[live], keep[live]), q)], minlength=n)]
-    col, i = np.nonzero(keep)
-    return [(rank, tuple(d for d in divisors if d > 1))
-            for rank, divisors in smith_normal_forms(
-                col, faces[col, i], np.where(i % 2, -1, 1), grade, n)]
+        col, i = np.nonzero(keep)
+        return [(rank, tuple(d for d in divisors if d > 1))
+                for rank, divisors in smith_normal_forms(
+                    col, faces[col, i], np.where(i % 2, -1, 1), grade,
+                    ngrades)]
+    live = keep.any(axis=1)  # a column with no entry has no pivot
+    lows = kernels.reduce_columns(*columns(faces[live], keep[live]), q)
+    pivots = np.array(lows, dtype=np.int64) >= 0
+    return [(int(rank), ())
+            for rank in np.bincount(grade[live][pivots], minlength=ngrades)]
 
 
 def _check_degrees(degrees: List[int], max_dim: int) -> None:
@@ -150,32 +128,35 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
     """Homology rows over the grade indices (default all), one per degree
     with generators.
 
-    Under the strict sieve each boundary d_n is built and ranked once for
-    all grades (``strict_boundary``), as the direct sum of its per-grade
-    blocks; under the other sieves it is built and ranked once per grade.
+    The grade indices split into runs: g joins the run before it when it
+    follows that run's last grade and keeps only itself.  Each d_k is built
+    (``sieve_boundary``) and ranked once per run: once for all grades under
+    the strict sieve, once per grade under the empty sieve.
     """
     degrees = sorted(set(degrees))
     _check_degrees(degrees, fc.max_dim)
-    strict = {}  # k -> rank and torsion of d_k at each grade index
-    if sieve.kind == STRICT_PREDECESSORS:
-        for k in {k for n in degrees for k in (n, n + 1)} - {0}:
-            strict[k] = _strict_ranks(fc, k, grades, coefficients)
-    out: List[HomologySummary] = []
+    runs: List[List[int]] = []
     for g in range(len(fc.grades)) if grades is None else grades:
-        ranks = {0: (0, ())}  # k -> rank and torsion of d_k at grade g
-        for k in strict:
-            ranks[k] = strict[k][g]
-        for n in degrees:
-            gens = generators_at(fc, n, g, sieve)
-            if not len(gens):
-                continue  # an empty chain group has zero homology
-            for k in (n, n + 1):
-                if k not in ranks:
-                    ranks[k] = _rank(boundary_matrix(fc, k, g, sieve),
-                                     coefficients)
-            rank_upper, torsion = ranks[n + 1]
-            rank = len(gens) - ranks[n][0] - rank_upper
-            out.append(HomologySummary(fc.grades[g], n, rank, torsion))
+        if runs and g == runs[-1][-1] + 1 and sieve.floor(g) == g:
+            runs[-1].append(g)
+        else:
+            runs.append([g])
+    out: List[HomologySummary] = []
+    for run in runs:
+        first, last = run[0], run[-1]
+        # k -> rank and torsion of d_k at each grade index up to last
+        ranks = {0: [(0, ())] * (last + 1)}
+        for k in {k for n in degrees for k in (n, n + 1)} - {0}:
+            ranks[k] = _ranks(*sieve_boundary(fc, k, first, last, sieve),
+                              coefficients, last + 1)
+        for g in run:
+            for n in degrees:
+                gens = int(fc.starts[n][g + 1] - fc.starts[n][sieve.floor(g)])
+                if not gens:
+                    continue  # an empty chain group has zero homology
+                rank_upper, torsion = ranks[n + 1][g]
+                rank = gens - ranks[n][g][0] - rank_upper
+                out.append(HomologySummary(fc.grades[g], n, rank, torsion))
     return out
 
 

@@ -64,12 +64,18 @@ def vgraph_to_csv(X: VGraph) -> str:
     return out.getvalue()
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def vgraph_from_json(obj) -> VGraph:
     """{"vertices": [...], "edges": [{"from","to","dist"}],
     "default": "inf", "symmetric": bool}"""
-    if not isinstance(obj, dict) or "vertices" not in obj:
-        raise InputError("graph JSON must be an object with a 'vertices' list")
-    names = list(obj["vertices"])
+    if not (isinstance(obj, dict) and _strings(obj.get("vertices"))
+            and isinstance(obj.get("edges", []), list)):
+        raise InputError("graph JSON must be an object with a 'vertices' "
+                         "list of strings and an 'edges' list")
+    names = obj["vertices"]
     default = parse_grade(obj.get("default", "inf"))
     symmetric = bool(obj.get("symmetric", False))
     n = len(names)
@@ -78,15 +84,24 @@ def vgraph_from_json(obj) -> VGraph:
     for edge in obj.get("edges", []):
         try:
             a, b, r = edge["from"], edge["to"], parse_grade(edge["dist"])
-        except KeyError as exc:
-            raise InputError(f"edge {edge} is missing {exc}") from None
-        if a not in idx or b not in idx:
+        except (KeyError, TypeError):
+            raise InputError(f"edge {edge!r} is not an object with the keys "
+                             "from, to and dist") from None
+        if not all(isinstance(v, str) and v in idx for v in (a, b)):
             raise InputError(f"edge ({a!r}, {b!r}) mentions an unknown vertex")
         mat[idx[a], idx[b]] = r
         if symmetric:
             mat[idx[b], idx[a]] = r
     np.fill_diagonal(mat, 0.0)
     return VGraph(names, mat)
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _parse_json(path: str, text: str):
@@ -97,8 +112,7 @@ def _parse_json(path: str, text: str):
 
 
 def load_vgraph(path: str) -> VGraph:
-    with open(path) as fh:
-        text = fh.read()
+    text = _read(path)
     # a .json name, or content that looks like an object, is JSON
     if path.endswith(".json") or (not path.endswith(".csv")
                                   and text.lstrip().startswith("{")):
@@ -113,20 +127,20 @@ def automaton_from_json(obj) -> Automaton:
     """{"states": [...], "alphabet": {"a": 1.0}, "transitions":
     [{"from","to","label"}]}"""
     try:
-        states = list(obj["states"])
+        states = obj["states"]
         alphabet = {k: parse_grade(v) for k, v in obj["alphabet"].items()}
-        transitions = [
-            Transition(t["from"], t["to"], t["label"])
-            for t in obj.get("transitions", [])
-        ]
-    except (KeyError, TypeError) as exc:
+        transitions = [[t["from"], t["to"], t["label"]]
+                       for t in obj.get("transitions", [])]
+    except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed automaton JSON: {exc}") from None
-    return Automaton(states, alphabet, transitions)
+    if not (_strings(states) and all(_strings(t) for t in transitions)):
+        raise InputError("states and each transition's from, to and label "
+                         "must be strings")
+    return Automaton(states, alphabet, [Transition(*t) for t in transitions])
 
 
 def load_automaton(path: str) -> Automaton:
-    with open(path) as fh:
-        return automaton_from_json(_parse_json(path, fh.read()))
+    return automaton_from_json(_parse_json(path, _read(path)))
 
 
 # -- complexes and matrices -------------------------------------------

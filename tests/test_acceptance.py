@@ -22,9 +22,9 @@ from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
                            boundary_matrix, generators_at)
 from lpnerve.homology import (Bar, Coefficients, GF2, INTEGERS, homology_at,
                               homology_table, magnitude_homology,
-                              persistence_barcode, smith_normal_form,
-                              vr_oracle)
+                              persistence_barcode, vr_oracle)
 from lpnerve.nerve import enumerate_complex, membership_scale
+from lpnerve.snf import smith_normal_form
 from lpnerve.values import INF, close
 from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism, coequalizer,
                             coproduct, delta_path, equalizer, free_category,

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
-                           boundary_matrix, generators_at)
+                           boundary_matrix, generators_at, sieve_boundary)
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import EPS, INF, InputError
 from lpnerve.vgraph import VGraph, tolerance
 from util import (columns_to_dense, dense_boundary, faces, index_at,
-                  is_degenerate, random_honest_space, random_l1_space,
-                  random_vgraph)
+                  is_degenerate, random_floors, random_honest_space,
+                  random_l1_space, random_vgraph)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -40,8 +40,9 @@ def test_sieve_validation():
     ok = SieveSpec(CUSTOM_GRID, [0, 1, 2])
     assert ok.floor(1) == 1  # grade 0 is killed at grade 1
     assert ok.floor(2) == 2
-    with pytest.raises(InputError):
-        ok.floor(5)  # off the grid
+    for g in (-1, 5):
+        with pytest.raises(InputError):
+            ok.floor(g)  # off the grid
 
 
 def test_sieve_kinds():
@@ -63,6 +64,13 @@ def test_generators_at_global():
     for g in (-1, 3):
         with pytest.raises(InputError):
             generators_at(fc, 1, g, GLOBAL)
+        for sieve in (GLOBAL, STRICT, SieveSpec(CUSTOM_GRID, [0, 1, 1])):
+            with pytest.raises(InputError):
+                boundary_matrix(fc, 1, g, sieve)
+            with pytest.raises(InputError):
+                sieve_boundary(fc, 1, g, g, sieve)
+    with pytest.raises(InputError):
+        sieve_boundary(fc, 1, 0, 2, GLOBAL)  # grade 2 keeps grades 0 and 1
 
 
 def test_generators_at_strict():
@@ -169,6 +177,43 @@ def test_boundary_strict_kills_faces():
     # every face of a zigzag is born at 1 < 2, so the matrix is zero-shaped
     assert len(generators_at(fc, 1, 2, STRICT)) == 0
     assert M == ([[], []], [[], []])
+
+
+def label_boundary(fc, degree, g, sieve):
+    """The boundary at grade index g built from vertex names alone: each
+    surviving tuple less one vertex i, with sign (-1)^i where that face
+    survives; a degenerate face is no tuple of the complex."""
+    def survivors(k):
+        return [t for t, grade in zip(fc.labels(k), fc.grade[k].tolist())
+                if sieve.floor(g) <= grade <= g]
+
+    rows = {t: i for i, t in enumerate(survivors(degree - 1))}
+    cols = survivors(degree)
+    dense = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, t in enumerate(cols):
+        for i in range(len(t)):
+            face = t[:i] + t[i + 1:]
+            if face in rows:
+                dense[rows[face], j] += (-1) ** i
+    return dense
+
+
+def test_boundary_matches_vertex_deletion():
+    """Under every sieve, ``boundary_matrix`` equals the boundary built by
+    deleting vertices from the tuples' names."""
+    rng = random.Random(37)
+    for make in (random_honest_space, random_vgraph):
+        X = make(rng, 4)
+        for p in (1.0, 2.0, INF):
+            fc = enumerate_complex(X, p, 3)
+            n = len(fc.grades)
+            for sieve in (GLOBAL, STRICT,
+                          SieveSpec(CUSTOM_GRID, random_floors(rng, n))):
+                for g in range(n):
+                    for degree in (1, 2, 3):
+                        assert np.array_equal(
+                            dense_boundary(fc, degree, g, sieve),
+                            label_boundary(fc, degree, g, sieve))
 
 
 def test_boundary_squares_to_zero():

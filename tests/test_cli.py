@@ -1,3 +1,5 @@
+import contextlib
+import io as _io
 import json
 import math
 import os
@@ -14,15 +16,16 @@ from hypothesis import strategies as st
 
 import lpnerve.cli
 from lpnerve import homology, io
-from lpnerve.chain import STRICT_PREDECESSORS, SieveSpec, generators_at
+from lpnerve.chain import (CUSTOM_GRID, STRICT_PREDECESSORS, SieveSpec,
+                           generators_at)
 from lpnerve.cli import main
-from lpnerve.homology import (Barcode, Coefficients, magnitude_homology,
-                              persistence_barcode)
+from lpnerve.homology import (Barcode, Coefficients, homology_table,
+                              magnitude_homology, persistence_barcode)
 from lpnerve.nerve import enumerate_complex
 from lpnerve.snf import _divisibility_fixup
 from lpnerve.values import EPS, INF
 from lpnerve.vgraph import VGraph, asymmetrize
-from util import random_honest_space, random_vgraph
+from util import random_floors, random_honest_space, random_vgraph
 
 C4_CSV = """a,b,c,d
 0,1,2,1
@@ -218,36 +221,40 @@ def test_mh_is_homology_strict_z(capsys, tmp_path):
 
 
 def test_each_boundary_built_once(capsys, monkeypatch, tmp_path):
-    """The empty sieve builds each d_n once per grade; the strict sieve
-    builds it once for all grades."""
+    """Each d_k is built once per run of grades: a run starts at grade
+    index 0 and at each grade index above its floor.  So the strict sieve
+    builds it once for all grades, the empty sieve once per grade, and a
+    custom sieve once per run."""
     built = []
-    real = homology.boundary_matrix
-    real_strict = homology.strict_boundary
+    real = homology.sieve_boundary
 
-    def counting(fc, degree, g, sieve):
-        built.append((g, degree))
-        return real(fc, degree, g, sieve)
+    def counting(fc, degree, first, last, sieve):
+        built.append((first, last, degree))
+        return real(fc, degree, first, last, sieve)
 
-    def counting_strict(fc, degree, grades=None):
-        built.append(("every grade", degree))
-        return real_strict(fc, degree, grades)
-
-    def check(run):
+    def check(run, floors):
         built.clear()
         run()
-        assert built and len(built) == len(set(built))
+        runs = sum(1 for g, f in enumerate(floors) if g == 0 or f < g)
+        assert len(set(built)) == len(built) == 3 * runs  # d_1, d_2, d_3
 
-    monkeypatch.setattr(homology, "boundary_matrix", counting)
-    monkeypatch.setattr(homology, "strict_boundary", counting_strict)
+    monkeypatch.setattr(homology, "sieve_boundary", counting)
     rng = random.Random(73)
     for k in range(3):
         X = random_honest_space(rng, 5)
         path = write_space(tmp_path / f"s{k}.csv", X)
         for p in ("1", "2", "inf"):
-            check(lambda: magnitude_homology(X, float(p), range(0, 3)))
-            for sieve in ("strict", "none"):
+            fc = enumerate_complex(X, float(p), 3)
+            n = len(fc.grades)
+            check(lambda: magnitude_homology(X, float(p), range(0, 3)),
+                  range(n))
+            for sieve, floors in (("strict", range(n)), ("none", [0] * n)):
                 check(lambda: main(["homology", path, "--p", p, "--sieve",
-                                    sieve, "--degrees", "0..2"]))
+                                    sieve, "--degrees", "0..2"]), floors)
+            floors = random_floors(rng, n)
+            check(lambda: homology_table(fc, range(0, 3),
+                                         SieveSpec(CUSTOM_GRID, floors)),
+                  floors)
             capsys.readouterr()
 
 
@@ -588,8 +595,10 @@ def test_ph_general_path_off_the_gate(capsys, monkeypatch, tmp_path):
     assert differs == {"1", "2", "inf"}
 
 
-def test_exit_code_missing_file(capsys):
+def test_exit_code_missing_file(capsys, c4_path, tmp_path):
     assert main(["ph", "/nonexistent/x.csv"]) == 2
+    assert "error" in capsys.readouterr().err
+    assert main(["ph", c4_path, "-o", str(tmp_path)]) == 2  # not writable
     assert "error" in capsys.readouterr().err
 
 
@@ -614,6 +623,82 @@ def test_exit_code_bad_json(capsys, tmp_path, command, name, text):
     err = capsys.readouterr().err
     assert "not valid JSON" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,name,content", [
+    ("ph", "rows.json", '{"vertices": ["a", "b"], "edges": [["a", "b", 1]]}'),
+    ("ph", "edges.json", '{"vertices": ["a", "b"], "edges": 5}'),
+    ("ph", "vertices.json", '{"vertices": 5}'),
+    ("automaton", "alphabet.json",
+     '{"states": ["s"], "alphabet": [1], "transitions": []}'),
+    ("ph", "dir.csv", None),
+    ("automaton", "dir.json", None),
+    ("ph", "latin1.csv", "a,b\n0,1\n1,0\n".encode() + b"\xff\n"),
+], ids=["ph-edge-rows", "ph-edges-int", "ph-vertices-int",
+        "automaton-alphabet-list", "ph-directory", "automaton-directory",
+        "ph-not-utf8"])
+def test_exit_code_bad_input_shape(capsys, tmp_path, command, name, content):
+    """Valid JSON of the wrong shape, or a file that cannot be read as
+    UTF-8 text, is bad input."""
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+NAMES = st.sampled_from(["a", "b", "ab", "inf", "1", ""])
+LEAVES = st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | NAMES
+json_values = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(NAMES, children, max_size=4)),
+    max_leaves=12)
+RECORDS = st.lists(st.dictionaries(
+    st.sampled_from(["from", "to", "dist", "label"]), LEAVES), max_size=3)
+
+
+def field(shape):
+    """A field of a graph or automaton file: of nearly its shape, or any
+    JSON value."""
+    return shape | json_values
+
+
+#: (command, the JSON value of its input file)
+inputs = st.one_of(
+    st.tuples(st.just("ph"), st.fixed_dictionaries(
+        {"vertices": field(st.lists(NAMES, max_size=4, unique=True))},
+        optional={"edges": field(RECORDS), "default": LEAVES,
+                  "symmetric": LEAVES}) | json_values),
+    st.tuples(st.just("automaton"), st.fixed_dictionaries(
+        {"states": field(st.lists(NAMES, max_size=4, unique=True)),
+         "alphabet": field(st.dictionaries(NAMES, LEAVES, max_size=3))},
+        optional={"transitions": field(RECORDS)}) | json_values))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(command_value=inputs)
+def test_arbitrary_json_never_ends_in_a_traceback(command_value):
+    """Whatever JSON value a graph or automaton file holds, the CLI either
+    runs (exit 0) or reports bad input (exit 2)."""
+    command, value = command_value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(value, fh)
+        err = _io.StringIO()
+        with contextlib.redirect_stdout(_io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([command, path])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_one_parser_serves_every_call(capsys, c4_path):

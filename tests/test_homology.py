@@ -12,11 +12,10 @@ from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
                            boundary_matrix, generators_at)
 from lpnerve import snf as snf_module
 from lpnerve.homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
-                              HomologySummary, _rank, homology_at,
-                              homology_table, magnitude_homology,
-                              persistence_barcode, smith_normal_form,
+                              HomologySummary, homology_at, homology_table,
+                              magnitude_homology, persistence_barcode,
                               vr_oracle)
-from lpnerve.snf import _eliminate, _unit_pivots
+from lpnerve.snf import _eliminate, _unit_pivots, smith_normal_form
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF, InputError
 from lpnerve.vgraph import VGraph, asymmetrize, free_category
@@ -223,7 +222,6 @@ def test_torsion_that_shows_only_after_unit_elimination():
     added to the others, leaves a 2x2 block for the dense elimination."""
     M = dense_to_columns([[1, 1], [1, -1]])
     assert smith_normal_form(*M) == (2, [1, 2])
-    assert _rank(M, INTEGERS) == (2, (2,))
     sides = []
 
     def recording(a):
@@ -293,10 +291,7 @@ def test_large_boundaries_leave_no_large_dense_block(monkeypatch):
 
 def test_rank_planted_torsion():
     M = dense_to_columns([[2, 0], [0, 3]])
-    assert _rank(M, INTEGERS) == (2, (6,))
-    assert _rank(M, Coefficients(2)) == (1, ())
-    assert _rank(M, Coefficients(3)) == (1, ())
-    assert _rank(M, Coefficients(5)) == (2, ())
+    assert smith_normal_form(*M) == (2, [1, 6])
 
 
 def test_field_homology_matches_universal_coefficients():
@@ -346,6 +341,18 @@ def test_homology_requires_headroom():
     fc = enumerate_complex(X, INF, 1)
     with pytest.raises(InputError):
         homology_at(fc, 1, 1, GLOBAL)
+
+
+def test_homology_at_grade_off_the_complex():
+    """A grade index outside the complex is bad input under every sieve."""
+    fc = enumerate_complex(VGraph(["a", "b", "c"], np.array([
+        [0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])), 1.0, 2)
+    n = len(fc.grades)
+    for sieve in (GLOBAL, STRICT, SieveSpec(CUSTOM_GRID, [0] + [1] * (n - 1))):
+        for g in (-1, n):
+            for coefficients in (INTEGERS, GF2):
+                with pytest.raises(InputError):
+                    homology_at(fc, 1, g, sieve, coefficients)
 
 
 def test_magnitude_homology_cycle4():
