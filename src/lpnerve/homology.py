@@ -9,14 +9,15 @@ into runs that ``chain.sieve_boundary`` builds as one matrix each: one
 run for all grades under the strict sieve, one per grade under the empty
 sieve.  Each d_n is built once per run and ranked once (``_ranks``), its
 ranks counted per column grade.  Integer ranks go through the one
-exact Smith normal form of ``snf``.  The barcode pipeline orders all rows
-of all degrees by (grade index, degree, position within the degree),
-which is (grade, degree, birth, vertices), maps the same face tables into
-that order, and runs the standard column reduction over GF(q) (compiled
-kernel when available); a pair born and killed at the same grade index
-is no bar.  Field homology ranks each run's boundary with that same
+exact Smith normal form of ``snf``.  The barcode up to degree n
+reduces d_1 .. d_(n+1) one degree at a time, each from its degree's face
+table, over GF(q) (compiled kernel when available).  The rows of one
+degree are already in filtration order and a column reduction only adds
+columns of one degree, so this pairs as a reduction of the whole
+filtration would; a pair born and killed at the same grade index is no
+bar.  Field homology ranks each run's boundary with that same
 column reduction.  A classical Vietoris-Rips computation on unordered
-simplices, with its own self-contained mod-2 reduction, serves as an
+simplices, with its own mod-2 reduction and pairing, serves as an
 independent cross-check.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,59 +189,39 @@ def magnitude_homology(X: VGraph, p: float, degrees: Iterable[int],
 # -- persistence ------------------------------------------------------
 
 
-def _barcode_from_reduction(order: List[Tuple[float, int]], lows: List[int],
-                            max_degree: int,
-                            persists: Callable[[int, int], bool]) -> Barcode:
-    """Pair pivots into bars.  ``order[j]`` is (birth, degree) of simplex
-    j; the pair of simplices i < j is a bar when ``persists(i, j)``."""
-    bars: List[Bar] = []
-    killed = [False] * len(order)
-    for j, low in enumerate(lows):
-        if low >= 0:
-            killed[j] = True
-            killed[low] = True
-            birth, deg = order[low]
-            if deg <= max_degree and persists(low, j):
-                bars.append(Bar(deg, birth, order[j][0]))
-    for j, (birth, deg) in enumerate(order):
-        if not killed[j] and lows[j] < 0 and deg <= max_degree:
-            bars.append(Bar(deg, birth, INF))
-    return Barcode(bars).sort()
-
-
 def persistence_barcode(fc: FilteredComplex, max_degree: int,
                         field_coeffs: Coefficients = GF2) -> Barcode:
-    """Barcode of the global (unlocalized) complex over a prime field."""
+    """Barcode of the global (unlocalized) complex over a prime field.
+
+    d_1 .. d_(max_degree+1) are reduced one at a time, each from its face
+    table.  The pivot of column j at row ``low`` is a bar from the grade of
+    ``low`` to that of j unless the two grade indices are equal; a row that
+    is no pivot of the degree above, and whose own column reduced to zero,
+    is an essential bar.
+    """
     if field_coeffs.modulus is None:
         raise InputError("persistence requires field coefficients")
     if max_degree + 1 > fc.max_dim:
         raise InputError(
             f"barcodes up to degree {max_degree} need max_dim >= "
             f"{max_degree + 1}, got {fc.max_dim}")
-    q = field_coeffs.modulus
-    grade = np.concatenate(fc.grade)
-    sizes = [len(level) for level in fc.grade]
-    degrees = np.repeat(np.arange(len(sizes)), sizes)
-    starts = np.cumsum([0] + sizes)  # first global row of each degree
-    # lexsort is stable: ties in (grade, degree) keep the order of the rows
-    order = np.lexsort((degrees, grade))
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    # every face as a position in the filtration order, padded to one width
-    width = len(sizes)
-    table = np.full((len(grade), width), -1, dtype=np.intp)
-    for k in range(1, width):
+    bars: List[Bar] = []
+    grades = fc.grades
+    cycle = np.ones(len(fc.grade[0]), dtype=bool)  # d_0 is zero
+    for k in range(1, max_degree + 2):
         faces = fc.faces(k)
-        table[starts[k]:starts[k + 1], :k + 1] = np.where(
-            faces >= 0, position[starts[k - 1] + faces], -1)
-    table = table[order]
-    col_rows, col_coeffs = columns(table, table >= 0)
-    lows = kernels.reduce_columns(col_rows, col_coeffs, q)
-    grade = grade[order].tolist()
-    filtration = [(fc.grades[g], k)
-                  for g, k in zip(grade, degrees[order].tolist())]
-    return _barcode_from_reduction(filtration, lows, max_degree,
-                                   lambda i, j: grade[i] != grade[j])
+        lows = np.array(kernels.reduce_columns(
+            *columns(faces, faces >= 0), field_coeffs.modulus), dtype=np.intp)
+        killer = np.flatnonzero(lows >= 0)
+        birth, death = fc.grade[k - 1][lows[killer]], fc.grade[k][killer]
+        live = birth != death
+        bars += [Bar(k - 1, grades[b], grades[d]) for b, d in
+                 zip(birth[live].tolist(), death[live].tolist())]
+        cycle[lows[killer]] = False
+        bars += [Bar(k - 1, grades[b], INF)
+                 for b in fc.grade[k - 1][cycle].tolist()]
+        cycle = lows < 0
+    return Barcode(bars).sort()
 
 
 # -- classical Vietoris-Rips oracle -----------------------------------
@@ -250,8 +231,8 @@ def vr_oracle(X: VGraph, max_degree: int, field_coeffs: Coefficients = GF2,
               eps: Optional[float] = None) -> Barcode:
     """Persistence of the classical Vietoris-Rips complex.
 
-    Works on unordered vertex subsets with a self-contained mod-2
-    reduction, fully independent of the tuple-nerve pipeline.  ``eps`` is
+    Works on unordered vertex subsets with its own mod-2 reduction and
+    pairing, sharing no code with the tuple-nerve pipeline.  ``eps`` is
     an absolute tolerance, by default ``tolerance(X)``.
     """
     if eps is None:
@@ -299,6 +280,13 @@ def vr_oracle(X: VGraph, max_degree: int, field_coeffs: Coefficients = GF2,
             lows[j] = low
             pivot_of_row[low] = j
             stored[j] = col
-    order = [(diam, len(combo) - 1) for diam, combo in simplices]
-    return _barcode_from_reduction(order, lows, max_degree,
-                                   lambda i, j: order[j][0] > order[i][0] + eps)
+    bars = [Bar(len(combo) - 1, diam, INF)
+            for j, (diam, combo) in enumerate(simplices)
+            if lows[j] < 0 and j not in pivot_of_row
+            and len(combo) <= max_degree + 1]
+    for j, low in enumerate(lows):
+        if low >= 0 and len(simplices[low][1]) <= max_degree + 1:
+            (birth, face), death = simplices[low], simplices[j][0]
+            if death > birth + eps:
+                bars.append(Bar(len(face) - 1, birth, death))
+    return Barcode(bars).sort()

@@ -155,8 +155,11 @@ def grade_clusters(values: np.ndarray, tol: float, hops: int = 1
     links values that can be told apart, and raises ``InputError``.
     """
     ordered = np.sort(values)
-    firsts = ordered[np.diff(ordered, prepend=-INF) > tol]
-    lasts = ordered[np.diff(ordered, append=INF) > tol]
+    # the first value starts a cluster even when tol is infinite; a value
+    # ends one where the next starts one (the last wraps to the first)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = np.diff(ordered) > tol
+    firsts, lasts = ordered[first], ordered[np.roll(first, -1)]
     wide = np.flatnonzero(lasts - firsts > hops * tol)
     if len(wide):
         raise InputError(f"grades {firsts[wide[0]]!r} to {lasts[wide[0]]!r} "
@@ -210,7 +213,7 @@ def _python_power(values: np.ndarray, exponent: float) -> np.ndarray:
 def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
             ) -> List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """All finite-birth nondegenerate tuples, per degree, in chunks: the
-    vertex matrix, the top chain value and the prefix row of each tuple,
+    last vertex, the top chain value and the prefix row of each tuple,
     rows numbered in search order, which is lexicographic (the birth sort
     of ``enumerate_complex`` relies on it): blocks of each degree are
     popped in row order and a row's children in next-vertex order.
@@ -226,26 +229,26 @@ def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
 
     Blocks are expanded depth first and a block's reach is built only when
     it is expanded, so the reach alive at once is at most ``max_dim``
-    blocks of ``BLOCK`` rows.  A block's children are counted before they
-    are built, and the budget is checked on that count.
+    blocks of ``BLOCK`` rows, and what is stored per tuple does not grow
+    with its degree.  A block's children are counted before they are
+    built, and the budget is checked on that count.
     """
     n = len(w)
     vertices = np.arange(n, dtype=VERTEX)
-    found = [[(vertices[:, None], np.zeros(n), np.full(n, -1))]]
-    found += [[(np.empty((0, k + 1), VERTEX), np.empty(0), np.empty(0, np.intp))]
+    found = [[(vertices, np.zeros(n), np.full(n, -1))]]
+    found += [[(np.empty(0, VERTEX), np.empty(0), np.empty(0, np.intp))]
               for k in range(1, max_dim + 1)]
     rows = [n] + [0] * max_dim
     if n > limit:
         raise BudgetExceededError(f"tuple count exceeded the budget of {limit}")
-    # pending blocks: degree, first row, vertex matrix, and what its reach
-    # is built from (the parent block's reach and rows, new vertex, top)
+    # pending blocks: degree, first row, and what its reach is built from
+    # (the parent block's reach and rows, new vertex, top)
     stack = []
     if max_dim > 0:
         for lo in reversed(range(0, n, BLOCK)):
-            block = vertices[lo:lo + BLOCK]
-            stack.append((0, lo, block[:, None], None, None, block, None))
+            stack.append((0, lo, None, None, vertices[lo:lo + BLOCK], None))
     while stack:
-        k, first, verts, base, parents, last, top = stack.pop()
+        k, first, base, parents, last, top = stack.pop()
         if base is None:
             reach = w[last]
         elif at_inf:
@@ -260,16 +263,14 @@ def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
                 f"tuple count exceeded the budget of {limit}")
         local, nxt = np.nonzero(grow)
         child_top = reach[local, nxt]
-        child = np.concatenate([verts[local], nxt[:, None]], axis=1,
-                               dtype=VERTEX)
         start = rows[k + 1]
         rows[k + 1] += count
-        found[k + 1].append((child, child_top, first + local))
+        found[k + 1].append((nxt.astype(VERTEX), child_top, first + local))
         if k + 1 < max_dim:
             for lo in reversed(range(0, count, BLOCK)):
                 hi = lo + BLOCK
-                stack.append((k + 1, start + lo, child[lo:hi], reach,
-                              local[lo:hi], nxt[lo:hi], child_top[lo:hi]))
+                stack.append((k + 1, start + lo, reach, local[lo:hi],
+                              nxt[lo:hi], child_top[lo:hi]))
     return found
 
 
@@ -311,14 +312,19 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
     tuples, births, prefix = [], [], []
     found = _expand(w, at_inf, max_dim, limit)
     for k in range(len(found)):
-        verts, top, parent = (np.concatenate(parts) for parts in zip(*found[k]))
+        last, top, parent = (np.concatenate(parts) for parts in zip(*found[k]))
         found[k] = None  # drop the chunks once joined
         birth = top if at_inf else _python_power(top, 1.0 / p)
         order = np.argsort(birth, kind="stable")  # rows are lexicographic
-        tuples.append(verts[order])
         births.append(birth[order])
         # parents were numbered in search order; renumber them sorted
         prefix.append(rank[parent[order]] if k else parent)
+        # each row is its prefix's row, then its last vertex
+        verts = np.empty((len(order), k + 1), dtype=VERTEX)
+        if k:
+            np.take(tuples[k - 1], prefix[k], axis=0, out=verts[:, :k])
+        verts[:, k] = last[order]
+        tuples.append(verts)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
     # each degree is sorted, so its distinct births are cheap to take;

@@ -734,6 +734,19 @@ def test_exit_code_budget(capsys, c4_path):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mh", "homology", "ph"])
+def test_overflowing_tolerance_makes_one_grade(capsys, line_path, command):
+    # eps times the largest distance overflows to an infinite tolerance,
+    # which links every birth into one grade, as an eps of 5 does
+    outs = []
+    for eps in ("1e308", "5"):
+        assert main([command, line_path, "--degrees", "0..1",
+                     "--eps", eps]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])
+
+
 @pytest.mark.parametrize("degrees", ["2..0", "-1", "-1..1"])
 def test_exit_code_bad_degrees(capsys, c4_path, degrees):
     with pytest.raises(SystemExit) as exc:

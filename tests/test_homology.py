@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
                            boundary_matrix, generators_at)
+from lpnerve import kernels
 from lpnerve import snf as snf_module
 from lpnerve.homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
                               HomologySummary, homology_at, homology_table,
@@ -18,10 +19,11 @@ from lpnerve.homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
 from lpnerve.snf import _eliminate, _unit_pivots, smith_normal_form
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF, InputError
-from lpnerve.vgraph import VGraph, asymmetrize, free_category
-from util import (dense_to_columns, magnitude_series, random_floors,
-                  random_honest_space, random_l1_space, random_vgraph,
-                  whole_matrix_snf, whole_matrix_table)
+from lpnerve.vgraph import VGraph, asymmetrize, coproduct, free_category
+from util import (dense_to_columns, global_filtration_barcode,
+                  magnitude_series, random_floors, random_honest_space,
+                  random_l1_space, random_vgraph, whole_matrix_snf,
+                  whole_matrix_table)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -428,12 +430,63 @@ def test_persistence_requires_field():
         persistence_barcode(fc, 2)  # needs max_dim >= 3
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       make=st.sampled_from([random_honest_space, random_l1_space,
+                             random_vgraph]),
+       n=st.integers(2, 5), p=st.sampled_from([1.0, 2.0, INF]),
+       max_dim=st.integers(1, 4))
+def test_barcode_matches_global_filtration(seed, make, n, p, max_dim):
+    """Reducing each d_k on its own gives the bars of one reduction of the
+    whole filtration, over GF(2) and GF(3), for every max_degree below
+    max_dim (max_dim up to 2 above the need)."""
+    fc = enumerate_complex(make(random.Random(seed), n), p, max_dim)
+    for max_degree in range(max(max_dim - 3, 0), max_dim):
+        for q in (2, 3):
+            assert persistence_barcode(fc, max_degree, Coefficients(q)) == \
+                global_filtration_barcode(fc, max_degree, q)
+
+
+def test_barcode_builds_no_face_table_above_the_requested_degree():
+    """Bars up to degree d need the face tables of degrees 1 .. d + 1."""
+    for d in range(3):
+        fc = enumerate_complex(random_honest_space(random.Random(d), 5),
+                               INF, d + 3)
+        persistence_barcode(fc, d)
+        assert sorted(fc._faces) == list(range(1, d + 2))
+
+
+def test_barcode_reduces_each_degree_once(monkeypatch):
+    """Bars up to degree d reduce d_1 .. d_(d+1), one call each."""
+    calls = []
+    reduce_columns = kernels.reduce_columns
+
+    def counting(*args):
+        calls.append(1)
+        return reduce_columns(*args)
+
+    monkeypatch.setattr(kernels, "reduce_columns", counting)
+    for d in range(3):
+        fc = enumerate_complex(random_honest_space(random.Random(d), 5),
+                               INF, d + 3)
+        calls.clear()
+        persistence_barcode(fc, d)
+        assert len(calls) == d + 1
+
+
 def test_vr_oracle_agreement_random():
+    """At every max_degree below max_dim, so that the top degree's
+    essential bars are compared too (degree 0 always has one), on
+    connected spaces and on disjoint unions, whose infinite distances
+    leave several classes that never die."""
     rng = random.Random(11)
     for _ in range(8):
         X = random_honest_space(rng, rng.randint(2, 6))
-        fc = enumerate_complex(X, INF, 3)
-        assert persistence_barcode(fc, 2).bars == vr_oracle(X, 2).bars
+        for Y in (X, coproduct([X, random_honest_space(rng, 3)])):
+            fc = enumerate_complex(Y, INF, 3)
+            for max_degree in range(3):
+                assert persistence_barcode(fc, max_degree).bars == \
+                    vr_oracle(Y, max_degree).bars
 
 
 def test_vr_oracle_is_scale_free():

@@ -190,6 +190,23 @@ def test_budget_stops_the_search_early():
     assert peak < 4 * 2 ** 20
 
 
+def test_budget_bounds_memory_at_high_degree():
+    # the search reaches high degrees first; it stores a tuple as its last
+    # vertex, top and prefix row, so a degree-200 tuple costs no more than
+    # an edge and the budget stops the search before memory is spent
+    X = VGraph(["a", "b", "c"],
+               np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            with pytest.warns(RuntimeWarning):
+                enumerate_complex(X, 1.0, 200, budget=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
 def test_enumerate_matches_membership_scale(p):
     """The births carried down the search equal membership_scale exactly,
@@ -225,6 +242,8 @@ def test_grade_clusters():
     assert grade_clusters(np.array([]), 1.0) == []
     assert grade_clusters(np.array([3.0, 0.0, 1.4, 1.0]), 0.5) == [0.0, 1.0, 3.0]
     assert grade_clusters(np.array([2.0, 1.0, 1.0]), 0.0) == [1.0, 2.0]
+    # an infinite tolerance (an overflowing eps times distance) links all
+    assert grade_clusters(np.array([3.0, 0.0, 1.0]), INF) == [0.0]
     # 1 and 1.8 are told apart, but 1.4 is within 0.5 of both
     with pytest.raises(InputError):
         grade_clusters(np.array([1.0, 1.4, 1.8]), 0.5)

@@ -12,8 +12,9 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from lpnerve.chain import boundary_matrix, generators_at
-from lpnerve.homology import HomologySummary
+from lpnerve import kernels
+from lpnerve.chain import boundary_matrix, columns, generators_at
+from lpnerve.homology import Bar, Barcode, HomologySummary
 from lpnerve.nerve import (FilteredComplex, _expand, _python_power,
                            grade_clusters)
 from lpnerve.snf import _divisibility_fixup, _eliminate
@@ -274,7 +275,10 @@ def lexsorted_complex(X: VGraph, p: float, max_dim: int,
     w = d if p == INF else _python_power(d, p)
     tuples, births, prefix = [], [], []
     for k, parts in enumerate(_expand(w, p == INF, max_dim, INF)):
-        verts, top, parent = (np.concatenate(part) for part in zip(*parts))
+        last, top, parent = (np.concatenate(part) for part in zip(*parts))
+        # rows in search order: the parent's row (the last degree's verts,
+        # not yet sorted), then the last vertex
+        verts = np.column_stack([verts[parent], last]) if k else last[:, None]
         birth = top if p == INF else _python_power(top, 1.0 / p)
         order = np.lexsort((*verts.T[::-1], birth))
         tuples.append(verts[order])
@@ -375,6 +379,44 @@ def whole_matrix_table(fc, degrees: Sequence[int], sieve,
                     fc.grades[g], n, gens - snf[n][0] - rank_upper,
                     tuple(d for d in divisors if d > 1)))
     return out
+
+
+def global_filtration_barcode(fc, max_degree: int, q: int = 2) -> Barcode:
+    """``homology.persistence_barcode`` computed the plain way: every row
+    of every degree put in one filtration order, (grade, degree, row), by
+    a ``lexsort``, every face table mapped into that order, padded to one
+    width, and the whole matrix reduced at once over GF(q)."""
+    grade = np.concatenate(fc.grade)
+    sizes = [len(level) for level in fc.grade]
+    degrees = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum([0] + sizes)  # first global row of each degree
+    # lexsort is stable: ties in (grade, degree) keep the order of the rows
+    order = np.lexsort((degrees, grade))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    # every face as a position in the filtration order, padded to one width
+    width = len(sizes)
+    table = np.full((len(grade), width), -1, dtype=np.intp)
+    for k in range(1, width):
+        faces = fc.faces(k)
+        table[starts[k]:starts[k + 1], :k + 1] = np.where(
+            faces >= 0, position[starts[k - 1] + faces], -1)
+    table = table[order]
+    lows = kernels.reduce_columns(*columns(table, table >= 0), q)
+    grade = grade[order].tolist()
+    degree = degrees[order].tolist()
+    bars: List[Bar] = []
+    killed = [False] * len(lows)
+    for j, low in enumerate(lows):
+        if low >= 0:
+            killed[j] = killed[low] = True
+            if degree[low] <= max_degree and grade[low] != grade[j]:
+                bars.append(Bar(degree[low], fc.grades[grade[low]],
+                                fc.grades[grade[j]]))
+    for j, low in enumerate(lows):
+        if not killed[j] and low < 0 and degree[j] <= max_degree:
+            bars.append(Bar(degree[j], fc.grades[grade[j]], INF))
+    return Barcode(bars).sort()
 
 
 def dense_boundary(fc, degree: int, g: int, sieve) -> np.ndarray:
