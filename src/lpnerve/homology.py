@@ -8,17 +8,19 @@ the value of its grade, ``fc.grades[g]``.  The grade indices split
 into runs that ``chain.sieve_boundary`` builds as one matrix each: one
 run for all grades under the strict sieve, one per grade under the empty
 sieve.  Each d_n is built once per run and ranked once (``_ranks``), its
-ranks counted per column grade.  Integer ranks go through the one
-exact Smith normal form of ``snf``.  The barcode up to degree n
-reduces d_1 .. d_(n+1) one degree at a time, each from its degree's face
-table, over GF(q) (compiled kernel when available).  The rows of one
-degree are already in filtration order and a column reduction only adds
-columns of one degree, so this pairs as a reduction of the whole
-filtration would; a pair born and killed at the same grade index is no
-bar.  Field homology ranks each run's boundary with that same
-column reduction.  A classical Vietoris-Rips computation on unordered
-simplices, with its own mod-2 reduction and pairing, serves as an
-independent cross-check.
+ranks counted per column grade.  Every rank comes from the one column
+reduction ``kernels.reduce_faces`` (compiled kernel when available),
+which reads a face table directly: over GF(q), and over Z with pivots of
++-1 only.  Only a boundary whose Z reduction meets a non-unit pivot (or
+an int64 overflow) goes to the exact Smith normal form of ``snf``, which
+then gives its torsion.  The barcode up to degree n reduces d_1 ..
+d_(n+1) one degree at a time over GF(q), each straight from its
+degree's face table.  The rows of one degree are already in filtration
+order and a column reduction only adds columns of one degree, so this
+pairs as a reduction of the whole filtration would; a pair born and
+killed at the same grade index is no bar.  A classical Vietoris-Rips
+computation on unordered simplices, with its own mod-2 reduction and
+pairing, serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .chain import STRICT_PREDECESSORS, SieveSpec, columns, sieve_boundary
+from .chain import STRICT_PREDECESSORS, SieveSpec, sieve_boundary
 from .nerve import DEFAULT_BUDGET, FilteredComplex, enumerate_complex
 from .snf import smith_normal_forms
 from .values import EPS, INF, InputError
@@ -97,22 +99,22 @@ def _ranks(faces: np.ndarray, keep: np.ndarray, grade: np.ndarray,
            ) -> List[Tuple[int, Tuple[int, ...]]]:
     """Rank and torsion, at each grade index below ``ngrades``, of a
     boundary from ``sieve_boundary``.  Its columns of different grades
-    share no row, so the pivots of the Smith normal form over Z, and of the
-    column reduction over GF(q), count per column grade.  Boundary signs
-    are +-1, never 0 mod q.
+    share no row, so pivots count per column grade.  One column reduction
+    (``kernels.reduce_faces``) ranks it over every ring.  Over Z a
+    reduction whose pivots are all +-1 is a unimodular change of basis, so
+    every invariant factor is 1; only when the kernel flags a non-unit
+    pivot (or an int64 overflow) does the Smith normal form run.
     """
-    q = coefficients.modulus
-    if q is None:
-        col, i = np.nonzero(keep)
-        return [(rank, tuple(d for d in divisors if d > 1))
-                for rank, divisors in smith_normal_forms(
-                    col, faces[col, i], np.where(i % 2, -1, 1), grade,
-                    ngrades)]
-    live = keep.any(axis=1)  # a column with no entry has no pivot
-    lows = kernels.reduce_columns(*columns(faces[live], keep[live]), q)
-    pivots = np.array(lows, dtype=np.int64) >= 0
-    return [(int(rank), ())
-            for rank in np.bincount(grade[live][pivots], minlength=ngrades)]
+    q = coefficients.modulus or 0
+    table = np.where(keep, faces, -1)
+    lows = np.empty(len(table), dtype=np.int64)
+    if kernels.reduce_faces(table, int(table.max(initial=-1)) + 1, q, lows) >= 0:
+        return [(int(rank), ()) for rank in
+                np.bincount(grade[lows >= 0], minlength=ngrades)]
+    col, i = np.nonzero(keep)
+    return [(rank, tuple(d for d in divisors if d > 1))
+            for rank, divisors in smith_normal_forms(
+                col, faces[col, i], np.where(i % 2, -1, 1), grade, ngrades)]
 
 
 def _check_degrees(degrees: List[int], max_dim: int) -> None:
@@ -209,9 +211,9 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
     grades = fc.grades
     cycle = np.ones(len(fc.grade[0]), dtype=bool)  # d_0 is zero
     for k in range(1, max_degree + 2):
-        faces = fc.faces(k)
-        lows = np.array(kernels.reduce_columns(
-            *columns(faces, faces >= 0), field_coeffs.modulus), dtype=np.intp)
+        lows = np.empty(len(fc.grade[k]), dtype=np.int64)
+        kernels.reduce_faces(fc.faces(k), len(fc.grade[k - 1]),
+                             field_coeffs.modulus, lows)
         killer = np.flatnonzero(lows >= 0)
         birth, death = fc.grade[k - 1][lows[killer]], fc.grade[k][killer]
         live = birth != death

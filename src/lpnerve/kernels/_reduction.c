@@ -1,20 +1,23 @@
 /*
- * Persistence column reduction over a prime field GF(q).
+ * Column reduction of a boundary given by its face table, over GF(q) or Z.
  *
- * Same contract as ``_reduction_py.reduce_columns``: ``col_rows[j]`` lists
- * the strictly increasing int rows in [0, 2^63) of column j, and
- * ``col_coeffs[j]`` their int coefficients, each nonzero mod q (negative
- * ones are taken mod q as Python's ``%`` takes them).  The result is the
- * list of ``low[j]``: the lowest row of the reduced column j, or -1 where
- * it reduces to zero.  q must be below 2^31, so that a product of two
- * residues fits in int64.  Input outside this contract raises ValueError,
- * or TypeError for something other than an int.
+ * Same contract as ``_reduction_py.reduce_faces``.  ``table`` is a 2-d
+ * C-contiguous int64 buffer: row j lists the faces of column j, entry i a
+ * row index in [0, nrows) with the sign (-1)^i, or -1 for a face not kept;
+ * no row may repeat within a column.  ``lows`` is a writable 1-d int64
+ * buffer with one slot per column, filled with the lowest row of each
+ * reduced column, or -1 where it reduces to zero.  The return value is the
+ * number of pivots.  q is a prime below 2^31, so that a product of two
+ * residues fits in int64, or 0 for the integers: then every pivot must be
+ * +-1 and every entry must stay below 2^63 in magnitude, and the return
+ * value is -1 as soon as either fails.  Input outside this contract raises
+ * ValueError, or TypeError for something other than a buffer or an int.
  *
- * Columns are reduced left to right.  While the lowest row of column j is
- * the low of an earlier column k, the multiple of column k that cancels
- * it is added to column j.  The column with a given low is looked up in a
- * hash table keyed by row, with two slots per column, so any row below
- * 2^63 costs the same.
+ * Columns are reduced left to right.  Each column's kept faces are sorted
+ * in place of a small working column.  While its lowest row is the low of
+ * an earlier column, the multiple of that column that cancels it is
+ * added.  A column left nonzero is a pivot: it is scaled so that its low
+ * entry is 1 and appended to one pool, and ``pivot[row]`` records where.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -42,44 +45,63 @@ static int64_t mod_inverse(int64_t a, int64_t q)
     return result;
 }
 
+/* room for need entries; grows geometrically, so a pool appended to
+   column by column reallocates O(log size) times */
 static int reserve(Column *c, Py_ssize_t need)
 {
     if (c->cap >= need)
         return 0;
-    int64_t *rows = PyMem_Realloc(c->rows, need * sizeof(int64_t));
+    Py_ssize_t cap = c->cap > need / 2 ? 2 * c->cap : need;
+    int64_t *rows = PyMem_Realloc(c->rows, cap * sizeof(int64_t));
     if (rows != NULL)
         c->rows = rows;
-    int64_t *coeffs = PyMem_Realloc(c->coeffs, need * sizeof(int64_t));
+    int64_t *coeffs = PyMem_Realloc(c->coeffs, cap * sizeof(int64_t));
     if (coeffs != NULL)
         c->coeffs = coeffs;
     if (rows == NULL || coeffs == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    c->cap = need;
+    c->cap = cap;
     return 0;
 }
 
-/* dst = a + scale * b over GF(q); dst is storage apart from a and b */
-static int axpy(Column *dst, const Column *a, const Column *b, int64_t scale,
+/* x - f * y over Z, flagged (1) when it or the product reaches 2^63 */
+static int checked_axpy(int64_t x, int64_t f, int64_t y, int64_t *out)
+{
+    int64_t p;
+    if (__builtin_mul_overflow(f, y, &p) || p == INT64_MIN
+        || __builtin_sub_overflow(x, p, out) || *out == INT64_MIN)
+        return 1;
+    return 0;
+}
+
+/* dst = a - f * b over GF(q), or over Z when q is 0; dst is storage apart
+   from a and b.  0, -1 with an exception set, or 1 on overflow over Z. */
+static int axpy(Column *dst, const Column *a, const int64_t *b_rows,
+                const int64_t *b_coeffs, Py_ssize_t b_size, int64_t f,
                 int64_t q)
 {
     Py_ssize_t i = 0, k = 0, n = 0;
-    if (reserve(dst, a->size + b->size) < 0)
+    int64_t scale = q - f;  /* -f mod q, for f in [1, q) */
+    if (reserve(dst, a->size + b_size) < 0)
         return -1;
-    while (i < a->size || k < b->size) {
+    while (i < a->size || k < b_size) {
         int64_t c;
-        if (k >= b->size || (i < a->size && a->rows[i] < b->rows[k])) {
+        if (k >= b_size || (i < a->size && a->rows[i] < b_rows[k])) {
             dst->rows[n] = a->rows[i];
             dst->coeffs[n++] = a->coeffs[i++];
             continue;
         }
-        if (i >= a->size || b->rows[k] < a->rows[i])
-            c = b->coeffs[k] * scale % q;
-        else
-            c = (a->coeffs[i++] + b->coeffs[k] * scale) % q;
+        int both = i < a->size && a->rows[i] == b_rows[k];
+        int64_t x = both ? a->coeffs[i++] : 0;
+        if (q == 0) {
+            if (checked_axpy(x, f, b_coeffs[k], &c))
+                return 1;
+        } else
+            c = (x + b_coeffs[k] * scale) % q;
         if (c != 0) {
-            dst->rows[n] = b->rows[k];
+            dst->rows[n] = b_rows[k];
             dst->coeffs[n++] = c;
         }
         k++;
@@ -88,224 +110,190 @@ static int axpy(Column *dst, const Column *a, const Column *b, int64_t scale,
     return 0;
 }
 
-/* Residue in [0, q) of an int; -1 with an exception set. */
-static int64_t residue(PyObject *item, int64_t q)
+/* The buffer of obj as int64 with the given ndim, C-contiguous (and
+   writable if asked); ValueError otherwise. */
+static int int64_buffer(PyObject *obj, Py_buffer *view, int ndim, int writable,
+                        const char *what)
 {
-    int overflow;
-    long long c = PyLong_AsLongLongAndOverflow(item, &overflow);
-    if (c == -1 && PyErr_Occurred())
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
-    if (!overflow)
-        return (c % q + q) % q;
-    PyObject *q_obj = PyLong_FromLongLong(q);
-    PyObject *r = q_obj == NULL ? NULL : PyNumber_Remainder(item, q_obj);
-    Py_XDECREF(q_obj);
-    if (r == NULL)
-        return -1;
-    c = PyLong_AsLongLong(r);
-    Py_DECREF(r);
-    return c;
-}
-
-/* Copy column j into c, checking it against the contract. */
-static int load_column(Column *c, PyObject *rows_obj, PyObject *coeffs_obj,
-                       int64_t q, Py_ssize_t j)
-{
-    int status = -1;
-    PyObject *coeffs = NULL;
-    PyObject *rows = PySequence_Fast(rows_obj, "a column's rows must be a sequence");
-    if (rows == NULL)
-        return -1;
-    coeffs = PySequence_Fast(coeffs_obj, "a column's coefficients must be a sequence");
-    if (coeffs == NULL)
-        goto done;
-    Py_ssize_t m = PySequence_Fast_GET_SIZE(rows);
-    if (PySequence_Fast_GET_SIZE(coeffs) != m) {
-        PyErr_Format(PyExc_ValueError, "column %zd has %zd rows but %zd coefficients",
-                     j, m, PySequence_Fast_GET_SIZE(coeffs));
-        goto done;
-    }
-    if (reserve(c, m) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < m; i++) {
-        PyObject *row_obj = PySequence_Fast_GET_ITEM(rows, i);
-        PyObject *coeff_obj = PySequence_Fast_GET_ITEM(coeffs, i);
-        /* ints only: converting another type could run Python code that
-           resizes the lists being read */
-        if (!PyLong_Check(row_obj) || !PyLong_Check(coeff_obj)) {
-            PyErr_Format(PyExc_TypeError, "column %zd holds something other "
-                         "than an int", j);
-            goto done;
-        }
-        int overflow;
-        long long row = PyLong_AsLongLongAndOverflow(row_obj, &overflow);
-        if (row == -1 && PyErr_Occurred())
-            goto done;
-        if (overflow || row < 0 || (i > 0 && row <= c->rows[i - 1])) {
-            PyErr_Format(PyExc_ValueError, "the rows of column %zd must be "
-                         "strictly increasing integers in [0, 2^63)", j);
-            goto done;
-        }
-        int64_t coeff = residue(coeff_obj, q);
-        if (coeff == -1)
-            goto done;
-        if (coeff == 0) {
-            PyErr_Format(PyExc_ValueError, "column %zd has a coefficient that "
-                         "is 0 mod %lld", j, (long long)q);
-            goto done;
-        }
-        c->rows[i] = row;
-        c->coeffs[i] = coeff;
-    }
-    c->size = m;
-    status = 0;
-done:
-    Py_DECREF(rows);
-    Py_XDECREF(coeffs);
-    return status;
-}
-
-/* The column whose low is a given row: open addressing with linear
-   probing, at most half full, since each column has at most one low. */
-typedef struct {
-    int64_t *rows;  /* -1 marks an empty slot */
-    Py_ssize_t *cols;
-    size_t mask;
-} PivotTable;
-
-static int pivots_init(PivotTable *t, Py_ssize_t ncols)
-{
-    size_t size = 2;
-    while (size < 2 * (size_t)ncols)
-        size <<= 1;
-    t->rows = PyMem_Malloc(size * sizeof(int64_t));
-    t->cols = PyMem_Malloc(size * sizeof(Py_ssize_t));
-    if (t->rows == NULL || t->cols == NULL) {
-        PyErr_NoMemory();
+    const char *fmt = view->format == NULL ? "B" : view->format;
+    if (*fmt == '@' || *fmt == '=')
+        fmt++;
+    int int64 = view->itemsize == 8 && (strcmp(fmt, "q") == 0
+                                        || (strcmp(fmt, "l") == 0 && sizeof(long) == 8));
+    if (view->ndim != ndim || !int64 || !PyBuffer_IsContiguous(view, 'C')
+        || (writable && view->readonly)) {
+        PyErr_Format(PyExc_ValueError, "%s must be a %s%d-d C-contiguous "
+                     "int64 array", what, writable ? "writable " : "", ndim);
+        PyBuffer_Release(view);
         return -1;
     }
-    memset(t->rows, 0xff, size * sizeof(int64_t));
-    t->mask = size - 1;
     return 0;
 }
 
-/* the slot holding row, or the empty slot where it would go */
-static size_t pivot_slot(const PivotTable *t, int64_t row)
+/* Every face in -1..nrows-1, no row twice in a column; ValueError at the
+   first column that breaks this. */
+static int check_table(const int64_t *table, Py_ssize_t ncols, Py_ssize_t width,
+                       Py_ssize_t nrows)
 {
-    size_t i = (size_t)(((uint64_t)row * 0x9E3779B97F4A7C15u) >> 32) & t->mask;
-    while (t->rows[i] != -1 && t->rows[i] != row)
-        i = (i + 1) & t->mask;
-    return i;
+    for (Py_ssize_t j = 0; j < ncols; j++) {
+        const int64_t *face = table + j * width;
+        for (Py_ssize_t i = 0; i < width; i++) {
+            if (face[i] < -1 || face[i] >= nrows) {
+                PyErr_Format(PyExc_ValueError, "column %zd has the face %lld, "
+                             "outside -1..%zd", j, (long long)face[i], nrows - 1);
+                return -1;
+            }
+            for (Py_ssize_t h = 0; h < i; h++)
+                if (face[i] >= 0 && face[h] == face[i]) {
+                    PyErr_Format(PyExc_ValueError, "column %zd has the row "
+                                 "%lld twice", j, (long long)face[i]);
+                    return -1;
+                }
+        }
+    }
+    return 0;
 }
 
-static PyObject *reduce_columns(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *keywords[] = {"col_rows", "col_coeffs", "q", NULL};
-    PyObject *col_rows, *col_coeffs, *q_obj;
-    PyObject *rows_seq = NULL, *coeffs_seq = NULL, *lows = NULL, *result = NULL;
-    Column *cols = NULL, scratch = {0};
-    PivotTable pivots = {0};
-    Py_ssize_t ncols = 0;
+    static char *keywords[] = {"table", "nrows", "q", "lows", NULL};
+    PyObject *table_obj, *nrows_obj, *q_obj, *lows_obj, *result = NULL;
+    Py_buffer table_view = {0}, lows_view = {0};
+    Column cur = {0}, scratch = {0}, pool = {0};
+    Py_ssize_t *pivot = NULL, *start = NULL;  /* pivot[row]: 1 + its pivot */
     int overflow;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:reduce_columns", keywords,
-                                     &col_rows, &col_coeffs, &q_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:reduce_faces", keywords,
+                                     &table_obj, &nrows_obj, &q_obj, &lows_obj))
         return NULL;
     long long q = PyLong_AsLongLongAndOverflow(q_obj, &overflow);
     if (q == -1 && PyErr_Occurred())
         return NULL;
-    if (overflow || q < 2 || q >= MAX_ORDER)
-        return PyErr_Format(PyExc_ValueError, "field order must be a prime in "
-                            "[2, 2^31), got %R", q_obj);
-    /* tuples, which no Python code run while reading a column can resize */
-    rows_seq = PySequence_Tuple(col_rows);
-    if (rows_seq == NULL)
+    if (overflow || (q != 0 && (q < 2 || q >= MAX_ORDER)))
+        return PyErr_Format(PyExc_ValueError, "q must be 0 (the integers) or "
+                            "a prime in [2, 2^31), got %R", q_obj);
+    long long nrows = PyLong_AsLongLongAndOverflow(nrows_obj, &overflow);
+    if (nrows == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow || nrows < 0)
+        return PyErr_Format(PyExc_ValueError, "nrows must be a count of rows "
+                            "in [0, 2^63), got %R", nrows_obj);
+    if (int64_buffer(table_obj, &table_view, 2, 0, "the face table") < 0)
+        return NULL;
+    if (int64_buffer(lows_obj, &lows_view, 1, 1, "lows") < 0)
         goto done;
-    coeffs_seq = PySequence_Tuple(col_coeffs);
-    if (coeffs_seq == NULL)
-        goto done;
-    ncols = PyTuple_GET_SIZE(rows_seq);
-    if (PyTuple_GET_SIZE(coeffs_seq) != ncols) {
-        PyErr_Format(PyExc_ValueError, "%zd columns of rows but %zd of coefficients",
-                     ncols, PyTuple_GET_SIZE(coeffs_seq));
+    const int64_t *table = table_view.buf;
+    int64_t *lows = lows_view.buf;
+    Py_ssize_t ncols = table_view.shape[0], width = table_view.shape[1];
+    if (lows_view.shape[0] != ncols) {
+        PyErr_Format(PyExc_ValueError, "the face table has %zd columns but "
+                     "lows has %zd slots", ncols, lows_view.shape[0]);
         goto done;
     }
-    cols = PyMem_Calloc(ncols + 1, sizeof(Column));
-    if (cols == NULL) {
+    if (check_table(table, ncols, width, (Py_ssize_t)nrows) < 0)
+        goto done;
+    Py_ssize_t most = ncols < nrows ? ncols : (Py_ssize_t)nrows;  /* pivots */
+    pivot = PyMem_Calloc(nrows > 0 ? nrows : 1, sizeof(Py_ssize_t));
+    start = PyMem_Malloc((most + 1) * sizeof(Py_ssize_t));
+    if (pivot == NULL || start == NULL) {
         PyErr_NoMemory();
         goto done;
     }
+    Py_ssize_t npivots = 0;
+    start[0] = 0;
     for (Py_ssize_t j = 0; j < ncols; j++) {
-        Column *c = &cols[j];
-        if (load_column(c, PyTuple_GET_ITEM(rows_seq, j),
-                        PyTuple_GET_ITEM(coeffs_seq, j), q, j) < 0)
+        /* cur may be the scratch of the last column, of any capacity */
+        if (reserve(&cur, width) < 0)
             goto done;
-    }
-    if (pivots_init(&pivots, ncols) < 0)
-        goto done;
-    lows = PyList_New(ncols);
-    if (lows == NULL)
-        goto done;
-    for (Py_ssize_t j = 0; j < ncols; j++) {
-        Column *c = &cols[j];
-        int64_t low = -1;
-        size_t slot = 0;
-        while (c->size > 0) {
-            low = c->rows[c->size - 1];
-            slot = pivot_slot(&pivots, low);
-            if (pivots.rows[slot] == -1)
+        const int64_t *face = table + j * width;
+        Py_ssize_t m = 0;
+        for (Py_ssize_t i = 0; i < width; i++) {  /* insertion sort */
+            if (face[i] < 0)
+                continue;
+            Py_ssize_t h = m++;
+            for (; h > 0 && cur.rows[h - 1] > face[i]; h--) {
+                cur.rows[h] = cur.rows[h - 1];
+                cur.coeffs[h] = cur.coeffs[h - 1];
+            }
+            cur.rows[h] = face[i];
+            cur.coeffs[h] = i % 2 == 0 ? 1 : (q == 0 ? -1 : q - 1);
+        }
+        cur.size = m;
+        while (cur.size > 0) {
+            Py_ssize_t p = pivot[cur.rows[cur.size - 1]] - 1;
+            if (p < 0)
                 break;
-            const Column *k = &cols[pivots.cols[slot]];
-            int64_t factor = c->coeffs[c->size - 1]
-                * mod_inverse(k->coeffs[k->size - 1], q) % q;
-            if (axpy(&scratch, c, k, q - factor, q) < 0)
+            int status = axpy(&scratch, &cur, pool.rows + start[p],
+                              pool.coeffs + start[p], start[p + 1] - start[p],
+                              cur.coeffs[cur.size - 1], q);
+            if (status < 0)
                 goto done;
-            Column tmp = *c;
-            *c = scratch;
+            if (status > 0) {
+                result = PyLong_FromLong(-1);
+                goto done;
+            }
+            Column tmp = cur;
+            cur = scratch;
             scratch = tmp;
         }
-        if (c->size > 0) {
-            pivots.rows[slot] = low;
-            pivots.cols[slot] = j;
-        } else
-            low = -1;
-        PyObject *item = PyLong_FromLongLong(low);
-        if (item == NULL)
+        if (cur.size == 0) {
+            lows[j] = -1;
+            continue;
+        }
+        int64_t low = cur.rows[cur.size - 1], unit = cur.coeffs[cur.size - 1];
+        if (q == 0 && unit != 1 && unit != -1) {
+            result = PyLong_FromLong(-1);
             goto done;
-        PyList_SET_ITEM(lows, j, item);
+        }
+        if (reserve(&pool, pool.size + cur.size) < 0)
+            goto done;
+        /* scaled by the inverse of its low entry, 1/u = u over Z */
+        int64_t inverse = q == 0 ? unit : mod_inverse(unit, q);
+        for (Py_ssize_t i = 0; i < cur.size; i++) {
+            pool.rows[pool.size + i] = cur.rows[i];
+            pool.coeffs[pool.size + i] = q == 0 ? cur.coeffs[i] * inverse
+                                                : cur.coeffs[i] * inverse % q;
+        }
+        pool.size += cur.size;
+        pivot[low] = ++npivots;
+        start[npivots] = pool.size;
+        lows[j] = low;
     }
-    result = lows;
-    lows = NULL;
+    result = PyLong_FromSsize_t(npivots);
 done:
-    for (Py_ssize_t j = 0; cols != NULL && j < ncols; j++) {
-        PyMem_Free(cols[j].rows);
-        PyMem_Free(cols[j].coeffs);
-    }
-    PyMem_Free(cols);
+    PyMem_Free(cur.rows);
+    PyMem_Free(cur.coeffs);
     PyMem_Free(scratch.rows);
     PyMem_Free(scratch.coeffs);
-    PyMem_Free(pivots.rows);
-    PyMem_Free(pivots.cols);
-    Py_XDECREF(rows_seq);
-    Py_XDECREF(coeffs_seq);
-    Py_XDECREF(lows);
+    PyMem_Free(pool.rows);
+    PyMem_Free(pool.coeffs);
+    PyMem_Free(pivot);
+    PyMem_Free(start);
+    if (table_view.obj != NULL)
+        PyBuffer_Release(&table_view);
+    if (lows_view.obj != NULL)
+        PyBuffer_Release(&lows_view);
     return result;
 }
 
 static PyMethodDef methods[] = {
-    {"reduce_columns", (PyCFunction)(void (*)(void))reduce_columns,
+    {"reduce_faces", (PyCFunction)(void (*)(void))reduce_faces,
      METH_VARARGS | METH_KEYWORDS,
-     "reduce_columns(col_rows, col_coeffs, q) -> list of lows\n\n"
-     "Persistence column reduction over GF(q); -1 marks a column that\n"
-     "reduces to zero."},
+     "reduce_faces(table, nrows, q, lows) -> number of pivots\n\n"
+     "Column reduction of the boundary with face table ``table`` over\n"
+     "GF(q), or over Z for q = 0, writing each column's low (-1 for zero)\n"
+     "into ``lows``.  Over Z, -1 flags a pivot other than +-1 or an entry\n"
+     "that reaches 2^63."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_reduction",
-    .m_doc = "Compiled persistence column reduction over a prime field.",
+    .m_doc = "Compiled column reduction of face tables over GF(q) or Z.",
     .m_size = -1,
     .m_methods = methods,
 };

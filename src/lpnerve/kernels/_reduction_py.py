@@ -1,22 +1,140 @@
-"""Pure-Python persistence column reduction over a prime field.
+"""Pure-Python column reductions over a prime field, and over Z.
 
-Reference implementation; the compiled extension in ``_reduction.c``
-implements the same contract.  Columns are given as parallel lists of
-strictly increasing int rows in [0, 2^63) and int coefficients that are
-nonzero mod q; a negative coefficient means its residue mod q.  The
-return value is ``low[j]``: the row index of the lowest entry of the
-reduced column j, or -1 if the column reduced to zero.  The field order
-q must be below 2^31, so that the compiled kernel's products fit in
-int64.  Input outside this contract raises ValueError, or TypeError for
-something other than an int.
+``reduce_faces`` is the reference implementation of the compiled kernel
+in ``_reduction.c``, with the same contract.  ``table`` is a 2-d
+C-contiguous int64 buffer: row j lists the faces of column j, entry i a
+row index in [0, nrows) with the sign (-1)^i, or -1 for a face not kept;
+no row may repeat within a column.  ``lows`` is a writable 1-d int64
+buffer with one slot per column, filled with the lowest row of each
+reduced column, or -1 where it reduces to zero.  The return value is the
+number of pivots.  q is a prime below 2^31, so that the compiled kernel's
+products fit in int64, or 0 for the integers: then every pivot must be
++-1 and every entry, and every product that forms one, must stay below
+2^63 in magnitude, and the return value is -1 as soon as either fails.
+Input outside this contract raises ValueError, or TypeError for
+something other than a buffer or an int.
+
+``reduce_columns`` is the plain reduction over GF(q) of sparse columns
+given as lists: parallel lists of strictly increasing int rows in
+[0, 2^63) and int coefficients that are nonzero mod q (a negative one
+means its residue mod q).  It returns the list of lows.  The library does
+not call it; it is the test oracle of ``reduce_faces``.
 """
 
 from __future__ import annotations
 
-from typing import List
+import operator
+from typing import Dict, List
+
+import numpy as np
 
 #: bound on the field order: (q - 1)^2 must fit in int64
 MAX_ORDER = 1 << 31
+#: entries over Z must stay strictly inside (-2^63, 2^63)
+_INT64 = 1 << 63
+
+
+def reduce_faces(table, nrows, q, lows) -> int:
+    q = operator.index(q)
+    if q != 0 and not 2 <= q < MAX_ORDER:
+        raise ValueError(f"q must be 0 (the integers) or a prime in "
+                         f"[2, 2^31), got {q}")
+    nrows = operator.index(nrows)
+    if not 0 <= nrows < _INT64:
+        raise ValueError(f"nrows must be a count of rows in [0, 2^63), "
+                         f"got {nrows}")
+    faces = _int64_array(table, 2, "the face table")
+    out = _int64_array(lows, 1, "lows", writable=True)
+    ncols, width = faces.shape
+    if len(out) != ncols:
+        raise ValueError(f"the face table has {ncols} columns but lows has "
+                         f"{len(out)} slots")
+    _check_table(faces, nrows)
+    counts = (faces >= 0).sum(axis=1)
+    live = np.flatnonzero(counts)  # a column with no face has no pivot
+    faces = faces[live]
+    order = np.argsort(np.where(faces >= 0, faces, np.iinfo(np.int64).max),
+                       axis=1, kind="stable")
+    minus = -1 if q == 0 else q - 1
+    found: List[int] = [-1] * ncols
+    pivots: Dict[int, Dict[int, int]] = {}  # low -> its column, low entry 1
+    for j, m, rows, signs in zip(
+            live.tolist(), counts[live].tolist(),
+            np.take_along_axis(faces, order, axis=1).tolist(),
+            np.where(order % 2, minus, 1).tolist()):
+        col = dict(zip(rows[:m], signs[:m]))
+        low = rows[m - 1]
+        while low in pivots:
+            if not _subtract(col, pivots[low], col[low], q):
+                return -1  # an entry over Z reached 2^63
+            if not col:
+                break
+            low = max(col)
+        if not col:
+            continue
+        unit = col[low]
+        if q == 0 and unit != 1:
+            if unit != -1:
+                return -1
+            col = {r: -c for r, c in col.items()}  # 1/u = u over Z
+        elif unit != 1:
+            inverse = pow(unit, q - 2, q)
+            col = {r: c * inverse % q for r, c in col.items()}
+        pivots[low] = col
+        found[j] = low
+    out[:] = found
+    return len(pivots)
+
+
+def _int64_array(obj, ndim: int, what: str, writable: bool = False
+                 ) -> np.ndarray:
+    """``obj`` as an int64 array on its own buffer, which must have the
+    given ndim and be C-contiguous (and writable if asked)."""
+    view = memoryview(obj)
+    fmt = view.format[1:] if view.format[:1] in ("@", "=") else view.format
+    if (view.ndim != ndim or view.itemsize != 8 or fmt not in ("q", "l")
+            or not view.c_contiguous or (writable and view.readonly)):
+        raise ValueError(f"{what} must be a {'writable ' if writable else ''}"
+                         f"{ndim}-d C-contiguous int64 array")
+    return np.asarray(view)
+
+
+def _check_table(faces: np.ndarray, nrows: int) -> None:
+    """Every face in -1..nrows-1, no row twice in a column; ValueError at
+    the first column that breaks this, as the compiled kernel finds it."""
+    ordered = np.sort(faces, axis=1)
+    bad = (((faces < -1) | (faces >= nrows)).any(axis=1)
+           | ((ordered[:, 1:] == ordered[:, :-1])
+              & (ordered[:, 1:] >= 0)).any(axis=1))
+    for j in np.flatnonzero(bad)[:1].tolist():
+        face = faces[j].tolist()
+        for i, row in enumerate(face):
+            if not -1 <= row < nrows:
+                raise ValueError(f"column {j} has the face {row}, outside "
+                                 f"-1..{nrows - 1}")
+            if row >= 0 and row in face[:i]:
+                raise ValueError(f"column {j} has the row {row} twice")
+
+
+def _subtract(col: Dict[int, int], pivot: Dict[int, int], f: int,
+              q: int) -> bool:
+    """col -= f * pivot in place, over GF(q), or over Z when q is 0; False
+    over Z once an entry or a product reaches 2^63 in magnitude, where
+    the compiled kernel's int64 would overflow."""
+    scale = q - f  # -f mod q
+    for r, y in pivot.items():
+        if q:
+            c = (col.get(r, 0) + y * scale) % q
+        else:
+            product = f * y
+            c = col.get(r, 0) - product
+            if not (-_INT64 < product < _INT64 and -_INT64 < c < _INT64):
+                return False
+        if c:
+            col[r] = c
+        else:
+            col.pop(r, None)
+    return True
 
 
 def reduce_columns(col_rows: List[List[int]], col_coeffs: List[List[int]],

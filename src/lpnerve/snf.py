@@ -11,6 +11,11 @@ steps; the rest go one at a time, sparsest row first.  Only the residue,
 the columns left with no unit entry, is split into connected blocks and
 made dense for the elimination loop.  ``smith_normal_forms`` does this
 for a direct sum of blocks at once, with the pivots counted per block.
+
+The library's integer ranks come first from the Z mode of the column
+reduction (``kernels.reduce_faces``), which needs no Smith normal form
+when every pivot is +-1; ``homology._ranks`` calls ``smith_normal_forms``
+only for a boundary that reduction flags, as one with torsion.
 """
 
 from __future__ import annotations

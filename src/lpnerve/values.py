@@ -56,10 +56,6 @@ def check_powers(distances: Iterable[float], p: float, hops: int) -> None:
             f"its p-th power overflows a float")
 
 
-def is_grade(r: float) -> bool:
-    return not math.isnan(r) and r >= 0.0
-
-
 def tensor(r: float, s: float, p: float) -> float:
     """Combine two grades with the +_p operation.
 
@@ -135,7 +131,7 @@ def parse_grade(token) -> float:
         value = float(token)
     else:
         raise InputError(f"cannot parse grade {token!r}")
-    if not is_grade(value):
+    if math.isnan(value) or value < 0.0:
         raise InputError(f"grade must be a nonnegative real, got {token!r}")
     return value
 

@@ -25,7 +25,8 @@ from lpnerve.nerve import enumerate_complex
 from lpnerve.snf import _divisibility_fixup
 from lpnerve.values import EPS, INF
 from lpnerve.vgraph import VGraph, asymmetrize
-from util import random_floors, random_honest_space, random_vgraph
+from util import (random_floors, random_honest_space, random_vgraph,
+                  rp2_subdivision)
 
 C4_CSV = """a,b,c,d
 0,1,2,1
@@ -825,6 +826,21 @@ def test_overflowing_powers_edge_cases(capsys, tmp_path):
         assert code == 0
         births = {tuple(t["verts"]): t["birth"] for t in obj["tuples"]}
         assert births[("a", "b")] == 1e200
+
+
+def test_homology_prints_the_torsion_of_the_projective_plane(capsys, tmp_path):
+    """The subdivided RP^2, asymmetrized, at p = inf under the empty sieve:
+    H_1 at grade 1 is Z/2, so rank 0 with torsion [2] over Z, rank 1 over
+    GF(2) and rank 0 over GF(3)."""
+    path = tmp_path / "rp2.csv"
+    path.write_text(io.vgraph_to_csv(asymmetrize(rp2_subdivision())))
+    for coeff, rank, torsion in [("z", 0, [2]), ("z2", 1, []), ("z3", 0, [])]:
+        code, rows = run_json(capsys, [
+            "homology", str(path), "--p", "inf", "--degrees", "0..1",
+            "--sieve", "none", "--coeff", coeff])
+        assert code == 0
+        assert {"grade": 1.0, "degree": 1, "rank": rank,
+                "torsion": torsion} in rows
 
 
 def run_cli(argv, timeout=60):

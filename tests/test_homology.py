@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
                            boundary_matrix, generators_at)
+from lpnerve import homology as homology_module
 from lpnerve import kernels
 from lpnerve import snf as snf_module
 from lpnerve.homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
@@ -22,8 +23,8 @@ from lpnerve.values import INF, InputError
 from lpnerve.vgraph import VGraph, asymmetrize, coproduct, free_category
 from util import (dense_to_columns, global_filtration_barcode,
                   magnitude_series, random_floors, random_honest_space,
-                  random_l1_space, random_vgraph, whole_matrix_snf,
-                  whole_matrix_table)
+                  random_l1_space, random_vgraph, rp2_subdivision,
+                  whole_matrix_snf, whole_matrix_table)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -268,13 +269,28 @@ def test_whole_array_steps_stop_when_a_round_takes_little(monkeypatch):
     assert handed == [2 * n - 4]
 
 
+def counting_smith_normal_forms(monkeypatch):
+    """Patch ``homology.smith_normal_forms`` to record each call."""
+    calls = []
+    original = homology_module.smith_normal_forms
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(homology_module, "smith_normal_forms", counting)
+    return calls
+
+
 def test_large_boundaries_leave_no_large_dense_block(monkeypatch):
     """Unit pivots take the boundaries that made ``_eliminate`` rescan large
     dense blocks: the empty sieve at p = 1 on 7 points, and the strict
     sieve at p = inf on the space of the first ph_inf benchmark input of
     seed 11 (14 points, up to the names and order of its vertices).  Each
     took seconds before; no block larger than 4 on a side may reach the
-    dense loop now."""
+    dense loop now.  The Z mode of the column reduction ranks these
+    without a Smith normal form, so it is made to flag every boundary
+    here, and the Smith normal form must give the same tables."""
     sides = []
 
     def recording(a):
@@ -282,13 +298,16 @@ def test_large_boundaries_leave_no_large_dense_block(monkeypatch):
         return _eliminate(a)
 
     monkeypatch.setattr(snf_module, "_eliminate", recording)
+    calls = counting_smith_normal_forms(monkeypatch)
     for X, p, sieve in [
             (random_honest_space(random.Random(7), 7), 1.0, GLOBAL),
             (random_honest_space(random.Random("ph_inf:11"), 14), INF, STRICT)]:
         fc = enumerate_complex(X, p, 3)
         rows = homology_table(fc, [0, 1, 2], sieve)
-        assert rows and all(r.rank >= 0 for r in rows)
-    assert max(sides, default=0) <= 4
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "reduce_faces", lambda *args: -1)
+            assert homology_table(fc, [0, 1, 2], sieve) == rows
+    assert calls and max(sides, default=0) <= 4
 
 
 def test_rank_planted_torsion():
@@ -459,13 +478,13 @@ def test_barcode_builds_no_face_table_above_the_requested_degree():
 def test_barcode_reduces_each_degree_once(monkeypatch):
     """Bars up to degree d reduce d_1 .. d_(d+1), one call each."""
     calls = []
-    reduce_columns = kernels.reduce_columns
+    reduce_faces = kernels.reduce_faces
 
     def counting(*args):
         calls.append(1)
-        return reduce_columns(*args)
+        return reduce_faces(*args)
 
-    monkeypatch.setattr(kernels, "reduce_columns", counting)
+    monkeypatch.setattr(kernels, "reduce_faces", counting)
     for d in range(3):
         fc = enumerate_complex(random_honest_space(random.Random(d), 5),
                                INF, d + 3)
@@ -586,3 +605,67 @@ def test_homology_field_vs_integer_when_torsion_free():
             if not hz.torsion:
                 hq = homology_at(fc, n, g, STRICT, Coefficients(2))
                 assert hq.rank == hz.rank
+
+
+def test_torsion_of_the_projective_plane(monkeypatch):
+    """The subdivided RP^2 at p = inf under the empty sieve: at grade 1,
+    H_1 = Z/2 has rank 0 and torsion (2,) over Z, rank 1 over GF(2) and
+    rank 0 over GF(3).  A d_2 there reduces to a pivot of 2 over Z, so the
+    Z mode flags 3 of the 8 boundaries of the table and the Smith normal
+    form runs on those; the field ranks never need it."""
+    fc = enumerate_complex(asymmetrize(rp2_subdivision()), INF, 2)
+    assert fc.size() == 4991
+    calls = counting_smith_normal_forms(monkeypatch)
+    for q, rank, torsion in [(None, 0, (2,)), (2, 1, ()), (3, 0, ())]:
+        rows = homology_table(fc, [0, 1], GLOBAL, Coefficients(q))
+        assert HomologySummary(1.0, 1, rank, torsion) in rows
+        assert len(calls) == 3
+
+
+def test_honest_strict_tables_need_no_smith_normal_form(monkeypatch):
+    """Under the strict sieve every pivot of an honest space's boundaries
+    is a unit, so integer tables come from the column reduction alone."""
+    calls = counting_smith_normal_forms(monkeypatch)
+    rng = random.Random(89)
+    for _ in range(8):
+        X = random_honest_space(rng, rng.randint(3, 6))
+        for p in (1.0, 2.0, INF):
+            fc = enumerate_complex(X, p, 3)
+            assert magnitude_homology(X, p, [0, 1, 2]) == \
+                whole_matrix_table(fc, [0, 1, 2], STRICT)
+    assert calls == []
+
+
+def assert_universal_coefficients(fc, degrees, sieve, primes):
+    """dim H_n(GF(q)) = rank H_n(Z) + the torsion factors of H_n divisible
+    by q + those of H_(n-1), on every row."""
+    integral = {(r.grade, r.degree): r
+                for r in homology_table(fc, degrees, sieve)}
+    for q in primes:
+        rows = homology_table(fc, degrees, sieve, Coefficients(q))
+        assert [(r.grade, r.degree) for r in rows] == list(integral)
+        for r in rows:
+            below = integral.get((r.grade, r.degree - 1))
+            torsion = integral[r.grade, r.degree].torsion + (
+                below.torsion if below else ())
+            assert r.torsion == ()
+            assert r.rank == integral[r.grade, r.degree].rank + sum(
+                d % q == 0 for d in torsion)
+
+
+def test_universal_coefficients_on_every_row():
+    """On random spaces and on the subdivided RP^2, under the empty,
+    strict and a custom sieve; RP^2 has 2-torsion in degrees 1 and 2."""
+    rng = random.Random(97)
+    for make in (random_honest_space, random_l1_space, random_vgraph):
+        for p in (1.0, 2.0, INF):
+            fc = enumerate_complex(make(rng, rng.randint(3, 4)), p, 3)
+            custom = SieveSpec(CUSTOM_GRID, random_floors(rng, len(fc.grades)))
+            for sieve in (GLOBAL, STRICT, custom):
+                assert_universal_coefficients(fc, [0, 1, 2], sieve, (2, 3, 5))
+    X = asymmetrize(rp2_subdivision())
+    assert_universal_coefficients(enumerate_complex(X, INF, 2), [0, 1],
+                                  GLOBAL, (2, 3))
+    fc = enumerate_complex(X, INF, 3)
+    for sieve in (STRICT, SieveSpec(CUSTOM_GRID, [0, 0, 1, 3])):
+        assert_universal_coefficients(fc, [0, 1, 2], sieve, (2, 3))

@@ -98,6 +98,29 @@ def graphs_equal(X: VGraph, Y: VGraph, eps: float = EPS) -> bool:
     return bool(np.all(same_finiteness & (both_inf | diff_ok)))
 
 
+def rp2_subdivision() -> VGraph:
+    """The barycentric subdivision of the 6-vertex real projective plane
+    (10 triangles, every edge on two), as the graph metric of its
+    comparability graph: one vertex per face of the triangulation, at
+    distance 1 from every face it contains or lies in.  At grade 1 its
+    flag complex is the subdivision, so H_1 = Z/2 there."""
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+    cells = sorted({f for t in triangles for k in (1, 2, 3)
+                    for f in itertools.combinations(t, k)},
+                   key=lambda f: (len(f), f))
+    n = len(cells)
+    dist = np.full((n, n), INF)
+    np.fill_diagonal(dist, 0.0)
+    for i, a in enumerate(cells):
+        for j, b in enumerate(cells):
+            if set(a) < set(b) or set(b) < set(a):
+                dist[i, j] = 1.0
+    for k in range(n):  # shortest paths
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    return VGraph(["f" + "".join(map(str, c)) for c in cells], dist)
+
+
 def random_floors(rng: random.Random, count: int) -> List[int]:
     """Floors of a random custom sieve over ``count`` grade indices: never
     falling, and at most g at grade index g."""
