@@ -13,15 +13,19 @@ which holds for each tuple and deleted vertex the row of the face one
 degree down.
 
 Every boundary is built by ``sieve_boundary`` for a run of consecutive
-grade indices, each after the first keeping only itself, as one slice of
-the face table with a mask of the faces kept: the direct sum of the
-boundaries at the run's grades.  The empty sieve kills nothing, so each
-grade is a run of its own; the strict-predecessor sieve, the
-magnitude-style localization, keeps only generators born exactly at the
-grade, so all its grades make one run.  ``boundary_matrix`` is a
-one-grade run renumbered to its generators, in the sparse column format
-of ``columns``: per column, the increasing row indices of its nonzero
-entries and a parallel list of their coefficients.
+grade indices as one slice of the face table with a mask of the faces
+kept.  A run's grades share its first grade's floor, or keep only
+themselves: the empty sieve kills nothing, so all its grades make one
+run, and so does the strict-predecessor sieve, the magnitude-style
+localization, which keeps only generators born exactly at the grade.  A
+face is never born after its tuple, so the columns of the shared-floor
+grades are the boundary at the last of them, and each prefix of those
+columns is the boundary at an earlier one; the columns of each later
+grade, which share no row with any other grade, add its boundary as a
+direct summand.  ``boundary_matrix`` is a one-grade run renumbered to
+its generators, in the sparse column format of ``columns``: per column,
+the increasing row indices of its nonzero entries and a parallel list of
+their coefficients.
 """
 
 from __future__ import annotations
@@ -83,8 +87,8 @@ def columns(faces: np.ndarray, keep: np.ndarray) -> Columns:
     where ``keep`` is true.
 
     Column j holds the kept faces of tuple j, increasing, with the sign
-    (-1)^i of the deleted vertex i; a face not kept (degenerate, killed by
-    a sieve, or not yet born) contributes nothing.
+    (-1)^i of the deleted vertex i; a face not kept (degenerate or killed
+    by a sieve) contributes nothing.
     """
     local = np.where(keep, faces, np.iinfo(faces.dtype).max)
     order = np.argsort(local, axis=1, kind="stable")
@@ -121,28 +125,28 @@ def sieve_boundary(fc: FilteredComplex, degree: int, first: int, last: int,
     matrix: the face table of its columns, the mask of the faces kept (the
     form ``columns`` takes) and the grade index of each column.
 
-    Each grade index after ``first`` must keep only itself, so the columns
-    are one slice of the face table, taken with no copy: those at ``first``
-    (grade indices ``floor(first)..first``), then those of each later
-    grade.  A face is kept where it lies in the rows one degree down that
-    survive at its column's grade, so columns of different grades share
-    no row.
+    Every grade index after ``first`` must share the floor of ``first`` or
+    keep only itself, so the columns are one slice of the face table,
+    taken with no copy: those of grade indices ``floor(first)..last``.  A
+    column of grade index h keeps the faces that survive at h, those of
+    grade index ``floor(h)`` and up (a column below ``first`` those that
+    survive at ``first``), and a face is never born after its tuple.  So
+    the columns of grade indices ``floor(g)..g`` are the boundary at each
+    g of the run, and the pivots of a left-to-right column reduction count
+    its rank there.
     """
     if degree < 1:
         raise InputError("a boundary needs degree >= 1")
-    if any(sieve.floor(g) != g for g in range(first + 1, last + 1)):
-        raise InputError(f"grade indices {first}..{last} are not one run")
     lo = _span(fc, degree, first, sieve)[0]
     hi = _span(fc, degree, last, sieve)[1]
-    faces, grade = fc.faces(degree)[lo:hi], fc.grade[degree][lo:hi]
     floor = sieve.floor(first)
-    if floor < first:
-        grade = np.maximum(grade, first)  # columns below first are at first
-    below = fc.starts[degree - 1]  # the rows of each grade one degree down
-    lowest = below.copy()  # the first row that survives at each grade
-    lowest[first] = below[floor]
-    keep = (faces >= lowest[grade, None]) & (faces < below[grade + 1, None])
-    return faces, keep, grade
+    floors = [floor] * (first - floor) + [sieve.floor(g)
+                                          for g in range(first, last + 1)]
+    if any(f != floor and f != g for g, f in enumerate(floors, floor)):
+        raise InputError(f"grade indices {first}..{last} are not one run")
+    faces, grade = fc.faces(degree)[lo:hi], fc.grade[degree][lo:hi]
+    lowest = fc.starts[degree - 1][floors]  # first row kept, per grade index
+    return faces, faces >= lowest[grade - floor, None], grade
 
 
 def boundary_matrix(fc: FilteredComplex, degree: int, g: int,

@@ -4,23 +4,28 @@
 for every sieve and ring; ``magnitude_homology`` is its strict sieve over
 the integers and ``homology_at`` one cell of it.  Grades are the integer
 grade indices of the complex, so no birth is compared here; a row prints
-the value of its grade, ``fc.grades[g]``.  The grade indices split
-into runs that ``chain.sieve_boundary`` builds as one matrix each: one
-run for all grades under the strict sieve, one per grade under the empty
-sieve.  Each d_n is built once per run and ranked once (``_ranks``), its
-ranks counted per column grade.  Every rank comes from the one column
-reduction ``kernels.reduce_faces`` (compiled kernel when available),
-which reads a face table directly: over GF(q), and over Z with pivots of
-+-1 only.  Only a boundary whose Z reduction meets a non-unit pivot (or
-an int64 overflow) goes to the exact Smith normal form of ``snf``, which
-then gives its torsion.  The barcode up to degree n reduces d_1 ..
-d_(n+1) one degree at a time over GF(q), each straight from its
-degree's face table.  The rows of one degree are already in filtration
-order and a column reduction only adds columns of one degree, so this
-pairs as a reduction of the whole filtration would; a pair born and
-killed at the same grade index is no bar.  A classical Vietoris-Rips
-computation on unordered simplices, with its own mod-2 reduction and
-pairing, serves as an independent cross-check.
+the value of its grade, ``fc.grades[g]``.  The grade indices split into
+runs that ``chain.sieve_boundary`` builds as one matrix each: a run's
+grades share its first grade's floor or keep only themselves, so the
+empty and the strict sieve make one run each.  Each d_n is built once
+per run and ranked once (``_ranks``): a left-to-right column reduction
+of a prefix of the columns is the prefix of the whole one, so the rank
+at grade index g is the pivot count of the columns of grade indices
+floor(g)..g.  Under the empty sieve that one reduction is the one the
+barcode makes of the same face table.  Every rank comes from the one
+column reduction ``kernels.reduce_faces`` (compiled kernel when
+available), which reads a face table directly: over GF(q), and over Z
+with pivots of +-1 only.  Only a boundary whose Z reduction meets a
+non-unit pivot (or an int64 overflow) goes to the exact Smith normal
+form of ``snf``, once per grade index of the run, which then gives its
+torsion.  The barcode up to degree n reduces d_1 .. d_(n+1) one degree
+at a time over GF(q), each straight from its degree's face table.  The
+rows of one degree are already in filtration order and a column
+reduction only adds columns of one degree, so this pairs as a reduction
+of the whole filtration would; a pair born and killed at the same grade
+index is no bar.  A classical Vietoris-Rips computation on unordered
+simplices, with its own mod-2 reduction and pairing, serves as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -33,15 +38,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .chain import STRICT_PREDECESSORS, SieveSpec, sieve_boundary
+from .chain import STRICT_PREDECESSORS, SieveSpec, columns, sieve_boundary
 from .nerve import DEFAULT_BUDGET, FilteredComplex, enumerate_complex
-from .snf import smith_normal_forms
+from .snf import smith_normal_form
 from .values import EPS, INF, InputError
 from .vgraph import VGraph, is_enriched_category, tolerance
 # not called here, but kept importable from this module, where the layer
 # tracer of ``pipebench/spans.py`` looks them up
 from .chain import boundary_matrix, generators_at  # noqa: F401
-from .snf import smith_normal_form  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -95,26 +99,33 @@ class Barcode:
 
 
 def _ranks(faces: np.ndarray, keep: np.ndarray, grade: np.ndarray,
-           coefficients: Coefficients, ngrades: int
+           coefficients: Coefficients, run: Sequence[Tuple[int, int]]
            ) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Rank and torsion, at each grade index below ``ngrades``, of a
-    boundary from ``sieve_boundary``.  Its columns of different grades
-    share no row, so pivots count per column grade.  One column reduction
-    (``kernels.reduce_faces``) ranks it over every ring.  Over Z a
-    reduction whose pivots are all +-1 is a unimodular change of basis, so
-    every invariant factor is 1; only when the kernel flags a non-unit
-    pivot (or an int64 overflow) does the Smith normal form run.
+    """Rank and torsion, at each grade index g of ``run`` (pairs of g and
+    its floor f), of a boundary from ``sieve_boundary``: the columns of
+    grade indices ``f..g`` are the boundary at g.  One column reduction
+    (``kernels.reduce_faces``) ranks it over every ring, and a
+    left-to-right reduction of a prefix of the columns is the prefix of
+    the whole one, so the rank at g is the pivot count of those columns.
+    Over Z a reduction whose pivots are all +-1 is a unimodular change of
+    basis, so every invariant factor is 1; only when the kernel flags a
+    non-unit pivot (or an int64 overflow) does the Smith normal form run,
+    once per grade index on its columns.
     """
     q = coefficients.modulus or 0
     table = np.where(keep, faces, -1)
     lows = np.empty(len(table), dtype=np.int64)
     if kernels.reduce_faces(table, int(table.max(initial=-1)) + 1, q, lows) >= 0:
-        return [(int(rank), ()) for rank in
-                np.bincount(grade[lows >= 0], minlength=ngrades)]
-    col, i = np.nonzero(keep)
-    return [(rank, tuple(d for d in divisors if d > 1))
-            for rank, divisors in smith_normal_forms(
-                col, faces[col, i], np.where(i % 2, -1, 1), grade, ngrades)]
+        pivots = np.bincount(grade[lows >= 0], minlength=run[-1][0] + 1)
+        below = [0] + np.cumsum(pivots).tolist()  # pivots below each grade
+        return [(below[g + 1] - below[f], ()) for g, f in run]
+    out = []
+    for g, f in run:
+        lo, hi = np.searchsorted(grade, [f, g + 1]).tolist()
+        rank, divisors = smith_normal_form(*columns(faces[lo:hi],
+                                                    keep[lo:hi]))
+        out.append((rank, tuple(d for d in divisors if d > 1)))
+    return out
 
 
 def _check_degrees(degrees: List[int], max_dim: int) -> None:
@@ -132,33 +143,35 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
     with generators.
 
     The grade indices split into runs: g joins the run before it when it
-    follows that run's last grade and keeps only itself.  Each d_k is built
-    (``sieve_boundary``) and ranked once per run: once for all grades under
-    the strict sieve, once per grade under the empty sieve.
+    follows that run's last grade and its floor is its own or the floor of
+    the run's first grade.  Each d_k is built (``sieve_boundary``) and
+    ranked once per run: once for all grades under the empty and the
+    strict sieve, once per run of a custom sieve.
     """
     degrees = sorted(set(degrees))
     _check_degrees(degrees, fc.max_dim)
-    runs: List[List[int]] = []
+    runs: List[List[Tuple[int, int]]] = []  # per run, each grade and floor
     for g in range(len(fc.grades)) if grades is None else grades:
-        if runs and g == runs[-1][-1] + 1 and sieve.floor(g) == g:
-            runs[-1].append(g)
+        f = sieve.floor(g)
+        if runs and g == runs[-1][-1][0] + 1 and f in (g, runs[-1][0][1]):
+            runs[-1].append((g, f))
         else:
-            runs.append([g])
+            runs.append([(g, f)])
     out: List[HomologySummary] = []
     for run in runs:
-        first, last = run[0], run[-1]
-        # k -> rank and torsion of d_k at each grade index up to last
-        ranks = {0: [(0, ())] * (last + 1)}
+        first, last = run[0][0], run[-1][0]
+        # k -> rank and torsion of d_k at each grade index of the run
+        ranks = {0: [(0, ())] * len(run)}
         for k in {k for n in degrees for k in (n, n + 1)} - {0}:
             ranks[k] = _ranks(*sieve_boundary(fc, k, first, last, sieve),
-                              coefficients, last + 1)
-        for g in run:
+                              coefficients, run)
+        for i, (g, f) in enumerate(run):
             for n in degrees:
-                gens = int(fc.starts[n][g + 1] - fc.starts[n][sieve.floor(g)])
+                gens = int(fc.starts[n][g + 1] - fc.starts[n][f])
                 if not gens:
                     continue  # an empty chain group has zero homology
-                rank_upper, torsion = ranks[n + 1][g]
-                rank = gens - ranks[n][g][0] - rank_upper
+                rank_upper, torsion = ranks[n + 1][i]
+                rank = gens - ranks[n][i][0] - rank_upper
                 out.append(HomologySummary(fc.grades[g], n, rank, torsion))
     return out
 
@@ -229,9 +242,9 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
 # -- classical Vietoris-Rips oracle -----------------------------------
 
 
-def vr_oracle(X: VGraph, max_degree: int, field_coeffs: Coefficients = GF2,
+def vr_oracle(X: VGraph, max_degree: int, *,
               eps: Optional[float] = None) -> Barcode:
-    """Persistence of the classical Vietoris-Rips complex.
+    """Persistence of the classical Vietoris-Rips complex over GF(2).
 
     Works on unordered vertex subsets with its own mod-2 reduction and
     pairing, sharing no code with the tuple-nerve pipeline.  ``eps`` is
@@ -239,8 +252,6 @@ def vr_oracle(X: VGraph, max_degree: int, field_coeffs: Coefficients = GF2,
     """
     if eps is None:
         eps = tolerance(X)
-    if field_coeffs.modulus not in (None, 2):
-        raise InputError("the classical oracle is implemented over GF(2)")
     if not X.is_symmetric(eps) or not X.is_strict(eps):
         raise InputError("the classical oracle needs a symmetric strict space")
     if not is_enriched_category(X, 1.0, eps):

@@ -77,7 +77,10 @@ def vgraph_from_json(obj) -> VGraph:
                          "list of strings and an 'edges' list")
     names = obj["vertices"]
     default = parse_grade(obj.get("default", "inf"))
-    symmetric = bool(obj.get("symmetric", False))
+    symmetric = obj.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise InputError(
+            f"'symmetric' must be true or false, got {symmetric!r}")
     n = len(names)
     idx = {v: i for i, v in enumerate(names)}
     mat = np.full((n, n), default)

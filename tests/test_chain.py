@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
-                           boundary_matrix, generators_at, sieve_boundary)
+                           boundary_matrix, columns, generators_at,
+                           sieve_boundary)
+from lpnerve.homology import GF2, INTEGERS, _ranks
 from lpnerve.nerve import enumerate_complex
+from lpnerve.snf import smith_normal_form
 from lpnerve.values import EPS, INF, InputError
 from lpnerve.vgraph import VGraph, tolerance
-from util import (columns_to_dense, dense_boundary, faces, index_at,
-                  is_degenerate, random_floors, random_honest_space,
+from util import (columns_to_dense, dense_boundary, dense_to_columns, faces,
+                  index_at, is_degenerate, random_floors, random_honest_space,
                   random_l1_space, random_vgraph)
 
 GLOBAL = SieveSpec(EMPTY)
@@ -70,7 +73,8 @@ def test_generators_at_global():
             with pytest.raises(InputError):
                 sieve_boundary(fc, 1, g, g, sieve)
     with pytest.raises(InputError):
-        sieve_boundary(fc, 1, 0, 2, GLOBAL)  # grade 2 keeps grades 0 and 1
+        # grade 2 keeps grade 1 but not grade 0
+        sieve_boundary(fc, 1, 0, 2, SieveSpec(CUSTOM_GRID, [0, 1, 1]))
 
 
 def test_generators_at_strict():
@@ -214,6 +218,40 @@ def test_boundary_matches_vertex_deletion():
                         assert np.array_equal(
                             dense_boundary(fc, degree, g, sieve),
                             label_boundary(fc, degree, g, sieve))
+
+
+def test_one_run_of_shared_floor_then_strict_grades():
+    """A custom sieve that keeps grade indices 0.. up to grade index s - 1
+    and only the grade itself from s on is one run.  Its one boundary per
+    degree holds, in the columns of grade indices floor(g)..g, the
+    boundary built at each g from vertex names, and the rank and torsion
+    that its one reduction counts at g are those of that boundary."""
+    rng = random.Random(47)
+    for make in (random_honest_space, random_vgraph):
+        X = make(rng, 4)
+        for p in (1.0, INF):
+            fc = enumerate_complex(X, p, 3)
+            n = len(fc.grades)
+            for s in range(1, n + 1):
+                sieve = SieveSpec(CUSTOM_GRID, [0] * s + list(range(s, n)))
+                run = [(g, sieve.floor(g)) for g in range(n)]
+                for degree in (1, 2, 3):
+                    boundary = sieve_boundary(fc, degree, 0, n - 1, sieve)
+                    faces, keep, grade = boundary
+                    over_z = _ranks(*boundary, INTEGERS, run)
+                    over_2 = _ranks(*boundary, GF2, run)
+                    for g, f in run:
+                        expected = label_boundary(fc, degree, g, sieve)
+                        cols = (grade >= f) & (grade <= g)
+                        shift = fc.starts[degree - 1][f]
+                        assert columns_to_dense(
+                            columns(faces[cols] - shift, keep[cols]),
+                            len(expected)) == expected.tolist()
+                        rank, divisors = smith_normal_form(
+                            *dense_to_columns(expected))
+                        assert over_z[g] == (
+                            rank, tuple(d for d in divisors if d > 1))
+                        assert over_2[g] == (sum(d % 2 for d in divisors), ())
 
 
 def test_boundary_squares_to_zero():

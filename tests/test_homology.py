@@ -17,7 +17,7 @@ from lpnerve.homology import (Bar, Barcode, Coefficients, GF2, INTEGERS,
                               HomologySummary, homology_at, homology_table,
                               magnitude_homology, persistence_barcode,
                               vr_oracle)
-from lpnerve.snf import _eliminate, _unit_pivots, smith_normal_form
+from lpnerve.snf import _eliminate, smith_normal_form
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF, InputError
 from lpnerve.vgraph import VGraph, asymmetrize, coproduct, free_category
@@ -72,6 +72,9 @@ def test_snf_examples():
     assert snf(d1) == (2, [1, 1])
     # classic torsion example
     assert snf([[2, 6], [0, 2]]) == (2, [2, 2])
+    # the boundary of a path with 2000 edges: a unit pivot at each edge
+    assert smith_normal_form([[i, i + 1] for i in range(2000)],
+                             [[-1, 1]] * 2000) == (2000, [1] * 2000)
 
 
 def test_snf_divisibility_random():
@@ -250,35 +253,16 @@ def test_snf_matches_whole_matrix_on_sparse_small_entries():
         assert snf(M) == whole_matrix_snf(*dense_to_columns(M))
 
 
-def test_whole_array_steps_stop_when_a_round_takes_little(monkeypatch):
-    """The boundary of a path with n edges has two units alone in their
-    row per round, so peeling it in whole-array rounds takes n / 2 rounds
-    over every entry left.  The rounds stop after the first, which drops
-    only the 4 entries of the end edges, and the one-at-a-time pivots take
-    the other 2n - 4."""
-    handed = []
-
-    def recording(cols):
-        handed.append(sum(len(col) for col in cols.values()))
-        return _unit_pivots(cols)
-
-    monkeypatch.setattr(snf_module, "_unit_pivots", recording)
-    n = 2000
-    assert smith_normal_form([[i, i + 1] for i in range(n)],
-                             [[-1, 1]] * n) == (n, [1] * n)
-    assert handed == [2 * n - 4]
-
-
-def counting_smith_normal_forms(monkeypatch):
-    """Patch ``homology.smith_normal_forms`` to record each call."""
+def counting_smith_normal_form(monkeypatch):
+    """Patch ``homology.smith_normal_form`` to record each call."""
     calls = []
-    original = homology_module.smith_normal_forms
+    original = homology_module.smith_normal_form
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(homology_module, "smith_normal_forms", counting)
+    monkeypatch.setattr(homology_module, "smith_normal_form", counting)
     return calls
 
 
@@ -290,7 +274,10 @@ def test_large_boundaries_leave_no_large_dense_block(monkeypatch):
     took seconds before; no block larger than 4 on a side may reach the
     dense loop now.  The Z mode of the column reduction ranks these
     without a Smith normal form, so it is made to flag every boundary
-    here, and the Smith normal form must give the same tables."""
+    here, and the Smith normal form must give the same tables.  The 7
+    points also run under the strict sieve and a custom one (floor
+    g - g % 3 at grade index g) whose runs are grades that share a floor
+    followed by one that keeps only itself."""
     sides = []
 
     def recording(a):
@@ -298,11 +285,14 @@ def test_large_boundaries_leave_no_large_dense_block(monkeypatch):
         return _eliminate(a)
 
     monkeypatch.setattr(snf_module, "_eliminate", recording)
-    calls = counting_smith_normal_forms(monkeypatch)
-    for X, p, sieve in [
-            (random_honest_space(random.Random(7), 7), 1.0, GLOBAL),
-            (random_honest_space(random.Random("ph_inf:11"), 14), INF, STRICT)]:
-        fc = enumerate_complex(X, p, 3)
+    calls = counting_smith_normal_form(monkeypatch)
+    seven = enumerate_complex(random_honest_space(random.Random(7), 7), 1.0, 3)
+    custom = SieveSpec(CUSTOM_GRID,
+                       [g - g % 3 for g in range(len(seven.grades))])
+    fourteen = enumerate_complex(
+        random_honest_space(random.Random("ph_inf:11"), 14), INF, 3)
+    for fc, sieve in [(seven, GLOBAL), (seven, STRICT), (seven, custom),
+                      (fourteen, STRICT)]:
         rows = homology_table(fc, [0, 1, 2], sieve)
         with monkeypatch.context() as m:
             m.setattr(kernels, "reduce_faces", lambda *args: -1)
@@ -493,6 +483,35 @@ def test_barcode_reduces_each_degree_once(monkeypatch):
         assert len(calls) == d + 1
 
 
+def test_empty_sieve_table_reduces_the_barcode_face_tables(monkeypatch):
+    """Under the empty sieve all grades make one run, so over GF(2) and
+    over Z ``homology_table`` reduces each d_k once, and on the face table
+    that ``persistence_barcode`` reduces for that d_k."""
+    tables = []
+    reduce_faces = kernels.reduce_faces
+
+    def recording(table, *args):
+        tables.append(table.copy())
+        return reduce_faces(table, *args)
+
+    monkeypatch.setattr(kernels, "reduce_faces", recording)
+    rng = random.Random(53)
+    for make in (random_honest_space, random_vgraph):
+        X = make(rng, 5)
+        for p in (1.0, INF):
+            fc = enumerate_complex(X, p, 3)
+            persistence_barcode(fc, 2)
+            barcode = {t.shape[1] - 1: t for t in tables}
+            assert sorted(barcode) == [1, 2, 3]
+            for ring in (GF2, INTEGERS):
+                tables.clear()
+                homology_table(fc, [0, 1, 2], GLOBAL, ring)
+                assert len(tables) == 3
+                for t in tables:
+                    assert np.array_equal(t, barcode[t.shape[1] - 1])
+            tables.clear()
+
+
 def test_vr_oracle_agreement_random():
     """At every max_degree below max_dim, so that the top degree's
     essential bars are compared too (degree 0 always has one), on
@@ -523,8 +542,13 @@ def test_vr_oracle_input_checks():
     asym = VGraph(["a", "b"], np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(InputError):
         vr_oracle(asym, 1)
-    with pytest.raises(InputError):
-        vr_oracle(cycle4(), 1, Coefficients(5))
+    # the oracle works over GF(2) alone and takes no ring, so a ring given
+    # (where ``eps`` is keyword-only) is refused rather than ignored
+    for ring in (INTEGERS, GF2, Coefficients(5)):
+        with pytest.raises(TypeError):
+            vr_oracle(cycle4(), 1, ring)
+        with pytest.raises(TypeError):
+            vr_oracle(cycle4(), 1, field_coeffs=ring)
 
 
 def test_asymmetrize_preserves_barcode():
@@ -610,22 +634,24 @@ def test_homology_field_vs_integer_when_torsion_free():
 def test_torsion_of_the_projective_plane(monkeypatch):
     """The subdivided RP^2 at p = inf under the empty sieve: at grade 1,
     H_1 = Z/2 has rank 0 and torsion (2,) over Z, rank 1 over GF(2) and
-    rank 0 over GF(3).  A d_2 there reduces to a pivot of 2 over Z, so the
-    Z mode flags 3 of the 8 boundaries of the table and the Smith normal
-    form runs on those; the field ranks never need it."""
+    rank 0 over GF(3).  The empty sieve makes one run of the 4 grades,
+    so the table builds d_1 and d_2 once each.  d_2 reduces to a pivot of
+    2 over Z, so the Z mode flags it, and the Smith normal form runs once
+    on each grade's columns: 4 calls, one of them on grade 0's d_2, which
+    has no columns.  The field ranks never need it."""
     fc = enumerate_complex(asymmetrize(rp2_subdivision()), INF, 2)
     assert fc.size() == 4991
-    calls = counting_smith_normal_forms(monkeypatch)
+    calls = counting_smith_normal_form(monkeypatch)
     for q, rank, torsion in [(None, 0, (2,)), (2, 1, ()), (3, 0, ())]:
         rows = homology_table(fc, [0, 1], GLOBAL, Coefficients(q))
         assert HomologySummary(1.0, 1, rank, torsion) in rows
-        assert len(calls) == 3
+        assert len(calls) == 4
 
 
 def test_honest_strict_tables_need_no_smith_normal_form(monkeypatch):
     """Under the strict sieve every pivot of an honest space's boundaries
     is a unit, so integer tables come from the column reduction alone."""
-    calls = counting_smith_normal_forms(monkeypatch)
+    calls = counting_smith_normal_form(monkeypatch)
     rng = random.Random(89)
     for _ in range(8):
         X = random_honest_space(rng, rng.randint(3, 6))

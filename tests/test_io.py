@@ -64,6 +64,18 @@ def test_json_graph():
         io.vgraph_from_json({"vertices": ["a"], "edges": [{"from": "a"}]})
 
 
+def test_json_symmetric_flag_must_be_boolean():
+    """Only true and false are a flag: the string "false" would otherwise
+    symmetrize the matrix."""
+    obj = {"vertices": ["a", "b"],
+           "edges": [{"from": "a", "to": "b", "dist": 1}]}
+    assert io.vgraph_from_json(dict(obj, symmetric=False)).d("b", "a") == INF
+    assert io.vgraph_from_json(dict(obj, symmetric=True)).d("b", "a") == 1.0
+    for bad in ("false", "true", 0, 1, None, []):
+        with pytest.raises(InputError):
+            io.vgraph_from_json(dict(obj, symmetric=bad))
+
+
 def test_load_vgraph_sniffs_format(tmp_path):
     X = sample_graph()
     csv_path = tmp_path / "m.txt"

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from lpnerve import kernels
-from lpnerve.chain import columns
-from lpnerve.homology import Coefficients, persistence_barcode
+from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
+                           columns)
+from lpnerve.homology import (INTEGERS, Coefficients, homology_table,
+                              persistence_barcode)
 from lpnerve.kernels import _reduction_py, reduce_columns, reduce_faces
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF
 from lpnerve.vgraph import asymmetrize
-from util import KERNELS, random_honest_space
+from util import KERNELS, random_floors, random_honest_space, random_vgraph
 
 #: the largest prime below MAX_ORDER
 BIG_PRIME = 2147483647
@@ -173,6 +175,27 @@ def test_backends_give_the_same_barcodes(compiled_reduction, monkeypatch):
             monkeypatch.setattr(kernels, "reduce_faces",
                                 _reduction_py.reduce_faces)
             assert compiled == persistence_barcode(fc, 2, Coefficients(q)).bars
+
+
+def test_backends_give_the_same_tables(compiled_reduction, monkeypatch):
+    """Under the empty, strict and a custom sieve, over Z, GF(2) and
+    GF(3)."""
+    rng = random.Random(79)
+    for make in (random_honest_space, random_vgraph):
+        X = make(rng, 5)
+        for p in (1.0, INF):
+            fc = enumerate_complex(X, p, 3)
+            custom = SieveSpec(CUSTOM_GRID, random_floors(rng, len(fc.grades)))
+            for sieve in (SieveSpec(EMPTY), SieveSpec(STRICT_PREDECESSORS),
+                          custom):
+                for ring in (INTEGERS, Coefficients(2), Coefficients(3)):
+                    monkeypatch.setattr(kernels, "reduce_faces",
+                                        compiled_reduction.reduce_faces)
+                    compiled = homology_table(fc, [0, 1, 2], sieve, ring)
+                    monkeypatch.setattr(kernels, "reduce_faces",
+                                        _reduction_py.reduce_faces)
+                    assert compiled == homology_table(fc, [0, 1, 2], sieve,
+                                                      ring)
 
 
 def _writable(n):
