@@ -109,8 +109,9 @@ def _ranks(faces: np.ndarray, keep: np.ndarray, grade: np.ndarray,
     the whole one, so the rank at g is the pivot count of those columns.
     Over Z a reduction whose pivots are all +-1 is a unimodular change of
     basis, so every invariant factor is 1; only when the kernel flags a
-    non-unit pivot (or an int64 overflow) does the Smith normal form run,
-    once per grade index on its columns.
+    non-unit pivot (or an int64 overflow) does the Smith normal form
+    (``snf.smith_normal_form``, one sparse elimination loop) run, once per
+    grade index on its columns.
     """
     q = coefficients.modulus or 0
     table = np.where(keep, faces, -1)

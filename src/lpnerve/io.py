@@ -16,7 +16,7 @@ import numpy as np
 from .automata import Automaton, Transition
 from .homology import Bar, Barcode, HomologySummary
 from .nerve import FilteredComplex
-from .values import INF, InputError, grade_str, parse_grade
+from .values import InputError, grade_str, parse_grade
 from .vgraph import VGraph
 
 
@@ -75,28 +75,24 @@ def vgraph_from_json(obj) -> VGraph:
             and isinstance(obj.get("edges", []), list)):
         raise InputError("graph JSON must be an object with a 'vertices' "
                          "list of strings and an 'edges' list")
-    names = obj["vertices"]
     default = parse_grade(obj.get("default", "inf"))
     symmetric = obj.get("symmetric", False)
     if not isinstance(symmetric, bool):
         raise InputError(
             f"'symmetric' must be true or false, got {symmetric!r}")
-    n = len(names)
-    idx = {v: i for i, v in enumerate(names)}
-    mat = np.full((n, n), default)
+    entries = {}
     for edge in obj.get("edges", []):
         try:
             a, b, r = edge["from"], edge["to"], parse_grade(edge["dist"])
         except (KeyError, TypeError):
             raise InputError(f"edge {edge!r} is not an object with the keys "
                              "from, to and dist") from None
-        if not all(isinstance(v, str) and v in idx for v in (a, b)):
+        if not (isinstance(a, str) and isinstance(b, str)):
             raise InputError(f"edge ({a!r}, {b!r}) mentions an unknown vertex")
-        mat[idx[a], idx[b]] = r
+        entries[a, b] = r
         if symmetric:
-            mat[idx[b], idx[a]] = r
-    np.fill_diagonal(mat, 0.0)
-    return VGraph(names, mat)
+            entries[b, a] = r
+    return VGraph.from_entries(obj["vertices"], entries, default)
 
 
 def _read(path: str) -> str:
@@ -151,11 +147,10 @@ def load_automaton(path: str) -> Automaton:
 
 def complex_to_json(fc: FilteredComplex) -> dict:
     return {
-        "p": INF if math.isinf(fc.p) else fc.p,
+        "p": fc.p,
         "max_dim": fc.max_dim,
         "tuples": [
-            {"degree": degree, "verts": list(verts),
-             "birth": INF if math.isinf(birth) else birth}
+            {"degree": degree, "verts": list(verts), "birth": birth}
             for degree, births in enumerate(fc.births)
             for verts, birth in zip(fc.labels(degree), births.tolist())
         ],
@@ -180,8 +175,7 @@ def dumps(obj) -> str:
 
 def barcode_to_json(bc: Barcode) -> list:
     return [
-        {"degree": b.degree, "birth": b.birth,
-         "death": INF if math.isinf(b.death) else b.death}
+        {"degree": b.degree, "birth": b.birth, "death": b.death}
         for b in bc.bars
     ]
 
@@ -209,8 +203,8 @@ def homology_to_csv(rows: Sequence[HomologySummary]) -> str:
 
 def homology_to_json(rows: Sequence[HomologySummary]) -> list:
     return [
-        {"grade": INF if math.isinf(h.grade) else h.grade,
-         "degree": h.degree, "rank": h.rank, "torsion": list(h.torsion)}
+        {"grade": h.grade, "degree": h.degree, "rank": h.rank,
+         "torsion": list(h.torsion)}
         for h in rows
     ]
 

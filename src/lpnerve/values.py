@@ -127,7 +127,7 @@ def parse_grade(token) -> float:
             value = float(token)
         except ValueError as exc:
             raise InputError(f"cannot parse grade {token!r}") from exc
-    elif isinstance(token, (int, float)):
+    elif isinstance(token, (int, float)) and not isinstance(token, bool):
         value = float(token)
     else:
         raise InputError(f"cannot parse grade {token!r}")

@@ -121,18 +121,15 @@ def validate(X: VGraph, eps: float = EPS) -> ValidationReport:
     """Report structural violations: a nonzero diagonal, missing or
     negative entries."""
     report = ValidationReport()
-    n = len(X)
-    for i, v in enumerate(X.vertices):
-        if math.isnan(X.dist[i, i]) or abs(X.dist[i, i]) > eps:
-            report.violations.append(f"nonzero diagonal at {v}")
-    for i, j in itertools.product(range(n), repeat=2):
-        r = X.dist[i, j]
-        if math.isnan(r):
-            report.violations.append(
-                f"missing entry at ({X.vertices[i]}, {X.vertices[j]})")
-        elif r < -eps:
-            report.violations.append(
-                f"negative entry at ({X.vertices[i]}, {X.vertices[j]})")
+    d = X.dist
+    diagonal = np.diagonal(d)
+    for i in np.flatnonzero(np.isnan(diagonal) | (np.abs(diagonal) > eps)):
+        report.violations.append(f"nonzero diagonal at {X.vertices[i]}")
+    missing = np.isnan(d)
+    for i, j in zip(*np.nonzero(missing | (d < -eps))):
+        kind = "missing" if missing[i, j] else "negative"
+        report.violations.append(
+            f"{kind} entry at ({X.vertices[i]}, {X.vertices[j]})")
     return report
 
 

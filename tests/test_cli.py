@@ -640,9 +640,15 @@ def test_exit_code_bad_json(capsys, tmp_path, command, name, text):
     ("ph", "latin1.csv", "a,b\n0,1\n1,0\n".encode() + b"\xff\n"),
     ("ph", "symmetric.json",
      '{"vertices": ["a", "b"], "edges": [], "symmetric": "false"}'),
+    ("free", "dist.json", '{"vertices": ["a", "b"], '
+     '"edges": [{"from": "a", "to": "b", "dist": true}]}'),
+    ("free", "default.json", '{"vertices": ["a", "b"], "default": true}'),
+    ("automaton", "cost.json", '{"states": ["s"], "alphabet": {"a": true}, '
+     '"transitions": [{"from": "s", "to": "s", "label": "a"}]}'),
 ], ids=["ph-edge-rows", "ph-edges-int", "ph-vertices-int",
         "automaton-alphabet-list", "ph-directory", "automaton-directory",
-        "ph-not-utf8", "ph-symmetric-string"])
+        "ph-not-utf8", "ph-symmetric-string", "free-dist-bool",
+        "free-default-bool", "automaton-cost-bool"])
 def test_exit_code_bad_input_shape(capsys, tmp_path, command, name, content):
     """Valid JSON of the wrong shape, or a file that cannot be read as
     UTF-8 text, is bad input."""

@@ -109,6 +109,9 @@ def test_grade_round_trip():
         parse_grade("-1")
     with pytest.raises(InputError):
         parse_grade("abc")
+    for token in (True, False, None, [1]):  # a JSON boolean is no number
+        with pytest.raises(InputError):
+            parse_grade(token)
     assert parse_exponent("inf") == INF
     with pytest.raises(InputError):
         parse_exponent("0.3")

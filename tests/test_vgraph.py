@@ -45,6 +45,22 @@ def test_from_entries_and_validate():
     assert "diagonal" in report.violations[0]
 
 
+def test_validate_reports_in_order():
+    """Diagonal violations first, then missing and negative entries in
+    row-major order; a NaN on the diagonal is both a nonzero diagonal and
+    a missing entry."""
+    nan = float("nan")
+    X = VGraph(["a", "b", "c"], np.array([[0.0, -1.0, nan],
+                                         [0.5, nan, 1.0],
+                                         [nan, 2.0, 3.0]]))
+    assert validate(X).violations == [
+        "nonzero diagonal at b", "nonzero diagonal at c",
+        "negative entry at (a, b)", "missing entry at (a, c)",
+        "missing entry at (b, b)", "missing entry at (c, a)"]
+    assert validate(VGraph(["a", "b"], np.array([[1e-10, -1e-10],
+                                                 [0.0, 0.0]]))).ok
+
+
 def test_check_morphism():
     X = two_points(2.0, 2.0)
     Y = two_points(1.0, 1.0)

@@ -17,7 +17,7 @@ from lpnerve.chain import boundary_matrix, columns, generators_at
 from lpnerve.homology import Bar, Barcode, HomologySummary
 from lpnerve.nerve import (FilteredComplex, _expand, _python_power,
                            grade_clusters)
-from lpnerve.snf import _divisibility_fixup, _eliminate
+from lpnerve.snf import _divisibility_fixup
 from lpnerve.values import EPS, INF, close, tensor_fold
 from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism,
                             free_category, tolerance)
@@ -375,9 +375,67 @@ def columns_to_dense(cols: Tuple[List[List[int]], List[List[int]]],
     return entries
 
 
+def _eliminate(a: List[List[int]]) -> List[int]:
+    """Diagonalize ``a`` in place; the nonzero diagonal, not yet normalized."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    divisors: List[int] = []
+    t = 0
+    while t < nrows and t < ncols:
+        # pick the first nonzero pivot of smallest magnitude in row-major
+        # order; nothing is smaller than a unit, so the scan stops there
+        pivot = best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best = v
+                    pivot = (i, j)
+                    if v == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            # clear the pivot column
+            dirty = False
+            for i in range(nrows):
+                if i != t and a[i][t]:
+                    qt = a[i][t] // a[t][t]
+                    for j in range(ncols):
+                        a[i][j] -= qt * a[t][j]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        dirty = True
+            if dirty:
+                continue
+            # clear the pivot row
+            for j in range(ncols):
+                if j != t and a[t][j]:
+                    qt = a[t][j] // a[t][t]
+                    for i in range(nrows):
+                        a[i][j] -= qt * a[i][t]
+                    if a[t][j]:
+                        for i in range(nrows):
+                            a[i][t], a[i][j] = a[i][j], a[i][t]
+                        dirty = True
+            if not dirty and all(a[t][j] == 0 for j in range(ncols) if j != t) \
+                    and all(a[i][t] == 0 for i in range(nrows) if i != t):
+                break
+        divisors.append(abs(a[t][t]))
+        t += 1
+    return divisors
+
+
 def whole_matrix_snf(col_rows, col_coeffs) -> Tuple[int, List[int]]:
-    """Rank and invariant factors from the dense elimination loop
-    ``snf._eliminate`` run on the whole matrix as one block."""
+    """Rank and invariant factors from a dense elimination loop run on the
+    whole matrix: the oracle of ``snf.smith_normal_form``, with which it
+    shares no elimination code (only the final ``_divisibility_fixup``)."""
     nrows = max((max(rows) + 1 for rows in col_rows if rows), default=0)
     divisors = _eliminate(columns_to_dense((col_rows, col_coeffs), nrows))
     return len(divisors), _divisibility_fixup(divisors)
@@ -387,7 +445,7 @@ def whole_matrix_table(fc, degrees: Sequence[int], sieve,
                        grades=None) -> List[HomologySummary]:
     """``homology.homology_table`` over Z computed the plain way: every
     d_n built per grade by ``boundary_matrix`` and ranked by
-    ``whole_matrix_snf``, with no unit pivots and no blocks."""
+    ``whole_matrix_snf``, the dense loop on the whole matrix."""
     degrees = sorted(set(degrees))
     out = []
     for g in range(len(fc.grades)) if grades is None else grades:
