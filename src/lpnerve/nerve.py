@@ -9,10 +9,11 @@ the maximum forward distance.
 
 The complex is columnar.  Vertices are numbered in sorted-name order, so
 ordering index rows is ordering name tuples, and each degree is an
-integer matrix (one row of vertex indices per tuple) with a float64
-births vector, both sorted by (birth, vertices).  Each row also records
-the row of its prefix (the tuple without its last vertex) one degree
-down; ``FilteredComplex.faces`` derives every face from it.  Names appear
+integer matrix (one row of vertex indices per tuple, stored
+column-major) with a float64 births vector, both sorted by (birth,
+vertices).  Each row also records the row of its prefix (the tuple
+without its last vertex) one degree down; ``FilteredComplex.faces``
+derives every face from it.  Names appear
 only when a result is emitted (``FilteredComplex.labels``).
 
 Births are compared once, here: ``enumerate_complex`` clusters all births
@@ -23,11 +24,18 @@ results do not depend on the scale of the input and a tuple sits in
 exactly one grade.
 
 ``enumerate_complex`` searches depth first over blocks of at most
-``BLOCK`` rows and carries the dynamic program down: a tuple's chain
-values are those of its prefix plus one new entry, so no birth is
+``BLOCK`` reach cells and carries the dynamic program down: a tuple's
+chain values are those of its prefix plus one new entry, so no birth is
 recomputed from scratch.  ``membership_scale`` computes one birth on its
-own and is the reference the search agrees with bit for bit.  It finds
-each degree in lexicographic order, so sorting by birth alone is enough.
+own and is the reference the search agrees with bit for bit.
+
+A birth is a non-decreasing function of one float, the tuple's top chain
+value, and a degree has few distinct tops.  So each degree takes one
+float sort, ``np.unique`` of its tops; only the distinct tops are powered
+to births, and tops with one birth merge into one integer birth code.
+The search finds each degree in lexicographic order, so a stable sort of
+the codes (a radix sort on their small integer type) puts it in (birth,
+vertices) order, and a tuple's grade index is a gather through its code.
 """
 
 from __future__ import annotations
@@ -46,9 +54,9 @@ from .vgraph import VGraph, tolerance
 #: default cap on the number of enumerated tuples
 DEFAULT_BUDGET = 2_000_000
 
-#: rows expanded together by the search; the reach vectors alive at once
-#: number at most BLOCK per degree
-BLOCK = 64
+#: cells (rows times points) of the reach matrix of one search block; the
+#: search keeps at most one block per degree alive (and at least one row)
+BLOCK = 2 ** 14
 
 #: vertex index type of the tuple matrices
 VERTEX = np.int32
@@ -60,13 +68,14 @@ class FilteredComplex:
 
     Vertex index ``i`` stands for ``names[i]``, and ``names`` is sorted.
     Per degree k: ``tuples[k]`` is a (rows, k + 1) integer matrix of vertex
-    indices, ``births[k]`` the float64 births, both sorted by (birth,
-    vertices), ``prefix[k]`` the row in degree k - 1 of each tuple
-    without its last vertex (-1 at degree 0), and ``grade[k]`` the grade
-    index of each tuple, non-decreasing.  ``grades[g]`` is the value of
-    grade index g, the smallest birth of its cluster (``grades[0]`` is 0),
-    and ``starts[k][g]`` the first row of degree k with grade index >= g,
-    for g up to ``len(grades)``.
+    indices (column-major, so each position is contiguous), ``births[k]``
+    the float64 births, both sorted by (birth, vertices), ``prefix[k]``
+    the row in degree k - 1 of each tuple without its last vertex (-1 at
+    degree 0), and ``grade[k]`` the grade index of each tuple,
+    non-decreasing.  ``grades[g]`` is the value of grade index g, the
+    smallest birth of its cluster (``grades[0]`` is 0), and
+    ``starts[k][g]`` the first row of degree k with grade index >= g, for
+    g up to ``len(grades)``.
     """
 
     space: VGraph
@@ -202,20 +211,20 @@ def membership_scale(X: VGraph, verts: Sequence[str], p: float) -> float:
 
 
 def _python_power(values: np.ndarray, exponent: float) -> np.ndarray:
-    """``x ** exponent`` (0 for x = 0) by Python's float power, once per
-    distinct value; numpy's power may differ in the last bit."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    powered = np.array([x ** exponent if x > 0.0 else 0.0
-                        for x in distinct.tolist()], dtype=float)
-    return powered[inverse].reshape(values.shape)
+    """``x ** exponent`` (0 for x = 0) by Python's float power, one value
+    at a time; numpy's power may differ in the last bit.  Callers pass few
+    values: the distance matrix, or the distinct tops of one degree."""
+    powered = [x ** exponent if x > 0.0 else 0.0
+               for x in values.ravel().tolist()]
+    return np.array(powered, dtype=float).reshape(values.shape)
 
 
 def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
             ) -> List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """All finite-birth nondegenerate tuples, per degree, in chunks: the
     last vertex, the top chain value and the prefix row of each tuple,
-    rows numbered in search order, which is lexicographic (the birth sort
-    of ``enumerate_complex`` relies on it): blocks of each degree are
+    rows numbered in search order, which is lexicographic (the birth-code
+    sort of ``enumerate_complex`` relies on it): blocks of each degree are
     popped in row order and a row's children in next-vertex order.
 
     A block's reach matrix holds, per row and vertex v, the longest-chain
@@ -227,11 +236,13 @@ def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
     exact, so the births are bit-identical to it.  Extending a tuple can
     only raise its birth, so infinite branches are pruned.
 
+    A block has ``BLOCK // n`` rows (at least one), so its reach holds at
+    most ``BLOCK`` cells; a small space expands each degree in one block.
     Blocks are expanded depth first and a block's reach is built only when
     it is expanded, so the reach alive at once is at most ``max_dim``
-    blocks of ``BLOCK`` rows, and what is stored per tuple does not grow
-    with its degree.  A block's children are counted before they are
-    built, and the budget is checked on that count.
+    blocks, and what is stored per tuple does not grow with its degree.
+    A block's children are counted before they are built, and the budget
+    is checked on that count.
     """
     n = len(w)
     vertices = np.arange(n, dtype=VERTEX)
@@ -243,10 +254,11 @@ def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
         raise BudgetExceededError(f"tuple count exceeded the budget of {limit}")
     # pending blocks: degree, first row, and what its reach is built from
     # (the parent block's reach and rows, new vertex, top)
+    step = max(1, BLOCK // max(n, 1))  # rows per block
     stack = []
     if max_dim > 0:
-        for lo in reversed(range(0, n, BLOCK)):
-            stack.append((0, lo, None, None, vertices[lo:lo + BLOCK], None))
+        for lo in reversed(range(0, n, step)):
+            stack.append((0, lo, None, None, vertices[lo:lo + step], None))
     while stack:
         k, first, base, parents, last, top = stack.pop()
         if base is None:
@@ -267,8 +279,8 @@ def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
         rows[k + 1] += count
         found[k + 1].append((nxt.astype(VERTEX), child_top, first + local))
         if k + 1 < max_dim:
-            for lo in reversed(range(0, count, BLOCK)):
-                hi = lo + BLOCK
+            for lo in reversed(range(0, count, step)):
+                hi = lo + step
                 stack.append((k + 1, start + lo, reach, local[lo:hi],
                               nxt[lo:hi], child_top[lo:hi]))
     return found
@@ -309,31 +321,43 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
     at_inf = p == INF
     w = d if at_inf else _python_power(d, p)
     limit = INF if budget is None else budget
-    tuples, births, prefix = [], [], []
+    tuples, births, prefix, codes, levels = [], [], [], [], []
     found = _expand(w, at_inf, max_dim, limit)
     for k in range(len(found)):
         last, top, parent = (np.concatenate(parts) for parts in zip(*found[k]))
         found[k] = None  # drop the chunks once joined
-        birth = top if at_inf else _python_power(top, 1.0 / p)
-        order = np.argsort(birth, kind="stable")  # rows are lexicographic
-        births.append(birth[order])
+        # the one float sort of the degree: its distinct tops, increasing,
+        # and the code of each row's top among them
+        level, code = np.unique(top, return_inverse=True)
+        if not at_inf:  # tops that power to one birth share a code, so
+            # that rows with equal births keep their lexicographic order
+            level, merge = np.unique(_python_power(level, 1.0 / p),
+                                     return_inverse=True)
+            code = merge[code]
+        code = code.astype(np.min_scalar_type(len(level)))
+        order = np.argsort(code, kind="stable")  # rows are lexicographic
+        codes.append(code[order])
+        levels.append(level)
+        births.append(level[codes[k]])
         # parents were numbered in search order; renumber them sorted
         prefix.append(rank[parent[order]] if k else parent)
-        # each row is its prefix's row, then its last vertex
-        verts = np.empty((len(order), k + 1), dtype=VERTEX)
-        if k:
-            np.take(tuples[k - 1], prefix[k], axis=0, out=verts[:, :k])
+        # each row is its prefix's row, then its last vertex; column-major,
+        # so each prefix column is one contiguous gather (every index is a
+        # row below, so "clip" changes none and skips a buffered check)
+        verts = np.empty((len(order), k + 1), dtype=VERTEX, order="F")
+        for i in range(k):
+            np.take(tuples[k - 1][:, i], prefix[k], out=verts[:, i],
+                    mode="clip")
         verts[:, k] = last[order]
         tuples.append(verts)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-    # each degree is sorted, so its distinct births are cheap to take;
     # a leading 0 keeps grade 0 when there are no vertices
-    distinct = [level[np.diff(level, prepend=-INF) > 0] for level in births]
-    grades = grade_clusters(np.concatenate([np.zeros(1), *distinct]),
+    grades = grade_clusters(np.concatenate([np.zeros(1), *levels]),
                             tolerance(X, eps), max(max_dim, 1))
-    grade = [np.searchsorted(grades, level, side="right") - 1
-             for level in births]
+    # a tuple's grade index is that of its birth code
+    grade = [(np.searchsorted(grades, level, side="right") - 1)[code]
+             for level, code in zip(levels, codes)]
     starts = [np.searchsorted(level, np.arange(len(grades) + 1))
               for level in grade]
     return FilteredComplex(X, p, max_dim, names, tuples, births, prefix,

@@ -265,11 +265,22 @@ def bareiss_determinant(entries):
     return sign * a[-1][-1]
 
 
+def minors_gcd(entries):
+    """The gcd of all 2 x 2 minors of an integer matrix (0 if there are
+    none): the product of its first two invariant factors."""
+    pairs = list(itertools.combinations(range(len(entries[0])), 2))
+    return math.gcd(*(a[j] * b[l] - a[l] * b[j]
+                      for a, b in itertools.combinations(entries, 2)
+                      for j, l in pairs))
+
+
 def test_snf_large_entries_match_determinant():
     """Square matrices with entries up to 1000, so that remainder steps
     do most of the work (the whole-matrix dense loop takes over a minute
-    on some of them): the first invariant factor is the gcd of the
-    entries, and the factors multiply to |det| when it is nonzero."""
+    on some of them).  The determinantal divisors fix the invariant
+    factors: the first is the gcd of the entries, the first two multiply
+    to the gcd of the 2 x 2 minors, and all of them to |det| when it is
+    nonzero."""
     rng = random.Random(61)
     for _ in range(40):
         n = rng.randint(2, 13)
@@ -283,6 +294,54 @@ def test_snf_large_entries_match_determinant():
             assert math.prod(divisors) == abs(det)
         if rank:
             assert divisors[0] == math.gcd(*itertools.chain(*M))
+        minors = minors_gcd(M)
+        assert (rank >= 2) == (minors != 0)
+        if rank >= 2:
+            assert divisors[0] * divisors[1] == minors
+
+
+def diagonal_invariant_factors(diagonal):
+    """Invariant factors of a diagonal of positive integers, prime by
+    prime: the i-th takes the i-th smallest power of each prime."""
+    powers = {}
+    for i, d in enumerate(diagonal):
+        q = 2
+        while d > 1:
+            while d % q == 0:
+                powers.setdefault(q, [0] * len(diagonal))[i] += 1
+                d //= q
+            q += 1
+    factors = [1] * len(diagonal)
+    for q, exponents in powers.items():
+        for i, e in enumerate(sorted(exponents)):
+            factors[i] *= q ** e
+    return factors
+
+
+def test_snf_large_entries_with_known_factors():
+    """U D V with D diagonal, its entries not dividing each other (as 6,
+    10 and 15), and U, V unimodular: random row and column additions
+    within two diagonal blocks, until some entry exceeds 1000.  The
+    invariant factors are those of D, and the two blocks reduce apart,
+    so the divisibility fixup must merge their pivots."""
+    rng = random.Random(67)
+    for _ in range(30):
+        n = rng.randint(4, 12)
+        cut = rng.randint(2, n - 2)
+        blocks = [range(cut), range(cut, n)]
+        diagonal = [rng.choice([1, 2, 3, 4, 5, 6, 9, 10, 15])
+                    for _ in range(n)]
+        M = [[diagonal[i] if i == j else 0 for j in range(n)]
+             for i in range(n)]
+        while max(abs(v) for row in M for v in row) <= 1000:
+            i, j = rng.sample(rng.choice(blocks), 2)
+            c = rng.choice([-2, -1, 1, 2])
+            if rng.random() < 0.5:
+                M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+            else:
+                for row in M:
+                    row[i] += c * row[j]
+        assert snf(M) == (n, diagonal_invariant_factors(diagonal))
 
 
 def counting_smith_normal_form(monkeypatch):

@@ -328,6 +328,53 @@ def test_search_reach_memory_is_blocked():
     assert 4 * peak <= full_reach
 
 
+def assert_same_complex(fc, want):
+    """Every field of two complexes is equal, dtypes included."""
+    for name in ("tuples", "births", "prefix", "grade", "starts"):
+        for a, b in zip(getattr(fc, name), getattr(want, name), strict=True):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+    assert fc.grades == want.grades
+
+
+def falling_tie(dist, p, max_dim):
+    """True when some degree of the space with distances ``dist`` (vertices
+    in name order) has two rows with equal births whose tops, the chain
+    values the births are powered from, fall against the lexicographic
+    order the search finds them in."""
+    for parts in nerve._expand(nerve._python_power(dist, p), False, max_dim,
+                               INF):
+        top = np.concatenate([part[1] for part in parts])
+        birth = nerve._python_power(top, 1.0 / p)
+        order = np.argsort(birth, kind="stable")
+        birth, top = birth[order], top[order]
+        if np.any((birth[1:] == birth[:-1]) & (top[1:] < top[:-1])):
+            return True
+    return False
+
+
+def test_equal_births_from_distinct_tops_stay_lexicographic():
+    """At finite p, distinct tops of one degree can power to one birth:
+    (a + b) + c and a + (b + c) may differ in the last bit while their
+    p-th roots agree.  Such rows share a birth code, so they stay in
+    lexicographic order and do not follow their tops.  The space is the
+    first of a short deterministic search whose tops fall in such a tie."""
+    p, max_dim = 2.0, 3
+    for seed in range(100):
+        rng = random.Random(seed)
+        dist = np.array([[0.0 if i == j else rng.randint(1, 9) / 10
+                          for j in range(3)] for i in range(3)])
+        if falling_tie(dist, p, max_dim):
+            break
+    else:
+        pytest.fail("no space with a falling tie")
+    X = VGraph(["a", "b", "c"], dist)
+    fc = enumerate_complex(X, p, max_dim)
+    assert_same_complex(fc, lexsorted_complex(X, p, max_dim))
+    for level in levels(fc):
+        assert level == sorted(level)
+
+
 @st.composite
 def spaces(draw):
     """1 to 6 points: honest, l1 (possibly asymmetric) or arbitrary
@@ -342,18 +389,15 @@ def spaces(draw):
 @given(X=spaces(), p=st.sampled_from([1.0, 2.0, INF]),
        max_dim=st.integers(0, 4), block=st.integers(1, 5))
 def test_birth_sort_and_face_guess_match_the_full_sorts(X, p, max_dim, block):
-    """Sorting by birth alone gives the complex a full (birth, vertices)
-    sort gives, and the guessed face rows are the binary-searched ones,
-    dtypes included, whatever order the search visits its blocks in."""
+    """Sorting by birth code alone gives the complex a full (birth,
+    vertices) sort gives, and the guessed face rows are the binary-searched
+    ones, dtypes included, whatever order the search visits its blocks in."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nerve, "BLOCK", block)
+        # BLOCK counts cells: blocks of 1 to 5 rows
+        patch.setattr(nerve, "BLOCK", block * len(X))
         fc = enumerate_complex(X, p, max_dim, budget=None)
         want = lexsorted_complex(X, p, max_dim)
-    for name in ("tuples", "births", "prefix", "grade", "starts"):
-        for a, b in zip(getattr(fc, name), getattr(want, name), strict=True):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-    assert fc.grades == want.grades
+    assert_same_complex(fc, want)
     for degree in range(1, max_dim + 1):
         a, b = fc.faces(degree), searched_faces(want, degree)
         assert a.dtype == b.dtype
