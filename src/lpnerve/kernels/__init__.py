@@ -1,13 +1,17 @@
-"""Hot-loop kernel: compiled extension when available, pure Python otherwise.
+"""Hot-loop kernels: compiled extension when available, pure Python otherwise.
 
-``reduce_faces`` is the one column reduction of the library: it reduces a
-boundary straight from its face table, over GF(q) for barcodes and field
-ranks, and over Z with +-1 pivots for integer ranks.  It is built at
-install time from the hand-written ``_reduction.c``; if no C compiler was
-available, the pure-Python twin in ``_reduction_py`` is used
-transparently.  ``reduce_columns`` is the plain pure-Python reduction of
-sparse column lists over GF(q), which the library never calls: the test
-oracle of both backends.
+Three entries carry the per-tuple loops of the library.  ``expand`` is
+the nerve's tuple search: it finds every finite-birth nondegenerate tuple
+depth first, carrying the longest-chain values down.  ``face_table``
+builds a degree's face table from the one a degree down.  ``reduce_faces``
+is the one column reduction: it reduces a boundary straight from its face
+table, over GF(q) for barcodes and field ranks, and over Z with +-1
+pivots for integer ranks.  They are built at install time from the
+hand-written ``_reduction.c``; if no C compiler was available, the
+pure-Python twins in ``_reduction_py`` are used transparently, with the
+same contracts and the same outputs.  ``reduce_columns`` is the plain
+pure-Python reduction of sparse column lists over GF(q), which the library
+never calls: the test oracle of both backends.
 """
 
 from . import _reduction_py
@@ -20,7 +24,10 @@ except ImportError:
     _impl = _reduction_py
     BACKEND = "python"
 
+expand = _impl.expand
+face_table = _impl.face_table
 reduce_faces = _impl.reduce_faces
 reduce_columns = _reduction_py.reduce_columns
 
-__all__ = ["reduce_faces", "reduce_columns", "BACKEND", "MAX_ORDER"]
+__all__ = ["expand", "face_table", "reduce_faces", "reduce_columns",
+           "BACKEND", "MAX_ORDER"]

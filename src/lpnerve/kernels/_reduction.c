@@ -1,27 +1,61 @@
 /*
- * Column reduction of a boundary given by its face table, over GF(q) or Z.
+ * The compiled kernel: the nerve's tuple search and face tables, and the
+ * column reduction of a boundary given by its face table, over GF(q) or Z.
  *
- * Same contract as ``_reduction_py.reduce_faces``.  ``table`` is a 2-d
- * C-contiguous int64 buffer: row j lists the faces of column j, entry i a
- * row index in [0, nrows) with the sign (-1)^i, or -1 for a face not kept;
- * no row may repeat within a column.  ``lows`` is a writable 1-d int64
- * buffer with one slot per column, filled with the lowest row of each
- * reduced column, or -1 where it reduces to zero.  The return value is the
- * number of pivots.  q is a prime below 2^31, so that a product of two
- * residues fits in int64, or 0 for the integers: then every pivot must be
- * +-1 and every entry must stay below 2^63 in magnitude, and the return
- * value is -1 as soon as either fails.  Input outside this contract raises
- * ValueError, or TypeError for something other than a buffer or an int.
+ * Each entry has the contract of its twin in ``_reduction_py``.  Input
+ * outside it raises ValueError, or TypeError for something other than a
+ * buffer or a number; arrays are read through the buffer protocol and
+ * must be C-contiguous with the stated element type.  Memory comes from
+ * PyMem_*, so tracemalloc sees it.
  *
- * Columns are reduced left to right.  Each column's kept faces are sorted
- * in place of a small working column.  While its lowest row is the low of
- * an earlier column, the multiple of that column that cancels it is
- * added.  A column left nonzero is a pivot: it is scaled so that its low
- * entry is 1 and appended to one pool, and ``pivot[row]`` records where.
+ * ``expand(w, at_inf, max_dim, limit)`` finds every finite-birth
+ * nondegenerate tuple of degree <= max_dim, depth first, one tuple at a
+ * time.  ``w`` is the n x n float64 matrix of p-th-power distances (plain
+ * distances when ``at_inf``).  A tuple's reach row holds, per vertex u,
+ * the longest-chain value of the tuple extended by u; its children are
+ * the finite entries off its last vertex, stored (last vertex, top =
+ * reach[u], its own row) in the next degree, and a child's reach is
+ * max(reach, top + w[u]) (max(reach, max(top, w[u])) at p = inf): the one
+ * IEEE addition or maximum per candidate that ``membership_scale`` makes.
+ * A tuple's children are stored together, when it is visited, and the
+ * tuples of a degree are visited in row order, so every degree comes out
+ * in lexicographic order.  The budget is checked before each tuple is
+ * stored.  The output and the stack of reach rows grow with the tuples
+ * and the depth actually reached.
+ *
+ * ``face_table(prefix, last, below_prefix, below_last, tail, inner,
+ * table)`` fills the face table of a degree k >= 2 from the prefix rows
+ * and last vertices of degrees k and k - 1, the last vertices of degree
+ * k - 2 and the face table ``inner`` of degree k - 1.  Deleting vertex
+ * i < k from a tuple is deleting i from its prefix (face F = inner[prefix,
+ * i]) and appending its last vertex v.  The rows one degree down are
+ * grouped by prefix row (a counting sort) and sorted by last vertex within
+ * each group, so (F, v) is looked up among the at most n children of F:
+ * first at the complete-space guess start[F] + v - (v > last(F)), then by
+ * binary search.
+ *
+ * ``reduce_faces(table, nrows, q, lows)`` reduces columns left to right.
+ * ``table`` is a 2-d int64 buffer: row j lists the faces of column j,
+ * entry i a row index in [0, nrows) with the sign (-1)^i, or -1 for a
+ * face not kept; no row may repeat within a column.  ``lows`` is a
+ * writable 1-d int64 buffer with one slot per column, filled with the
+ * lowest row of each reduced column, or -1 where it reduces to zero.  The
+ * return value is the number of pivots.  q is a prime below 2^31, so that
+ * a product of two residues fits in int64, or 0 for the integers: then
+ * every pivot must be +-1 and every entry must stay below 2^63 in
+ * magnitude, and the return value is -1 as soon as either fails.  Each
+ * column's kept faces are sorted in place of a small working column.
+ * While its lowest row is the low of an earlier column, the multiple of
+ * that column that cancels it is added.  A column left nonzero is a
+ * pivot: it is scaled so that its low entry is 1 and appended to one
+ * pool, and ``pivot[row]`` records where.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define MAX_ORDER ((int64_t)1 << 31)
@@ -110,26 +144,487 @@ static int axpy(Column *dst, const Column *a, const int64_t *b_rows,
     return 0;
 }
 
-/* The buffer of obj as int64 with the given ndim, C-contiguous (and
-   writable if asked); ValueError otherwise. */
-static int int64_buffer(PyObject *obj, Py_buffer *view, int ndim, int writable,
-                        const char *what)
+/* element types of the buffers the entries read */
+enum { INT32, INT64, FLOAT64 };
+static const char *const type_names[] = {"int32", "int64", "float64"};
+
+/* The buffer of obj with the given ndim and element type, C-contiguous
+   (and writable if asked); ValueError otherwise. */
+static int typed_buffer(PyObject *obj, Py_buffer *view, int ndim, int type,
+                        int writable, const char *what)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
     const char *fmt = view->format == NULL ? "B" : view->format;
     if (*fmt == '@' || *fmt == '=')
         fmt++;
-    int int64 = view->itemsize == 8 && (strcmp(fmt, "q") == 0
-                                        || (strcmp(fmt, "l") == 0 && sizeof(long) == 8));
-    if (view->ndim != ndim || !int64 || !PyBuffer_IsContiguous(view, 'C')
+    int ok;
+    if (type == INT32)
+        ok = view->itemsize == 4 && (strcmp(fmt, "i") == 0
+                                     || (strcmp(fmt, "l") == 0 && sizeof(long) == 4));
+    else if (type == INT64)
+        ok = view->itemsize == 8 && (strcmp(fmt, "q") == 0
+                                     || (strcmp(fmt, "l") == 0 && sizeof(long) == 8));
+    else
+        ok = view->itemsize == 8 && strcmp(fmt, "d") == 0;
+    if (view->ndim != ndim || !ok || !PyBuffer_IsContiguous(view, 'C')
         || (writable && view->readonly)) {
         PyErr_Format(PyExc_ValueError, "%s must be a %s%d-d C-contiguous "
-                     "int64 array", what, writable ? "writable " : "", ndim);
+                     "%s array", what, writable ? "writable " : "", ndim,
+                     type_names[type]);
         PyBuffer_Release(view);
         return -1;
     }
     return 0;
+}
+
+/* *buf to hold cap items of the given size; 0, or -1 with MemoryError */
+static int resize(void *buf, Py_ssize_t cap, size_t item)
+{
+    if ((size_t)cap > (size_t)PY_SSIZE_T_MAX / item) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    void *grown = PyMem_Realloc(*(void **)buf, cap * item);
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *(void **)buf = grown;
+    return 0;
+}
+
+/* the tuples of one degree found so far: (last vertex, top, prefix row) */
+typedef struct {
+    int32_t *last;
+    double *top;
+    Py_ssize_t *parent;
+    Py_ssize_t size;
+    Py_ssize_t cap;
+} Level;
+
+/* room for need tuples; grows geometrically */
+static int level_reserve(Level *level, Py_ssize_t need)
+{
+    if (level->cap >= need)
+        return 0;
+    Py_ssize_t cap = level->cap > need / 2 ? 2 * level->cap : need;
+    if (resize(&level->last, cap, sizeof(int32_t)) < 0
+        || resize(&level->top, cap, sizeof(double)) < 0
+        || resize(&level->parent, cap, sizeof(Py_ssize_t)) < 0)
+        return -1;
+    level->cap = cap;
+    return 0;
+}
+
+static void level_free(Level *level)
+{
+    PyMem_Free(level->last);
+    PyMem_Free(level->top);
+    PyMem_Free(level->parent);
+    *level = (Level){0};
+}
+
+/* numpy's maximum: b unless a is larger, and NaN if either is NaN */
+static inline double maximum(double a, double b)
+{
+    return a > b || a != a ? a : b;
+}
+
+/* The array numpy.frombuffer makes of a copy of size bytes at data. */
+static PyObject *to_array(PyObject *frombuffer, const void *data,
+                          Py_ssize_t size, const char *dtype)
+{
+    PyObject *bytes = PyByteArray_FromStringAndSize(data, size);
+    if (bytes == NULL)
+        return NULL;
+    PyObject *array = PyObject_CallFunction(frombuffer, "Os", bytes, dtype);
+    Py_DECREF(bytes);
+    return array;
+}
+
+/* (last, top, parent) arrays of a level, which is freed */
+static PyObject *level_arrays(PyObject *frombuffer, Level *level)
+{
+    Py_ssize_t size = level->size;
+    PyObject *last = to_array(frombuffer, level->last, size * sizeof(int32_t), "int32");
+    PyObject *top = last ? to_array(frombuffer, level->top, size * sizeof(double), "float64") : NULL;
+    PyObject *parent = top ? to_array(frombuffer, level->parent, size * sizeof(Py_ssize_t), "intp") : NULL;
+    level_free(level);
+    PyObject *result = parent ? PyTuple_Pack(3, last, top, parent) : NULL;
+    Py_XDECREF(last);
+    Py_XDECREF(top);
+    Py_XDECREF(parent);
+    return result;
+}
+
+/* lpnerve.values.BudgetExceededError for the given limit */
+static void budget_exceeded(PyObject *limit)
+{
+    PyObject *values = PyImport_ImportModule("lpnerve.values");
+    if (values == NULL)
+        return;
+    PyObject *error = PyObject_GetAttrString(values, "BudgetExceededError");
+    Py_DECREF(values);
+    if (error == NULL)
+        return;
+    PyErr_Format(error, "tuple count exceeded the budget of %S", limit);
+    Py_DECREF(error);
+}
+
+static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"w", "at_inf", "max_dim", "limit", NULL};
+    PyObject *w_obj, *max_dim_obj, *limit_obj, *result = NULL;
+    PyObject *numpy = NULL, *frombuffer = NULL;
+    Py_buffer w_view = {0};
+    Level *levels = NULL;  /* one per degree reached */
+    Py_ssize_t nlevels = 0, levels_cap = 0;
+    /* per depth: the next row to visit, the end of its run, and the reach
+       row of the tuple visited there */
+    Py_ssize_t *cursor = NULL, *end = NULL, depths = 0;
+    double *reach = NULL;
+    int at_inf, overflow;
+
+    (void)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OpOO:expand", keywords,
+                                     &w_obj, &at_inf, &max_dim_obj, &limit_obj))
+        return NULL;
+    long long max_dim = PyLong_AsLongLongAndOverflow(max_dim_obj, &overflow);
+    if (max_dim == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow < 0 || (overflow == 0 && max_dim < 0))
+        return PyErr_Format(PyExc_ValueError, "max_dim must be >= 0, got %R",
+                            max_dim_obj);
+    if (overflow > 0 || max_dim >= PY_SSIZE_T_MAX)
+        max_dim = PY_SSIZE_T_MAX - 1;  /* no search gets that deep */
+    /* at most `most` tuples: storing one more makes the count exceed limit */
+    Py_ssize_t most;
+    if (PyLong_Check(limit_obj)) {
+        long long limit = PyLong_AsLongLongAndOverflow(limit_obj, &overflow);
+        if (limit == -1 && PyErr_Occurred())
+            return NULL;
+        if (overflow < 0 || (overflow == 0 && limit < 0))
+            return PyErr_Format(PyExc_ValueError, "limit must be a number "
+                                ">= 0, got %R", limit_obj);
+        most = overflow > 0 || limit > PY_SSIZE_T_MAX ? PY_SSIZE_T_MAX
+                                                      : (Py_ssize_t)limit;
+    } else {
+        double limit = PyFloat_AsDouble(limit_obj);
+        if (limit == -1.0 && PyErr_Occurred())
+            return NULL;
+        if (!(limit >= 0.0))
+            return PyErr_Format(PyExc_ValueError, "limit must be a number "
+                                ">= 0, got %R", limit_obj);
+        most = limit >= (double)PY_SSIZE_T_MAX ? PY_SSIZE_T_MAX
+                                               : (Py_ssize_t)limit;
+    }
+    if (typed_buffer(w_obj, &w_view, 2, FLOAT64, 0, "w") < 0)
+        return NULL;
+    const double *w = w_view.buf;
+    Py_ssize_t n = w_view.shape[0];
+    if (w_view.shape[1] != n) {
+        PyErr_Format(PyExc_ValueError, "w must be square, got %zd x %zd", n,
+                     w_view.shape[1]);
+        goto done;
+    }
+    if (n > INT32_MAX) {
+        PyErr_Format(PyExc_ValueError, "w has %zd points, more than 2^31 - 1", n);
+        goto done;
+    }
+    if (n > most) {
+        budget_exceeded(limit_obj);
+        goto done;
+    }
+    if (resize(&levels, 4, sizeof(Level)) < 0)
+        goto done;
+    levels_cap = 4;
+    levels[0] = (Level){0};
+    nlevels = 1;
+    if (level_reserve(&levels[0], n) < 0)
+        goto done;
+    for (Py_ssize_t v = 0; v < n; v++) {
+        levels[0].last[v] = (int32_t)v;
+        levels[0].top[v] = 0.0;
+        levels[0].parent[v] = -1;
+    }
+    levels[0].size = n;
+    Py_ssize_t total = n, depth = 0;
+    if (max_dim > 0 && n > 0) {
+        if (resize(&cursor, 1, sizeof(Py_ssize_t)) < 0
+            || resize(&end, 1, sizeof(Py_ssize_t)) < 0
+            || resize(&reach, n, sizeof(double)) < 0)
+            goto done;
+        depths = 1;
+        cursor[0] = 0;
+        end[0] = n;
+    } else
+        depth = -1;
+    while (depth >= 0) {
+        if (cursor[depth] == end[depth]) {
+            depth--;
+            continue;
+        }
+        Py_ssize_t r = cursor[depth]++;
+        Py_ssize_t v = levels[depth].last[r];
+        const double *wv = w + v * n;
+        double *row = reach + depth * n;
+        if (depth == 0)
+            memcpy(row, wv, n * sizeof(double));
+        else {
+            const double *up = row - n;  /* the reach of the prefix */
+            double top = levels[depth].top[r];
+            if (at_inf)
+                for (Py_ssize_t u = 0; u < n; u++)
+                    row[u] = maximum(up[u], maximum(top, wv[u]));
+            else
+                for (Py_ssize_t u = 0; u < n; u++)
+                    row[u] = maximum(up[u], top + wv[u]);
+        }
+        if (depth + 1 == nlevels) {  /* the first tuple to reach a degree */
+            if (nlevels == levels_cap) {
+                if (resize(&levels, 2 * levels_cap, sizeof(Level)) < 0)
+                    goto done;
+                levels_cap *= 2;
+            }
+            levels[nlevels++] = (Level){0};
+        }
+        Level *children = &levels[depth + 1];
+        if (level_reserve(children, children->size + n) < 0)
+            goto done;
+        Py_ssize_t first = children->size, size = first;
+        for (Py_ssize_t u = 0; u < n; u++) {
+            if (u == v || !(row[u] < INFINITY))
+                continue;
+            if (total == most) {
+                budget_exceeded(limit_obj);
+                goto done;
+            }
+            total++;
+            children->last[size] = (int32_t)u;
+            children->top[size] = row[u];
+            children->parent[size++] = r;
+        }
+        children->size = size;
+        if (depth + 1 < max_dim && size > first) {
+            if (depth + 1 == depths) {  /* one more reach row, as deep */
+                Py_ssize_t more = 2 * depths;
+                if (resize(&cursor, more, sizeof(Py_ssize_t)) < 0
+                    || resize(&end, more, sizeof(Py_ssize_t)) < 0
+                    || resize(&reach, more * n, sizeof(double)) < 0)
+                    goto done;
+                depths = more;
+            }
+            depth++;
+            cursor[depth] = first;
+            end[depth] = size;
+        }
+    }
+    numpy = PyImport_ImportModule("numpy");
+    if (numpy == NULL || (frombuffer = PyObject_GetAttrString(numpy, "frombuffer")) == NULL)
+        goto done;
+    PyObject *found = PyList_New((Py_ssize_t)max_dim + 1);
+    if (found == NULL)
+        goto done;
+    Level empty = {0};
+    for (Py_ssize_t k = 0; k <= max_dim; k++) {
+        PyObject *arrays = level_arrays(frombuffer, k < nlevels ? &levels[k] : &empty);
+        if (arrays == NULL) {
+            Py_DECREF(found);
+            goto done;
+        }
+        PyList_SET_ITEM(found, k, arrays);
+    }
+    result = found;
+done:
+    for (Py_ssize_t k = 0; k < nlevels; k++)
+        level_free(&levels[k]);
+    PyMem_Free(levels);
+    PyMem_Free(cursor);
+    PyMem_Free(end);
+    PyMem_Free(reach);
+    Py_XDECREF(frombuffer);
+    Py_XDECREF(numpy);
+    if (w_view.obj != NULL)
+        PyBuffer_Release(&w_view);
+    return result;
+}
+
+/* a row one degree down: its last vertex and its row */
+typedef struct {
+    int32_t last;
+    Py_ssize_t row;
+} Child;
+
+static int child_order(const void *a, const void *b)
+{
+    const Child *x = a, *y = b;
+    if (x->last != y->last)
+        return x->last < y->last ? -1 : 1;
+    return (x->row > y->row) - (x->row < y->row);
+}
+
+/* The first entry of a 1-d int64 buffer outside lo..hi, ValueError naming
+   it; 0 when there is none. */
+static int check_rows(const Py_buffer *view, int64_t lo, int64_t hi,
+                      const char *what, const char *kind)
+{
+    const int64_t *rows = view->buf;
+    Py_ssize_t size = view->len / 8;
+    for (Py_ssize_t j = 0; j < size; j++)
+        if (rows[j] < lo || rows[j] > hi) {
+            PyErr_Format(PyExc_ValueError, "%s has the %s %lld, outside "
+                         "%lld..%lld", what, kind, (long long)rows[j],
+                         (long long)lo, (long long)hi);
+            return -1;
+        }
+    return 0;
+}
+
+/* ValueError at the first negative vertex of a 1-d int32 buffer */
+static int check_vertices(const Py_buffer *view, const char *what)
+{
+    const int32_t *vertices = view->buf;
+    for (Py_ssize_t j = 0; j < view->shape[0]; j++)
+        if (vertices[j] < 0) {
+            PyErr_Format(PyExc_ValueError, "%s has the vertex %d, below 0",
+                         what, (int)vertices[j]);
+            return -1;
+        }
+    return 0;
+}
+
+static PyObject *face_table(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"prefix", "last", "below_prefix", "below_last",
+                               "tail", "inner", "table", NULL};
+    static const char *const names[] = {"prefix", "last", "below_prefix",
+                                        "below_last", "tail", "inner", "table"};
+    static const int types[] = {INT64, INT32, INT64, INT32, INT32, INT64, INT64};
+    PyObject *objs[7], *result = NULL;
+    Py_buffer views[7] = {{0}};
+    Py_ssize_t *start = NULL;
+    Child *kids = NULL;
+
+    (void)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOO:face_table", keywords,
+                                     &objs[0], &objs[1], &objs[2], &objs[3],
+                                     &objs[4], &objs[5], &objs[6]))
+        return NULL;
+    for (int a = 0; a < 7; a++)
+        if (typed_buffer(objs[a], &views[a], a >= 5 ? 2 : 1, types[a], a == 6,
+                         names[a]) < 0)
+            goto done;
+    const int64_t *prefix = views[0].buf, *below_prefix = views[2].buf;
+    const int32_t *last = views[1].buf, *below_last = views[3].buf, *tail = views[4].buf;
+    const int64_t *inner = views[5].buf;
+    int64_t *table = views[6].buf;
+    Py_ssize_t rows = views[0].shape[0], below = views[2].shape[0];
+    Py_ssize_t tails = views[4].shape[0], degree = views[5].shape[1];
+    if (views[1].shape[0] != rows) {
+        PyErr_Format(PyExc_ValueError, "last has %zd rows but prefix has %zd",
+                     views[1].shape[0], rows);
+        goto done;
+    }
+    if (views[3].shape[0] != below || views[5].shape[0] != below) {
+        PyErr_Format(PyExc_ValueError, "below_prefix, below_last and inner "
+                     "have %zd, %zd and %zd rows", below, views[3].shape[0],
+                     views[5].shape[0]);
+        goto done;
+    }
+    if (degree < 2) {
+        PyErr_Format(PyExc_ValueError, "inner must have at least 2 columns, "
+                     "got %zd", degree);
+        goto done;
+    }
+    if (views[6].shape[0] != rows || views[6].shape[1] != degree + 1) {
+        PyErr_Format(PyExc_ValueError, "table must have %zd rows and %zd "
+                     "columns, got %zd x %zd", rows, degree + 1,
+                     views[6].shape[0], views[6].shape[1]);
+        goto done;
+    }
+    if (check_rows(&views[0], 0, below - 1, "prefix", "row") < 0
+        || check_rows(&views[2], 0, tails - 1, "below_prefix", "row") < 0
+        || check_rows(&views[5], -1, tails - 1, "inner", "face") < 0
+        || check_vertices(&views[1], "last") < 0
+        || check_vertices(&views[3], "below_last") < 0
+        || check_vertices(&views[4], "tail") < 0)
+        goto done;
+    /* the rows one degree down grouped by prefix: group F is
+       kids[start[F]:start[F + 1]], sorted by last vertex */
+    start = PyMem_Calloc(tails + 1, sizeof(Py_ssize_t));
+    kids = PyMem_Malloc((below > 0 ? below : 1) * sizeof(Child));
+    if (start == NULL || kids == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t j = 0; j < below; j++)
+        start[below_prefix[j] + 1]++;
+    for (Py_ssize_t f = 0; f < tails; f++)
+        start[f + 1] += start[f];
+    for (Py_ssize_t j = 0; j < below; j++)  /* stable: rows increase */
+        kids[start[below_prefix[j]]++] = (Child){below_last[j], j};
+    memmove(start + 1, start, tails * sizeof(Py_ssize_t));
+    start[0] = 0;
+    for (Py_ssize_t f = 0; f < tails; f++) {
+        Child *group = kids + start[f];
+        Py_ssize_t size = start[f + 1] - start[f];
+        if (size > 16)
+            qsort(group, size, sizeof(Child), child_order);
+        else
+            for (Py_ssize_t j = 1; j < size; j++) {  /* insertion sort */
+                Child kid = group[j];
+                Py_ssize_t h = j;
+                for (; h > 0 && group[h - 1].last > kid.last; h--)
+                    group[h] = group[h - 1];
+                group[h] = kid;
+            }
+        for (Py_ssize_t j = 1; j < size; j++)
+            if (group[j].last == group[j - 1].last) {
+                PyErr_Format(PyExc_ValueError, "two rows one degree down have "
+                             "the prefix row %zd and the last vertex %d", f,
+                             (int)group[j].last);
+                goto done;
+            }
+    }
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        const int64_t *faces = inner + prefix[r] * degree;
+        int64_t *out = table + r * (degree + 1);
+        int32_t v = last[r];
+        for (Py_ssize_t i = 0; i < degree; i++) {
+            int64_t f = faces[i], found = -1;
+            if (f >= 0) {
+                Py_ssize_t lo = start[f], hi = start[f + 1];
+                /* where (f, v) sits when f has a child for every vertex
+                   but its own last one, as in a complete space */
+                Py_ssize_t guess = lo + v - (v > tail[f]);
+                if (guess < hi && kids[guess].last == v)
+                    found = kids[guess].row;
+                else if (v != tail[f]) {  /* (f, v) is no repeat: search */
+                    while (lo < hi) {
+                        Py_ssize_t mid = lo + (hi - lo) / 2;
+                        if (kids[mid].last < v)
+                            lo = mid + 1;
+                        else
+                            hi = mid;
+                    }
+                    if (lo < start[f + 1] && kids[lo].last == v)
+                        found = kids[lo].row;
+                }
+            }
+            out[i] = found;
+        }
+        out[degree] = prefix[r];
+    }
+    Py_INCREF(Py_None);
+    result = Py_None;
+done:
+    PyMem_Free(start);
+    PyMem_Free(kids);
+    for (int a = 0; a < 7; a++)
+        if (views[a].obj != NULL)
+            PyBuffer_Release(&views[a]);
+    return result;
 }
 
 /* Every face in -1..nrows-1, no row twice in a column; ValueError at the
@@ -181,9 +676,9 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
     if (overflow || nrows < 0)
         return PyErr_Format(PyExc_ValueError, "nrows must be a count of rows "
                             "in [0, 2^63), got %R", nrows_obj);
-    if (int64_buffer(table_obj, &table_view, 2, 0, "the face table") < 0)
+    if (typed_buffer(table_obj, &table_view, 2, INT64, 0, "the face table") < 0)
         return NULL;
-    if (int64_buffer(lows_obj, &lows_view, 1, 1, "lows") < 0)
+    if (typed_buffer(lows_obj, &lows_view, 1, INT64, 1, "lows") < 0)
         goto done;
     const int64_t *table = table_view.buf;
     int64_t *lows = lows_view.buf;
@@ -280,6 +775,20 @@ done:
 }
 
 static PyMethodDef methods[] = {
+    {"expand", (PyCFunction)(void (*)(void))expand,
+     METH_VARARGS | METH_KEYWORDS,
+     "expand(w, at_inf, max_dim, limit) -> per degree (last, top, parent)\n\n"
+     "Every finite-birth nondegenerate tuple of degree <= max_dim of the\n"
+     "space with p-th-power distances ``w``, depth first: per degree, in\n"
+     "lexicographic order, the last vertex, the top chain value and the\n"
+     "prefix row of each tuple.  Raises BudgetExceededError as soon as\n"
+     "more than ``limit`` tuples are found."},
+    {"face_table", (PyCFunction)(void (*)(void))face_table,
+     METH_VARARGS | METH_KEYWORDS,
+     "face_table(prefix, last, below_prefix, below_last, tail, inner, table)\n\n"
+     "Fill the face table ``table`` of a degree k >= 2 from the prefix rows\n"
+     "and last vertices of degrees k and k - 1, the last vertices of degree\n"
+     "k - 2 and the face table ``inner`` of degree k - 1."},
     {"reduce_faces", (PyCFunction)(void (*)(void))reduce_faces,
      METH_VARARGS | METH_KEYWORDS,
      "reduce_faces(table, nrows, q, lows) -> number of pivots\n\n"
@@ -293,7 +802,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_reduction",
-    .m_doc = "Compiled column reduction of face tables over GF(q) or Z.",
+    .m_doc = "Compiled tuple search, face tables and column reduction.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,18 +1,36 @@
-"""Pure-Python column reductions over a prime field, and over Z.
+"""The pure-Python twin of the compiled kernel in ``_reduction.c``: the
+nerve's tuple search (``expand``), its face tables (``face_table``) and
+the column reduction of a face table over a prime field or Z
+(``reduce_faces``).  Each has the contract of its compiled twin; input
+outside it raises ValueError, or TypeError for something other than a
+buffer or a number.  Arrays are read through the buffer protocol and
+must be C-contiguous with the stated element type.
 
-``reduce_faces`` is the reference implementation of the compiled kernel
-in ``_reduction.c``, with the same contract.  ``table`` is a 2-d
-C-contiguous int64 buffer: row j lists the faces of column j, entry i a
-row index in [0, nrows) with the sign (-1)^i, or -1 for a face not kept;
-no row may repeat within a column.  ``lows`` is a writable 1-d int64
-buffer with one slot per column, filled with the lowest row of each
-reduced column, or -1 where it reduces to zero.  The return value is the
-number of pivots.  q is a prime below 2^31, so that the compiled kernel's
-products fit in int64, or 0 for the integers: then every pivot must be
-+-1 and every entry, and every product that forms one, must stay below
-2^63 in magnitude, and the return value is -1 as soon as either fails.
-Input outside this contract raises ValueError, or TypeError for
-something other than a buffer or an int.
+``expand(w, at_inf, max_dim, limit)`` returns, per degree 0..max_dim, the
+last vertex (int32), the top chain value (float64) and the prefix row
+(intp, -1 at degree 0) of every finite-birth nondegenerate tuple, in
+lexicographic order; ``w`` is the n x n float64 matrix of p-th-power
+distances (plain distances when ``at_inf``).  It raises
+``BudgetExceededError`` as soon as more than ``limit`` tuples are found.
+
+``face_table(prefix, last, below_prefix, below_last, tail, inner, table)``
+fills the face table ``table`` (intp, rows x (k + 1)) of a degree k >= 2:
+entry [r, i] is the row one degree down of tuple r with vertex i
+deleted, or -1, and the last column is ``prefix``.  It reads the prefix
+rows (intp) and last vertices (int32) of degrees k and k - 1, the last
+vertices of degree k - 2 (``tail``) and the face table ``inner`` of
+degree k - 1.
+
+``reduce_faces(table, nrows, q, lows)``: ``table`` is a 2-d int64 buffer:
+row j lists the faces of column j, entry i a row index in [0, nrows)
+with the sign (-1)^i, or -1 for a face not kept; no row may repeat
+within a column.  ``lows`` is a writable 1-d int64 buffer with one slot
+per column, filled with the lowest row of each reduced column, or -1
+where it reduces to zero.  The return value is the number of pivots.  q
+is a prime below 2^31, so that the compiled kernel's products fit in
+int64, or 0 for the integers: then every pivot must be +-1 and every
+entry, and every product that forms one, must stay below 2^63 in
+magnitude, and the return value is -1 as soon as either fails.
 
 ``reduce_columns`` is the plain reduction over GF(q) of sparse columns
 given as lists: parallel lists of strictly increasing int rows in
@@ -28,10 +46,172 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..values import BudgetExceededError
+
 #: bound on the field order: (q - 1)^2 must fit in int64
 MAX_ORDER = 1 << 31
 #: entries over Z must stay strictly inside (-2^63, 2^63)
 _INT64 = 1 << 63
+
+#: cells (rows times points) of the reach matrix of one search block; the
+#: search keeps at most one block per degree alive (and at least one row)
+BLOCK = 2 ** 14
+
+#: vertex index type of the search's output
+VERTEX = np.int32
+
+#: element type -> (buffer item size, buffer formats)
+_TYPES = {"int32": (4, ("i", "l")), "int64": (8, ("q", "l")),
+          "float64": (8, ("d",))}
+
+
+def expand(w, at_inf, max_dim, limit):
+    """Depth first over blocks of at most ``BLOCK`` reach cells.
+
+    A block's reach matrix holds, per row and vertex v, the longest-chain
+    value (p-th-power domain; plain max at p = inf) of the row extended by
+    v.  Extending by ``nxt`` appends the chain entry ``top = reach[nxt]``,
+    and the child's reach is ``max(reach, top + w[nxt])``
+    (``max(reach, max(top, w[nxt]))`` at p = inf).  Every candidate is the
+    same single addition that ``membership_scale`` makes and maxima are
+    exact, so the births are bit-identical to it.  Extending a tuple can
+    only raise its birth, so infinite branches are pruned.
+
+    Rows are numbered in search order, which is lexicographic: blocks of
+    each degree are popped in row order and a row's children come in
+    next-vertex order.  A block has ``BLOCK // n`` rows (at least one), so
+    its reach holds at most ``BLOCK`` cells.  Blocks are expanded depth
+    first and a block's reach is built only when it is expanded, so the
+    reach alive at once is at most one block per degree reached.  A
+    block's children are counted before they are built, and the budget is
+    checked on a running total of that count; the per-degree lists grow
+    only as degrees are reached.
+    """
+    w = _typed_array(w, 2, "w", "float64")
+    n = len(w)
+    if w.shape[1] != n:
+        raise ValueError(f"w must be square, got {n} x {w.shape[1]}")
+    if n > 2 ** 31 - 1:
+        raise ValueError(f"w has {n} points, more than 2^31 - 1")
+    max_dim = operator.index(max_dim)
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
+    if not limit >= 0:
+        raise ValueError(f"limit must be a number >= 0, got {limit!r}")
+    if n > limit:
+        raise BudgetExceededError(f"tuple count exceeded the budget of {limit}")
+    vertices = np.arange(n, dtype=VERTEX)
+    found = [[(vertices, np.zeros(n), np.full(n, -1))]]
+    rows = [n]
+    total = n
+    # pending blocks: degree, first row, and what its reach is built from
+    # (the parent block's reach and rows, new vertex, top)
+    step = max(1, BLOCK // max(n, 1))  # rows per block
+    stack = []
+    if max_dim > 0:
+        for lo in reversed(range(0, n, step)):
+            stack.append((0, lo, None, None, vertices[lo:lo + step], None))
+    while stack:
+        k, first, base, parents, last, top = stack.pop()
+        if base is None:
+            reach = w[last]
+        elif at_inf:
+            reach = np.maximum(base[parents], np.maximum(top[:, None], w[last]))
+        else:
+            reach = np.maximum(base[parents], top[:, None] + w[last])
+        grow = reach < np.inf
+        grow[np.arange(len(last)), last] = False
+        count = int(np.count_nonzero(grow))
+        if total + count > limit:
+            raise BudgetExceededError(
+                f"tuple count exceeded the budget of {limit}")
+        total += count
+        local, nxt = np.nonzero(grow)
+        child_top = reach[local, nxt]
+        if k + 1 == len(rows):  # the first block to reach this degree
+            found.append([])
+            rows.append(0)
+        start = rows[k + 1]
+        rows[k + 1] += count
+        found[k + 1].append((nxt.astype(VERTEX), child_top, first + local))
+        if k + 1 < max_dim:
+            for lo in reversed(range(0, count, step)):
+                hi = lo + step
+                stack.append((k + 1, start + lo, reach, local[lo:hi],
+                              nxt[lo:hi], child_top[lo:hi]))
+    joined = []
+    for k in range(len(found)):
+        joined.append(tuple(np.concatenate(parts) for parts in zip(*found[k])))
+        found[k] = None  # drop the chunks once joined
+    joined += [(np.empty(0, VERTEX), np.empty(0), np.empty(0, np.intp))
+               for _ in range(max_dim + 1 - len(joined))]
+    return joined
+
+
+def face_table(prefix, last, below_prefix, below_last, tail, inner, table):
+    """A row one degree down is keyed by (its prefix row) * n + (its last
+    vertex), below (rows two degrees down) * n + n, so no key overflows.
+    The rows with prefix F start at ``start[F]`` in key order, and in a
+    complete space (F, v) is at ``start[F] + v - (v > last(F))``: each
+    guess is checked by its key and only the misses are searched for.
+    """
+    names = ("prefix", "last", "below_prefix", "below_last", "tail",
+             "inner", "table")
+    kinds = ("int64", "int32", "int64", "int32", "int32", "int64", "int64")
+    prefix, last, below_prefix, below_last, tail, inner, table = (
+        _typed_array(obj, 2 if a >= 5 else 1, names[a], kinds[a],
+                     writable=a == 6)
+        for a, obj in enumerate((prefix, last, below_prefix, below_last,
+                                 tail, inner, table)))
+    rows, below, tails = len(prefix), len(below_prefix), len(tail)
+    degree = inner.shape[1]
+    if len(last) != rows:
+        raise ValueError(f"last has {len(last)} rows but prefix has {rows}")
+    if not len(below_last) == len(inner) == below:
+        raise ValueError(f"below_prefix, below_last and inner have {below}, "
+                         f"{len(below_last)} and {len(inner)} rows")
+    if degree < 2:
+        raise ValueError(f"inner must have at least 2 columns, got {degree}")
+    if table.shape != (rows, degree + 1):
+        raise ValueError(f"table must have {rows} rows and {degree + 1} "
+                         f"columns, got {table.shape[0]} x {table.shape[1]}")
+    for values, lo, hi, what, kind in (
+            (prefix, 0, below - 1, "prefix", "row"),
+            (below_prefix, 0, tails - 1, "below_prefix", "row"),
+            (inner.ravel(), -1, tails - 1, "inner", "face")):
+        for bad in values[(values < lo) | (values > hi)][:1].tolist():
+            raise ValueError(f"{what} has the {kind} {bad}, outside "
+                             f"{lo}..{hi}")
+    for values, what in ((last, "last"), (below_last, "below_last"),
+                         (tail, "tail")):
+        for bad in values[values < 0][:1].tolist():
+            raise ValueError(f"{what} has the vertex {bad}, below 0")
+    n = 1 + max(int(v.max(initial=-1)) for v in (last, below_last, tail))
+    keys = below_prefix * n + below_last
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    for j in np.flatnonzero(keys[1:] == keys[:-1])[:1].tolist():
+        raise ValueError(f"two rows one degree down have the prefix row "
+                         f"{keys[j] // n} and the last vertex {keys[j] % n}")
+    # one entry of -1 past the end takes any guess beyond it and matches
+    # no face
+    keys = np.append(keys, -1)
+    order = np.append(order, -1)
+    counts = np.bincount(below_prefix, minlength=tails)
+    start = np.cumsum(counts) - counts
+    tail = tail.astype(np.intp)
+    last = last.astype(np.intp)
+    table[:, degree] = prefix
+    for i in range(degree):  # one column at a time bounds the scratch
+        face = inner[prefix, i]
+        want = face * n + last
+        ends = tail[face]
+        pos = np.minimum(start[face] + last - (last > ends), below)
+        # a face of -1 or ending in a repeat is in no row: no search
+        miss = np.flatnonzero((keys[pos] != want) & (face >= 0)
+                              & (ends != last))
+        pos[miss] = np.searchsorted(keys[:below], want[miss])
+        table[:, i] = np.where(keys[pos] == want, order[pos], -1)
 
 
 def reduce_faces(table, nrows, q, lows) -> int:
@@ -43,8 +223,8 @@ def reduce_faces(table, nrows, q, lows) -> int:
     if not 0 <= nrows < _INT64:
         raise ValueError(f"nrows must be a count of rows in [0, 2^63), "
                          f"got {nrows}")
-    faces = _int64_array(table, 2, "the face table")
-    out = _int64_array(lows, 1, "lows", writable=True)
+    faces = _typed_array(table, 2, "the face table")
+    out = _typed_array(lows, 1, "lows", writable=True)
     ncols, width = faces.shape
     if len(out) != ncols:
         raise ValueError(f"the face table has {ncols} columns but lows has "
@@ -86,16 +266,17 @@ def reduce_faces(table, nrows, q, lows) -> int:
     return len(pivots)
 
 
-def _int64_array(obj, ndim: int, what: str, writable: bool = False
-                 ) -> np.ndarray:
-    """``obj`` as an int64 array on its own buffer, which must have the
-    given ndim and be C-contiguous (and writable if asked)."""
+def _typed_array(obj, ndim: int, what: str, kind: str = "int64",
+                 writable: bool = False) -> np.ndarray:
+    """``obj`` as an array on its own buffer, which must have the given
+    ndim and element type and be C-contiguous (and writable if asked)."""
     view = memoryview(obj)
     fmt = view.format[1:] if view.format[:1] in ("@", "=") else view.format
-    if (view.ndim != ndim or view.itemsize != 8 or fmt not in ("q", "l")
+    itemsize, formats = _TYPES[kind]
+    if (view.ndim != ndim or view.itemsize != itemsize or fmt not in formats
             or not view.c_contiguous or (writable and view.readonly)):
         raise ValueError(f"{what} must be a {'writable ' if writable else ''}"
-                         f"{ndim}-d C-contiguous int64 array")
+                         f"{ndim}-d C-contiguous {kind} array")
     return np.asarray(view)
 
 

@@ -23,11 +23,14 @@ index of its cluster.  Everything downstream compares grade indices, so
 results do not depend on the scale of the input and a tuple sits in
 exactly one grade.
 
-``enumerate_complex`` searches depth first over blocks of at most
-``BLOCK`` reach cells and carries the dynamic program down: a tuple's
-chain values are those of its prefix plus one new entry, so no birth is
-recomputed from scratch.  ``membership_scale`` computes one birth on its
-own and is the reference the search agrees with bit for bit.
+``enumerate_complex`` searches depth first with ``kernels.expand`` and
+carries the dynamic program down: a tuple's chain values are those of
+its prefix plus one new entry, so no birth is recomputed from scratch.
+The compiled search visits one tuple at a time; its pure-Python twin
+expands blocks of tuples with numpy.  ``membership_scale`` computes one
+birth on its own and is the reference the search agrees with bit for
+bit.  ``FilteredComplex.faces`` builds each face table with
+``kernels.face_table``.
 
 A birth is a non-decreasing function of one float, the tuple's top chain
 value, and a degree has few distinct tops.  So each degree takes one
@@ -47,16 +50,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .values import (EPS, INF, BudgetExceededError, InputError,
-                     check_exponent, check_powers)
+from . import kernels
+from .values import EPS, INF, InputError, check_exponent, check_powers
 from .vgraph import VGraph, tolerance
 
 #: default cap on the number of enumerated tuples
 DEFAULT_BUDGET = 2_000_000
-
-#: cells (rows times points) of the reach matrix of one search block; the
-#: search keeps at most one block per degree alive (and at least one row)
-BLOCK = 2 ** 14
 
 #: vertex index type of the tuple matrices
 VERTEX = np.int32
@@ -111,44 +110,26 @@ class FilteredComplex:
         two neighbours of i are equal).  The last column is the prefix.
         Other faces are found from the prefix's faces: deleting i < degree
         from v is deleting i from the prefix and appending the last vertex.
-        A row one degree down is keyed by (its prefix row) * n + (its last
-        vertex), below (rows two degrees down) * n + n, so no key overflows.
-        The rows with prefix F start at ``start[F]`` in key order, and in a
-        complete space (F, v) is at ``start[F] + v - (v > last(F))``: each
-        guess is checked by its key and only the misses are searched for.
+        ``kernels.face_table`` looks up (face of the prefix, last vertex)
+        among the rows one degree down, keyed by (prefix row, last vertex):
+        first where a complete space has it, then among the children of
+        that face alone.
         """
         table = self._faces.get(degree)
         if table is not None:
             return table
         level = self.tuples[degree]
         table = np.empty(level.shape, dtype=np.intp)
-        table[:, degree] = self.prefix[degree]
         if degree == 1:
             table[:, 0] = level[:, 1]  # degree-0 rows are the vertices
+            table[:, 1] = self.prefix[1]
         else:
-            n = len(self.names)
-            below = self.tuples[degree - 1]
-            keys = self.prefix[degree - 1] * n + below[:, -1]
-            order = np.argsort(keys, kind="stable")
-            # n entries of -1 past the end take any guess and match no face
-            keys = np.concatenate([keys[order], np.full(n, -1)])
-            order = np.concatenate([order, np.full(n, -1)])
-            counts = np.bincount(self.prefix[degree - 1],
-                                 minlength=len(self.tuples[degree - 2]))
-            start = np.cumsum(counts) - counts
-            tail = self.tuples[degree - 2][:, -1].astype(np.intp)
-            last = level[:, -1].astype(np.intp)
-            inner = self.faces(degree - 1)
-            for i in range(degree):  # one column at a time bounds the scratch
-                face = inner[self.prefix[degree], i]
-                want = face * n + last
-                ends = tail[face]
-                pos = start[face] + last - (last > ends)
-                # a face of -1 or ending in a repeat is in no row: no search
-                miss = np.flatnonzero((keys[pos] != want) & (face >= 0)
-                                      & (ends != last))
-                pos[miss] = np.searchsorted(keys[:len(below)], want[miss])
-                table[:, i] = np.where(keys[pos] == want, order[pos], -1)
+            # tuples are column-major, so each last column is contiguous
+            kernels.face_table(self.prefix[degree], level[:, -1],
+                               self.prefix[degree - 1],
+                               self.tuples[degree - 1][:, -1],
+                               self.tuples[degree - 2][:, -1],
+                               self.faces(degree - 1), table)
         self._faces[degree] = table
         return table
 
@@ -219,71 +200,17 @@ def _python_power(values: np.ndarray, exponent: float) -> np.ndarray:
     return np.array(powered, dtype=float).reshape(values.shape)
 
 
-def _expand(w: np.ndarray, at_inf: bool, max_dim: int, limit: float
-            ) -> List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """All finite-birth nondegenerate tuples, per degree, in chunks: the
-    last vertex, the top chain value and the prefix row of each tuple,
-    rows numbered in search order, which is lexicographic (the birth-code
-    sort of ``enumerate_complex`` relies on it): blocks of each degree are
-    popped in row order and a row's children in next-vertex order.
-
-    A block's reach matrix holds, per row and vertex v, the longest-chain
-    value (p-th-power domain; plain max at p = inf) of the row extended by
-    v.  Extending by ``nxt`` appends the chain entry ``top = reach[nxt]``,
-    and the child's reach is ``max(reach, top + w[nxt])``
-    (``max(reach, max(top, w[nxt]))`` at p = inf).  Every candidate is the
-    same single addition that ``membership_scale`` makes and maxima are
-    exact, so the births are bit-identical to it.  Extending a tuple can
-    only raise its birth, so infinite branches are pruned.
-
-    A block has ``BLOCK // n`` rows (at least one), so its reach holds at
-    most ``BLOCK`` cells; a small space expands each degree in one block.
-    Blocks are expanded depth first and a block's reach is built only when
-    it is expanded, so the reach alive at once is at most ``max_dim``
-    blocks, and what is stored per tuple does not grow with its degree.
-    A block's children are counted before they are built, and the budget
-    is checked on that count.
-    """
-    n = len(w)
-    vertices = np.arange(n, dtype=VERTEX)
-    found = [[(vertices, np.zeros(n), np.full(n, -1))]]
-    found += [[(np.empty(0, VERTEX), np.empty(0), np.empty(0, np.intp))]
-              for k in range(1, max_dim + 1)]
-    rows = [n] + [0] * max_dim
-    if n > limit:
-        raise BudgetExceededError(f"tuple count exceeded the budget of {limit}")
-    # pending blocks: degree, first row, and what its reach is built from
-    # (the parent block's reach and rows, new vertex, top)
-    step = max(1, BLOCK // max(n, 1))  # rows per block
-    stack = []
-    if max_dim > 0:
-        for lo in reversed(range(0, n, step)):
-            stack.append((0, lo, None, None, vertices[lo:lo + step], None))
-    while stack:
-        k, first, base, parents, last, top = stack.pop()
-        if base is None:
-            reach = w[last]
-        elif at_inf:
-            reach = np.maximum(base[parents], np.maximum(top[:, None], w[last]))
-        else:
-            reach = np.maximum(base[parents], top[:, None] + w[last])
-        grow = reach < INF
-        grow[np.arange(len(last)), last] = False
-        count = int(np.count_nonzero(grow))
-        if sum(rows) + count > limit:
-            raise BudgetExceededError(
-                f"tuple count exceeded the budget of {limit}")
-        local, nxt = np.nonzero(grow)
-        child_top = reach[local, nxt]
-        start = rows[k + 1]
-        rows[k + 1] += count
-        found[k + 1].append((nxt.astype(VERTEX), child_top, first + local))
-        if k + 1 < max_dim:
-            for lo in reversed(range(0, count, step)):
-                hi = lo + step
-                stack.append((k + 1, start + lo, reach, local[lo:hi],
-                              nxt[lo:hi], child_top[lo:hi]))
-    return found
+def _power_exceeds(n: int, exponent: int, bound: int) -> bool:
+    """``n ** exponent > bound`` for ints >= 0, without building a power
+    much larger than ``bound``."""
+    if n <= 1:
+        return n ** exponent > bound
+    power = 1
+    for _ in range(exponent):  # at most about log2(bound) + 2 steps
+        if power > bound:
+            break
+        power *= n
+    return power > bound
 
 
 def enumerate_complex(X: VGraph, p: float, max_dim: int,
@@ -309,7 +236,7 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
         raise InputError(f"eps must be a finite number >= 0, got {eps}")
     check_powers(X.dist.flat, p, max_dim)
     n = len(X)
-    if budget is not None and n ** (max_dim + 1) > budget:
+    if budget is not None and _power_exceeds(n, max_dim + 1, budget):
         warnings.warn(
             f"up to {n}^{max_dim + 1} tuples may be enumerated, "
             f"which exceeds the budget of {budget}",
@@ -322,10 +249,10 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
     w = d if at_inf else _python_power(d, p)
     limit = INF if budget is None else budget
     tuples, births, prefix, codes, levels = [], [], [], [], []
-    found = _expand(w, at_inf, max_dim, limit)
+    found = kernels.expand(w, at_inf, max_dim, limit)
     for k in range(len(found)):
-        last, top, parent = (np.concatenate(parts) for parts in zip(*found[k]))
-        found[k] = None  # drop the chunks once joined
+        last, top, parent = found[k]
+        found[k] = None  # drop the search's arrays once sorted
         # the one float sort of the degree: its distinct tops, increasing,
         # and the code of each row's top among them
         level, code = np.unique(top, return_inverse=True)
@@ -345,7 +272,9 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
         # so each prefix column is one contiguous gather (every index is a
         # row below, so "clip" changes none and skips a buffered check)
         verts = np.empty((len(order), k + 1), dtype=VERTEX, order="F")
-        for i in range(k):
+        # an empty degree has nothing to gather: k gathers each would make
+        # the empty degrees up to max_dim cost max_dim^2 / 2 calls
+        for i in range(k if len(order) else 0):
             np.take(tuples[k - 1][:, i], prefix[k], out=verts[:, i],
                     mode="clip")
         verts[:, k] = last[order]

@@ -13,8 +13,8 @@ from lpnerve.homology import (INTEGERS, Coefficients, homology_table,
                               persistence_barcode)
 from lpnerve.kernels import _reduction_py, reduce_columns, reduce_faces
 from lpnerve.nerve import enumerate_complex
-from lpnerve.values import INF
-from lpnerve.vgraph import asymmetrize
+from lpnerve.values import INF, BudgetExceededError
+from lpnerve.vgraph import VGraph, asymmetrize
 from util import KERNELS, random_floors, random_honest_space, random_vgraph
 
 #: the largest prime below MAX_ORDER
@@ -56,13 +56,6 @@ def fibonacci_table(n):
     return np.array(rows, dtype=np.int64)
 
 
-@pytest.fixture(params=["compiled", "python"])
-def backend(request):
-    if request.param == "python":
-        return _reduction_py
-    return request.getfixturevalue("compiled_reduction")
-
-
 def test_empty_matrix():
     assert reduce_columns([], [], 2) == []
     for module in (kernels, _reduction_py):
@@ -82,7 +75,7 @@ def test_small_reduction():
             assert run(module, table, 3, q) == (2, expected)
 
 
-def test_backends_agree(compiled_reduction):
+def test_backends_agree(compiled_kernels):
     """Over GF(2), GF(3), larger fields and Z, on tables of every width up
     to 5: the same return value, and the same lows unless Z flagged."""
     rng = random.Random(61)
@@ -92,7 +85,7 @@ def test_backends_agree(compiled_reduction):
             nrows = rng.randint(1, 40)
             table = random_table(rng, rng.randint(0, 60), nrows,
                                  rng.randint(1, 5))
-            compiled = run(compiled_reduction, table, nrows, q)
+            compiled = run(compiled_kernels, table, nrows, q)
             python = run(_reduction_py, table, nrows, q)
             assert compiled[0] == python[0]
             if compiled[0] >= 0:
@@ -132,7 +125,7 @@ def test_z_flags_a_planted_non_unit_pivot(backend):
     assert run(backend, table, 2, 3) == (2, [1, 0])
 
 
-def test_z_flags_int64_overflow(backend, compiled_reduction):
+def test_z_flags_int64_overflow(backend, compiled_kernels):
     """The Fibonacci column reduces to zero over Z while its entries fit
     in int64, and is flagged from the first n where one would not; both
     backends flag at the same n."""
@@ -144,7 +137,7 @@ def test_z_flags_int64_overflow(backend, compiled_reduction):
     assert 85 < first < 95
     assert run(backend, fibonacci_table(first - 1), first, 0) == (
         first, list(range(first)) + [-1])
-    assert run(compiled_reduction, fibonacci_table(first), first + 1, 0)[0] \
+    assert run(compiled_kernels, fibonacci_table(first), first + 1, 0)[0] \
         == run(_reduction_py, fibonacci_table(first), first + 1, 0)[0] == -1
     for q in (2, 3, BIG_PRIME):
         assert run(backend, fibonacci_table(120), 121, q) == (
@@ -163,21 +156,21 @@ def test_backend_flag():
     assert kernels.BACKEND in ("compiled", "python")
 
 
-def test_backends_give_the_same_barcodes(compiled_reduction, monkeypatch):
+def test_backends_give_the_same_barcodes(compiled_kernels, monkeypatch):
     rng = random.Random(73)
     for q in (2, 3, 5):
         X = random_honest_space(rng, rng.randint(4, 7))
         for space in (X, asymmetrize(X)):
             fc = enumerate_complex(space, INF, 3)
             monkeypatch.setattr(kernels, "reduce_faces",
-                                compiled_reduction.reduce_faces)
+                                compiled_kernels.reduce_faces)
             compiled = persistence_barcode(fc, 2, Coefficients(q)).bars
             monkeypatch.setattr(kernels, "reduce_faces",
                                 _reduction_py.reduce_faces)
             assert compiled == persistence_barcode(fc, 2, Coefficients(q)).bars
 
 
-def test_backends_give_the_same_tables(compiled_reduction, monkeypatch):
+def test_backends_give_the_same_tables(compiled_kernels, monkeypatch):
     """Under the empty, strict and a custom sieve, over Z, GF(2) and
     GF(3)."""
     rng = random.Random(79)
@@ -190,7 +183,7 @@ def test_backends_give_the_same_tables(compiled_reduction, monkeypatch):
                           custom):
                 for ring in (INTEGERS, Coefficients(2), Coefficients(3)):
                     monkeypatch.setattr(kernels, "reduce_faces",
-                                        compiled_reduction.reduce_faces)
+                                        compiled_kernels.reduce_faces)
                     compiled = homology_table(fc, [0, 1, 2], sieve, ring)
                     monkeypatch.setattr(kernels, "reduce_faces",
                                         _reduction_py.reduce_faces)
@@ -270,6 +263,157 @@ def test_list_oracle_out_of_contract_input_raises(col_rows, col_coeffs, q,
     contract."""
     with pytest.raises(error, match=message):
         reduce_columns(col_rows, col_coeffs, q)
+
+
+W = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("args,error,message", [
+    ((W[0], True, 2, 10), ValueError, "w must be a 2-d C-contiguous float64"),
+    ((W.astype(np.float32), True, 2, 10), ValueError, "w must be"),
+    ((W.astype(np.int64), True, 2, 10), ValueError, "w must be"),
+    ((W[:, ::2], True, 2, 10), ValueError, "w must be"),
+    ((W[:2], True, 2, 10), ValueError, "w must be square, got 2 x 3"),
+    ((W, True, -1, 10), ValueError, "max_dim must be >= 0, got -1"),
+    ((W, True, 2, -1), ValueError, "limit must be a number >= 0, got -1"),
+    ((W, True, 2, float("nan")), ValueError, "limit must be a number >= 0"),
+    ((W.tolist(), True, 2, 10), TypeError, None),
+    ((W, True, 2.0, 10), TypeError, None),
+    ((W, True, 2, "10"), TypeError, None),
+], ids=["ndim", "float32", "int64", "not-contiguous", "not-square",
+        "negative-max-dim", "negative-limit", "nan-limit", "not-a-buffer",
+        "float-max-dim", "string-limit"])
+def test_search_out_of_contract_input_raises(backend, args, error, message):
+    with pytest.raises(error, match=message):
+        backend.expand(*args)
+
+
+def test_search_stops_at_the_budget(backend):
+    """The 3-point space has 3 * 2^k tuples in degree k: 21 up to degree
+    2, so a budget of 20 raises and one of 21 passes; a huge ``max_dim``
+    costs nothing before the budget stops the search."""
+    found = backend.expand(W, False, 2, 21)
+    assert [len(level[0]) for level in found] == [3, 6, 12]
+    for limit, max_dim in ((20, 2), (2, 0), (100, 10 ** 6), (100, 1 << 70)):
+        with pytest.raises(BudgetExceededError,
+                           match=f"exceeded the budget of {limit}$"):
+            backend.expand(W, False, max_dim, limit)
+    assert len(backend.expand(W, False, 0, 3)) == 1
+    assert [len(level[0]) for level in backend.expand(
+        np.full((2, 2), INF), True, 3, INF)] == [2, 0, 0, 0]
+
+
+def face_args(degree=2):
+    """Valid ``face_table`` arguments for a degree of the complete
+    3-point space, each its own array, and the table they give."""
+    fc = enumerate_complex(
+        VGraph(["a", "b", "c"], W), 1.0, degree, budget=None)
+    args = {"prefix": fc.prefix[degree].copy(),
+            "last": fc.tuples[degree][:, -1].copy(),
+            "below_prefix": fc.prefix[degree - 1].copy(),
+            "below_last": fc.tuples[degree - 1][:, -1].copy(),
+            "tail": fc.tuples[degree - 2][:, -1].copy(),
+            "inner": fc.faces(degree - 1).copy(),
+            "table": np.full(fc.tuples[degree].shape, -7, dtype=np.intp)}
+    return args, fc.faces(degree)
+
+
+def _set(name, index, value):
+    def change(args):
+        args[name][index] = value
+    return change
+
+
+def _replace(name, make):
+    def change(args):
+        args[name] = make(args[name])
+    return change
+
+
+def _read_only(array):
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("change,error,message", [
+    (_set("prefix", 3, 6), ValueError, "prefix has the row 6, outside 0..5"),
+    (_set("prefix", 0, -1), ValueError, "prefix has the row -1, outside"),
+    (_set("below_prefix", 5, 3), ValueError,
+     "below_prefix has the row 3, outside 0..2"),
+    (_set("inner", (2, 1), 3), ValueError, "inner has the face 3, outside -1..2"),
+    (_set("inner", (0, 0), -2), ValueError, "inner has the face -2"),
+    (_set("last", 1, -1), ValueError, "last has the vertex -1, below 0"),
+    (_set("below_last", 1, -3), ValueError, "below_last has the vertex -3"),
+    (_set("tail", 2, -1), ValueError, "tail has the vertex -1, below 0"),
+    (_set("below_last", 1, 2), ValueError, "two rows one degree down have "
+     "the prefix row 1 and the last vertex 2"),
+    (_replace("prefix", lambda a: a.astype(np.int32)), ValueError,
+     "prefix must be a 1-d C-contiguous int64 array"),
+    (_replace("last", lambda a: a.astype(np.int64)), ValueError,
+     "last must be a 1-d C-contiguous int32 array"),
+    (_replace("tail", lambda a: a.astype(np.float64)), ValueError,
+     "tail must be"),
+    (_replace("prefix", lambda a: np.repeat(a, 2)[::2]), ValueError,
+     "prefix must be a 1-d C-contiguous"),
+    (_replace("inner", lambda a: np.asfortranarray(a)), ValueError,
+     "inner must be a 2-d C-contiguous int64"),
+    (_replace("inner", lambda a: a[:, :1].copy()), ValueError,
+     "inner must have at least 2 columns, got 1"),
+    (_replace("table", _read_only), ValueError,
+     "table must be a writable 2-d"),
+    (_replace("table", lambda a: a[:, :2].copy()), ValueError,
+     "table must have 12 rows and 3 columns, got 12 x 2"),
+    (_replace("last", lambda a: a[:-1].copy()), ValueError,
+     "last has 11 rows but prefix has 12"),
+    (_replace("below_last", lambda a: a[:-1].copy()), ValueError,
+     "below_prefix, below_last and inner have 6, 5 and 6 rows"),
+    (_replace("prefix", lambda a: a.tolist()), TypeError, None),
+], ids=["prefix-beyond-rows", "prefix-negative", "below-prefix-beyond-rows",
+        "face-beyond-rows", "face-below-minus-one", "negative-last",
+        "negative-below-last", "negative-tail", "repeated-row",
+        "prefix-int32", "last-int64", "tail-float", "not-contiguous",
+        "inner-fortran", "inner-one-column", "table-read-only",
+        "table-shape", "row-counts", "below-row-counts", "not-a-buffer"])
+def test_face_table_out_of_contract_input_raises(backend, change, error,
+                                                 message):
+    """Both backends check their input the same way, and raise before
+    they write to the table."""
+    args, want = face_args()
+    assert want.shape == (12, 3)
+    table = args["table"]
+    backend.face_table(**args)
+    assert np.array_equal(table, want)
+    args["table"] = table = np.full(want.shape, -7, dtype=np.intp)
+    change(args)
+    with pytest.raises(error, match=message):
+        backend.face_table(**args)
+    assert (args["table"] == -7).all() and (table == -7).all()
+
+
+def test_face_table_fuzz_raises_or_agrees(compiled_kernels):
+    """Random entries written into valid arguments: the compiled kernel
+    raises the twin's error, or fills the table the twin fills; it never
+    reads outside its buffers (an out-of-range row would crash it)."""
+    rng = random.Random(89)
+    for degree in (2, 3):
+        for _ in range(300):
+            args, _ = face_args(degree)
+            for _ in range(rng.randint(1, 3)):
+                name = rng.choice(["prefix", "last", "below_prefix",
+                                   "below_last", "tail", "inner"])
+                flat = args[name].reshape(-1)
+                flat[rng.randrange(len(flat))] = rng.choice(
+                    [-2, -1, 0, 1, 2, 3, 5, 6, 12, 1 << 30])
+            results = []
+            for module in (compiled_kernels, _reduction_py):
+                table = np.full(args["table"].shape, -7, dtype=np.intp)
+                try:
+                    module.face_table(**dict(args, table=table))
+                    results.append(table.tolist())
+                except ValueError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
 
 
 def test_sparse_huge_rows(backend):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpnerve import nerve
+from lpnerve import kernels, nerve
+from lpnerve.kernels import _reduction_py
 from lpnerve.nerve import enumerate_complex, grade_clusters, membership_scale
 from lpnerve.values import INF, BudgetExceededError, InputError, close
-from lpnerve.vgraph import VGraph, free_category
+from lpnerve.vgraph import VGraph, asymmetrize, free_category
 from util import (dense_face_table, is_degenerate, levels, lexsorted_complex,
                   membership_scale_category, random_honest_space,
                   random_l1_space, random_vgraph, search, searched_faces,
@@ -175,7 +177,7 @@ def test_budget():
             enumerate_complex(X, 1.0, 3, budget=50)
 
 
-def test_budget_stops_the_search_early():
+def test_budget_stops_the_search_early(nerve_backend):
     # one first vertex alone roots about 29^4 tuples; the search must stop
     # at the budget, not after building that subtree
     X = random_honest_space(random.Random(47), 30)
@@ -190,7 +192,7 @@ def test_budget_stops_the_search_early():
     assert peak < 4 * 2 ** 20
 
 
-def test_budget_bounds_memory_at_high_degree():
+def test_budget_bounds_memory_at_high_degree(nerve_backend):
     # the search reaches high degrees first; it stores a tuple as its last
     # vertex, top and prefix row, so a degree-200 tuple costs no more than
     # an edge and the budget stops the search before memory is spent
@@ -205,6 +207,49 @@ def test_budget_bounds_memory_at_high_degree():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_budget_stops_a_huge_max_dim_at_once(nerve_backend):
+    """A budget of 100 on the 3-point space stops the search near degree
+    5, whatever ``max_dim`` is: nothing grows with ``max_dim`` before the
+    budget is hit, not the search's per-degree lists, not the power in the
+    warning."""
+    X = VGraph(["a", "b", "c"],
+               np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match="exceeded the budget of 100$"):
+            with pytest.warns(RuntimeWarning, match=r"up to 3\^1000001 "):
+                enumerate_complex(X, 1.0, 10 ** 6, budget=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1.0
+    assert peak < 2 ** 20
+
+
+def test_empty_degrees_up_to_a_large_max_dim_are_cheap():
+    """Two points infinitely far apart have no edge, so every degree
+    above 0 is empty; 4000 of them take a few numpy calls each, not one
+    per column (8 million gathers, about 16 s on a 2-core x86_64)."""
+    X = VGraph(["a", "b"], np.array([[0.0, INF], [INF, 0.0]]))
+    started = time.perf_counter()
+    fc = enumerate_complex(X, 1.0, 4000, budget=None)
+    assert time.perf_counter() - started < 5.0
+    assert fc.size() == 2 and fc.tuples[4000].shape == (0, 4001)
+
+
+def test_budget_warning_compares_the_power_exactly():
+    """The warning fires exactly when n^(max_dim + 1) exceeds the budget,
+    also at the boundary and for 0 and 1 point."""
+    for n, max_dim, budget, warns in ((3, 1, 9, False), (3, 1, 8, True),
+                                      (2, 9, 1024, False), (2, 9, 1023, True),
+                                      (1, 10 ** 6, 0, True), (1, 4, 1, False),
+                                      (0, 3, 0, False)):
+        assert nerve._power_exceeds(n, max_dim + 1, budget) == warns
+        assert (n ** (max_dim + 1) > budget) == warns
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
@@ -306,10 +351,12 @@ def test_face_keys_do_not_overflow():
         assert np.array_equal(fc.faces(degree), dense_face_table(fc, degree))
 
 
-def test_search_reach_memory_is_blocked():
+def test_search_reach_memory_is_blocked(monkeypatch):
     """75 clusters of 4 mutually finite points, infinitely far apart: the
     reach of all of degree 3 at once would take over four times the
-    asserted peak, so the search must expand it block by block."""
+    asserted peak, so the pure-Python search must expand it block by
+    block."""
+    monkeypatch.setattr(kernels, "expand", _reduction_py.expand)
     n, size, max_dim = 300, 4, 4
     dist = np.full((n, n), INF)
     for lo in range(0, n, size):
@@ -342,9 +389,8 @@ def falling_tie(dist, p, max_dim):
     in name order) has two rows with equal births whose tops, the chain
     values the births are powered from, fall against the lexicographic
     order the search finds them in."""
-    for parts in nerve._expand(nerve._python_power(dist, p), False, max_dim,
-                               INF):
-        top = np.concatenate([part[1] for part in parts])
+    for _, top, _ in _reduction_py.expand(nerve._python_power(dist, p), False,
+                                          max_dim, INF):
         birth = nerve._python_power(top, 1.0 / p)
         order = np.argsort(birth, kind="stable")
         birth, top = birth[order], top[order]
@@ -391,10 +437,13 @@ def spaces(draw):
 def test_birth_sort_and_face_guess_match_the_full_sorts(X, p, max_dim, block):
     """Sorting by birth code alone gives the complex a full (birth,
     vertices) sort gives, and the guessed face rows are the binary-searched
-    ones, dtypes included, whatever order the search visits its blocks in."""
+    ones, dtypes included, whatever order the pure-Python search visits
+    its blocks in."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "expand", _reduction_py.expand)
+        patch.setattr(kernels, "face_table", _reduction_py.face_table)
         # BLOCK counts cells: blocks of 1 to 5 rows
-        patch.setattr(nerve, "BLOCK", block * len(X))
+        patch.setattr(_reduction_py, "BLOCK", block * len(X))
         fc = enumerate_complex(X, p, max_dim, budget=None)
         want = lexsorted_complex(X, p, max_dim)
     assert_same_complex(fc, want)
@@ -404,7 +453,7 @@ def test_birth_sort_and_face_guess_match_the_full_sorts(X, p, max_dim, block):
         assert np.array_equal(a, b)
 
 
-def test_face_lookup_memory_is_linear():
+def test_face_lookup_memory_is_linear(nerve_backend):
     """1000 pairs of points, infinitely far apart, at max_dim 3: 2000 rows
     per degree, so a lookup table of (prefix rows) x n cells would take
     some 30 MB, where the face tables need well under 2 MB."""
@@ -426,3 +475,66 @@ def test_face_lookup_memory_is_linear():
     assert peak < 2 * 2 ** 20
     for degree in range(1, 4):
         assert np.array_equal(fc.faces(degree), searched_faces(fc, degree))
+
+
+def powered(X, p):
+    """The distance matrix the search reads: vertices in name order,
+    distances to the p-th power at finite p."""
+    perm = [X.index(v) for v in sorted(X.vertices)]
+    d = X.dist[np.ix_(perm, perm)]
+    return d if p == INF else nerve._python_power(d, p)
+
+
+def face_tables(backend, fc):
+    """The face tables of degrees 2 and up that ``backend`` builds from
+    the complex's own tables one degree down."""
+    tables = []
+    for k in range(2, fc.max_dim + 1):
+        table = np.full(fc.tuples[k].shape, -7, dtype=np.intp)
+        backend.face_table(fc.prefix[k], fc.tuples[k][:, -1], fc.prefix[k - 1],
+                           fc.tuples[k - 1][:, -1], fc.tuples[k - 2][:, -1],
+                           fc.faces(k - 1), table)
+        tables.append(table)
+    return tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(X=spaces(), twist=st.booleans(),
+       p=st.sampled_from([1.0, 1.5, 2.0, INF]), max_dim=st.integers(0, 4))
+def test_compiled_search_and_face_table_match_the_twins(compiled_kernels, X,
+                                                        twist, p, max_dim):
+    """The compiled search gives the pure-Python search's arrays, dtypes
+    included, and raises at the same budgets; the complex it gives, and
+    its compiled face tables, are those of the full sorts and of one
+    binary search per face.  Symmetric spaces are also tried after
+    ``asymmetrize``, where most complete-space guesses miss."""
+    if twist and np.array_equal(X.dist, X.dist.T):
+        X = asymmetrize(X)
+    w = powered(X, p)
+    found = compiled_kernels.expand(w, p == INF, max_dim, INF)
+    want = _reduction_py.expand(w, p == INF, max_dim, INF)
+    assert len(found) == len(want) == max_dim + 1
+    for got, expected in zip(found, want):
+        for a, b in zip(got, expected, strict=True):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+    total = sum(len(last) for last, _, _ in want)
+    for module in (compiled_kernels, _reduction_py):
+        with pytest.raises(BudgetExceededError):
+            module.expand(w, p == INF, max_dim, total - 1)
+        assert len(module.expand(w, p == INF, max_dim, total)) == max_dim + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "expand", compiled_kernels.expand)
+        patch.setattr(kernels, "face_table", compiled_kernels.face_table)
+        fc = enumerate_complex(X, p, max_dim, budget=None)
+        for degree in range(1, max_dim + 1):
+            fc.faces(degree)
+    sorted_fc = lexsorted_complex(X, p, max_dim)
+    assert_same_complex(fc, sorted_fc)
+    for degree in range(1, max_dim + 1):
+        a, b = fc.faces(degree), searched_faces(sorted_fc, degree)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    for a, b in zip(face_tables(compiled_kernels, fc),
+                    face_tables(_reduction_py, fc), strict=True):
+        assert np.array_equal(a, b)

@@ -15,8 +15,8 @@ import numpy as np
 from lpnerve import kernels
 from lpnerve.chain import boundary_matrix, columns, generators_at
 from lpnerve.homology import Bar, Barcode, HomologySummary
-from lpnerve.nerve import (FilteredComplex, _expand, _python_power,
-                           grade_clusters)
+from lpnerve.kernels import _reduction_py
+from lpnerve.nerve import FilteredComplex, _python_power, grade_clusters
 from lpnerve.snf import _divisibility_fixup
 from lpnerve.values import EPS, INF, close, tensor_fold
 from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism,
@@ -291,14 +291,15 @@ def dense_face_table(fc, degree: int) -> np.ndarray:
 def lexsorted_complex(X: VGraph, p: float, max_dim: int,
                       eps: float = EPS) -> FilteredComplex:
     """``enumerate_complex`` with each degree put in order by a full sort on
-    (birth, vertices), which does not rely on the search order."""
+    (birth, vertices), which does not rely on the search order; the
+    tuples come from the pure-Python search."""
     names = sorted(X.vertices)
     perm = [X.index(v) for v in names]
     d = X.dist[np.ix_(perm, perm)]
     w = d if p == INF else _python_power(d, p)
     tuples, births, prefix = [], [], []
-    for k, parts in enumerate(_expand(w, p == INF, max_dim, INF)):
-        last, top, parent = (np.concatenate(part) for part in zip(*parts))
+    for k, (last, top, parent) in enumerate(
+            _reduction_py.expand(w, p == INF, max_dim, INF)):
         # rows in search order: the parent's row (the last degree's verts,
         # not yet sorted), then the last vertex
         verts = np.column_stack([verts[parent], last]) if k else last[:, None]
