@@ -13,18 +13,21 @@ which holds for each tuple and deleted vertex the row of the face one
 degree down.
 
 Every boundary is built by ``sieve_boundary`` for a run of consecutive
-grade indices as one slice of the face table with a mask of the faces
-kept.  A run's grades share its first grade's floor, or keep only
-themselves: the empty sieve kills nothing, so all its grades make one
-run, and so does the strict-predecessor sieve, the magnitude-style
-localization, which keeps only generators born exactly at the grade.  A
-face is never born after its tuple, so the columns of the shared-floor
-grades are the boundary at the last of them, and each prefix of those
-columns is the boundary at an earlier one; the columns of each later
-grade, which share no row with any other grade, add its boundary as a
-direct summand.  ``boundary_matrix`` is a one-grade run renumbered to
-its generators, in the sparse column format of ``columns``: per column,
-the increasing row indices of its nonzero entries and a parallel list of
+grade indices as one slice of the face table, with the lowest row each
+column keeps (its floor), which is the form ``kernels.reduce_faces``
+takes: a face below its column's floor counts as absent.  A run's
+grades share its first grade's floor, or keep only themselves: the
+empty sieve kills nothing, so all its grades make one run, and so does
+the strict-predecessor sieve, the magnitude-style localization, which
+keeps only generators born exactly at the grade.  ``run_floors``
+computes a run's floors once, for every degree.  A face is never born
+after its tuple, so the columns of the shared-floor grades are the
+boundary at the last of them, and each prefix of those columns is the
+boundary at an earlier one; the columns of each later grade, which
+share no row with any other grade, add its boundary as a direct
+summand.  ``boundary_matrix`` is a one-grade run renumbered to its
+generators, in the sparse column format of ``columns``: per column, the
+increasing row indices of its nonzero entries and a parallel list of
 their coefficients.
 """
 
@@ -118,35 +121,51 @@ def generators_at(fc: FilteredComplex, degree: int, g: int,
     return np.arange(*_span(fc, degree, g, sieve))
 
 
-def sieve_boundary(fc: FilteredComplex, degree: int, first: int, last: int,
-                   sieve: SieveSpec
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The boundaries d_degree at the grade indices ``first..last`` as one
-    matrix: the face table of its columns, the mask of the faces kept (the
-    form ``columns`` takes) and the grade index of each column.
+def run_floors(fc: FilteredComplex, first: int, last: int,
+               sieve: SieveSpec) -> np.ndarray:
+    """The floors of the run of grade indices ``first..last``: one per
+    grade index from ``floor(first)`` to ``last``, ``floor(first)`` below
+    ``first`` and ``floor(g)`` from ``first`` on.
 
-    Every grade index after ``first`` must share the floor of ``first`` or
-    keep only itself, so the columns are one slice of the face table,
-    taken with no copy: those of grade indices ``floor(first)..last``.  A
-    column of grade index h keeps the faces that survive at h, those of
-    grade index ``floor(h)`` and up (a column below ``first`` those that
-    survive at ``first``), and a face is never born after its tuple.  So
-    the columns of grade indices ``floor(g)..g`` are the boundary at each
-    g of the run, and the pivots of a left-to-right column reduction count
-    its rank there.
+    Raises ``InputError`` unless the grade indices lie in the complex and
+    every one after ``first`` shares the floor of ``first`` or keeps only
+    itself.
     """
-    if degree < 1:
-        raise InputError("a boundary needs degree >= 1")
-    lo = _span(fc, degree, first, sieve)[0]
-    hi = _span(fc, degree, last, sieve)[1]
+    if not 0 <= first <= last < len(fc.grades):
+        raise InputError(f"grade indices {first}..{last} are outside the "
+                         f"complex: grade indices 0..{len(fc.grades) - 1}")
     floor = sieve.floor(first)
     floors = [floor] * (first - floor) + [sieve.floor(g)
                                           for g in range(first, last + 1)]
     if any(f != floor and f != g for g, f in enumerate(floors, floor)):
         raise InputError(f"grade indices {first}..{last} are not one run")
+    return np.array(floors, dtype=np.intp)
+
+
+def sieve_boundary(fc: FilteredComplex, degree: int, floors: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boundaries d_degree at the grade indices of a run as one
+    matrix: the face table of its columns, the lowest row each column
+    keeps (the form ``kernels.reduce_faces`` takes) and the grade index
+    of each column.  ``floors`` is the run's, from ``run_floors``.
+
+    The columns are one slice of the face table, taken with no copy:
+    those of the grade indices from ``floors[0]`` to the run's last.  A
+    column of grade index h keeps the faces that survive at h, those of
+    grade index ``floor(h)`` and up (a column below the run's first grade
+    those that survive at the first grade), and a face is never born
+    after its tuple.  So the columns of grade
+    indices ``floor(g)..g`` are the boundary at each g of the run, and the
+    pivots of a left-to-right column reduction count its rank there.
+    """
+    if not 1 <= degree <= fc.max_dim:
+        raise InputError(f"a boundary needs a degree in 1..{fc.max_dim}, "
+                         f"got {degree}")
+    base = int(floors[0])
+    lo, hi = fc.starts[degree][[base, base + len(floors)]].tolist()
     faces, grade = fc.faces(degree)[lo:hi], fc.grade[degree][lo:hi]
     lowest = fc.starts[degree - 1][floors]  # first row kept, per grade index
-    return faces, faces >= lowest[grade - floor, None], grade
+    return faces, lowest[grade - base], grade
 
 
 def boundary_matrix(fc: FilteredComplex, degree: int, g: int,
@@ -158,5 +177,7 @@ def boundary_matrix(fc: FilteredComplex, degree: int, g: int,
     ``generators_at(degree)``; faces that are degenerate or killed by the
     sieve contribute zero.
     """
-    faces, keep, _ = sieve_boundary(fc, degree, g, g, sieve)
-    return columns(faces - fc.starts[degree - 1][sieve.floor(g)], keep)
+    floors = run_floors(fc, g, g, sieve)
+    faces, floor, _ = sieve_boundary(fc, degree, floors)
+    return columns(faces - fc.starts[degree - 1][floors[0]],
+                   faces >= floor[:, None])

@@ -1,6 +1,8 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 2 input error, 3 tuple budget exceeded.
+Exit codes: 0 success, 2 input error, 3 tuple budget exceeded.  Errors
+and warnings print to stderr as one line each, ``error: <message>`` and
+``warning: <message>``.
 """
 
 from __future__ import annotations
@@ -8,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from typing import List, Optional
 
 from . import analysis, automata, io, values
@@ -286,16 +289,24 @@ def run(args) -> int:
     raise InputError(f"unknown command {args.command!r}")
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    """Print a warning as one line, with no source path or line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return run(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return run(args)
+        except BudgetExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (InputError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -7,15 +7,17 @@ grade indices of the complex, so no birth is compared here; a row prints
 the value of its grade, ``fc.grades[g]``.  The grade indices split into
 runs that ``chain.sieve_boundary`` builds as one matrix each: a run's
 grades share its first grade's floor or keep only themselves, so the
-empty and the strict sieve make one run each.  Each d_n is built once
-per run and ranked once (``_ranks``): a left-to-right column reduction
-of a prefix of the columns is the prefix of the whole one, so the rank
-at grade index g is the pivot count of the columns of grade indices
+empty and the strict sieve make one run each.  A run's floors are
+computed once (``chain.run_floors``), and each d_n is built once per run
+and ranked once (``_ranks``): a left-to-right column reduction of a
+prefix of the columns is the prefix of the whole one, so the rank at
+grade index g is the pivot count of the columns of grade indices
 floor(g)..g.  Under the empty sieve that one reduction is the one the
 barcode makes of the same face table.  Every rank comes from the one
 column reduction ``kernels.reduce_faces`` (compiled kernel when
-available), which reads a face table directly: over GF(q), and over Z
-with pivots of +-1 only.  Only a boundary whose Z reduction meets a
+available), which reads a face table directly, with the lowest row each
+column keeps, and skips the faces below it itself: over GF(q), and over
+Z with pivots of +-1 only.  Only a boundary whose Z reduction meets a
 non-unit pivot (or an int64 overflow) goes to the exact Smith normal
 form of ``snf``, once per grade index of the run, which then gives its
 torsion.  The barcode up to degree n reduces d_1 .. d_(n+1) one degree
@@ -38,7 +40,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .chain import STRICT_PREDECESSORS, SieveSpec, columns, sieve_boundary
+from .chain import (STRICT_PREDECESSORS, SieveSpec, columns, run_floors,
+                    sieve_boundary)
 from .nerve import DEFAULT_BUDGET, FilteredComplex, enumerate_complex
 from .snf import smith_normal_form
 from .values import EPS, INF, InputError
@@ -98,28 +101,30 @@ class Barcode:
 # -- graded homology --------------------------------------------------
 
 
-def _ranks(faces: np.ndarray, keep: np.ndarray, grade: np.ndarray,
-           coefficients: Coefficients, run: Sequence[Tuple[int, int]]
+def _ranks(faces: np.ndarray, floor: np.ndarray, grade: np.ndarray,
+           nrows: int, coefficients: Coefficients,
+           run: Sequence[Tuple[int, int]]
            ) -> List[Tuple[int, Tuple[int, ...]]]:
     """Rank and torsion, at each grade index g of ``run`` (pairs of g and
-    its floor f), of a boundary from ``sieve_boundary``: the columns of
-    grade indices ``f..g`` are the boundary at g.  One column reduction
-    (``kernels.reduce_faces``) ranks it over every ring, and a
-    left-to-right reduction of a prefix of the columns is the prefix of
-    the whole one, so the rank at g is the pivot count of those columns.
-    Over Z a reduction whose pivots are all +-1 is a unimodular change of
-    basis, so every invariant factor is 1; only when the kernel flags a
-    non-unit pivot (or an int64 overflow) does the Smith normal form
-    (``snf.smith_normal_form``, one sparse elimination loop) run, once per
-    grade index on its columns.
+    its floor f), of a boundary from ``sieve_boundary`` whose faces are
+    rows below ``nrows``: the columns of grade indices ``f..g`` are the
+    boundary at g.  One column reduction (``kernels.reduce_faces``, which
+    drops the faces below each column's floor itself) ranks it over every
+    ring, and a left-to-right reduction of a prefix of the columns is the
+    prefix of the whole one, so the rank at g is the pivot count of those
+    columns.  Over Z a reduction whose pivots are all +-1 is a unimodular
+    change of basis, so every invariant factor is 1; only when the kernel
+    flags a non-unit pivot (or an int64 overflow) does the Smith normal
+    form (``snf.smith_normal_form``, one sparse elimination loop) run,
+    once per grade index on its columns, with the kept faces as a mask.
     """
     q = coefficients.modulus or 0
-    table = np.where(keep, faces, -1)
-    lows = np.empty(len(table), dtype=np.int64)
-    if kernels.reduce_faces(table, int(table.max(initial=-1)) + 1, q, lows) >= 0:
+    lows = np.empty(len(faces), dtype=np.int64)
+    if kernels.reduce_faces(faces, nrows, q, floor, lows) >= 0:
         pivots = np.bincount(grade[lows >= 0], minlength=run[-1][0] + 1)
         below = [0] + np.cumsum(pivots).tolist()  # pivots below each grade
         return [(below[g + 1] - below[f], ()) for g, f in run]
+    keep = faces >= floor[:, None]
     out = []
     for g, f in run:
         lo, hi = np.searchsorted(grade, [f, g + 1]).tolist()
@@ -158,17 +163,18 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
             runs[-1].append((g, f))
         else:
             runs.append([(g, f)])
+    starts = [level.tolist() for level in fc.starts]
     out: List[HomologySummary] = []
     for run in runs:
-        first, last = run[0][0], run[-1][0]
+        floors = run_floors(fc, run[0][0], run[-1][0], sieve)
         # k -> rank and torsion of d_k at each grade index of the run
         ranks = {0: [(0, ())] * len(run)}
         for k in {k for n in degrees for k in (n, n + 1)} - {0}:
-            ranks[k] = _ranks(*sieve_boundary(fc, k, first, last, sieve),
-                              coefficients, run)
+            ranks[k] = _ranks(*sieve_boundary(fc, k, floors),
+                              len(fc.grade[k - 1]), coefficients, run)
         for i, (g, f) in enumerate(run):
             for n in degrees:
-                gens = int(fc.starts[n][g + 1] - fc.starts[n][f])
+                gens = starts[n][g + 1] - starts[n][f]
                 if not gens:
                     continue  # an empty chain group has zero homology
                 rank_upper, torsion = ranks[n + 1][i]
@@ -227,7 +233,7 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
     for k in range(1, max_degree + 2):
         lows = np.empty(len(fc.grade[k]), dtype=np.int64)
         kernels.reduce_faces(fc.faces(k), len(fc.grade[k - 1]),
-                             field_coeffs.modulus, lows)
+                             field_coeffs.modulus, np.zeros_like(lows), lows)
         killer = np.flatnonzero(lows >= 0)
         birth, death = fc.grade[k - 1][lows[killer]], fc.grade[k][killer]
         live = birth != death

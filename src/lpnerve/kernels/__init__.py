@@ -1,11 +1,16 @@
 """Hot-loop kernels: compiled extension when available, pure Python otherwise.
 
-Three entries carry the per-tuple loops of the library.  ``expand`` is
-the nerve's tuple search: it finds every finite-birth nondegenerate tuple
-depth first, carrying the longest-chain values down.  ``face_table``
-builds a degree's face table from the one a degree down.  ``reduce_faces``
-is the one column reduction: it reduces a boundary straight from its face
-table, over GF(q) for barcodes and field ranks, and over Z with +-1
+Three entries carry the per-tuple loops of the library.
+``expand(w, p, max_dim, limit)`` is the nerve's tuple search: it finds
+every finite-birth nondegenerate tuple depth first, carrying the
+longest-chain values down, and returns each degree sorted by (birth,
+vertices): the vertex matrix, the prefix rows, the increasing distinct
+births and each row's index (birth code) among them.  ``face_table``
+builds a degree's face table from the one a degree down.
+``reduce_faces(table, nrows, q, floor, lows)`` is the one column
+reduction: it reduces a boundary straight from its face table, each
+column keeping only its faces from row ``floor[j]`` on (so a sieve needs
+no mask), over GF(q) for barcodes and field ranks, and over Z with +-1
 pivots for integer ranks.  They are built at install time from the
 hand-written ``_reduction.c``; if no C compiler was available, the
 pure-Python twins in ``_reduction_py`` are used transparently, with the

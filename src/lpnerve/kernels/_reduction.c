@@ -8,20 +8,30 @@
  * must be C-contiguous with the stated element type.  Memory comes from
  * PyMem_*, so tracemalloc sees it.
  *
- * ``expand(w, at_inf, max_dim, limit)`` finds every finite-birth
- * nondegenerate tuple of degree <= max_dim, depth first, one tuple at a
- * time.  ``w`` is the n x n float64 matrix of p-th-power distances (plain
- * distances when ``at_inf``).  A tuple's reach row holds, per vertex u,
- * the longest-chain value of the tuple extended by u; its children are
- * the finite entries off its last vertex, stored (last vertex, top =
- * reach[u], its own row) in the next degree, and a child's reach is
- * max(reach, top + w[u]) (max(reach, max(top, w[u])) at p = inf): the one
- * IEEE addition or maximum per candidate that ``membership_scale`` makes.
- * A tuple's children are stored together, when it is visited, and the
- * tuples of a degree are visited in row order, so every degree comes out
- * in lexicographic order.  The budget is checked before each tuple is
- * stored.  The output and the stack of reach rows grow with the tuples
- * and the depth actually reached.
+ * ``expand(w, p, max_dim, limit)`` finds every finite-birth nondegenerate
+ * tuple of degree <= max_dim, depth first, one tuple at a time, and
+ * returns each degree sorted by (birth, vertices).  ``w`` is the n x n
+ * float64 matrix of p-th-power distances (plain distances at p = inf).
+ * A tuple's reach row holds, per vertex u, the longest-chain value of the
+ * tuple extended by u; its children are the finite entries off its last
+ * vertex, stored (last vertex, its own row, code of top = reach[u]) in
+ * the next degree, and a child's reach is max(reach, top + w[u])
+ * (max(reach, max(top, w[u])) at p = inf): the one IEEE addition or
+ * maximum per candidate that ``membership_scale`` makes.  A tuple's
+ * children are stored together, when it is visited, and the tuples of a
+ * degree are visited in row order, so every degree is found in
+ * lexicographic order.  The budget is checked before each tuple is
+ * stored.  A degree has few distinct tops, so each gets a code, in the
+ * order first seen, from a hash table keyed on its value (-0.0 and +0.0
+ * share one).  After the search each degree's distinct tops are powered
+ * to births (top^(1/p) by libm's pow, the call Python's float ** makes,
+ * and 0 for a top of 0; the top itself at p = inf) and sorted, tops with
+ * one birth merge, and a stable counting sort by birth puts the rows in
+ * (birth, vertices) order.  Per degree the result is the column-major
+ * int32 vertex matrix, the prefix rows renumbered to that order (intp, -1
+ * at degree 0), the increasing distinct births (float64) and each row's
+ * index among them (intp).  The search state grows with the tuples and
+ * the depth actually reached.
  *
  * ``face_table(prefix, last, below_prefix, below_last, tail, inner,
  * table)`` fills the face table of a degree k >= 2 from the prefix rows
@@ -34,13 +44,15 @@
  * first at the complete-space guess start[F] + v - (v > last(F)), then by
  * binary search.
  *
- * ``reduce_faces(table, nrows, q, lows)`` reduces columns left to right.
- * ``table`` is a 2-d int64 buffer: row j lists the faces of column j,
- * entry i a row index in [0, nrows) with the sign (-1)^i, or -1 for a
- * face not kept; no row may repeat within a column.  ``lows`` is a
- * writable 1-d int64 buffer with one slot per column, filled with the
- * lowest row of each reduced column, or -1 where it reduces to zero.  The
- * return value is the number of pivots.  q is a prime below 2^31, so that
+ * ``reduce_faces(table, nrows, q, floor, lows)`` reduces columns left to
+ * right.  ``table`` is a 2-d int64 buffer: row j lists the faces of
+ * column j, entry i a row index in [0, nrows) with the sign (-1)^i, or -1
+ * for a face not kept; no row may repeat within a column.  ``floor`` is a
+ * 1-d int64 buffer with the lowest row each column keeps: a face below
+ * it counts as absent, as -1 does.  ``lows`` is a writable 1-d int64
+ * buffer with one slot per column, filled with the lowest row of each
+ * reduced column, or -1 where it reduces to zero.  The return value is
+ * the number of pivots.  q is a prime below 2^31, so that
  * a product of two residues fits in int64, or 0 for the integers: then
  * every pivot must be +-1 and every entry must stay below 2^63 in
  * magnitude, and the return value is -1 as soon as either fails.  Each
@@ -194,13 +206,20 @@ static int resize(void *buf, Py_ssize_t cap, size_t item)
     return 0;
 }
 
-/* the tuples of one degree found so far: (last vertex, top, prefix row) */
+/* The tuples of one degree found so far: per tuple its last vertex, its
+   prefix row and the code of its top chain value, and the distinct tops
+   in the order they were first seen, found through a hash table keyed
+   on the top's value. */
 typedef struct {
     int32_t *last;
-    double *top;
     Py_ssize_t *parent;
+    Py_ssize_t *code;
     Py_ssize_t size;
     Py_ssize_t cap;
+    double *tops;
+    Py_ssize_t ntops;
+    Py_ssize_t *slots;  /* 1 + the code of a top, or 0 for an empty slot */
+    Py_ssize_t mask;    /* the number of slots (a power of two) less one */
 } Level;
 
 /* room for need tuples; grows geometrically */
@@ -210,8 +229,8 @@ static int level_reserve(Level *level, Py_ssize_t need)
         return 0;
     Py_ssize_t cap = level->cap > need / 2 ? 2 * level->cap : need;
     if (resize(&level->last, cap, sizeof(int32_t)) < 0
-        || resize(&level->top, cap, sizeof(double)) < 0
-        || resize(&level->parent, cap, sizeof(Py_ssize_t)) < 0)
+        || resize(&level->parent, cap, sizeof(Py_ssize_t)) < 0
+        || resize(&level->code, cap, sizeof(Py_ssize_t)) < 0)
         return -1;
     level->cap = cap;
     return 0;
@@ -220,9 +239,56 @@ static int level_reserve(Level *level, Py_ssize_t need)
 static void level_free(Level *level)
 {
     PyMem_Free(level->last);
-    PyMem_Free(level->top);
     PyMem_Free(level->parent);
+    PyMem_Free(level->code);
+    PyMem_Free(level->tops);
+    PyMem_Free(level->slots);
     *level = (Level){0};
+}
+
+/* the first slot to probe for a top: its bits mixed by MurmurHash3's
+   finalizer, since the low bits of a whole number's double are all 0 */
+static inline Py_ssize_t top_slot(double top, Py_ssize_t mask)
+{
+    uint64_t bits;
+    memcpy(&bits, &top, sizeof bits);
+    bits ^= bits >> 33;
+    bits *= 0xFF51AFD7ED558CCDu;
+    bits ^= bits >> 33;
+    bits *= 0xC4CEB9FE1A85EC53u;
+    bits ^= bits >> 33;
+    return (Py_ssize_t)(bits & (uint64_t)mask);
+}
+
+/* The code of a top in its level, the next one if the top is new; -1
+   with MemoryError.  The table is kept at most half full. */
+static Py_ssize_t top_code(Level *level, double top)
+{
+    top += 0.0;  /* -0.0 and +0.0 are one top */
+    if (2 * (level->ntops + 1) > level->mask + 1) {
+        Py_ssize_t slots = level->slots == NULL ? 16 : 2 * (level->mask + 1);
+        if (resize(&level->tops, slots / 2, sizeof(double)) < 0
+            || resize(&level->slots, slots, sizeof(Py_ssize_t)) < 0)
+            return -1;
+        memset(level->slots, 0, slots * sizeof(Py_ssize_t));
+        level->mask = slots - 1;
+        for (Py_ssize_t c = 0; c < level->ntops; c++) {
+            Py_ssize_t h = top_slot(level->tops[c], level->mask);
+            while (level->slots[h] != 0)
+                h = (h + 1) & level->mask;
+            level->slots[h] = c + 1;
+        }
+    }
+    for (Py_ssize_t h = top_slot(top, level->mask);; h = (h + 1) & level->mask) {
+        Py_ssize_t s = level->slots[h];
+        if (s == 0) {
+            level->tops[level->ntops] = top;
+            level->slots[h] = ++level->ntops;
+            return level->ntops - 1;
+        }
+        if (level->tops[s - 1] == top)
+            return s - 1;
+    }
 }
 
 /* numpy's maximum: b unless a is larger, and NaN if either is NaN */
@@ -231,30 +297,124 @@ static inline double maximum(double a, double b)
     return a > b || a != a ? a : b;
 }
 
-/* The array numpy.frombuffer makes of a copy of size bytes at data. */
-static PyObject *to_array(PyObject *frombuffer, const void *data,
-                          Py_ssize_t size, const char *dtype)
+/* A new numpy.empty array of rows (by cols unless cols < 0) items of the
+   given dtype, column-major, with its data in *data. */
+static PyObject *new_array(PyObject *empty, Py_ssize_t rows, Py_ssize_t cols,
+                           const char *dtype, void *data)
 {
-    PyObject *bytes = PyByteArray_FromStringAndSize(data, size);
-    if (bytes == NULL)
+    PyObject *args = cols < 0 ? Py_BuildValue("((n)s)", rows, dtype)
+                              : Py_BuildValue("((nn)s)", rows, cols, dtype);
+    PyObject *kwargs = args ? Py_BuildValue("{ss}", "order", "F") : NULL;
+    PyObject *array = kwargs ? PyObject_Call(empty, args, kwargs) : NULL;
+    Py_XDECREF(args);
+    Py_XDECREF(kwargs);
+    Py_buffer view;
+    if (array == NULL
+        || PyObject_GetBuffer(array, &view, PyBUF_WRITABLE | PyBUF_F_CONTIGUOUS) < 0) {
+        Py_XDECREF(array);
         return NULL;
-    PyObject *array = PyObject_CallFunction(frombuffer, "Os", bytes, dtype);
-    Py_DECREF(bytes);
+    }
+    *(void **)data = view.buf;
+    PyBuffer_Release(&view);
     return array;
 }
 
-/* (last, top, parent) arrays of a level, which is freed */
-static PyObject *level_arrays(PyObject *frombuffer, Level *level)
+/* a birth and the code of the top it is powered from */
+typedef struct {
+    double birth;
+    Py_ssize_t code;
+} Birth;
+
+static int birth_order(const void *a, const void *b)
 {
-    Py_ssize_t size = level->size;
-    PyObject *last = to_array(frombuffer, level->last, size * sizeof(int32_t), "int32");
-    PyObject *top = last ? to_array(frombuffer, level->top, size * sizeof(double), "float64") : NULL;
-    PyObject *parent = top ? to_array(frombuffer, level->parent, size * sizeof(Py_ssize_t), "intp") : NULL;
-    level_free(level);
-    PyObject *result = parent ? PyTuple_Pack(3, last, top, parent) : NULL;
-    Py_XDECREF(last);
-    Py_XDECREF(top);
-    Py_XDECREF(parent);
+    double x = ((const Birth *)a)->birth, y = ((const Birth *)b)->birth;
+    return (x > y) - (x < y);
+}
+
+/* the sorted degree below: the sorted row of each of its rows in search
+   order, and its column-major vertex matrix */
+typedef struct {
+    Py_ssize_t *rank;
+    const int32_t *verts;
+    Py_ssize_t rows;
+} Below;
+
+/* (tuples, prefix, level, code) of degree k, whose tuples the search
+   found in lexicographic order, sorted by (birth, vertices); below is
+   the degree under it, and becomes this one. */
+static PyObject *sorted_level(PyObject *empty, const Level *level,
+                              Py_ssize_t k, double p, Below *below)
+{
+    Py_ssize_t rows = level->size, m = level->ntops, nlevel = 0;
+    Birth *births = PyMem_Malloc((m > 0 ? m : 1) * sizeof(Birth));
+    Py_ssize_t *merged = PyMem_Malloc((m > 0 ? m : 1) * sizeof(Py_ssize_t));
+    Py_ssize_t *rank = PyMem_Malloc((rows > 0 ? rows : 1) * sizeof(Py_ssize_t));
+    Py_ssize_t *start = PyMem_Calloc(m + 1, sizeof(Py_ssize_t));
+    PyObject *tuples = NULL, *prefix = NULL, *values = NULL, *codes = NULL;
+    PyObject *result = NULL;
+    int32_t *verts;
+    Py_ssize_t *pre, *code;
+    double *value;
+
+    if (births == NULL || merged == NULL || rank == NULL || start == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* Python's float ** is libm's pow, so births match membership_scale */
+    for (Py_ssize_t c = 0; c < m; c++) {
+        double top = level->tops[c];
+        births[c].birth = p == INFINITY ? top
+                          : top > 0.0 ? pow(top, 1.0 / p) : 0.0;
+        births[c].code = c;
+    }
+    qsort(births, m, sizeof(Birth), birth_order);
+    /* tops that power to one birth merge, so that rows with equal births
+       keep their lexicographic order */
+    for (Py_ssize_t i = 0; i < m; i++) {
+        if (nlevel == 0 || births[i].birth != births[nlevel - 1].birth)
+            births[nlevel++].birth = births[i].birth;
+        merged[births[i].code] = nlevel - 1;
+    }
+    values = new_array(empty, nlevel, -1, "float64", &value);
+    tuples = values ? new_array(empty, rows, k + 1, "int32", &verts) : NULL;
+    prefix = tuples ? new_array(empty, rows, -1, "intp", &pre) : NULL;
+    codes = prefix ? new_array(empty, rows, -1, "intp", &code) : NULL;
+    if (codes == NULL)
+        goto done;
+    for (Py_ssize_t b = 0; b < nlevel; b++)
+        value[b] = births[b].birth;
+    /* a stable counting sort by birth keeps each birth's rows in search
+       order, which is lexicographic */
+    for (Py_ssize_t r = 0; r < rows; r++)
+        start[merged[level->code[r]] + 1]++;
+    for (Py_ssize_t b = 0; b < nlevel; b++)
+        start[b + 1] += start[b];
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        Py_ssize_t b = merged[level->code[r]], j = start[b]++;
+        rank[r] = j;
+        code[j] = b;
+        pre[j] = k > 0 ? below->rank[level->parent[r]] : -1;
+        verts[k * rows + j] = level->last[r];
+    }
+    /* each row is its prefix's row, then its last vertex */
+    for (Py_ssize_t i = 0; i < k; i++)
+        for (Py_ssize_t j = 0; j < rows; j++)
+            verts[i * rows + j] = below->verts[i * below->rows + pre[j]];
+    result = PyTuple_Pack(4, tuples, prefix, values, codes);
+    if (result != NULL) {
+        PyMem_Free(below->rank);
+        *below = (Below){rank, verts, rows};
+        rank = NULL;
+    }
+done:
+    PyMem_Free(births);
+    PyMem_Free(merged);
+    PyMem_Free(rank);
+    PyMem_Free(start);
+    Py_XDECREF(tuples);
+    Py_XDECREF(prefix);
+    Py_XDECREF(values);
+    Py_XDECREF(codes);
     return result;
 }
 
@@ -274,9 +434,9 @@ static void budget_exceeded(PyObject *limit)
 
 static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *keywords[] = {"w", "at_inf", "max_dim", "limit", NULL};
-    PyObject *w_obj, *max_dim_obj, *limit_obj, *result = NULL;
-    PyObject *numpy = NULL, *frombuffer = NULL;
+    static char *keywords[] = {"w", "p", "max_dim", "limit", NULL};
+    PyObject *w_obj, *p_obj, *max_dim_obj, *limit_obj, *result = NULL;
+    PyObject *numpy = NULL, *empty = NULL;
     Py_buffer w_view = {0};
     Level *levels = NULL;  /* one per degree reached */
     Py_ssize_t nlevels = 0, levels_cap = 0;
@@ -284,12 +444,20 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
        row of the tuple visited there */
     Py_ssize_t *cursor = NULL, *end = NULL, depths = 0;
     double *reach = NULL;
-    int at_inf, overflow;
+    Below below = {0};
+    int overflow;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OpOO:expand", keywords,
-                                     &w_obj, &at_inf, &max_dim_obj, &limit_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:expand", keywords,
+                                     &w_obj, &p_obj, &max_dim_obj, &limit_obj))
         return NULL;
+    double p = PyFloat_AsDouble(p_obj);
+    if (p == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(p >= 1.0))
+        return PyErr_Format(PyExc_ValueError, "p must lie in [1, inf], got %R",
+                            p_obj);
+    int at_inf = p == INFINITY;
     long long max_dim = PyLong_AsLongLongAndOverflow(max_dim_obj, &overflow);
     if (max_dim == -1 && PyErr_Occurred())
         return NULL;
@@ -345,8 +513,9 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
         goto done;
     for (Py_ssize_t v = 0; v < n; v++) {
         levels[0].last[v] = (int32_t)v;
-        levels[0].top[v] = 0.0;
         levels[0].parent[v] = -1;
+        if ((levels[0].code[v] = top_code(&levels[0], 0.0)) < 0)
+            goto done;
     }
     levels[0].size = n;
     Py_ssize_t total = n, depth = 0;
@@ -373,7 +542,7 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
             memcpy(row, wv, n * sizeof(double));
         else {
             const double *up = row - n;  /* the reach of the prefix */
-            double top = levels[depth].top[r];
+            double top = levels[depth].tops[levels[depth].code[r]];
             if (at_inf)
                 for (Py_ssize_t u = 0; u < n; u++)
                     row[u] = maximum(up[u], maximum(top, wv[u]));
@@ -402,8 +571,9 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
             }
             total++;
             children->last[size] = (int32_t)u;
-            children->top[size] = row[u];
-            children->parent[size++] = r;
+            children->parent[size] = r;
+            if ((children->code[size++] = top_code(children, row[u])) < 0)
+                goto done;
         }
         children->size = size;
         if (depth + 1 < max_dim && size > first) {
@@ -421,19 +591,21 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
         }
     }
     numpy = PyImport_ImportModule("numpy");
-    if (numpy == NULL || (frombuffer = PyObject_GetAttrString(numpy, "frombuffer")) == NULL)
+    if (numpy == NULL || (empty = PyObject_GetAttrString(numpy, "empty")) == NULL)
         goto done;
     PyObject *found = PyList_New((Py_ssize_t)max_dim + 1);
     if (found == NULL)
         goto done;
-    Level empty = {0};
+    Level none = {0};
     for (Py_ssize_t k = 0; k <= max_dim; k++) {
-        PyObject *arrays = level_arrays(frombuffer, k < nlevels ? &levels[k] : &empty);
-        if (arrays == NULL) {
+        Level *level = k < nlevels ? &levels[k] : &none;
+        PyObject *sorted = sorted_level(empty, level, k, p, &below);
+        level_free(level);  /* drop the search's arrays once sorted */
+        if (sorted == NULL) {
             Py_DECREF(found);
             goto done;
         }
-        PyList_SET_ITEM(found, k, arrays);
+        PyList_SET_ITEM(found, k, sorted);
     }
     result = found;
 done:
@@ -443,7 +615,8 @@ done:
     PyMem_Free(cursor);
     PyMem_Free(end);
     PyMem_Free(reach);
-    Py_XDECREF(frombuffer);
+    PyMem_Free(below.rank);
+    Py_XDECREF(empty);
     Py_XDECREF(numpy);
     if (w_view.obj != NULL)
         PyBuffer_Release(&w_view);
@@ -653,16 +826,18 @@ static int check_table(const int64_t *table, Py_ssize_t ncols, Py_ssize_t width,
 
 static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *keywords[] = {"table", "nrows", "q", "lows", NULL};
-    PyObject *table_obj, *nrows_obj, *q_obj, *lows_obj, *result = NULL;
-    Py_buffer table_view = {0}, lows_view = {0};
+    static char *keywords[] = {"table", "nrows", "q", "floor", "lows", NULL};
+    PyObject *table_obj, *nrows_obj, *q_obj, *floor_obj, *lows_obj;
+    PyObject *result = NULL;
+    Py_buffer table_view = {0}, floor_view = {0}, lows_view = {0};
     Column cur = {0}, scratch = {0}, pool = {0};
     Py_ssize_t *pivot = NULL, *start = NULL;  /* pivot[row]: 1 + its pivot */
     int overflow;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:reduce_faces", keywords,
-                                     &table_obj, &nrows_obj, &q_obj, &lows_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOO:reduce_faces", keywords,
+                                     &table_obj, &nrows_obj, &q_obj, &floor_obj,
+                                     &lows_obj))
         return NULL;
     long long q = PyLong_AsLongLongAndOverflow(q_obj, &overflow);
     if (q == -1 && PyErr_Occurred())
@@ -678,11 +853,17 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
                             "in [0, 2^63), got %R", nrows_obj);
     if (typed_buffer(table_obj, &table_view, 2, INT64, 0, "the face table") < 0)
         return NULL;
-    if (typed_buffer(lows_obj, &lows_view, 1, INT64, 1, "lows") < 0)
+    if (typed_buffer(floor_obj, &floor_view, 1, INT64, 0, "floor") < 0
+        || typed_buffer(lows_obj, &lows_view, 1, INT64, 1, "lows") < 0)
         goto done;
-    const int64_t *table = table_view.buf;
+    const int64_t *table = table_view.buf, *floor = floor_view.buf;
     int64_t *lows = lows_view.buf;
     Py_ssize_t ncols = table_view.shape[0], width = table_view.shape[1];
+    if (floor_view.shape[0] != ncols) {
+        PyErr_Format(PyExc_ValueError, "the face table has %zd columns but "
+                     "floor has %zd entries", ncols, floor_view.shape[0]);
+        goto done;
+    }
     if (lows_view.shape[0] != ncols) {
         PyErr_Format(PyExc_ValueError, "the face table has %zd columns but "
                      "lows has %zd slots", ncols, lows_view.shape[0]);
@@ -704,9 +885,10 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
         if (reserve(&cur, width) < 0)
             goto done;
         const int64_t *face = table + j * width;
+        int64_t lowest = floor[j] > 0 ? floor[j] : 0;  /* -1 is no face */
         Py_ssize_t m = 0;
         for (Py_ssize_t i = 0; i < width; i++) {  /* insertion sort */
-            if (face[i] < 0)
+            if (face[i] < lowest)
                 continue;
             Py_ssize_t h = m++;
             for (; h > 0 && cur.rows[h - 1] > face[i]; h--) {
@@ -769,6 +951,8 @@ done:
     PyMem_Free(start);
     if (table_view.obj != NULL)
         PyBuffer_Release(&table_view);
+    if (floor_view.obj != NULL)
+        PyBuffer_Release(&floor_view);
     if (lows_view.obj != NULL)
         PyBuffer_Release(&lows_view);
     return result;
@@ -777,12 +961,12 @@ done:
 static PyMethodDef methods[] = {
     {"expand", (PyCFunction)(void (*)(void))expand,
      METH_VARARGS | METH_KEYWORDS,
-     "expand(w, at_inf, max_dim, limit) -> per degree (last, top, parent)\n\n"
+     "expand(w, p, max_dim, limit) -> per degree (tuples, prefix, level, code)\n\n"
      "Every finite-birth nondegenerate tuple of degree <= max_dim of the\n"
-     "space with p-th-power distances ``w``, depth first: per degree, in\n"
-     "lexicographic order, the last vertex, the top chain value and the\n"
-     "prefix row of each tuple.  Raises BudgetExceededError as soon as\n"
-     "more than ``limit`` tuples are found."},
+     "space with p-th-power distances ``w``, per degree in (birth,\n"
+     "vertices) order: the vertex matrix, the prefix rows, the increasing\n"
+     "distinct births and each row's index among them.  Raises\n"
+     "BudgetExceededError as soon as more than ``limit`` tuples are found."},
     {"face_table", (PyCFunction)(void (*)(void))face_table,
      METH_VARARGS | METH_KEYWORDS,
      "face_table(prefix, last, below_prefix, below_last, tail, inner, table)\n\n"
@@ -791,9 +975,10 @@ static PyMethodDef methods[] = {
      "k - 2 and the face table ``inner`` of degree k - 1."},
     {"reduce_faces", (PyCFunction)(void (*)(void))reduce_faces,
      METH_VARARGS | METH_KEYWORDS,
-     "reduce_faces(table, nrows, q, lows) -> number of pivots\n\n"
-     "Column reduction of the boundary with face table ``table`` over\n"
-     "GF(q), or over Z for q = 0, writing each column's low (-1 for zero)\n"
+     "reduce_faces(table, nrows, q, floor, lows) -> number of pivots\n\n"
+     "Column reduction of the boundary with face table ``table``, each\n"
+     "column keeping its faces from row ``floor[j]`` on, over GF(q), or\n"
+     "over Z for q = 0, writing each column's low (-1 for zero)\n"
      "into ``lows``.  Over Z, -1 flags a pivot other than +-1 or an entry\n"
      "that reaches 2^63."},
     {NULL, NULL, 0, NULL},

@@ -6,12 +6,20 @@ outside it raises ValueError, or TypeError for something other than a
 buffer or a number.  Arrays are read through the buffer protocol and
 must be C-contiguous with the stated element type.
 
-``expand(w, at_inf, max_dim, limit)`` returns, per degree 0..max_dim, the
-last vertex (int32), the top chain value (float64) and the prefix row
-(intp, -1 at degree 0) of every finite-birth nondegenerate tuple, in
-lexicographic order; ``w`` is the n x n float64 matrix of p-th-power
-distances (plain distances when ``at_inf``).  It raises
+``expand(w, p, max_dim, limit)`` returns, per degree 0..max_dim, the
+finite-birth nondegenerate tuples sorted by (birth, vertices): their
+column-major int32 vertex matrix ``tuples``, their prefix rows ``prefix``
+(intp, -1 at degree 0), the increasing distinct births ``level``
+(float64) and each row's index among them ``code`` (intp).  ``w`` is the
+n x n float64 matrix of p-th-power distances (plain distances at p =
+inf), and p lies in [1, inf].  A birth is top^(1/p) of the tuple's top
+chain value (0 for a top of 0) by Python's float power, which is libm's
+pow, and the top itself at p = inf; it is never -0.0.  It raises
 ``BudgetExceededError`` as soon as more than ``limit`` tuples are found.
+``search(w, at_inf, max_dim, limit)`` is its raw search, which only the
+twin has: per degree the last vertex (int32), the top (float64) and the
+prefix row (intp) of each tuple, in the lexicographic order it finds
+them.
 
 ``face_table(prefix, last, below_prefix, below_last, tail, inner, table)``
 fills the face table ``table`` (intp, rows x (k + 1)) of a degree k >= 2:
@@ -21,12 +29,14 @@ rows (intp) and last vertices (int32) of degrees k and k - 1, the last
 vertices of degree k - 2 (``tail``) and the face table ``inner`` of
 degree k - 1.
 
-``reduce_faces(table, nrows, q, lows)``: ``table`` is a 2-d int64 buffer:
-row j lists the faces of column j, entry i a row index in [0, nrows)
-with the sign (-1)^i, or -1 for a face not kept; no row may repeat
-within a column.  ``lows`` is a writable 1-d int64 buffer with one slot
-per column, filled with the lowest row of each reduced column, or -1
-where it reduces to zero.  The return value is the number of pivots.  q
+``reduce_faces(table, nrows, q, floor, lows)``: ``table`` is a 2-d int64
+buffer: row j lists the faces of column j, entry i a row index in [0,
+nrows) with the sign (-1)^i, or -1 for a face not kept; no row may
+repeat within a column.  ``floor`` is a 1-d int64 buffer with one entry
+per column, the lowest row it keeps: a face below it counts as absent,
+as -1 does.  ``lows`` is a writable 1-d int64 buffer with one slot per
+column, filled with the lowest row of each reduced column, or -1 where
+it reduces to zero.  The return value is the number of pivots.  q
 is a prime below 2^31, so that the compiled kernel's products fit in
 int64, or 0 for the integers: then every pivot must be +-1 and every
 entry, and every product that forms one, must stay below 2^63 in
@@ -46,7 +56,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..values import BudgetExceededError
+from ..values import INF, BudgetExceededError, python_power
 
 #: bound on the field order: (q - 1)^2 must fit in int64
 MAX_ORDER = 1 << 31
@@ -65,7 +75,49 @@ _TYPES = {"int32": (4, ("i", "l")), "int64": (8, ("q", "l")),
           "float64": (8, ("d",))}
 
 
-def expand(w, at_inf, max_dim, limit):
+def expand(w, p, max_dim, limit):
+    """``search``, then each degree sorted.  A degree has few distinct
+    tops: one ``np.unique`` finds them and each row's code among them,
+    only they are powered to births, and tops with one birth merge.  The
+    search finds each degree in lexicographic order, so a stable sort of
+    the codes (a radix sort on their small integer type) puts it in
+    (birth, vertices) order."""
+    if isinstance(p, (str, bytes, bytearray)):  # float() would parse these
+        raise TypeError(f"p must be a number, got {p!r}")
+    p = float(p)
+    if not 1.0 <= p <= INF:
+        raise ValueError(f"p must lie in [1, inf], got {p!r}")
+    found = search(w, p == INF, max_dim, limit)
+    out = []
+    for k in range(len(found)):
+        last, top, parent = found[k]
+        found[k] = None  # drop the search's arrays once sorted
+        level, code = np.unique(top, return_inverse=True)
+        if p == INF:
+            level = level + 0.0  # -0.0 and +0.0 share a code; births are +0.0
+        else:  # tops that power to one birth share a code, so that rows
+            # with equal births keep their lexicographic order
+            level, merge = np.unique(python_power(level, 1.0 / p),
+                                     return_inverse=True)
+            code = merge[code]
+        order = np.argsort(code.astype(np.min_scalar_type(len(level))),
+                           kind="stable")
+        # parents were numbered in search order; renumber them sorted
+        prefix = rank[parent[order]] if k else parent
+        # each row is its prefix's row, then its last vertex; column-major,
+        # so each prefix column is one contiguous gather (every index is a
+        # row below, so "clip" changes none and skips a buffered check)
+        verts = np.empty((len(order), k + 1), dtype=VERTEX, order="F")
+        for i in range(k if len(order) else 0):
+            np.take(out[k - 1][0][:, i], prefix, out=verts[:, i], mode="clip")
+        verts[:, k] = last[order]
+        out.append((verts, prefix, level, code[order]))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+    return out
+
+
+def search(w, at_inf, max_dim, limit):
     """Depth first over blocks of at most ``BLOCK`` reach cells.
 
     A block's reach matrix holds, per row and vertex v, the longest-chain
@@ -214,7 +266,7 @@ def face_table(prefix, last, below_prefix, below_last, tail, inner, table):
         table[:, i] = np.where(keys[pos] == want, order[pos], -1)
 
 
-def reduce_faces(table, nrows, q, lows) -> int:
+def reduce_faces(table, nrows, q, floor, lows) -> int:
     q = operator.index(q)
     if q != 0 and not 2 <= q < MAX_ORDER:
         raise ValueError(f"q must be 0 (the integers) or a prime in "
@@ -224,12 +276,17 @@ def reduce_faces(table, nrows, q, lows) -> int:
         raise ValueError(f"nrows must be a count of rows in [0, 2^63), "
                          f"got {nrows}")
     faces = _typed_array(table, 2, "the face table")
+    lowest = _typed_array(floor, 1, "floor")
     out = _typed_array(lows, 1, "lows", writable=True)
     ncols, width = faces.shape
+    if len(lowest) != ncols:
+        raise ValueError(f"the face table has {ncols} columns but floor has "
+                         f"{len(lowest)} entries")
     if len(out) != ncols:
         raise ValueError(f"the face table has {ncols} columns but lows has "
                          f"{len(out)} slots")
     _check_table(faces, nrows)
+    faces = np.where(faces >= lowest[:, None], faces, -1)
     counts = (faces >= 0).sum(axis=1)
     live = np.flatnonzero(counts)  # a column with no face has no pivot
     faces = faces[live]

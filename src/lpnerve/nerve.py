@@ -23,22 +23,26 @@ index of its cluster.  Everything downstream compares grade indices, so
 results do not depend on the scale of the input and a tuple sits in
 exactly one grade.
 
-``enumerate_complex`` searches depth first with ``kernels.expand`` and
-carries the dynamic program down: a tuple's chain values are those of
-its prefix plus one new entry, so no birth is recomputed from scratch.
-The compiled search visits one tuple at a time; its pure-Python twin
-expands blocks of tuples with numpy.  ``membership_scale`` computes one
-birth on its own and is the reference the search agrees with bit for
-bit.  ``FilteredComplex.faces`` builds each face table with
+``kernels.expand`` searches depth first and carries the dynamic program
+down: a tuple's chain values are those of its prefix plus one new entry,
+so no birth is recomputed from scratch.  The compiled search visits one
+tuple at a time; its pure-Python twin expands blocks of tuples with
+numpy.  ``membership_scale`` computes one birth on its own and is the
+reference the search agrees with bit for bit.
+``FilteredComplex.faces`` builds each face table with
 ``kernels.face_table``.
 
 A birth is a non-decreasing function of one float, the tuple's top chain
-value, and a degree has few distinct tops.  So each degree takes one
-float sort, ``np.unique`` of its tops; only the distinct tops are powered
-to births, and tops with one birth merge into one integer birth code.
-The search finds each degree in lexicographic order, so a stable sort of
-the codes (a radix sort on their small integer type) puts it in (birth,
-vertices) order, and a tuple's grade index is a gather through its code.
+value, and a degree has few distinct tops.  So ``kernels.expand`` gives
+each tuple a code while it searches, the index of its top among the
+degree's distinct tops, and afterwards sorts and powers only those tops;
+tops with one birth merge into one birth code.  It finds each degree in
+lexicographic order, so a stable counting sort of the codes puts it in
+(birth, vertices) order.  It returns per degree the sorted vertex
+matrix and prefix rows, the increasing distinct births and each row's
+code among them.  ``enumerate_complex`` clusters those few births into
+grades, and a tuple's birth and grade index are gathers through its
+code.
 """
 
 from __future__ import annotations
@@ -51,14 +55,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .values import EPS, INF, InputError, check_exponent, check_powers
+from .values import (EPS, INF, InputError, check_exponent, check_powers,
+                     python_power)
 from .vgraph import VGraph, tolerance
 
 #: default cap on the number of enumerated tuples
 DEFAULT_BUDGET = 2_000_000
-
-#: vertex index type of the tuple matrices
-VERTEX = np.int32
 
 
 @dataclass(eq=False)
@@ -191,15 +193,6 @@ def membership_scale(X: VGraph, verts: Sequence[str], p: float) -> float:
     return total ** (1.0 / p) if total > 0.0 else 0.0
 
 
-def _python_power(values: np.ndarray, exponent: float) -> np.ndarray:
-    """``x ** exponent`` (0 for x = 0) by Python's float power, one value
-    at a time; numpy's power may differ in the last bit.  Callers pass few
-    values: the distance matrix, or the distinct tops of one degree."""
-    powered = [x ** exponent if x > 0.0 else 0.0
-               for x in values.ravel().tolist()]
-    return np.array(powered, dtype=float).reshape(values.shape)
-
-
 def _power_exceeds(n: int, exponent: int, bound: int) -> bool:
     """``n ** exponent > bound`` for ints >= 0, without building a power
     much larger than ``bound``."""
@@ -245,46 +238,15 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
     names = sorted(X.vertices)
     perm = [X.index(v) for v in names]
     d = X.dist[np.ix_(perm, perm)]
-    at_inf = p == INF
-    w = d if at_inf else _python_power(d, p)
+    w = d if p == INF else python_power(d, p)
     limit = INF if budget is None else budget
-    tuples, births, prefix, codes, levels = [], [], [], [], []
-    found = kernels.expand(w, at_inf, max_dim, limit)
-    for k in range(len(found)):
-        last, top, parent = found[k]
-        found[k] = None  # drop the search's arrays once sorted
-        # the one float sort of the degree: its distinct tops, increasing,
-        # and the code of each row's top among them
-        level, code = np.unique(top, return_inverse=True)
-        if not at_inf:  # tops that power to one birth share a code, so
-            # that rows with equal births keep their lexicographic order
-            level, merge = np.unique(_python_power(level, 1.0 / p),
-                                     return_inverse=True)
-            code = merge[code]
-        code = code.astype(np.min_scalar_type(len(level)))
-        order = np.argsort(code, kind="stable")  # rows are lexicographic
-        codes.append(code[order])
-        levels.append(level)
-        births.append(level[codes[k]])
-        # parents were numbered in search order; renumber them sorted
-        prefix.append(rank[parent[order]] if k else parent)
-        # each row is its prefix's row, then its last vertex; column-major,
-        # so each prefix column is one contiguous gather (every index is a
-        # row below, so "clip" changes none and skips a buffered check)
-        verts = np.empty((len(order), k + 1), dtype=VERTEX, order="F")
-        # an empty degree has nothing to gather: k gathers each would make
-        # the empty degrees up to max_dim cost max_dim^2 / 2 calls
-        for i in range(k if len(order) else 0):
-            np.take(tuples[k - 1][:, i], prefix[k], out=verts[:, i],
-                    mode="clip")
-        verts[:, k] = last[order]
-        tuples.append(verts)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
+    tuples, prefix, levels, codes = (
+        list(part) for part in zip(*kernels.expand(w, p, max_dim, limit)))
     # a leading 0 keeps grade 0 when there are no vertices
     grades = grade_clusters(np.concatenate([np.zeros(1), *levels]),
                             tolerance(X, eps), max(max_dim, 1))
-    # a tuple's grade index is that of its birth code
+    # a tuple's birth and grade index are those of its birth code
+    births = [level[code] for level, code in zip(levels, codes)]
     grade = [(np.searchsorted(grades, level, side="right") - 1)[code]
              for level, code in zip(levels, codes)]
     starts = [np.searchsorted(level, np.arange(len(grades) + 1))

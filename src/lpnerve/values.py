@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 INF = math.inf
 
 #: default tolerance, relative to the largest finite distance for grades
@@ -54,6 +56,15 @@ def check_powers(distances: Iterable[float], p: float, hops: int) -> None:
         raise InputError(
             f"distance {dmax!r} is too large at p = {p!r}: {hops} times "
             f"its p-th power overflows a float")
+
+
+def python_power(values: np.ndarray, exponent: float) -> np.ndarray:
+    """``x ** exponent`` (0 for x = 0) by Python's float power, one value
+    at a time; numpy's power may differ in the last bit.  Callers pass few
+    values: the distance matrix, or the distinct tops of one degree."""
+    powered = [x ** exponent if x > 0.0 else 0.0
+               for x in values.ravel().tolist()]
+    return np.array(powered, dtype=float).reshape(values.shape)
 
 
 def tensor(r: float, s: float, p: float) -> float:

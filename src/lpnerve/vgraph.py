@@ -30,6 +30,8 @@ class VGraph:
 
     def __post_init__(self):
         self.dist = np.asarray(self.dist, dtype=float)
+        if np.signbit(self.dist).any():  # -0.0 is the distance 0
+            self.dist = self.dist + 0.0
         n = len(self.vertices)
         if self.dist.shape != (n, n):
             raise InputError(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
-                           boundary_matrix, columns, generators_at,
+                           boundary_matrix, columns, generators_at, run_floors,
                            sieve_boundary)
 from lpnerve.homology import GF2, INTEGERS, _ranks
 from lpnerve.nerve import enumerate_complex
@@ -71,10 +71,14 @@ def test_generators_at_global():
             with pytest.raises(InputError):
                 boundary_matrix(fc, 1, g, sieve)
             with pytest.raises(InputError):
-                sieve_boundary(fc, 1, g, g, sieve)
+                run_floors(fc, g, g, sieve)
     with pytest.raises(InputError):
         # grade 2 keeps grade 1 but not grade 0
-        sieve_boundary(fc, 1, 0, 2, SieveSpec(CUSTOM_GRID, [0, 1, 1]))
+        run_floors(fc, 0, 2, SieveSpec(CUSTOM_GRID, [0, 1, 1]))
+    floors = run_floors(fc, 1, 2, STRICT)
+    for degree in (0, 3):
+        with pytest.raises(InputError):
+            sieve_boundary(fc, degree, floors)
 
 
 def test_generators_at_strict():
@@ -235,11 +239,15 @@ def test_one_run_of_shared_floor_then_strict_grades():
             for s in range(1, n + 1):
                 sieve = SieveSpec(CUSTOM_GRID, [0] * s + list(range(s, n)))
                 run = [(g, sieve.floor(g)) for g in range(n)]
+                floors = run_floors(fc, 0, n - 1, sieve)
+                assert floors.tolist() == [f for _, f in run]
                 for degree in (1, 2, 3):
-                    boundary = sieve_boundary(fc, degree, 0, n - 1, sieve)
-                    faces, keep, grade = boundary
-                    over_z = _ranks(*boundary, INTEGERS, run)
-                    over_2 = _ranks(*boundary, GF2, run)
+                    boundary = sieve_boundary(fc, degree, floors)
+                    faces, floor, grade = boundary
+                    keep = faces >= floor[:, None]
+                    nrows = len(fc.grade[degree - 1])
+                    over_z = _ranks(*boundary, nrows, INTEGERS, run)
+                    over_2 = _ranks(*boundary, nrows, GF2, run)
                     for g, f in run:
                         expected = label_boundary(fc, degree, g, sieve)
                         cols = (grade >= f) & (grade <= g)

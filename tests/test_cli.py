@@ -229,9 +229,9 @@ def test_each_boundary_built_once(capsys, monkeypatch, tmp_path):
     built = []
     real = homology.sieve_boundary
 
-    def counting(fc, degree, first, last, sieve):
-        built.append((first, last, degree))
-        return real(fc, degree, first, last, sieve)
+    def counting(fc, degree, floors):
+        built.append((tuple(floors.tolist()), degree))
+        return real(fc, degree, floors)
 
     def check(run, floors):
         built.clear()
@@ -740,10 +740,45 @@ def test_automaton_input_help(capsys):
 
 
 def test_exit_code_budget(capsys, c4_path):
-    with pytest.warns(RuntimeWarning):
-        code = main(["ph", c4_path, "--degrees", "0..2", "--budget", "10"])
+    code = main(["ph", c4_path, "--degrees", "0..2", "--budget", "10"])
     assert code == 3
-    assert "budget" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: up to 4^4 tuples may be enumerated, which exceeds the "
+        "budget of 10", "error: tuple count exceeded the budget of 10"]
+
+
+def test_warnings_print_one_line_with_no_source(tmp_path):
+    """A warning prints as ``warning: <message>``: no path, line number
+    or line of library source, in a fresh process as in-process."""
+    path = tmp_path / "tri.csv"
+    path.write_text("a,b,c\n0,1,1\n1,0,1\n1,1,0\n")
+    argv = ["nerve", str(path), "--max-dim", "4000000", "--budget", "100"]
+    done = run_cli(argv)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "warning: up to 3^4000001 tuples may be enumerated, which exceeds "
+        "the budget of 100", "error: tuple count exceeded the budget of 100"]
+    err = _io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 3
+    assert err.getvalue() == done.stderr
+
+
+def test_negative_zero_distances_print_no_negative_zero(capsys, tmp_path):
+    """-0 in a CSV is the distance 0: no birth, grade or bar prints as
+    -0.0."""
+    path = tmp_path / "negz.csv"
+    path.write_text("a,b,c\n0,-0,1\n-0,0,1\n1,1,0\n")
+    outs = []
+    for argv in (["nerve", str(path), "--max-dim", "1"],
+                 ["ph", str(path)], ["mh", str(path)],
+                 ["homology", str(path), "--sieve", "none"]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert not any("-0" in out for out in outs)
+    births = {tuple(t["verts"]): t["birth"]
+              for t in json.loads(outs[0])["tuples"]}
+    assert births[("a", "b")] == births[("b", "a")] == 0.0
 
 
 @pytest.mark.parametrize("command", ["mh", "homology", "ph"])

@@ -731,6 +731,23 @@ def test_torsion_of_the_projective_plane(monkeypatch):
         assert len(calls) == 4
 
 
+def test_forced_flag_keeps_the_strict_torsion_of_the_projective_plane(
+        monkeypatch):
+    """The subdivided RP^2 at p = inf under the strict sieve has torsion
+    Z/2 in H_1 at grade 1 and (Z/2)^2 in H_2 at grade 2.  With every
+    reduction flagged, each grade's columns go to the Smith normal form
+    with the faces below their floor masked out, and the table is the
+    same."""
+    fc = enumerate_complex(asymmetrize(rp2_subdivision()), INF, 3)
+    rows = homology_table(fc, [0, 1, 2], STRICT)
+    assert [r for r in rows if r.torsion] == [
+        HomologySummary(1.0, 1, 30, (2,)), HomologySummary(2.0, 2, 0, (2, 2))]
+    calls = counting_smith_normal_form(monkeypatch)
+    monkeypatch.setattr(kernels, "reduce_faces", lambda *args: -1)
+    assert homology_table(fc, [0, 1, 2], STRICT) == rows
+    assert calls
+
+
 def test_honest_strict_tables_need_no_smith_normal_form(monkeypatch):
     """Under the strict sieve every pivot of an honest space's boundaries
     is a unit, so integer tables come from the column reduction alone."""

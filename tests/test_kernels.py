@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpnerve import kernels
 from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
@@ -15,7 +17,8 @@ from lpnerve.kernels import _reduction_py, reduce_columns, reduce_faces
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF, BudgetExceededError
 from lpnerve.vgraph import VGraph, asymmetrize
-from util import KERNELS, random_floors, random_honest_space, random_vgraph
+from util import (KERNELS, random_floors, random_honest_space, random_vgraph,
+                  spaces)
 
 #: the largest prime below MAX_ORDER
 BIG_PRIME = 2147483647
@@ -32,11 +35,14 @@ def random_table(rng, ncols, nrows, width, density=0.7):
     return table
 
 
-def run(backend, table, nrows, q):
-    """The return value of ``backend.reduce_faces`` and the lows it wrote."""
+def run(backend, table, nrows, q, floor=None):
+    """The return value of ``backend.reduce_faces`` and the lows it wrote,
+    by default with a floor of 0, which keeps every face."""
     table = np.asarray(table, dtype=np.int64)
+    if floor is None:
+        floor = np.zeros(len(table), dtype=np.int64)
     lows = np.full(len(table), -2, dtype=np.int64)
-    return backend.reduce_faces(table, nrows, q, lows), lows.tolist()
+    return backend.reduce_faces(table, nrows, q, floor, lows), lows.tolist()
 
 
 def oracle(table, q):
@@ -144,6 +150,34 @@ def test_z_flags_int64_overflow(backend, compiled_kernels):
             121, list(range(121)) + [-1])
 
 
+@settings(max_examples=100, deadline=None)
+@given(X=spaces(), twist=st.booleans(),
+       p=st.sampled_from([1.0, 1.5, 2.0, INF]), seed=st.integers(0, 2 ** 32))
+def test_floor_drops_the_faces_below_it(compiled_kernels, X, twist, p, seed):
+    """On the face tables of degrees 1..3, with a random floor per column
+    (from below the first row to past the last): each backend's reduction
+    equals, over GF(2), GF(3) and Z, its reduction with a zero floor of
+    the table with -1 for every face below the floor, and the two
+    backends agree (on the lows too unless Z flagged)."""
+    if twist and np.array_equal(X.dist, X.dist.T):
+        X = asymmetrize(X)
+    rng = random.Random(seed)
+    fc = enumerate_complex(X, p, 3, budget=None)
+    for k in range(1, 4):
+        faces, nrows = fc.faces(k), len(fc.grade[k - 1])
+        floor = np.array([rng.randint(-1, nrows + 1) for _ in faces],
+                         dtype=np.int64)
+        masked = np.where(faces >= floor[:, None], faces, -1)
+        for q in (2, 3, 0):
+            compiled, python = (run(backend, faces, nrows, q, floor)
+                                for backend in (compiled_kernels, _reduction_py))
+            assert compiled == run(compiled_kernels, masked, nrows, q)
+            assert python == run(_reduction_py, masked, nrows, q)
+            assert compiled[0] == python[0]
+            if compiled[0] >= 0:
+                assert compiled == python
+
+
 def test_pivots_are_unique():
     rng = random.Random(67)
     for q in (0, 5):
@@ -202,41 +236,58 @@ def _read_only(n):
 
 
 TABLE = np.array([[0, 1], [1, 2]], dtype=np.int64)
+#: a floor of 0 for each column of TABLE
+FLOOR = np.zeros(2, dtype=np.int64)
 
 
 @pytest.mark.parametrize("args,error,message", [
-    ((TABLE[0], 3, 2, _writable(2)), ValueError, "face table must be"),
-    ((TABLE.astype(np.int32), 3, 2, _writable(2)), ValueError,
+    ((TABLE[0], 3, 2, FLOOR, _writable(2)), ValueError, "face table must be"),
+    ((TABLE.astype(np.int32), 3, 2, FLOOR, _writable(2)), ValueError,
      "face table must be"),
-    ((TABLE.astype(np.float64), 3, 2, _writable(2)), ValueError,
+    ((TABLE.astype(np.float64), 3, 2, FLOOR, _writable(2)), ValueError,
      "face table must be"),
-    ((TABLE.T, 3, 2, _writable(2)), ValueError, "face table must be"),
-    ((np.array([[0, -2]]), 3, 2, _writable(1)), ValueError,
+    ((TABLE.T, 3, 2, FLOOR, _writable(2)), ValueError, "face table must be"),
+    ((np.array([[0, -2]]), 3, 2, FLOOR[:1], _writable(1)), ValueError,
      "column 0 has the face -2, outside -1..2"),
-    ((TABLE, 2, 2, _writable(2)), ValueError,
+    ((TABLE, 2, 2, FLOOR, _writable(2)), ValueError,
      "column 1 has the face 2, outside -1..1"),
-    ((TABLE, 1 << 63, 2, _writable(2)), ValueError, "nrows"),
-    ((np.array([[0, 1], [2, 2]]), 3, 2, _writable(2)), ValueError,
+    ((TABLE, 1 << 63, 2, FLOOR, _writable(2)), ValueError, "nrows"),
+    ((np.array([[0, 1], [2, 2]]), 3, 2, FLOOR, _writable(2)), ValueError,
      "column 1 has the row 2 twice"),
-    ((TABLE, 3, 1, _writable(2)), ValueError, "q must be 0"),
-    ((TABLE, 3, -2, _writable(2)), ValueError, "q must be 0"),
-    ((TABLE, 3, 1 << 31, _writable(2)), ValueError, "q must be 0"),
-    ((TABLE, 3, 2, _writable(3)), ValueError,
+    ((TABLE, 3, 1, FLOOR, _writable(2)), ValueError, "q must be 0"),
+    ((TABLE, 3, -2, FLOOR, _writable(2)), ValueError, "q must be 0"),
+    ((TABLE, 3, 1 << 31, FLOOR, _writable(2)), ValueError, "q must be 0"),
+    ((TABLE, 3, 2, FLOOR, _writable(3)), ValueError,
      "2 columns but lows has 3 slots"),
-    ((TABLE, 3, 2, _read_only(2)), ValueError, "lows must be a writable"),
-    ((TABLE, 3, 2, np.zeros((2, 1), dtype=np.int64)), ValueError,
+    ((TABLE, 3, 2, FLOOR, _read_only(2)), ValueError,
+     "lows must be a writable"),
+    ((TABLE, 3, 2, FLOOR, np.zeros((2, 1), dtype=np.int64)), ValueError,
      "lows must be"),
-    (([[0, 1]], 3, 2, _writable(1)), TypeError, None),
-    ((TABLE, 3.0, 2, _writable(2)), TypeError, None),
+    ((TABLE, 3, 2, np.zeros(3, dtype=np.int64), _writable(2)), ValueError,
+     "2 columns but floor has 3 entries"),
+    ((TABLE, 3, 2, FLOOR[:1], _writable(2)), ValueError,
+     "2 columns but floor has 1 entries"),
+    ((TABLE, 3, 2, FLOOR.astype(np.int32), _writable(2)), ValueError,
+     "floor must be a 1-d C-contiguous int64 array"),
+    ((TABLE, 3, 2, FLOOR.astype(np.float64), _writable(2)), ValueError,
+     "floor must be"),
+    ((TABLE, 3, 2, np.zeros(4, dtype=np.int64)[::2], _writable(2)),
+     ValueError, "floor must be"),
+    ((TABLE, 3, 2, np.zeros((2, 1), dtype=np.int64), _writable(2)),
+     ValueError, "floor must be"),
+    (([[0, 1]], 3, 2, FLOOR[:1], _writable(1)), TypeError, None),
+    ((TABLE, 3, 2, [0, 0], _writable(2)), TypeError, None),
+    ((TABLE, 3.0, 2, FLOOR, _writable(2)), TypeError, None),
 ], ids=["ndim", "itemsize", "float-row", "not-contiguous", "negative-row",
         "row-beyond-nrows", "row-beyond-int64", "repeated-row",
         "order-too-small", "order-negative", "order-too-large",
-        "column-counts", "lows-read-only", "lows-ndim", "not-a-buffer",
-        "float-nrows"])
+        "column-counts", "lows-read-only", "lows-ndim", "floor-too-long",
+        "floor-too-short", "floor-int32", "floor-float", "floor-not-contiguous",
+        "floor-ndim", "not-a-buffer", "floor-not-a-buffer", "float-nrows"])
 def test_out_of_contract_input_raises(backend, args, error, message):
     """Both backends check their input the same way, and raise before
     they write to ``lows``."""
-    lows = args[3]
+    lows = args[4]
     before = lows.copy()
     with pytest.raises(error, match=message):
         backend.reduce_faces(*args)
@@ -269,20 +320,27 @@ W = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 
 
 @pytest.mark.parametrize("args,error,message", [
-    ((W[0], True, 2, 10), ValueError, "w must be a 2-d C-contiguous float64"),
-    ((W.astype(np.float32), True, 2, 10), ValueError, "w must be"),
-    ((W.astype(np.int64), True, 2, 10), ValueError, "w must be"),
-    ((W[:, ::2], True, 2, 10), ValueError, "w must be"),
-    ((W[:2], True, 2, 10), ValueError, "w must be square, got 2 x 3"),
-    ((W, True, -1, 10), ValueError, "max_dim must be >= 0, got -1"),
-    ((W, True, 2, -1), ValueError, "limit must be a number >= 0, got -1"),
-    ((W, True, 2, float("nan")), ValueError, "limit must be a number >= 0"),
-    ((W.tolist(), True, 2, 10), TypeError, None),
-    ((W, True, 2.0, 10), TypeError, None),
-    ((W, True, 2, "10"), TypeError, None),
+    ((W[0], INF, 2, 10), ValueError, "w must be a 2-d C-contiguous float64"),
+    ((W.astype(np.float32), INF, 2, 10), ValueError, "w must be"),
+    ((W.astype(np.int64), INF, 2, 10), ValueError, "w must be"),
+    ((W[:, ::2], INF, 2, 10), ValueError, "w must be"),
+    ((W[:2], INF, 2, 10), ValueError, "w must be square, got 2 x 3"),
+    ((W, INF, -1, 10), ValueError, "max_dim must be >= 0, got -1"),
+    ((W, INF, 2, -1), ValueError, "limit must be a number >= 0, got -1"),
+    ((W, INF, 2, float("nan")), ValueError, "limit must be a number >= 0"),
+    ((W, 0.5, 2, 10), ValueError, r"p must lie in \[1, inf\], got 0.5"),
+    ((W, 0, 2, 10), ValueError, r"p must lie in \[1, inf\], got 0"),
+    ((W, -INF, 2, 10), ValueError, "p must lie in"),
+    ((W, float("nan"), 2, 10), ValueError, "p must lie in"),
+    ((W.tolist(), INF, 2, 10), TypeError, None),
+    ((W, INF, 2.0, 10), TypeError, None),
+    ((W, INF, 2, "10"), TypeError, None),
+    ((W, "2", 2, 10), TypeError, None),
+    ((W, None, 2, 10), TypeError, None),
 ], ids=["ndim", "float32", "int64", "not-contiguous", "not-square",
-        "negative-max-dim", "negative-limit", "nan-limit", "not-a-buffer",
-        "float-max-dim", "string-limit"])
+        "negative-max-dim", "negative-limit", "nan-limit", "p-below-one",
+        "p-zero", "p-minus-inf", "p-nan", "not-a-buffer", "float-max-dim",
+        "string-limit", "string-p", "no-p"])
 def test_search_out_of_contract_input_raises(backend, args, error, message):
     with pytest.raises(error, match=message):
         backend.expand(*args)
@@ -292,15 +350,37 @@ def test_search_stops_at_the_budget(backend):
     """The 3-point space has 3 * 2^k tuples in degree k: 21 up to degree
     2, so a budget of 20 raises and one of 21 passes; a huge ``max_dim``
     costs nothing before the budget stops the search."""
-    found = backend.expand(W, False, 2, 21)
-    assert [len(level[0]) for level in found] == [3, 6, 12]
+    found = backend.expand(W, 1.0, 2, 21)
+    assert [len(prefix) for _, prefix, _, _ in found] == [3, 6, 12]
     for limit, max_dim in ((20, 2), (2, 0), (100, 10 ** 6), (100, 1 << 70)):
         with pytest.raises(BudgetExceededError,
                            match=f"exceeded the budget of {limit}$"):
-            backend.expand(W, False, max_dim, limit)
-    assert len(backend.expand(W, False, 0, 3)) == 1
-    assert [len(level[0]) for level in backend.expand(
-        np.full((2, 2), INF), True, 3, INF)] == [2, 0, 0, 0]
+            backend.expand(W, 1.0, max_dim, limit)
+    assert len(backend.expand(W, 1.0, 0, 3)) == 1
+    assert [len(prefix) for _, prefix, _, _ in backend.expand(
+        np.full((2, 2), INF), INF, 3, INF)] == [2, 0, 0, 0]
+
+
+def test_search_sorts_each_degree(backend):
+    """On the 3-point line at p = 1 and p = 2, each degree comes back in
+    (birth, vertices) order, with its distinct births and birth codes;
+    -0.0 is the top 0 and no birth is -0.0."""
+    found = backend.expand(W, 1.0, 1, INF)
+    tuples, prefix, level, code = found[1]
+    assert tuples.tolist() == [[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]]
+    assert prefix.tolist() == [0, 1, 1, 2, 0, 2]
+    assert level.tolist() == [1.0, 2.0] and code.tolist() == [0] * 4 + [1] * 2
+    assert [a.tolist() for a in found[0]] == [[[0], [1], [2]], [-1, -1, -1],
+                                              [0.0], [0, 0, 0]]
+    # at p = 2 the births of degree 1 are the square roots of the tops
+    _, _, level, _ = backend.expand(W, 2.0, 1, INF)[1]
+    assert level.tolist() == [1.0, 2.0 ** 0.5]
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0]])
+    for p in (1.0, INF):
+        tuples, _, level, code = backend.expand(zeros, p, 2, INF)[2]
+        assert tuples.tolist() == [[0, 1, 0], [1, 0, 1]]
+        assert level.tolist() == [0.0] and not np.signbit(level).any()
+        assert code.tolist() == [0, 0]
 
 
 def face_args(degree=2):

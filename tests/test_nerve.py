@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from lpnerve import kernels, nerve
 from lpnerve.kernels import _reduction_py
 from lpnerve.nerve import enumerate_complex, grade_clusters, membership_scale
-from lpnerve.values import INF, BudgetExceededError, InputError, close
+from lpnerve.values import (INF, BudgetExceededError, InputError, close,
+                            python_power)
 from lpnerve.vgraph import VGraph, asymmetrize, free_category
 from util import (dense_face_table, is_degenerate, levels, lexsorted_complex,
                   membership_scale_category, random_honest_space,
                   random_l1_space, random_vgraph, search, searched_faces,
-                  sigma_oracle)
+                  sigma_oracle, spaces)
 
 
 def test_is_degenerate():
@@ -389,9 +390,9 @@ def falling_tie(dist, p, max_dim):
     in name order) has two rows with equal births whose tops, the chain
     values the births are powered from, fall against the lexicographic
     order the search finds them in."""
-    for _, top, _ in _reduction_py.expand(nerve._python_power(dist, p), False,
+    for _, top, _ in _reduction_py.search(python_power(dist, p), False,
                                           max_dim, INF):
-        birth = nerve._python_power(top, 1.0 / p)
+        birth = python_power(top, 1.0 / p)
         order = np.argsort(birth, kind="stable")
         birth, top = birth[order], top[order]
         if np.any((birth[1:] == birth[:-1]) & (top[1:] < top[:-1])):
@@ -419,16 +420,6 @@ def test_equal_births_from_distinct_tops_stay_lexicographic():
     assert_same_complex(fc, lexsorted_complex(X, p, max_dim))
     for level in levels(fc):
         assert level == sorted(level)
-
-
-@st.composite
-def spaces(draw):
-    """1 to 6 points: honest, l1 (possibly asymmetric) or arbitrary
-    asymmetric spaces, the last two with infinite distances."""
-    make = draw(st.sampled_from(
-        [random_honest_space, random_l1_space, random_vgraph]))
-    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    return make(rng, draw(st.integers(1, 6)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -482,7 +473,7 @@ def powered(X, p):
     distances to the p-th power at finite p."""
     perm = [X.index(v) for v in sorted(X.vertices)]
     d = X.dist[np.ix_(perm, perm)]
-    return d if p == INF else nerve._python_power(d, p)
+    return d if p == INF else python_power(d, p)
 
 
 def face_tables(backend, fc):
@@ -503,34 +494,41 @@ def face_tables(backend, fc):
        p=st.sampled_from([1.0, 1.5, 2.0, INF]), max_dim=st.integers(0, 4))
 def test_compiled_search_and_face_table_match_the_twins(compiled_kernels, X,
                                                         twist, p, max_dim):
-    """The compiled search gives the pure-Python search's arrays, dtypes
-    included, and raises at the same budgets; the complex it gives, and
-    its compiled face tables, are those of the full sorts and of one
-    binary search per face.  Symmetric spaces are also tried after
-    ``asymmetrize``, where most complete-space guesses miss."""
+    """The compiled search gives the pure-Python twin's sorted arrays
+    (vertex matrix, prefix rows, distinct births and birth codes), dtypes,
+    memory order and bits included, and raises at the same budgets; the
+    complex each backend gives is that of the full sorts of the raw
+    search, and the compiled face tables are those of one binary search
+    per face.  Symmetric spaces are also tried after ``asymmetrize``,
+    where most complete-space guesses miss."""
     if twist and np.array_equal(X.dist, X.dist.T):
         X = asymmetrize(X)
     w = powered(X, p)
-    found = compiled_kernels.expand(w, p == INF, max_dim, INF)
-    want = _reduction_py.expand(w, p == INF, max_dim, INF)
+    found = compiled_kernels.expand(w, p, max_dim, INF)
+    want = _reduction_py.expand(w, p, max_dim, INF)
     assert len(found) == len(want) == max_dim + 1
-    for got, expected in zip(found, want):
+    for k, (got, expected) in enumerate(zip(found, want)):
+        tuples, prefix, level, code = got
+        assert tuples.shape == (len(prefix), k + 1)
+        assert tuples.flags.f_contiguous
         for a, b in zip(got, expected, strict=True):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-    total = sum(len(last) for last, _, _ in want)
+            assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape,
+                                                     b.strides)
+            assert a.tobytes() == b.tobytes()  # births bit for bit
+    total = sum(len(prefix) for _, prefix, _, _ in want)
     for module in (compiled_kernels, _reduction_py):
         with pytest.raises(BudgetExceededError):
-            module.expand(w, p == INF, max_dim, total - 1)
-        assert len(module.expand(w, p == INF, max_dim, total)) == max_dim + 1
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "expand", compiled_kernels.expand)
-        patch.setattr(kernels, "face_table", compiled_kernels.face_table)
-        fc = enumerate_complex(X, p, max_dim, budget=None)
-        for degree in range(1, max_dim + 1):
-            fc.faces(degree)
+            module.expand(w, p, max_dim, total - 1)
+        assert len(module.expand(w, p, max_dim, total)) == max_dim + 1
     sorted_fc = lexsorted_complex(X, p, max_dim)
-    assert_same_complex(fc, sorted_fc)
+    for module in (_reduction_py, compiled_kernels):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "expand", module.expand)
+            patch.setattr(kernels, "face_table", compiled_kernels.face_table)
+            fc = enumerate_complex(X, p, max_dim, budget=None)
+            for degree in range(1, max_dim + 1):
+                fc.faces(degree)
+        assert_same_complex(fc, sorted_fc)
     for degree in range(1, max_dim + 1):
         a, b = fc.faces(degree), searched_faces(sorted_fc, degree)
         assert a.dtype == b.dtype

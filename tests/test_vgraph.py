@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from lpnerve.io import vgraph_from_csv, vgraph_from_json
 from lpnerve.values import INF, InputError
 from lpnerve.vgraph import (GraphMorphism, VGraph, asymmetrize, check_morphism,
                             coequalizer, coproduct, delta_path, equalizer,
@@ -30,6 +31,19 @@ def test_vgraph_basics():
         VGraph(["a", "a"], np.zeros((2, 2)))
     with pytest.raises(InputError):
         VGraph(["a"], np.zeros((2, 2)))
+
+
+def test_negative_zero_is_the_distance_zero():
+    """-0.0, from a direct matrix, a JSON entry or a CSV cell, is stored
+    as +0.0; the caller's array is not changed."""
+    dist = np.array([[0.0, -0.0], [-0.0, -0.0]])
+    X = VGraph(["a", "b"], dist)
+    assert not np.signbit(X.dist).any()
+    assert np.signbit(dist).sum() == 3
+    for Y in (vgraph_from_csv("a,b\n0,-0\n-0,0\n"), vgraph_from_json(
+            {"vertices": ["a", "b"], "default": -0.0, "edges": [
+                {"from": "a", "to": "b", "dist": "-0"}]})):
+        assert not np.signbit(Y.dist).any()
 
 
 def test_from_entries_and_validate():

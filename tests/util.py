@@ -11,14 +11,15 @@ import random
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 from lpnerve import kernels
 from lpnerve.chain import boundary_matrix, columns, generators_at
 from lpnerve.homology import Bar, Barcode, HomologySummary
 from lpnerve.kernels import _reduction_py
-from lpnerve.nerve import FilteredComplex, _python_power, grade_clusters
+from lpnerve.nerve import FilteredComplex, grade_clusters
 from lpnerve.snf import _divisibility_fixup
-from lpnerve.values import EPS, INF, close, tensor_fold
+from lpnerve.values import EPS, INF, close, python_power, tensor_fold
 from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism,
                             free_category, tolerance)
 
@@ -38,6 +39,16 @@ def random_vgraph(rng: random.Random, n: int,
             if i != j:
                 mat[i, j] = rng.choice(alphabet)
     return VGraph(names, mat)
+
+
+@st.composite
+def spaces(draw):
+    """1 to 6 points: honest, l1 (possibly asymmetric) or arbitrary
+    asymmetric spaces, the last two with infinite distances."""
+    make = draw(st.sampled_from(
+        [random_honest_space, random_l1_space, random_vgraph]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return make(rng, draw(st.integers(1, 6)))
 
 
 def random_honest_space(rng: random.Random, n: int, hi: int = 8) -> VGraph:
@@ -292,18 +303,19 @@ def lexsorted_complex(X: VGraph, p: float, max_dim: int,
                       eps: float = EPS) -> FilteredComplex:
     """``enumerate_complex`` with each degree put in order by a full sort on
     (birth, vertices), which does not rely on the search order; the
-    tuples come from the pure-Python search."""
+    tuples come from the pure-Python twin's raw search, in the order it
+    finds them."""
     names = sorted(X.vertices)
     perm = [X.index(v) for v in names]
     d = X.dist[np.ix_(perm, perm)]
-    w = d if p == INF else _python_power(d, p)
+    w = d if p == INF else python_power(d, p)
     tuples, births, prefix = [], [], []
     for k, (last, top, parent) in enumerate(
-            _reduction_py.expand(w, p == INF, max_dim, INF)):
+            _reduction_py.search(w, p == INF, max_dim, INF)):
         # rows in search order: the parent's row (the last degree's verts,
         # not yet sorted), then the last vertex
         verts = np.column_stack([verts[parent], last]) if k else last[:, None]
-        birth = top if p == INF else _python_power(top, 1.0 / p)
+        birth = top if p == INF else python_power(top, 1.0 / p)
         order = np.lexsort((*verts.T[::-1], birth))
         tuples.append(verts[order])
         births.append(birth[order])
