@@ -42,7 +42,8 @@ def is_ultrametric(X: VGraph, eps: Optional[float] = None) -> bool:
 def interpolators(X: VGraph, a: str, b: str, p: float,
                   eps: Optional[float] = None) -> InterpolationReport:
     """Points strictly between a and b at exponent p, up to the absolute
-    tolerance ``eps`` (by default ``tolerance(X)``).
+    tolerance ``eps`` (by default ``tolerance(X)``) on d(a, b): c
+    interpolates when d(a,c)^p + d(c,b)^p <= (d(a,b) + eps)^p.
 
     p = inf is accepted with the max feasibility rule but is outside the
     scope of the degree-1 generator characterization, so it warns.
@@ -70,7 +71,7 @@ def interpolators(X: VGraph, a: str, b: str, p: float,
         elif math.isinf(D):
             ok = True
         else:
-            ok = u ** p + v ** p <= D ** p + eps
+            ok = u ** p + v ** p <= (D + eps) ** p
         if ok:
             witnesses.append(c)
     return InterpolationReport(a, b, p, witnesses)
@@ -110,7 +111,8 @@ def p_critical(X: VGraph, a: str, b: str, tol: float = 1e-6,
                eps: Optional[float] = None) -> float:
     """Infimal exponent at which some point starts to interpolate.
 
-    Bisection on (u/D)^p + (v/D)^p = 1 per candidate; candidates with a
+    Bisection on (u/D)^p + (v/D)^p = 1 per candidate, to within ``tol``
+    or until no float lies between the ends; candidates with a
     leg not strictly shorter than D (by more than the absolute tolerance
     ``eps``, by default ``tolerance(X)``) never become feasible.
     """
@@ -142,8 +144,8 @@ def p_critical(X: VGraph, a: str, b: str, tol: float = 1e-6,
         if excess(P_MAX) > 0.0:
             continue  # would need an exponent beyond the search bracket
         lo, hi = 1.0, P_MAX
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
+        # stop also where no float lies strictly between the ends
+        while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
             if excess(mid) > 0.0:
                 lo = mid
             else:

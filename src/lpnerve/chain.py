@@ -17,18 +17,17 @@ grade indices as one slice of the face table, with the lowest row each
 column keeps (its floor), which is the form ``kernels.reduce_faces``
 takes: a face below its column's floor counts as absent.  A run's
 grades share its first grade's floor, or keep only themselves: the
-empty sieve kills nothing, so all its grades make one run, and so does
-the strict-predecessor sieve, the magnitude-style localization, which
-keeps only generators born exactly at the grade.  ``run_floors``
-computes a run's floors once, for every degree.  A face is never born
-after its tuple, so the columns of the shared-floor grades are the
-boundary at the last of them, and each prefix of those columns is the
-boundary at an earlier one; the columns of each later grade, which
-share no row with any other grade, add its boundary as a direct
-summand.  ``boundary_matrix`` is a one-grade run renumbered to its
-generators, in the sparse column format of ``columns``: per column, the
-increasing row indices of its nonzero entries and a parallel list of
-their coefficients.
+empty sieve kills nothing, so all its grades make one run (the run the
+barcode reduces), and so does the strict-predecessor sieve, the
+magnitude-style localization, which keeps only generators born exactly
+at the grade.  A face is never born after its tuple, so the columns of
+the shared-floor grades are the boundary at the last of them, and each
+prefix of those columns is the boundary at an earlier one; the columns
+of each later grade, which share no row with any other grade, add its
+boundary as a direct summand.  ``boundary_matrix`` is a one-grade run
+renumbered to its generators, in the sparse column format of
+``columns``: per column, the increasing row indices of its nonzero
+entries and a parallel list of their coefficients.
 """
 
 from __future__ import annotations
@@ -102,14 +101,21 @@ def columns(faces: np.ndarray, keep: np.ndarray) -> Columns:
             [s[:c] for s, c in zip(signs, counts)])
 
 
+def check_grade(fc: FilteredComplex, g: int) -> None:
+    """Raises ``InputError`` unless g is a grade index of the complex."""
+    if not 0 <= g < len(fc.grades):
+        raise InputError(f"grade index {g} is outside the complex: "
+                         f"grade indices 0..{len(fc.grades) - 1}")
+
+
 def _span(fc: FilteredComplex, degree: int, g: int,
           sieve: SieveSpec) -> Tuple[int, int]:
     """First and past-last row of the given degree that survive at grade
     index g: those with grade index in ``sieve.floor(g) .. g``."""
-    if not (0 <= degree <= fc.max_dim and 0 <= g < len(fc.grades)):
-        raise InputError(
-            f"degree {degree} or grade index {g} is outside the complex: "
-            f"degrees 0..{fc.max_dim}, grade indices 0..{len(fc.grades) - 1}")
+    if not 0 <= degree <= fc.max_dim:
+        raise InputError(f"degree {degree} is outside the complex: "
+                         f"degrees 0..{fc.max_dim}")
+    check_grade(fc, g)
     starts = fc.starts[degree]
     return int(starts[sieve.floor(g)]), int(starts[g + 1])
 
@@ -121,33 +127,14 @@ def generators_at(fc: FilteredComplex, degree: int, g: int,
     return np.arange(*_span(fc, degree, g, sieve))
 
 
-def run_floors(fc: FilteredComplex, first: int, last: int,
-               sieve: SieveSpec) -> np.ndarray:
-    """The floors of the run of grade indices ``first..last``: one per
-    grade index from ``floor(first)`` to ``last``, ``floor(first)`` below
-    ``first`` and ``floor(g)`` from ``first`` on.
-
-    Raises ``InputError`` unless the grade indices lie in the complex and
-    every one after ``first`` shares the floor of ``first`` or keeps only
-    itself.
-    """
-    if not 0 <= first <= last < len(fc.grades):
-        raise InputError(f"grade indices {first}..{last} are outside the "
-                         f"complex: grade indices 0..{len(fc.grades) - 1}")
-    floor = sieve.floor(first)
-    floors = [floor] * (first - floor) + [sieve.floor(g)
-                                          for g in range(first, last + 1)]
-    if any(f != floor and f != g for g, f in enumerate(floors, floor)):
-        raise InputError(f"grade indices {first}..{last} are not one run")
-    return np.array(floors, dtype=np.intp)
-
-
 def sieve_boundary(fc: FilteredComplex, degree: int, floors: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The boundaries d_degree at the grade indices of a run as one
     matrix: the face table of its columns, the lowest row each column
     keeps (the form ``kernels.reduce_faces`` takes) and the grade index
-    of each column.  ``floors`` is the run's, from ``run_floors``.
+    of each column.  ``floors`` holds the run's floors, one per grade
+    index from the first one's floor to its last: that floor below the
+    first grade index and each grade index's own floor from it on.
 
     The columns are one slice of the face table, taken with no copy:
     those of the grade indices from ``floors[0]`` to the run's last.  A
@@ -177,7 +164,7 @@ def boundary_matrix(fc: FilteredComplex, degree: int, g: int,
     ``generators_at(degree)``; faces that are degenerate or killed by the
     sieve contribute zero.
     """
-    floors = run_floors(fc, g, g, sieve)
-    faces, floor, _ = sieve_boundary(fc, degree, floors)
-    return columns(faces - fc.starts[degree - 1][floors[0]],
-                   faces >= floor[:, None])
+    check_grade(fc, g)
+    f = sieve.floor(g)
+    faces, floor, _ = sieve_boundary(fc, degree, np.full(g - f + 1, f))
+    return columns(faces - fc.starts[degree - 1][f], faces >= floor[:, None])

@@ -7,21 +7,20 @@ grade indices of the complex, so no birth is compared here; a row prints
 the value of its grade, ``fc.grades[g]``.  The grade indices split into
 runs that ``chain.sieve_boundary`` builds as one matrix each: a run's
 grades share its first grade's floor or keep only themselves, so the
-empty and the strict sieve make one run each.  A run's floors are
-computed once (``chain.run_floors``), and each d_n is built once per run
-and ranked once (``_ranks``): a left-to-right column reduction of a
-prefix of the columns is the prefix of the whole one, so the rank at
-grade index g is the pivot count of the columns of grade indices
-floor(g)..g.  Under the empty sieve that one reduction is the one the
-barcode makes of the same face table.  Every rank comes from the one
-column reduction ``kernels.reduce_faces`` (compiled kernel when
-available), which reads a face table directly, with the lowest row each
-column keeps, and skips the faces below it itself: over GF(q), and over
-Z with pivots of +-1 only.  Only a boundary whose Z reduction meets a
-non-unit pivot (or an int64 overflow) goes to the exact Smith normal
-form of ``snf``, once per grade index of the run, which then gives its
-torsion.  The barcode up to degree n reduces d_1 .. d_(n+1) one degree
-at a time over GF(q), each straight from its degree's face table.  The
+empty and the strict sieve make one run each.  Each d_n is built once
+per run and ranked once (``_ranks``): a left-to-right column reduction
+of a prefix of the columns is the prefix of the whole one, so the rank
+at grade index g is the pivot count of the columns of grade indices
+floor(g)..g.  The barcode builds each d_n the same way, as the empty
+sieve's one run, so under the empty sieve the table and the barcode
+reduce the same matrix.  Every rank comes from the one column reduction
+``kernels.reduce_faces`` (compiled kernel when available), which reads
+a face table directly, with the lowest row each column keeps, and skips
+the faces below it itself: over GF(q), and over Z with pivots of +-1
+only.  Only a boundary whose Z reduction meets a non-unit pivot (or an
+int64 overflow) goes to the exact Smith normal form of ``snf``, once per
+grade index of the run, which then gives its torsion.  The barcode up to
+degree n reduces d_1 .. d_(n+1) one degree at a time over GF(q).  The
 rows of one degree are already in filtration order and a column
 reduction only adds columns of one degree, so this pairs as a reduction
 of the whole filtration would; a pair born and killed at the same grade
@@ -40,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .chain import (STRICT_PREDECESSORS, SieveSpec, columns, run_floors,
+from .chain import (STRICT_PREDECESSORS, SieveSpec, check_grade, columns,
                     sieve_boundary)
 from .nerve import DEFAULT_BUDGET, FilteredComplex, enumerate_complex
 from .snf import smith_normal_form
@@ -152,12 +151,14 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
     follows that run's last grade and its floor is its own or the floor of
     the run's first grade.  Each d_k is built (``sieve_boundary``) and
     ranked once per run: once for all grades under the empty and the
-    strict sieve, once per run of a custom sieve.
+    strict sieve, once per run of a custom sieve.  A grade index off the
+    complex raises ``InputError``.
     """
     degrees = sorted(set(degrees))
     _check_degrees(degrees, fc.max_dim)
     runs: List[List[Tuple[int, int]]] = []  # per run, each grade and floor
     for g in range(len(fc.grades)) if grades is None else grades:
+        check_grade(fc, g)
         f = sieve.floor(g)
         if runs and g == runs[-1][-1][0] + 1 and f in (g, runs[-1][0][1]):
             runs[-1].append((g, f))
@@ -166,7 +167,8 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
     starts = [level.tolist() for level in fc.starts]
     out: List[HomologySummary] = []
     for run in runs:
-        floors = run_floors(fc, run[0][0], run[-1][0], sieve)
+        first, floor = run[0]
+        floors = np.array([floor] * (first - floor) + [f for _, f in run])
         # k -> rank and torsion of d_k at each grade index of the run
         ranks = {0: [(0, ())] * len(run)}
         for k in {k for n in degrees for k in (n, n + 1)} - {0}:
@@ -215,25 +217,25 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
                         field_coeffs: Coefficients = GF2) -> Barcode:
     """Barcode of the global (unlocalized) complex over a prime field.
 
-    d_1 .. d_(max_degree+1) are reduced one at a time, each from its face
-    table.  The pivot of column j at row ``low`` is a bar from the grade of
-    ``low`` to that of j unless the two grade indices are equal; a row that
-    is no pivot of the degree above, and whose own column reduced to zero,
-    is an essential bar.
+    d_1 .. d_(max_degree+1) are reduced one at a time, each built by
+    ``sieve_boundary`` as the empty sieve's one run.  The pivot of column
+    j at row ``low`` is a bar from the grade of ``low`` to that of j
+    unless the two grade indices are equal; a row that is no pivot of the
+    degree above, and whose own column reduced to zero, is an essential
+    bar.
     """
     if field_coeffs.modulus is None:
         raise InputError("persistence requires field coefficients")
-    if max_degree + 1 > fc.max_dim:
-        raise InputError(
-            f"barcodes up to degree {max_degree} need max_dim >= "
-            f"{max_degree + 1}, got {fc.max_dim}")
+    _check_degrees([max_degree], fc.max_dim)
     bars: List[Bar] = []
     grades = fc.grades
+    floors = np.zeros(len(grades), dtype=np.intp)  # the empty sieve's run
     cycle = np.ones(len(fc.grade[0]), dtype=bool)  # d_0 is zero
     for k in range(1, max_degree + 2):
-        lows = np.empty(len(fc.grade[k]), dtype=np.int64)
-        kernels.reduce_faces(fc.faces(k), len(fc.grade[k - 1]),
-                             field_coeffs.modulus, np.zeros_like(lows), lows)
+        faces, floor, _ = sieve_boundary(fc, k, floors)
+        lows = np.empty(len(faces), dtype=np.int64)
+        kernels.reduce_faces(faces, len(fc.grade[k - 1]),
+                             field_coeffs.modulus, floor, lows)
         killer = np.flatnonzero(lows >= 0)
         birth, death = fc.grade[k - 1][lows[killer]], fc.grade[k][killer]
         live = birth != death

@@ -40,9 +40,9 @@
  * i < k from a tuple is deleting i from its prefix (face F = inner[prefix,
  * i]) and appending its last vertex v.  The rows one degree down are
  * grouped by prefix row (a counting sort) and sorted by last vertex within
- * each group, so (F, v) is looked up among the at most n children of F:
- * first at the complete-space guess start[F] + v - (v > last(F)), then by
- * binary search.
+ * each group, so (F, v) is found by one binary search among the at most n
+ * children of F.  ``tail`` is checked but not read: the Python twin's
+ * guess uses it.
  *
  * ``reduce_faces(table, nrows, q, floor, lows)`` reduces columns left to
  * right.  ``table`` is a 2-d int64 buffer: row j lists the faces of
@@ -689,7 +689,7 @@ static PyObject *face_table(PyObject *self, PyObject *args, PyObject *kwargs)
                          names[a]) < 0)
             goto done;
     const int64_t *prefix = views[0].buf, *below_prefix = views[2].buf;
-    const int32_t *last = views[1].buf, *below_last = views[3].buf, *tail = views[4].buf;
+    const int32_t *last = views[1].buf, *below_last = views[3].buf;
     const int64_t *inner = views[5].buf;
     int64_t *table = views[6].buf;
     Py_ssize_t rows = views[0].shape[0], below = views[2].shape[0];
@@ -742,16 +742,7 @@ static PyObject *face_table(PyObject *self, PyObject *args, PyObject *kwargs)
     for (Py_ssize_t f = 0; f < tails; f++) {
         Child *group = kids + start[f];
         Py_ssize_t size = start[f + 1] - start[f];
-        if (size > 16)
-            qsort(group, size, sizeof(Child), child_order);
-        else
-            for (Py_ssize_t j = 1; j < size; j++) {  /* insertion sort */
-                Child kid = group[j];
-                Py_ssize_t h = j;
-                for (; h > 0 && group[h - 1].last > kid.last; h--)
-                    group[h] = group[h - 1];
-                group[h] = kid;
-            }
+        qsort(group, size, sizeof(Child), child_order);
         for (Py_ssize_t j = 1; j < size; j++)
             if (group[j].last == group[j - 1].last) {
                 PyErr_Format(PyExc_ValueError, "two rows one degree down have "
@@ -766,24 +757,14 @@ static PyObject *face_table(PyObject *self, PyObject *args, PyObject *kwargs)
         int32_t v = last[r];
         for (Py_ssize_t i = 0; i < degree; i++) {
             int64_t f = faces[i], found = -1;
-            if (f >= 0) {
-                Py_ssize_t lo = start[f], hi = start[f + 1];
-                /* where (f, v) sits when f has a child for every vertex
-                   but its own last one, as in a complete space */
-                Py_ssize_t guess = lo + v - (v > tail[f]);
-                if (guess < hi && kids[guess].last == v)
-                    found = kids[guess].row;
-                else if (v != tail[f]) {  /* (f, v) is no repeat: search */
-                    while (lo < hi) {
-                        Py_ssize_t mid = lo + (hi - lo) / 2;
-                        if (kids[mid].last < v)
-                            lo = mid + 1;
-                        else
-                            hi = mid;
-                    }
-                    if (lo < start[f + 1] && kids[lo].last == v)
-                        found = kids[lo].row;
-                }
+            if (f >= 0 && start[f] < start[f + 1]) {
+                /* the last child with a last vertex <= v; a select, not a
+                   branch, halves the group, so no step is mispredicted */
+                const Child *kid = kids + start[f];
+                for (Py_ssize_t n = start[f + 1] - start[f]; n > 1; n -= n / 2)
+                    kid = kid[n / 2].last <= v ? kid + n / 2 : kid;
+                if (kid->last == v)
+                    found = kid->row;
             }
             out[i] = found;
         }

@@ -259,9 +259,8 @@ def face_table(prefix, last, below_prefix, below_last, tail, inner, table):
         want = face * n + last
         ends = tail[face]
         pos = np.minimum(start[face] + last - (last > ends), below)
-        # a face of -1 or ending in a repeat is in no row: no search
-        miss = np.flatnonzero((keys[pos] != want) & (face >= 0)
-                              & (ends != last))
+        # a face of -1 is in no row: no search
+        miss = np.flatnonzero((keys[pos] != want) & (face >= 0))
         pos[miss] = np.searchsorted(keys[:below], want[miss])
         table[:, i] = np.where(keys[pos] == want, order[pos], -1)
 

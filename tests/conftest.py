@@ -27,9 +27,10 @@ def compiled_kernels(tmp_path_factory):
     """The compiled kernel, built from ``_reduction.c`` into a temporary
     directory with the flags ``setup.py`` uses, so the tests exercise it
     even when ``lpnerve`` is imported from a source tree with no built
-    extension.  Skips only where the configured C compiler ($CC, else
-    Python's own) is not on PATH; if it is there and the kernel does not
-    compile, the test fails."""
+    extension.  The tests add ``-Wall -Wextra -Werror``, so a compiler
+    warning fails them (an install leaves them out).  Skips only where
+    the configured C compiler ($CC, else Python's own) is not on PATH; if
+    it is there and the kernel does not compile, the test fails."""
     from setuptools import Distribution, Extension
     from setuptools.command.build_ext import build_ext
     from setuptools.errors import BaseError, CCompilerError
@@ -41,7 +42,8 @@ def compiled_kernels(tmp_path_factory):
     out = tmp_path_factory.mktemp("kernels")
     cmd = build_ext(Distribution({"ext_modules": [Extension(
         name, [str(KERNELS / "_reduction.c")],
-        extra_compile_args=["-O3", "-ffp-contract=off"])]}))
+        extra_compile_args=["-O3", "-ffp-contract=off",
+                            "-Wall", "-Wextra", "-Werror"])]}))
     cmd.build_lib = str(out)
     cmd.build_temp = str(out / "temp")
     try:

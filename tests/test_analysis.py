@@ -74,6 +74,23 @@ def test_h1_generators_match_homology_rank():
                 assert row.torsion == ()
 
 
+@pytest.mark.parametrize("lam", [1e-11, 1.0, 1e11])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_h1_generators_match_homology_rank_at_any_scale(p, lam):
+    """Sides 3, 4 and 4.9 scaled by lam: the tolerance is on the distance,
+    not on its p-th power, so the pairs at 4.9 * lam count the degree-1
+    rank there at every scale (2 while 3^p + 4^p > 4.9^p, else 0)."""
+    X = VGraph(["a", "b", "c"], lam * np.array([
+        [0.0, 3.0, 4.9],
+        [3.0, 0.0, 4.0],
+        [4.9, 4.0, 0.0],
+    ]))
+    grade = 4.9 * lam
+    [row] = [r for r in magnitude_homology(X, p, [1])
+             if math.isclose(r.grade, grade, rel_tol=1e-9)]
+    assert len(h1_generators(X, p, grade)) == row.rank == (0 if p == 3 else 2)
+
+
 def test_h1_generators_input_checks():
     with pytest.raises(InputError):
         h1_generators(line3(), INF, 1.0)
@@ -133,6 +150,20 @@ def test_p_critical_matches_feasibility_scan():
                 assert not feasible
             elif p > pc + 1e-4:
                 assert feasible
+
+
+def test_p_critical_below_the_float_spacing():
+    """A tolerance below the float spacing at the root (about 4.4e-16
+    near 2.41) ends where no float lies between the bisection's ends."""
+    X = VGraph(["a", "b", "c"], np.array([
+        [0.0, 1.5, 2.0],
+        [1.5, 0.0, 1.5],
+        [2.0, 1.5, 0.0],
+    ]))
+    want = p_critical(X, "a", "c", tol=1e-15)
+    assert want == pytest.approx(2.4094, abs=1e-4)
+    for tol in (1e-16, 1e-300, 5e-324):
+        assert abs(p_critical(X, "a", "c", tol=tol) - want) <= 1e-12
 
 
 def test_p_critical_input_checks():

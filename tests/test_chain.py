@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
-                           boundary_matrix, columns, generators_at, run_floors,
+                           boundary_matrix, columns, generators_at,
                            sieve_boundary)
-from lpnerve.homology import GF2, INTEGERS, _ranks
+from lpnerve.homology import GF2, INTEGERS, _ranks, homology_at, homology_table
 from lpnerve.nerve import enumerate_complex
 from lpnerve.snf import smith_normal_form
 from lpnerve.values import EPS, INF, InputError
@@ -71,14 +71,12 @@ def test_generators_at_global():
             with pytest.raises(InputError):
                 boundary_matrix(fc, 1, g, sieve)
             with pytest.raises(InputError):
-                run_floors(fc, g, g, sieve)
-    with pytest.raises(InputError):
-        # grade 2 keeps grade 1 but not grade 0
-        run_floors(fc, 0, 2, SieveSpec(CUSTOM_GRID, [0, 1, 1]))
-    floors = run_floors(fc, 1, 2, STRICT)
+                homology_table(fc, [1], sieve, grades=[0, g])
+            with pytest.raises(InputError):
+                homology_at(fc, 1, g, sieve)
     for degree in (0, 3):
         with pytest.raises(InputError):
-            sieve_boundary(fc, degree, floors)
+            sieve_boundary(fc, degree, np.array([1, 1]))
 
 
 def test_generators_at_strict():
@@ -239,8 +237,7 @@ def test_one_run_of_shared_floor_then_strict_grades():
             for s in range(1, n + 1):
                 sieve = SieveSpec(CUSTOM_GRID, [0] * s + list(range(s, n)))
                 run = [(g, sieve.floor(g)) for g in range(n)]
-                floors = run_floors(fc, 0, n - 1, sieve)
-                assert floors.tolist() == [f for _, f in run]
+                floors = np.array([f for _, f in run])
                 for degree in (1, 2, 3):
                     boundary = sieve_boundary(fc, degree, floors)
                     faces, floor, grade = boundary

@@ -225,7 +225,9 @@ def test_each_boundary_built_once(capsys, monkeypatch, tmp_path):
     """Each d_k is built once per run of grades: a run starts at grade
     index 0 and at each grade index whose floor is neither its own nor
     that of the run's first grade.  So the strict and the empty sieve
-    build it once for all grades, and a custom sieve once per run."""
+    build it once for all grades, and a custom sieve once per run.  The
+    barcode builds d_1 .. d_(n+1) once each, as the empty sieve's one
+    run."""
     built = []
     real = homology.sieve_boundary
 
@@ -259,6 +261,11 @@ def test_each_boundary_built_once(capsys, monkeypatch, tmp_path):
             check(lambda: homology_table(fc, range(0, 3),
                                          SieveSpec(CUSTOM_GRID, floors)),
                   floors)
+            check(lambda: persistence_barcode(fc, 2), [0] * n)
+            # one run on whichever complex the command builds
+            check(lambda: main(["ph", path, "--p", p, "--degrees", "0..2"]),
+                  [0])
+            assert not any(any(shared) for shared, _ in built)
             capsys.readouterr()
 
 
@@ -316,6 +323,26 @@ def test_analyze(capsys, tmp_path):
     pc = {(row["a"], row["b"]): row["p_critical"] for row in obj["p_critical"]}
     assert pc[("a", "b")] == pytest.approx(2.0, abs=1e-4)
     assert pc[("a", "c")] == "inf"
+
+
+def test_analyze_tolerance_below_the_float_spacing(capsys, tmp_path):
+    """--tol far below the float spacing at the root still ends, near the
+    bisection to 1e-15."""
+    path = tmp_path / "tri.csv"
+    path.write_text("a,b,c\n0,1.5,2\n1.5,0,1.5\n2,1.5,0\n")
+    outs = []
+    for tol in ("1e-15", "1e-300"):
+        code, obj = run_json(capsys, ["analyze", str(path), "--tol", tol])
+        assert code == 0
+        outs.append({(row["a"], row["b"]): row["p_critical"]
+                     for row in obj["p_critical"]})
+    assert outs[0].keys() == outs[1].keys()
+    for pair, pc in outs[0].items():
+        if pc == "inf":
+            assert outs[1][pair] == "inf"
+        else:
+            assert abs(outs[1][pair] - pc) <= 1e-12
+    assert outs[0][("a", "c")] == pytest.approx(2.4094, abs=1e-4)
 
 
 SCALED_KEYS = {"grade", "birth", "death", "dist", "matrix"}

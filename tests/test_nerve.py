@@ -500,7 +500,7 @@ def test_compiled_search_and_face_table_match_the_twins(compiled_kernels, X,
     complex each backend gives is that of the full sorts of the raw
     search, and the compiled face tables are those of one binary search
     per face.  Symmetric spaces are also tried after ``asymmetrize``,
-    where most complete-space guesses miss."""
+    where most of the twin's complete-space guesses miss."""
     if twist and np.array_equal(X.dist, X.dist.T):
         X = asymmetrize(X)
     w = powered(X, p)
