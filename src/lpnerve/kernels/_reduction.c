@@ -33,16 +33,13 @@
  * index among them (intp).  The search state grows with the tuples and
  * the depth actually reached.
  *
- * ``face_table(prefix, last, below_prefix, below_last, tail, inner,
- * table)`` fills the face table of a degree k >= 2 from the prefix rows
- * and last vertices of degrees k and k - 1, the last vertices of degree
- * k - 2 and the face table ``inner`` of degree k - 1.  Deleting vertex
- * i < k from a tuple is deleting i from its prefix (face F = inner[prefix,
- * i]) and appending its last vertex v.  The rows one degree down are
- * grouped by prefix row (a counting sort) and sorted by last vertex within
- * each group, so (F, v) is found by one binary search among the at most n
- * children of F.  ``tail`` is checked but not read: the Python twin's
- * guess uses it.
+ * ``face_table(prefix, last, below_last, inner, nrows, table)`` fills the
+ * face table of a degree k >= 2.  Deleting vertex i < k from a tuple is
+ * deleting i from its prefix (face F = inner[prefix, i]) and appending its
+ * last vertex v.  The rows one degree down are grouped by prefix row, the
+ * last column of ``inner`` (a counting sort over the ``nrows`` rows of
+ * degree k - 2), and sorted by last vertex within each group, so (F, v) is
+ * found by one binary search among the at most n children of F.
  *
  * ``reduce_faces(table, nrows, q, floor, lows)`` reduces columns left to
  * right.  ``table`` is a 2-d int64 buffer: row j lists the faces of
@@ -629,25 +626,36 @@ typedef struct {
     Py_ssize_t row;
 } Child;
 
+/* by last vertex alone: two children with one last vertex are an error */
 static int child_order(const void *a, const void *b)
 {
     const Child *x = a, *y = b;
-    if (x->last != y->last)
-        return x->last < y->last ? -1 : 1;
-    return (x->row > y->row) - (x->row < y->row);
+    return (x->last > y->last) - (x->last < y->last);
 }
 
-/* The first entry of a 1-d int64 buffer outside lo..hi, ValueError naming
-   it; 0 when there is none. */
-static int check_rows(const Py_buffer *view, int64_t lo, int64_t hi,
-                      const char *what, const char *kind)
+/* nrows as a count of rows in [0, 2^63), or -1 with an exception */
+static Py_ssize_t row_count(PyObject *obj)
 {
-    const int64_t *rows = view->buf;
-    Py_ssize_t size = view->len / 8;
+    int overflow;
+    long long nrows = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (overflow || (nrows < 0 && !PyErr_Occurred())) {
+        PyErr_Format(PyExc_ValueError, "nrows must be a count of rows in "
+                     "[0, 2^63), got %R", obj);
+        return -1;
+    }
+    return (Py_ssize_t)nrows;
+}
+
+/* The first of size int64 entries, stride apart, outside lo..hi,
+   ValueError naming it; 0 when there is none. */
+static int check_rows(const int64_t *rows, Py_ssize_t size, Py_ssize_t stride,
+                      int64_t lo, int64_t hi, const char *what,
+                      const char *kind)
+{
     for (Py_ssize_t j = 0; j < size; j++)
-        if (rows[j] < lo || rows[j] > hi) {
+        if (rows[j * stride] < lo || rows[j * stride] > hi) {
             PyErr_Format(PyExc_ValueError, "%s has the %s %lld, outside "
-                         "%lld..%lld", what, kind, (long long)rows[j],
+                         "%lld..%lld", what, kind, (long long)rows[j * stride],
                          (long long)lo, (long long)hi);
             return -1;
         }
@@ -669,40 +677,35 @@ static int check_vertices(const Py_buffer *view, const char *what)
 
 static PyObject *face_table(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *keywords[] = {"prefix", "last", "below_prefix", "below_last",
-                               "tail", "inner", "table", NULL};
-    static const char *const names[] = {"prefix", "last", "below_prefix",
-                                        "below_last", "tail", "inner", "table"};
-    static const int types[] = {INT64, INT32, INT64, INT32, INT32, INT64, INT64};
-    PyObject *objs[7], *result = NULL;
-    Py_buffer views[7] = {{0}};
-    Py_ssize_t *start = NULL;
+    static char *keywords[] = {"prefix", "last", "below_last", "inner",
+                               "nrows", "table", NULL};
+    static const char *const names[] = {"prefix", "last", "below_last",
+                                        "inner", "table"};
+    static const int types[] = {INT64, INT32, INT32, INT64, INT64};
+    PyObject *objs[5], *nrows_obj, *result = NULL;
+    Py_buffer views[5] = {{0}};
+    Py_ssize_t nrows, *start = NULL;
     Child *kids = NULL;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOO:face_table", keywords,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOO:face_table", keywords,
                                      &objs[0], &objs[1], &objs[2], &objs[3],
-                                     &objs[4], &objs[5], &objs[6]))
+                                     &nrows_obj, &objs[4])
+        || (nrows = row_count(nrows_obj)) < 0)
         return NULL;
-    for (int a = 0; a < 7; a++)
-        if (typed_buffer(objs[a], &views[a], a >= 5 ? 2 : 1, types[a], a == 6,
+    for (int a = 0; a < 5; a++)
+        if (typed_buffer(objs[a], &views[a], a >= 3 ? 2 : 1, types[a], a == 4,
                          names[a]) < 0)
             goto done;
-    const int64_t *prefix = views[0].buf, *below_prefix = views[2].buf;
-    const int32_t *last = views[1].buf, *below_last = views[3].buf;
-    const int64_t *inner = views[5].buf;
-    int64_t *table = views[6].buf;
-    Py_ssize_t rows = views[0].shape[0], below = views[2].shape[0];
-    Py_ssize_t tails = views[4].shape[0], degree = views[5].shape[1];
-    if (views[1].shape[0] != rows) {
-        PyErr_Format(PyExc_ValueError, "last has %zd rows but prefix has %zd",
-                     views[1].shape[0], rows);
-        goto done;
-    }
-    if (views[3].shape[0] != below || views[5].shape[0] != below) {
-        PyErr_Format(PyExc_ValueError, "below_prefix, below_last and inner "
-                     "have %zd, %zd and %zd rows", below, views[3].shape[0],
-                     views[5].shape[0]);
+    const int64_t *prefix = views[0].buf, *inner = views[3].buf;
+    const int32_t *last = views[1].buf, *below_last = views[2].buf;
+    int64_t *table = views[4].buf;
+    Py_ssize_t rows = views[0].shape[0], below = views[3].shape[0];
+    Py_ssize_t degree = views[3].shape[1];
+    if (views[1].shape[0] != rows || views[2].shape[0] != below) {
+        PyErr_Format(PyExc_ValueError, "last and below_last have %zd and %zd "
+                     "rows but prefix and inner have %zd and %zd",
+                     views[1].shape[0], views[2].shape[0], rows, below);
         goto done;
     }
     if (degree < 2) {
@@ -710,36 +713,38 @@ static PyObject *face_table(PyObject *self, PyObject *args, PyObject *kwargs)
                      "got %zd", degree);
         goto done;
     }
-    if (views[6].shape[0] != rows || views[6].shape[1] != degree + 1) {
+    if (views[4].shape[0] != rows || views[4].shape[1] != degree + 1) {
         PyErr_Format(PyExc_ValueError, "table must have %zd rows and %zd "
                      "columns, got %zd x %zd", rows, degree + 1,
-                     views[6].shape[0], views[6].shape[1]);
+                     views[4].shape[0], views[4].shape[1]);
         goto done;
     }
-    if (check_rows(&views[0], 0, below - 1, "prefix", "row") < 0
-        || check_rows(&views[2], 0, tails - 1, "below_prefix", "row") < 0
-        || check_rows(&views[5], -1, tails - 1, "inner", "face") < 0
+    const int64_t *below_prefix = inner + degree - 1;  /* stride degree */
+    if (check_rows(prefix, rows, 1, 0, below - 1, "prefix", "row") < 0
+        || check_rows(below_prefix, below, degree, 0, nrows - 1,
+                      "inner's last column", "row") < 0
+        || check_rows(inner, below * degree, 1, -1, nrows - 1, "inner",
+                      "face") < 0
         || check_vertices(&views[1], "last") < 0
-        || check_vertices(&views[3], "below_last") < 0
-        || check_vertices(&views[4], "tail") < 0)
+        || check_vertices(&views[2], "below_last") < 0)
         goto done;
     /* the rows one degree down grouped by prefix: group F is
        kids[start[F]:start[F + 1]], sorted by last vertex */
-    start = PyMem_Calloc(tails + 1, sizeof(Py_ssize_t));
+    start = PyMem_Calloc((size_t)nrows + 1, sizeof(Py_ssize_t));
     kids = PyMem_Malloc((below > 0 ? below : 1) * sizeof(Child));
     if (start == NULL || kids == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t j = 0; j < below; j++)
-        start[below_prefix[j] + 1]++;
-    for (Py_ssize_t f = 0; f < tails; f++)
+        start[below_prefix[j * degree] + 1]++;
+    for (Py_ssize_t f = 0; f < nrows; f++)
         start[f + 1] += start[f];
-    for (Py_ssize_t j = 0; j < below; j++)  /* stable: rows increase */
-        kids[start[below_prefix[j]]++] = (Child){below_last[j], j};
-    memmove(start + 1, start, tails * sizeof(Py_ssize_t));
+    for (Py_ssize_t j = 0; j < below; j++)
+        kids[start[below_prefix[j * degree]]++] = (Child){below_last[j], j};
+    memmove(start + 1, start, nrows * sizeof(Py_ssize_t));
     start[0] = 0;
-    for (Py_ssize_t f = 0; f < tails; f++) {
+    for (Py_ssize_t f = 0; f < nrows; f++) {
         Child *group = kids + start[f];
         Py_ssize_t size = start[f + 1] - start[f];
         qsort(group, size, sizeof(Child), child_order);
@@ -770,12 +775,11 @@ static PyObject *face_table(PyObject *self, PyObject *args, PyObject *kwargs)
         }
         out[degree] = prefix[r];
     }
-    Py_INCREF(Py_None);
-    result = Py_None;
+    result = Py_NewRef(Py_None);
 done:
     PyMem_Free(start);
     PyMem_Free(kids);
-    for (int a = 0; a < 7; a++)
+    for (int a = 0; a < 5; a++)
         if (views[a].obj != NULL)
             PyBuffer_Release(&views[a]);
     return result;
@@ -826,12 +830,9 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
     if (overflow || (q != 0 && (q < 2 || q >= MAX_ORDER)))
         return PyErr_Format(PyExc_ValueError, "q must be 0 (the integers) or "
                             "a prime in [2, 2^31), got %R", q_obj);
-    long long nrows = PyLong_AsLongLongAndOverflow(nrows_obj, &overflow);
-    if (nrows == -1 && PyErr_Occurred())
+    Py_ssize_t nrows = row_count(nrows_obj);
+    if (nrows < 0)
         return NULL;
-    if (overflow || nrows < 0)
-        return PyErr_Format(PyExc_ValueError, "nrows must be a count of rows "
-                            "in [0, 2^63), got %R", nrows_obj);
     if (typed_buffer(table_obj, &table_view, 2, INT64, 0, "the face table") < 0)
         return NULL;
     if (typed_buffer(floor_obj, &floor_view, 1, INT64, 0, "floor") < 0
@@ -850,9 +851,9 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
                      "lows has %zd slots", ncols, lows_view.shape[0]);
         goto done;
     }
-    if (check_table(table, ncols, width, (Py_ssize_t)nrows) < 0)
+    if (check_table(table, ncols, width, nrows) < 0)
         goto done;
-    Py_ssize_t most = ncols < nrows ? ncols : (Py_ssize_t)nrows;  /* pivots */
+    Py_ssize_t most = ncols < nrows ? ncols : nrows;  /* pivots */
     pivot = PyMem_Calloc(nrows > 0 ? nrows : 1, sizeof(Py_ssize_t));
     start = PyMem_Malloc((most + 1) * sizeof(Py_ssize_t));
     if (pivot == NULL || start == NULL) {
@@ -942,26 +943,24 @@ done:
 static PyMethodDef methods[] = {
     {"expand", (PyCFunction)(void (*)(void))expand,
      METH_VARARGS | METH_KEYWORDS,
-     "expand(w, p, max_dim, limit) -> per degree (tuples, prefix, level, code)\n\n"
-     "Every finite-birth nondegenerate tuple of degree <= max_dim of the\n"
-     "space with p-th-power distances ``w``, per degree in (birth,\n"
-     "vertices) order: the vertex matrix, the prefix rows, the increasing\n"
-     "distinct births and each row's index among them.  Raises\n"
-     "BudgetExceededError as soon as more than ``limit`` tuples are found."},
+     "expand($module, /, w, p, max_dim, limit)\n--\n\n"
+     "Every finite-birth nondegenerate tuple of degree <= max_dim of the space\n"
+     "with p-th-power distances ``w``: per degree (tuples, prefix, level, code)\n"
+     "in (birth, vertices) order.  BudgetExceededError past ``limit`` tuples."},
     {"face_table", (PyCFunction)(void (*)(void))face_table,
      METH_VARARGS | METH_KEYWORDS,
-     "face_table(prefix, last, below_prefix, below_last, tail, inner, table)\n\n"
-     "Fill the face table ``table`` of a degree k >= 2 from the prefix rows\n"
-     "and last vertices of degrees k and k - 1, the last vertices of degree\n"
-     "k - 2 and the face table ``inner`` of degree k - 1."},
+     "face_table($module, /, prefix, last, below_last, inner, nrows, table)\n--\n\n"
+     "Fill the face table ``table`` of a degree k >= 2 from the prefix rows and\n"
+     "last vertices of degree k, the last vertices of degree k - 1, the face\n"
+     "table ``inner`` of degree k - 1 and the row count ``nrows`` of k - 2."},
     {"reduce_faces", (PyCFunction)(void (*)(void))reduce_faces,
      METH_VARARGS | METH_KEYWORDS,
-     "reduce_faces(table, nrows, q, floor, lows) -> number of pivots\n\n"
-     "Column reduction of the boundary with face table ``table``, each\n"
-     "column keeping its faces from row ``floor[j]`` on, over GF(q), or\n"
-     "over Z for q = 0, writing each column's low (-1 for zero)\n"
-     "into ``lows``.  Over Z, -1 flags a pivot other than +-1 or an entry\n"
-     "that reaches 2^63."},
+     "reduce_faces($module, /, table, nrows, q, floor, lows)\n--\n\n"
+     "Column reduction of the boundary with face table ``table``, each column\n"
+     "keeping its faces from row ``floor[j]`` on, over GF(q), or over Z for\n"
+     "q = 0; writes each column's low (-1 for zero) into ``lows`` and returns\n"
+     "the number of pivots, or over Z -1 for a pivot other than +-1 or an\n"
+     "entry that reaches 2^63."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -21,13 +21,14 @@ twin has: per degree the last vertex (int32), the top (float64) and the
 prefix row (intp) of each tuple, in the lexicographic order it finds
 them.
 
-``face_table(prefix, last, below_prefix, below_last, tail, inner, table)``
-fills the face table ``table`` (intp, rows x (k + 1)) of a degree k >= 2:
-entry [r, i] is the row one degree down of tuple r with vertex i
-deleted, or -1, and the last column is ``prefix``.  It reads the prefix
-rows (intp) and last vertices (int32) of degrees k and k - 1, the last
-vertices of degree k - 2 (``tail``) and the face table ``inner`` of
-degree k - 1.
+``face_table(prefix, last, below_last, inner, nrows, table)`` fills the
+face table ``table`` (intp, rows x (k + 1)) of a degree k >= 2: entry
+[r, i] is the row one degree down of tuple r with vertex i deleted, or
+-1, and the last column is ``prefix``.  It reads the prefix rows (intp)
+and last vertices (int32) of degree k, the last vertices of degree k - 1,
+the face table ``inner`` of degree k - 1, whose last column is the
+prefix row of each row there, and the row count ``nrows`` of degree
+k - 2.
 
 ``reduce_faces(table, nrows, q, floor, lows)``: ``table`` is a 2-d int64
 buffer: row j lists the faces of column j, entry i a row index in [0,
@@ -64,7 +65,8 @@ MAX_ORDER = 1 << 31
 _INT64 = 1 << 63
 
 #: cells (rows times points) of the reach matrix of one search block; the
-#: search keeps at most one block per degree alive (and at least one row)
+#: search keeps at most one block per degree alive (and at least one row).
+#: ``face_table`` looks up at most this many faces at once (or one column)
 BLOCK = 2 ** 14
 
 #: vertex index type of the search's output
@@ -200,69 +202,58 @@ def search(w, at_inf, max_dim, limit):
     return joined
 
 
-def face_table(prefix, last, below_prefix, below_last, tail, inner, table):
+def face_table(prefix, last, below_last, inner, nrows, table):
     """A row one degree down is keyed by (its prefix row) * n + (its last
-    vertex), below (rows two degrees down) * n + n, so no key overflows.
-    The rows with prefix F start at ``start[F]`` in key order, and in a
-    complete space (F, v) is at ``start[F] + v - (v > last(F))``: each
-    guess is checked by its key and only the misses are searched for.
-    """
-    names = ("prefix", "last", "below_prefix", "below_last", "tail",
-             "inner", "table")
-    kinds = ("int64", "int32", "int64", "int32", "int32", "int64", "int64")
-    prefix, last, below_prefix, below_last, tail, inner, table = (
-        _typed_array(obj, 2 if a >= 5 else 1, names[a], kinds[a],
-                     writable=a == 6)
-        for a, obj in enumerate((prefix, last, below_prefix, below_last,
-                                 tail, inner, table)))
-    rows, below, tails = len(prefix), len(below_prefix), len(tail)
-    degree = inner.shape[1]
-    if len(last) != rows:
-        raise ValueError(f"last has {len(last)} rows but prefix has {rows}")
-    if not len(below_last) == len(inner) == below:
-        raise ValueError(f"below_prefix, below_last and inner have {below}, "
-                         f"{len(below_last)} and {len(inner)} rows")
+    vertex), n one more than the largest vertex, and every face (F, v) is
+    one binary search among the sorted keys."""
+    nrows = _row_count(nrows)
+    names = ("prefix", "last", "below_last", "inner", "table")
+    kinds = ("int64", "int32", "int32", "int64", "int64")
+    prefix, last, below_last, inner, table = (
+        _typed_array(obj, 2 if a >= 3 else 1, names[a], kinds[a],
+                     writable=a == 4)
+        for a, obj in enumerate((prefix, last, below_last, inner, table)))
+    rows, below, degree = len(prefix), len(inner), inner.shape[1]
+    if len(last) != rows or len(below_last) != below:
+        raise ValueError(f"last and below_last have {len(last)} and "
+                         f"{len(below_last)} rows but prefix and inner have "
+                         f"{rows} and {below}")
     if degree < 2:
         raise ValueError(f"inner must have at least 2 columns, got {degree}")
     if table.shape != (rows, degree + 1):
         raise ValueError(f"table must have {rows} rows and {degree + 1} "
                          f"columns, got {table.shape[0]} x {table.shape[1]}")
+    below_prefix = inner[:, -1]
     for values, lo, hi, what, kind in (
             (prefix, 0, below - 1, "prefix", "row"),
-            (below_prefix, 0, tails - 1, "below_prefix", "row"),
-            (inner.ravel(), -1, tails - 1, "inner", "face")):
+            (below_prefix, 0, nrows - 1, "inner's last column", "row"),
+            (inner.ravel(), -1, nrows - 1, "inner", "face")):
         for bad in values[(values < lo) | (values > hi)][:1].tolist():
             raise ValueError(f"{what} has the {kind} {bad}, outside "
                              f"{lo}..{hi}")
-    for values, what in ((last, "last"), (below_last, "below_last"),
-                         (tail, "tail")):
+    for values, what in ((last, "last"), (below_last, "below_last")):
         for bad in values[values < 0][:1].tolist():
             raise ValueError(f"{what} has the vertex {bad}, below 0")
-    n = 1 + max(int(v.max(initial=-1)) for v in (last, below_last, tail))
+    n = 1 + max(int(v.max(initial=-1)) for v in (last, below_last))
     keys = below_prefix * n + below_last
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     for j in np.flatnonzero(keys[1:] == keys[:-1])[:1].tolist():
         raise ValueError(f"two rows one degree down have the prefix row "
                          f"{keys[j] // n} and the last vertex {keys[j] % n}")
-    # one entry of -1 past the end takes any guess beyond it and matches
-    # no face
+    # one entry past the end takes a search beyond the last key and gives
+    # -1 whatever it matches
     keys = np.append(keys, -1)
     order = np.append(order, -1)
-    counts = np.bincount(below_prefix, minlength=tails)
-    start = np.cumsum(counts) - counts
-    tail = tail.astype(np.intp)
-    last = last.astype(np.intp)
     table[:, degree] = prefix
-    for i in range(degree):  # one column at a time bounds the scratch
-        face = inner[prefix, i]
-        want = face * n + last
-        ends = tail[face]
-        pos = np.minimum(start[face] + last - (last > ends), below)
-        # a face of -1 is in no row: no search
-        miss = np.flatnonzero((keys[pos] != want) & (face >= 0))
-        pos[miss] = np.searchsorted(keys[:below], want[miss])
-        table[:, i] = np.where(keys[pos] == want, order[pos], -1)
+    # blocks of columns bound the scratch to one column or BLOCK cells
+    step = max(1, BLOCK // max(rows, 1))
+    for lo in range(0, degree, step):
+        hi = min(lo + step, degree)
+        # below 0 for a face of -1
+        want = inner[prefix, lo:hi] * n + last[:, None]
+        pos = np.searchsorted(keys[:below], want)
+        table[:, lo:hi] = np.where(keys[pos] == want, order[pos], -1)
 
 
 def reduce_faces(table, nrows, q, floor, lows) -> int:
@@ -270,10 +261,7 @@ def reduce_faces(table, nrows, q, floor, lows) -> int:
     if q != 0 and not 2 <= q < MAX_ORDER:
         raise ValueError(f"q must be 0 (the integers) or a prime in "
                          f"[2, 2^31), got {q}")
-    nrows = operator.index(nrows)
-    if not 0 <= nrows < _INT64:
-        raise ValueError(f"nrows must be a count of rows in [0, 2^63), "
-                         f"got {nrows}")
+    nrows = _row_count(nrows)
     faces = _typed_array(table, 2, "the face table")
     lowest = _typed_array(floor, 1, "floor")
     out = _typed_array(lows, 1, "lows", writable=True)
@@ -320,6 +308,14 @@ def reduce_faces(table, nrows, q, floor, lows) -> int:
         found[j] = low
     out[:] = found
     return len(pivots)
+
+
+def _row_count(nrows) -> int:
+    nrows = operator.index(nrows)
+    if not 0 <= nrows < _INT64:
+        raise ValueError(f"nrows must be a count of rows in [0, 2^63), "
+                         f"got {nrows}")
+    return nrows
 
 
 def _typed_array(obj, ndim: int, what: str, kind: str = "int64",

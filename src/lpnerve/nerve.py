@@ -30,7 +30,7 @@ tuple at a time; its pure-Python twin expands blocks of tuples with
 numpy.  ``membership_scale`` computes one birth on its own and is the
 reference the search agrees with bit for bit.
 ``FilteredComplex.faces`` builds each face table with
-``kernels.face_table``.
+``kernels.face_table``, from the lowest missing degree up.
 
 A birth is a non-decreasing function of one float, the tuple's top chain
 value, and a degree has few distinct tops.  So ``kernels.expand`` gives
@@ -113,27 +113,24 @@ class FilteredComplex:
         Other faces are found from the prefix's faces: deleting i < degree
         from v is deleting i from the prefix and appending the last vertex.
         ``kernels.face_table`` looks up (face of the prefix, last vertex)
-        among the rows one degree down, keyed by (prefix row, last vertex):
-        first where a complete space has it, then among the children of
-        that face alone.
+        among the rows one degree down, keyed by (prefix row, last vertex).
+        The missing degrees are built in one loop, upwards from the
+        highest one cached (the cache holds degrees 1 to some m).
         """
-        table = self._faces.get(degree)
-        if table is not None:
-            return table
-        level = self.tuples[degree]
-        table = np.empty(level.shape, dtype=np.intp)
-        if degree == 1:
-            table[:, 0] = level[:, 1]  # degree-0 rows are the vertices
-            table[:, 1] = self.prefix[1]
-        else:
-            # tuples are column-major, so each last column is contiguous
-            kernels.face_table(self.prefix[degree], level[:, -1],
-                               self.prefix[degree - 1],
-                               self.tuples[degree - 1][:, -1],
-                               self.tuples[degree - 2][:, -1],
-                               self.faces(degree - 1), table)
-        self._faces[degree] = table
-        return table
+        for k in range(len(self._faces) + 1, degree + 1):
+            level = self.tuples[k]
+            table = np.empty(level.shape, dtype=np.intp)
+            if k == 1:
+                table[:, 0] = level[:, 1]  # degree-0 rows are the vertices
+                table[:, 1] = self.prefix[1]
+            else:
+                # tuples are column-major, so each last column is contiguous
+                kernels.face_table(self.prefix[k], level[:, -1],
+                                   self.tuples[k - 1][:, -1],
+                                   self._faces[k - 1], len(self.tuples[k - 2]),
+                                   table)
+            self._faces[k] = table
+        return self._faces[degree]
 
 
 def grade_clusters(values: np.ndarray, tol: float, hops: int = 1

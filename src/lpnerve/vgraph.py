@@ -71,7 +71,7 @@ class VGraph:
     @classmethod
     def from_entries(cls, vertices: Sequence[str], entries: Mapping[Tuple[str, str], float],
                      default: float = INF) -> "VGraph":
-        """Build from sparse (a, b) -> distance entries; diagonal forced to 0."""
+        """Build from sparse (a, b) -> distance entries; diagonal 0 unless set."""
         vertices = list(vertices)
         n = len(vertices)
         mat = np.full((n, n), default, dtype=float)
@@ -81,7 +81,6 @@ class VGraph:
             if a not in idx or b not in idx:
                 raise InputError(f"edge ({a!r}, {b!r}) mentions an unknown vertex")
             mat[idx[a], idx[b]] = r
-        np.fill_diagonal(mat, 0.0)
         return cls(vertices, mat)
 
     @classmethod
@@ -320,8 +319,9 @@ def asymmetrize(X: VGraph, order: Sequence[str] | None = None) -> VGraph:
 
     Distances from a later vertex to an earlier one become inf; this turns
     unordered simplices into unique ordered ones without changing homology.
+    Symmetry is checked to within ``tolerance(X)``, relative to the scale.
     """
-    if not X.is_symmetric():
+    if not X.is_symmetric(tolerance(X)):
         raise InputError("asymmetrize requires a symmetric space")
     if order is None:
         order = list(X.vertices)

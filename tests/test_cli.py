@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpnerve.cli
-from lpnerve import homology, io
+from lpnerve import homology, io, kernels
 from lpnerve.chain import (CUSTOM_GRID, STRICT_PREDECESSORS, SieveSpec,
                            generators_at)
 from lpnerve.cli import main
@@ -110,6 +110,26 @@ def test_mh(capsys, c4_path):
     assert code == 0
     assert {(r["grade"], r["rank"]) for r in rows} == {(1.0, 8), (2.0, 0)}
     assert all(r["torsion"] == [] for r in rows)
+
+
+def test_mh_two_points_at_degree_1200(nerve_backend, monkeypatch, capsys,
+                                      tmp_path):
+    """The face tables are built in one loop, with no Python frame per
+    degree, so a degree above the default recursion limit of 1000 runs:
+    two points at distance 1 have two tuples per degree, and both are
+    cycles of H_1200 at grade 1200."""
+    monkeypatch.setattr(kernels, "reduce_faces", nerve_backend.reduce_faces)
+    X = VGraph(["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.warns(RuntimeWarning, match="exceeds the budget"):
+        rows = magnitude_homology(X, 1, [1200])
+    assert [(r.grade, r.degree, r.rank, r.torsion) for r in rows] == [
+        (1200.0, 1200, 2, ())]
+    path = tmp_path / "two.csv"
+    path.write_text(io.vgraph_to_csv(X))
+    code, rows = run_json(capsys, ["mh", str(path), "--degrees", "1200"])
+    assert code == 0
+    assert rows == [{"grade": 1200.0, "degree": 1200, "rank": 2,
+                     "torsion": []}]
 
 
 def test_mh_line(capsys, line_path):
@@ -639,6 +659,25 @@ def test_exit_code_bad_input(capsys, tmp_path):
     assert main(["ph", str(path)]) == 2
     err = capsys.readouterr().err
     assert "diagonal" in err
+
+
+@pytest.mark.parametrize("self_edge,code", [(5, 2), (0, 0)])
+def test_json_self_edge_is_the_diagonal(capsys, tmp_path, self_edge, code):
+    """A JSON self-edge sets the diagonal, as a CSV diagonal cell does: a
+    nonzero one is the CSV's error, a zero one is legal."""
+    graph = {"vertices": ["a", "b"], "symmetric": True, "edges": [
+        {"from": "a", "to": "a", "dist": self_edge},
+        {"from": "a", "to": "b", "dist": 1}]}
+    json_path, csv_path = tmp_path / "self.json", tmp_path / "self.csv"
+    json_path.write_text(json.dumps(graph))
+    csv_path.write_text(f"a,b\n{self_edge},1\n1,0\n")
+    outputs = []
+    for path in (json_path, csv_path):
+        assert main(["nerve", str(path)]) == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    if code:
+        assert outputs[0].err == "error: nonzero diagonal at a\n"
 
 
 @pytest.mark.parametrize("command,name,text", [

@@ -425,11 +425,11 @@ def test_equal_births_from_distinct_tops_stay_lexicographic():
 @settings(max_examples=150, deadline=None)
 @given(X=spaces(), p=st.sampled_from([1.0, 2.0, INF]),
        max_dim=st.integers(0, 4), block=st.integers(1, 5))
-def test_birth_sort_and_face_guess_match_the_full_sorts(X, p, max_dim, block):
+def test_birth_sort_and_face_lookup_match_the_full_sorts(X, p, max_dim, block):
     """Sorting by birth code alone gives the complex a full (birth,
-    vertices) sort gives, and the guessed face rows are the binary-searched
-    ones, dtypes included, whatever order the pure-Python search visits
-    its blocks in."""
+    vertices) sort gives, and the twin's face rows are those of one binary
+    search per face over the full sorts, dtypes included, whatever order
+    the pure-Python search visits its blocks in."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "expand", _reduction_py.expand)
         patch.setattr(kernels, "face_table", _reduction_py.face_table)
@@ -482,9 +482,9 @@ def face_tables(backend, fc):
     tables = []
     for k in range(2, fc.max_dim + 1):
         table = np.full(fc.tuples[k].shape, -7, dtype=np.intp)
-        backend.face_table(fc.prefix[k], fc.tuples[k][:, -1], fc.prefix[k - 1],
-                           fc.tuples[k - 1][:, -1], fc.tuples[k - 2][:, -1],
-                           fc.faces(k - 1), table)
+        backend.face_table(fc.prefix[k], fc.tuples[k][:, -1],
+                           fc.tuples[k - 1][:, -1], fc.faces(k - 1),
+                           len(fc.tuples[k - 2]), table)
         tables.append(table)
     return tables
 
@@ -500,7 +500,7 @@ def test_compiled_search_and_face_table_match_the_twins(compiled_kernels, X,
     complex each backend gives is that of the full sorts of the raw
     search, and the compiled face tables are those of one binary search
     per face.  Symmetric spaces are also tried after ``asymmetrize``,
-    where most of the twin's complete-space guesses miss."""
+    where a row has far fewer children than a complete space gives it."""
     if twist and np.array_equal(X.dist, X.dist.T):
         X = asymmetrize(X)
     w = powered(X, p)

@@ -265,3 +265,14 @@ def test_asymmetrize():
         asymmetrize(two_points(1.0, 2.0))
     with pytest.raises(InputError):
         asymmetrize(X, order=["v0", "v1"])
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1.0, 1e12])
+def test_asymmetrize_checks_symmetry_relative_to_the_scale(scale):
+    """A rounding of 1e-13 relative to the distances is symmetric and a
+    ratio of 1.5 is not, whatever the scale."""
+    near = two_points(scale, scale * (1 + 1e-13))
+    assert near.d("a", "b") != near.d("b", "a")
+    assert asymmetrize(near).d("a", "b") == scale
+    with pytest.raises(InputError, match="requires a symmetric space"):
+        asymmetrize(two_points(scale, 1.5 * scale))
