@@ -72,7 +72,8 @@ def _add_common(sub: argparse.ArgumentParser, default_p: Optional[str],
                          help="exponent in [1, inf] (default %(default)s)")
     if tuples:
         sub.add_argument("--max-dim", type=_count, default=None,
-                         help="tuple dimension cap (default: max degree + 1)")
+                         help="tuple dimension cap (default: "
+                              + ("max degree + 1)" if degrees else "2)"))
         sub.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                          help="tuple count cap (default %(default)s)")
     if degrees:
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     nerve = subs.add_parser("nerve", help="dump the filtered complex")
-    _add_common(nerve, "inf")
+    _add_common(nerve, "inf", degrees=False)
 
     ph = subs.add_parser("ph", help="persistence barcode (default p=inf, GF(2))")
     _add_common(ph, "inf", formats=("json", "csv", "svg"))
@@ -175,7 +176,7 @@ def run(args) -> int:
     if args.command == "nerve":
         X, _ = _load_validated(args)
         # no homology here, so max_dim is just the tuple cap
-        dim = args.max_dim if args.max_dim is not None else max(_degrees(args)) + 1
+        dim = 2 if args.max_dim is None else args.max_dim
         fc = enumerate_complex(X, p, dim, budget=args.budget, eps=args.eps)
         _emit(args, io.dumps(io.complex_to_json(fc)))
         return 0

@@ -96,8 +96,10 @@ def vgraph_from_json(obj) -> VGraph:
 
 
 def _read(path: str) -> str:
+    """The text of a UTF-8 file; a leading byte-order mark, which
+    spreadsheets write, is not part of it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
@@ -108,6 +110,8 @@ def _parse_json(path: str, text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests JSON values too deeply") from None
 
 
 def load_vgraph(path: str) -> VGraph:

@@ -1,12 +1,11 @@
 """Hot-loop kernels: compiled extension when available, pure Python otherwise.
 
-Three entries carry the per-tuple loops of the library.
+Two entries carry the per-tuple loops of the library.
 ``expand(w, p, max_dim, limit)`` is the nerve's tuple search: it finds
 every finite-birth nondegenerate tuple depth first, carrying the
 longest-chain values down, and returns each degree sorted by (birth,
 vertices): the vertex matrix, the prefix rows, the increasing distinct
-births and each row's index (birth code) among them.  ``face_table``
-builds a degree's face table from the one a degree down.
+births, each row's index (birth code) among them and the face table.
 ``reduce_faces(table, nrows, q, floor, lows)`` is the one column
 reduction: it reduces a boundary straight from its face table, each
 column keeping only its faces from row ``floor[j]`` on (so a sieve needs
@@ -30,9 +29,7 @@ except ImportError:
     BACKEND = "python"
 
 expand = _impl.expand
-face_table = _impl.face_table
 reduce_faces = _impl.reduce_faces
 reduce_columns = _reduction_py.reduce_columns
 
-__all__ = ["expand", "face_table", "reduce_faces", "reduce_columns",
-           "BACKEND", "MAX_ORDER"]
+__all__ = ["expand", "reduce_faces", "reduce_columns", "BACKEND", "MAX_ORDER"]

@@ -1,6 +1,7 @@
 /*
- * The compiled kernel: the nerve's tuple search and face tables, and the
- * column reduction of a boundary given by its face table, over GF(q) or Z.
+ * The compiled kernel: the nerve's tuple search with its face tables, and
+ * the column reduction of a boundary given by its face table, over GF(q)
+ * or Z.
  *
  * Each entry has the contract of its twin in ``_reduction_py``.  Input
  * outside it raises ValueError, or TypeError for something other than a
@@ -10,36 +11,34 @@
  *
  * ``expand(w, p, max_dim, limit)`` finds every finite-birth nondegenerate
  * tuple of degree <= max_dim, depth first, one tuple at a time, and
- * returns each degree sorted by (birth, vertices).  ``w`` is the n x n
- * float64 matrix of p-th-power distances (plain distances at p = inf).
- * A tuple's reach row holds, per vertex u, the longest-chain value of the
- * tuple extended by u; its children are the finite entries off its last
- * vertex, stored (last vertex, its own row, code of top = reach[u]) in
- * the next degree, and a child's reach is max(reach, top + w[u])
- * (max(reach, max(top, w[u])) at p = inf): the one IEEE addition or
- * maximum per candidate that ``membership_scale`` makes.  A tuple's
- * children are stored together, when it is visited, and the tuples of a
- * degree are visited in row order, so every degree is found in
- * lexicographic order.  The budget is checked before each tuple is
+ * returns each degree sorted by (birth, vertices), with its face table.
+ * ``w`` is the n x n float64 matrix of p-th-power distances (plain
+ * distances at p = inf).  A tuple's reach row holds, per vertex u, the
+ * longest-chain value of the tuple extended by u; its children are the
+ * finite entries off its last vertex, stored (last vertex, its own row,
+ * code of top = reach[u]) in the next degree, and a child's reach is
+ * max(reach, top + w[u]) (max(reach, max(top, w[u])) at p = inf): the one
+ * IEEE addition or maximum per candidate that ``membership_scale`` makes.
+ * A tuple's children are stored together, when it is visited, and the
+ * tuples of a degree are visited in row order, so every degree is found
+ * in lexicographic order.  The budget is checked before each tuple is
  * stored.  A degree has few distinct tops, so each gets a code, in the
  * order first seen, from a hash table keyed on its value (-0.0 and +0.0
  * share one).  After the search each degree's distinct tops are powered
  * to births (top^(1/p) by libm's pow, the call Python's float ** makes,
  * and 0 for a top of 0; the top itself at p = inf) and sorted, tops with
  * one birth merge, and a stable counting sort by birth puts the rows in
- * (birth, vertices) order.  Per degree the result is the column-major
+ * (birth, vertices) order.  Per degree k the result is the column-major
  * int32 vertex matrix, the prefix rows renumbered to that order (intp, -1
- * at degree 0), the increasing distinct births (float64) and each row's
- * index among them (intp).  The search state grows with the tuples and
- * the depth actually reached.
- *
- * ``face_table(prefix, last, below_last, inner, nrows, table)`` fills the
- * face table of a degree k >= 2.  Deleting vertex i < k from a tuple is
- * deleting i from its prefix (face F = inner[prefix, i]) and appending its
- * last vertex v.  The rows one degree down are grouped by prefix row, the
- * last column of ``inner`` (a counting sort over the ``nrows`` rows of
- * degree k - 2), and sorted by last vertex within each group, so (F, v) is
- * found by one binary search among the at most n children of F.
+ * at degree 0), the increasing distinct births (float64), each row's
+ * index among them (intp) and the face table (intp, rows x (k + 1)):
+ * entry [r, i] is the row one degree down of tuple r with vertex i
+ * deleted, or -1 where that face is degenerate, and the last column is
+ * the prefix.  Deleting vertex i < k from a tuple is deleting i from its
+ * prefix (face F, a row two degrees down) and appending its last vertex
+ * v.  The children of F one degree down were found together, in
+ * last-vertex order, so (F, v) is one binary search among them.  The
+ * search state grows with the tuples and the depth actually reached.
  *
  * ``reduce_faces(table, nrows, q, floor, lows)`` reduces columns left to
  * right.  ``table`` is a 2-d int64 buffer: row j lists the faces of
@@ -154,8 +153,8 @@ static int axpy(Column *dst, const Column *a, const int64_t *b_rows,
 }
 
 /* element types of the buffers the entries read */
-enum { INT32, INT64, FLOAT64 };
-static const char *const type_names[] = {"int32", "int64", "float64"};
+enum { INT64, FLOAT64 };
+static const char *const type_names[] = {"int64", "float64"};
 
 /* The buffer of obj with the given ndim and element type, C-contiguous
    (and writable if asked); ValueError otherwise. */
@@ -168,10 +167,7 @@ static int typed_buffer(PyObject *obj, Py_buffer *view, int ndim, int type,
     if (*fmt == '@' || *fmt == '=')
         fmt++;
     int ok;
-    if (type == INT32)
-        ok = view->itemsize == 4 && (strcmp(fmt, "i") == 0
-                                     || (strcmp(fmt, "l") == 0 && sizeof(long) == 4));
-    else if (type == INT64)
+    if (type == INT64)
         ok = view->itemsize == 8 && (strcmp(fmt, "q") == 0
                                      || (strcmp(fmt, "l") == 0 && sizeof(long) == 8));
     else
@@ -295,19 +291,21 @@ static inline double maximum(double a, double b)
 }
 
 /* A new numpy.empty array of rows (by cols unless cols < 0) items of the
-   given dtype, column-major, with its data in *data. */
+   given dtype, column-major ("F") or row-major ("C"), with its data in
+   *data. */
 static PyObject *new_array(PyObject *empty, Py_ssize_t rows, Py_ssize_t cols,
-                           const char *dtype, void *data)
+                           const char *dtype, const char *order, void *data)
 {
     PyObject *args = cols < 0 ? Py_BuildValue("((n)s)", rows, dtype)
                               : Py_BuildValue("((nn)s)", rows, cols, dtype);
-    PyObject *kwargs = args ? Py_BuildValue("{ss}", "order", "F") : NULL;
+    PyObject *kwargs = args ? Py_BuildValue("{ss}", "order", order) : NULL;
     PyObject *array = kwargs ? PyObject_Call(empty, args, kwargs) : NULL;
     Py_XDECREF(args);
     Py_XDECREF(kwargs);
     Py_buffer view;
+    int layout = *order == 'F' ? PyBUF_F_CONTIGUOUS : PyBUF_C_CONTIGUOUS;
     if (array == NULL
-        || PyObject_GetBuffer(array, &view, PyBUF_WRITABLE | PyBUF_F_CONTIGUOUS) < 0) {
+        || PyObject_GetBuffer(array, &view, PyBUF_WRITABLE | layout) < 0) {
         Py_XDECREF(array);
         return NULL;
     }
@@ -328,32 +326,77 @@ static int birth_order(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* the sorted degree below: the sorted row of each of its rows in search
-   order, and its column-major vertex matrix */
+/* What sorting a degree leaves for the next one: of that degree, the
+   sorted row of each row in search order, the last vertices in search
+   order, the column-major vertex matrix and the face table, and the rows
+   with each prefix.  Those with prefix F, a sorted row one degree down,
+   are the search rows first[F] .. first[F] + count[F] - 1: the search
+   stores a tuple's children together, in last-vertex order. */
 typedef struct {
     Py_ssize_t *rank;
+    int32_t *last;
     const int32_t *verts;
+    const Py_ssize_t *faces;
     Py_ssize_t rows;
+    Py_ssize_t *first;
+    Py_ssize_t *count;
 } Below;
 
-/* (tuples, prefix, level, code) of degree k, whose tuples the search
-   found in lexicographic order, sorted by (birth, vertices); below is
-   the degree under it, and becomes this one. */
-static PyObject *sorted_level(PyObject *empty, const Level *level,
-                              Py_ssize_t k, double p, Below *below)
+static void below_free(Below *below)
+{
+    PyMem_Free(below->rank);
+    PyMem_Free(below->last);
+    PyMem_Free(below->first);
+    PyMem_Free(below->count);
+    *below = (Below){0};
+}
+
+/* Faces 0..k-1 of a tuple of degree k >= 2 whose prefix has the face
+   table row inner and whose last vertex is v: face i is the child with
+   last vertex v of the prefix's face i, among the rows of below, or -1
+   where there is none (a degenerate face). */
+static void face_row(const Below *below, const Py_ssize_t *inner, int32_t v,
+                     Py_ssize_t k, Py_ssize_t *out)
+{
+    for (Py_ssize_t i = 0; i < k; i++) {
+        Py_ssize_t f = inner[i], found = -1;
+        if (f >= 0 && below->count[f] > 0) {
+            /* the last child with a last vertex <= v; a select, not a
+               branch, halves the run, so no step is mispredicted */
+            const int32_t *kid = below->last + below->first[f];
+            for (Py_ssize_t n = below->count[f]; n > 1; n -= n / 2)
+                kid = kid[n / 2] <= v ? kid + n / 2 : kid;
+            if (*kid == v)
+                found = below->rank[kid - below->last];
+        }
+        out[i] = found;
+    }
+}
+
+/* (tuples, prefix, level, code, faces) of degree k, whose tuples the
+   search found in lexicographic order, sorted by (birth, vertices);
+   below is the degree under it, and becomes this one, which takes the
+   level's last vertices. */
+static PyObject *sorted_level(PyObject *empty, Level *level, Py_ssize_t k,
+                              double p, Below *below)
 {
     Py_ssize_t rows = level->size, m = level->ntops, nlevel = 0;
+    /* the rows of degree k - 1, at least one */
+    Py_ssize_t up = k > 0 && below->rows > 0 ? below->rows : 1;
     Birth *births = PyMem_Malloc((m > 0 ? m : 1) * sizeof(Birth));
     Py_ssize_t *merged = PyMem_Malloc((m > 0 ? m : 1) * sizeof(Py_ssize_t));
     Py_ssize_t *rank = PyMem_Malloc((rows > 0 ? rows : 1) * sizeof(Py_ssize_t));
     Py_ssize_t *start = PyMem_Calloc(m + 1, sizeof(Py_ssize_t));
+    Py_ssize_t *first = PyMem_Malloc(up * sizeof(Py_ssize_t));
+    Py_ssize_t *count = PyMem_Calloc(up, sizeof(Py_ssize_t));
     PyObject *tuples = NULL, *prefix = NULL, *values = NULL, *codes = NULL;
-    PyObject *result = NULL;
+    PyObject *faces = NULL, *result = NULL;
     int32_t *verts;
-    Py_ssize_t *pre, *code;
+    Py_ssize_t *pre, *code, *table;
     double *value;
 
-    if (births == NULL || merged == NULL || rank == NULL || start == NULL) {
+    if (births == NULL || merged == NULL || rank == NULL || start == NULL
+        || first == NULL || count == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -372,11 +415,12 @@ static PyObject *sorted_level(PyObject *empty, const Level *level,
             births[nlevel++].birth = births[i].birth;
         merged[births[i].code] = nlevel - 1;
     }
-    values = new_array(empty, nlevel, -1, "float64", &value);
-    tuples = values ? new_array(empty, rows, k + 1, "int32", &verts) : NULL;
-    prefix = tuples ? new_array(empty, rows, -1, "intp", &pre) : NULL;
-    codes = prefix ? new_array(empty, rows, -1, "intp", &code) : NULL;
-    if (codes == NULL)
+    values = new_array(empty, nlevel, -1, "float64", "F", &value);
+    tuples = values ? new_array(empty, rows, k + 1, "int32", "F", &verts) : NULL;
+    prefix = tuples ? new_array(empty, rows, -1, "intp", "F", &pre) : NULL;
+    codes = prefix ? new_array(empty, rows, -1, "intp", "F", &code) : NULL;
+    faces = codes ? new_array(empty, rows, k + 1, "intp", "C", &table) : NULL;
+    if (faces == NULL)
         goto done;
     for (Py_ssize_t b = 0; b < nlevel; b++)
         value[b] = births[b].birth;
@@ -390,28 +434,46 @@ static PyObject *sorted_level(PyObject *empty, const Level *level,
         Py_ssize_t b = merged[level->code[r]], j = start[b]++;
         rank[r] = j;
         code[j] = b;
-        pre[j] = k > 0 ? below->rank[level->parent[r]] : -1;
+        pre[j] = -1;
+        if (k > 0) {
+            Py_ssize_t f = below->rank[level->parent[r]];
+            pre[j] = f;
+            if (count[f]++ == 0)
+                first[f] = r;
+        }
         verts[k * rows + j] = level->last[r];
     }
-    /* each row is its prefix's row, then its last vertex */
-    for (Py_ssize_t i = 0; i < k; i++)
-        for (Py_ssize_t j = 0; j < rows; j++)
+    for (Py_ssize_t j = 0; j < rows; j++) {
+        /* each row is its prefix's row, then its last vertex */
+        for (Py_ssize_t i = 0; i < k; i++)
             verts[i * rows + j] = below->verts[i * below->rows + pre[j]];
-    result = PyTuple_Pack(4, tuples, prefix, values, codes);
+        Py_ssize_t *out = table + j * (k + 1);
+        if (k == 1)
+            out[0] = verts[rows + j];  /* degree-0 rows are the vertices */
+        else if (k > 1)
+            face_row(below, below->faces + pre[j] * k, verts[k * rows + j],
+                     k, out);
+        out[k] = pre[j];
+    }
+    result = PyTuple_Pack(5, tuples, prefix, values, codes, faces);
     if (result != NULL) {
-        PyMem_Free(below->rank);
-        *below = (Below){rank, verts, rows};
-        rank = NULL;
+        below_free(below);
+        *below = (Below){rank, level->last, verts, table, rows, first, count};
+        level->last = NULL;
+        rank = first = count = NULL;
     }
 done:
     PyMem_Free(births);
     PyMem_Free(merged);
     PyMem_Free(rank);
     PyMem_Free(start);
+    PyMem_Free(first);
+    PyMem_Free(count);
     Py_XDECREF(tuples);
     Py_XDECREF(prefix);
     Py_XDECREF(values);
     Py_XDECREF(codes);
+    Py_XDECREF(faces);
     return result;
 }
 
@@ -612,25 +674,12 @@ done:
     PyMem_Free(cursor);
     PyMem_Free(end);
     PyMem_Free(reach);
-    PyMem_Free(below.rank);
+    below_free(&below);
     Py_XDECREF(empty);
     Py_XDECREF(numpy);
     if (w_view.obj != NULL)
         PyBuffer_Release(&w_view);
     return result;
-}
-
-/* a row one degree down: its last vertex and its row */
-typedef struct {
-    int32_t last;
-    Py_ssize_t row;
-} Child;
-
-/* by last vertex alone: two children with one last vertex are an error */
-static int child_order(const void *a, const void *b)
-{
-    const Child *x = a, *y = b;
-    return (x->last > y->last) - (x->last < y->last);
 }
 
 /* nrows as a count of rows in [0, 2^63), or -1 with an exception */
@@ -644,145 +693,6 @@ static Py_ssize_t row_count(PyObject *obj)
         return -1;
     }
     return (Py_ssize_t)nrows;
-}
-
-/* The first of size int64 entries, stride apart, outside lo..hi,
-   ValueError naming it; 0 when there is none. */
-static int check_rows(const int64_t *rows, Py_ssize_t size, Py_ssize_t stride,
-                      int64_t lo, int64_t hi, const char *what,
-                      const char *kind)
-{
-    for (Py_ssize_t j = 0; j < size; j++)
-        if (rows[j * stride] < lo || rows[j * stride] > hi) {
-            PyErr_Format(PyExc_ValueError, "%s has the %s %lld, outside "
-                         "%lld..%lld", what, kind, (long long)rows[j * stride],
-                         (long long)lo, (long long)hi);
-            return -1;
-        }
-    return 0;
-}
-
-/* ValueError at the first negative vertex of a 1-d int32 buffer */
-static int check_vertices(const Py_buffer *view, const char *what)
-{
-    const int32_t *vertices = view->buf;
-    for (Py_ssize_t j = 0; j < view->shape[0]; j++)
-        if (vertices[j] < 0) {
-            PyErr_Format(PyExc_ValueError, "%s has the vertex %d, below 0",
-                         what, (int)vertices[j]);
-            return -1;
-        }
-    return 0;
-}
-
-static PyObject *face_table(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *keywords[] = {"prefix", "last", "below_last", "inner",
-                               "nrows", "table", NULL};
-    static const char *const names[] = {"prefix", "last", "below_last",
-                                        "inner", "table"};
-    static const int types[] = {INT64, INT32, INT32, INT64, INT64};
-    PyObject *objs[5], *nrows_obj, *result = NULL;
-    Py_buffer views[5] = {{0}};
-    Py_ssize_t nrows, *start = NULL;
-    Child *kids = NULL;
-
-    (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOO:face_table", keywords,
-                                     &objs[0], &objs[1], &objs[2], &objs[3],
-                                     &nrows_obj, &objs[4])
-        || (nrows = row_count(nrows_obj)) < 0)
-        return NULL;
-    for (int a = 0; a < 5; a++)
-        if (typed_buffer(objs[a], &views[a], a >= 3 ? 2 : 1, types[a], a == 4,
-                         names[a]) < 0)
-            goto done;
-    const int64_t *prefix = views[0].buf, *inner = views[3].buf;
-    const int32_t *last = views[1].buf, *below_last = views[2].buf;
-    int64_t *table = views[4].buf;
-    Py_ssize_t rows = views[0].shape[0], below = views[3].shape[0];
-    Py_ssize_t degree = views[3].shape[1];
-    if (views[1].shape[0] != rows || views[2].shape[0] != below) {
-        PyErr_Format(PyExc_ValueError, "last and below_last have %zd and %zd "
-                     "rows but prefix and inner have %zd and %zd",
-                     views[1].shape[0], views[2].shape[0], rows, below);
-        goto done;
-    }
-    if (degree < 2) {
-        PyErr_Format(PyExc_ValueError, "inner must have at least 2 columns, "
-                     "got %zd", degree);
-        goto done;
-    }
-    if (views[4].shape[0] != rows || views[4].shape[1] != degree + 1) {
-        PyErr_Format(PyExc_ValueError, "table must have %zd rows and %zd "
-                     "columns, got %zd x %zd", rows, degree + 1,
-                     views[4].shape[0], views[4].shape[1]);
-        goto done;
-    }
-    const int64_t *below_prefix = inner + degree - 1;  /* stride degree */
-    if (check_rows(prefix, rows, 1, 0, below - 1, "prefix", "row") < 0
-        || check_rows(below_prefix, below, degree, 0, nrows - 1,
-                      "inner's last column", "row") < 0
-        || check_rows(inner, below * degree, 1, -1, nrows - 1, "inner",
-                      "face") < 0
-        || check_vertices(&views[1], "last") < 0
-        || check_vertices(&views[2], "below_last") < 0)
-        goto done;
-    /* the rows one degree down grouped by prefix: group F is
-       kids[start[F]:start[F + 1]], sorted by last vertex */
-    start = PyMem_Calloc((size_t)nrows + 1, sizeof(Py_ssize_t));
-    kids = PyMem_Malloc((below > 0 ? below : 1) * sizeof(Child));
-    if (start == NULL || kids == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t j = 0; j < below; j++)
-        start[below_prefix[j * degree] + 1]++;
-    for (Py_ssize_t f = 0; f < nrows; f++)
-        start[f + 1] += start[f];
-    for (Py_ssize_t j = 0; j < below; j++)
-        kids[start[below_prefix[j * degree]]++] = (Child){below_last[j], j};
-    memmove(start + 1, start, nrows * sizeof(Py_ssize_t));
-    start[0] = 0;
-    for (Py_ssize_t f = 0; f < nrows; f++) {
-        Child *group = kids + start[f];
-        Py_ssize_t size = start[f + 1] - start[f];
-        qsort(group, size, sizeof(Child), child_order);
-        for (Py_ssize_t j = 1; j < size; j++)
-            if (group[j].last == group[j - 1].last) {
-                PyErr_Format(PyExc_ValueError, "two rows one degree down have "
-                             "the prefix row %zd and the last vertex %d", f,
-                             (int)group[j].last);
-                goto done;
-            }
-    }
-    for (Py_ssize_t r = 0; r < rows; r++) {
-        const int64_t *faces = inner + prefix[r] * degree;
-        int64_t *out = table + r * (degree + 1);
-        int32_t v = last[r];
-        for (Py_ssize_t i = 0; i < degree; i++) {
-            int64_t f = faces[i], found = -1;
-            if (f >= 0 && start[f] < start[f + 1]) {
-                /* the last child with a last vertex <= v; a select, not a
-                   branch, halves the group, so no step is mispredicted */
-                const Child *kid = kids + start[f];
-                for (Py_ssize_t n = start[f + 1] - start[f]; n > 1; n -= n / 2)
-                    kid = kid[n / 2].last <= v ? kid + n / 2 : kid;
-                if (kid->last == v)
-                    found = kid->row;
-            }
-            out[i] = found;
-        }
-        out[degree] = prefix[r];
-    }
-    result = Py_NewRef(Py_None);
-done:
-    PyMem_Free(start);
-    PyMem_Free(kids);
-    for (int a = 0; a < 5; a++)
-        if (views[a].obj != NULL)
-            PyBuffer_Release(&views[a]);
-    return result;
 }
 
 /* Every face in -1..nrows-1, no row twice in a column; ValueError at the
@@ -945,14 +855,8 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "expand($module, /, w, p, max_dim, limit)\n--\n\n"
      "Every finite-birth nondegenerate tuple of degree <= max_dim of the space\n"
-     "with p-th-power distances ``w``: per degree (tuples, prefix, level, code)\n"
-     "in (birth, vertices) order.  BudgetExceededError past ``limit`` tuples."},
-    {"face_table", (PyCFunction)(void (*)(void))face_table,
-     METH_VARARGS | METH_KEYWORDS,
-     "face_table($module, /, prefix, last, below_last, inner, nrows, table)\n--\n\n"
-     "Fill the face table ``table`` of a degree k >= 2 from the prefix rows and\n"
-     "last vertices of degree k, the last vertices of degree k - 1, the face\n"
-     "table ``inner`` of degree k - 1 and the row count ``nrows`` of k - 2."},
+     "with p-th-power distances ``w``: per degree (tuples, prefix, level, code,\n"
+     "faces) in (birth, vertices) order.  BudgetExceededError past ``limit`` tuples."},
     {"reduce_faces", (PyCFunction)(void (*)(void))reduce_faces,
      METH_VARARGS | METH_KEYWORDS,
      "reduce_faces($module, /, table, nrows, q, floor, lows)\n--\n\n"
@@ -967,7 +871,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_reduction",
-    .m_doc = "Compiled tuple search, face tables and column reduction.",
+    .m_doc = "Compiled tuple search with face tables, and column reduction.",
     .m_size = -1,
     .m_methods = methods,
 };

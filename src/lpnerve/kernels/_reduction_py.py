@@ -1,34 +1,28 @@
 """The pure-Python twin of the compiled kernel in ``_reduction.c``: the
-nerve's tuple search (``expand``), its face tables (``face_table``) and
-the column reduction of a face table over a prime field or Z
-(``reduce_faces``).  Each has the contract of its compiled twin; input
-outside it raises ValueError, or TypeError for something other than a
-buffer or a number.  Arrays are read through the buffer protocol and
-must be C-contiguous with the stated element type.
+nerve's tuple search with its face tables (``expand``) and the column
+reduction of a face table over a prime field or Z (``reduce_faces``).
+Each has the contract of its compiled twin; input outside it raises
+ValueError, or TypeError for something other than a buffer or a number.
+Arrays are read through the buffer protocol and must be C-contiguous
+with the stated element type.
 
-``expand(w, p, max_dim, limit)`` returns, per degree 0..max_dim, the
+``expand(w, p, max_dim, limit)`` returns, per degree k = 0..max_dim, the
 finite-birth nondegenerate tuples sorted by (birth, vertices): their
 column-major int32 vertex matrix ``tuples``, their prefix rows ``prefix``
 (intp, -1 at degree 0), the increasing distinct births ``level``
-(float64) and each row's index among them ``code`` (intp).  ``w`` is the
-n x n float64 matrix of p-th-power distances (plain distances at p =
-inf), and p lies in [1, inf].  A birth is top^(1/p) of the tuple's top
-chain value (0 for a top of 0) by Python's float power, which is libm's
-pow, and the top itself at p = inf; it is never -0.0.  It raises
+(float64), each row's index among them ``code`` (intp) and the face
+table ``faces`` (intp, rows x (k + 1)): entry [r, i] is the row one
+degree down of tuple r with vertex i deleted, or -1 where that face is
+degenerate, and the last column is ``prefix``.  ``w`` is the n x n
+float64 matrix of p-th-power distances (plain distances at p = inf),
+and p lies in [1, inf].  A birth is top^(1/p) of the tuple's top chain
+value (0 for a top of 0) by Python's float power, which is libm's pow,
+and the top itself at p = inf; it is never -0.0.  It raises
 ``BudgetExceededError`` as soon as more than ``limit`` tuples are found.
 ``search(w, at_inf, max_dim, limit)`` is its raw search, which only the
 twin has: per degree the last vertex (int32), the top (float64) and the
 prefix row (intp) of each tuple, in the lexicographic order it finds
 them.
-
-``face_table(prefix, last, below_last, inner, nrows, table)`` fills the
-face table ``table`` (intp, rows x (k + 1)) of a degree k >= 2: entry
-[r, i] is the row one degree down of tuple r with vertex i deleted, or
--1, and the last column is ``prefix``.  It reads the prefix rows (intp)
-and last vertices (int32) of degree k, the last vertices of degree k - 1,
-the face table ``inner`` of degree k - 1, whose last column is the
-prefix row of each row there, and the row count ``nrows`` of degree
-k - 2.
 
 ``reduce_faces(table, nrows, q, floor, lows)``: ``table`` is a 2-d int64
 buffer: row j lists the faces of column j, entry i a row index in [0,
@@ -66,34 +60,38 @@ _INT64 = 1 << 63
 
 #: cells (rows times points) of the reach matrix of one search block; the
 #: search keeps at most one block per degree alive (and at least one row).
-#: ``face_table`` looks up at most this many faces at once (or one column)
+#: ``expand`` gathers and looks up at most this many cells at once (or one
+#: row)
 BLOCK = 2 ** 14
 
 #: vertex index type of the search's output
 VERTEX = np.int32
 
 #: element type -> (buffer item size, buffer formats)
-_TYPES = {"int32": (4, ("i", "l")), "int64": (8, ("q", "l")),
-          "float64": (8, ("d",))}
+_TYPES = {"int64": (8, ("q", "l")), "float64": (8, ("d",))}
 
 
 def expand(w, p, max_dim, limit):
-    """``search``, then each degree sorted.  A degree has few distinct
-    tops: one ``np.unique`` finds them and each row's code among them,
-    only they are powered to births, and tops with one birth merge.  The
-    search finds each degree in lexicographic order, so a stable sort of
-    the codes (a radix sort on their small integer type) puts it in
-    (birth, vertices) order."""
+    """``search``, then each degree sorted, with its face table.  A degree
+    has few distinct tops: one ``np.unique`` finds them and each row's
+    code among them, only they are powered to births, and tops with one
+    birth merge.  The search finds each degree in lexicographic order, so
+    a stable sort of the codes (a radix sort on their small integer type)
+    puts it in (birth, vertices) order, and its keys (prefix row) * n +
+    (last vertex) increase in search order: a face (F, v) is one
+    ``searchsorted`` among the keys of the degree below, with F mapped to
+    its search row by the sort two degrees down."""
     if isinstance(p, (str, bytes, bytearray)):  # float() would parse these
         raise TypeError(f"p must be a number, got {p!r}")
     p = float(p)
     if not 1.0 <= p <= INF:
         raise ValueError(f"p must lie in [1, inf], got {p!r}")
     found = search(w, p == INF, max_dim, limit)
-    out = []
+    n = len(found[0][0])
+    out, below_order, keys = [], None, None
     for k in range(len(found)):
         last, top, parent = found[k]
-        found[k] = None  # drop the search's arrays once sorted
+        found[k] = None
         level, code = np.unique(top, return_inverse=True)
         if p == INF:
             level = level + 0.0  # -0.0 and +0.0 share a code; births are +0.0
@@ -104,16 +102,34 @@ def expand(w, p, max_dim, limit):
             code = merge[code]
         order = np.argsort(code.astype(np.min_scalar_type(len(level))),
                            kind="stable")
+        code = code[order]
         # parents were numbered in search order; renumber them sorted
         prefix = rank[parent[order]] if k else parent
-        # each row is its prefix's row, then its last vertex; column-major,
-        # so each prefix column is one contiguous gather (every index is a
-        # row below, so "clip" changes none and skips a buffered check)
         verts = np.empty((len(order), k + 1), dtype=VERTEX, order="F")
-        for i in range(k if len(order) else 0):
-            np.take(out[k - 1][0][:, i], prefix, out=verts[:, i], mode="clip")
         verts[:, k] = last[order]
-        out.append((verts, prefix, level, code[order]))
+        below_keys, keys = keys, parent * n + last
+        del last, top, parent  # the search's arrays go before the tables come
+        faces = np.empty((len(order), k + 1), dtype=np.intp)
+        faces[:, k] = prefix
+        if k == 1:
+            faces[:, 0] = verts[:, 1]  # degree-0 rows are the vertices
+        # blocks of rows bound the scratch to BLOCK cells (or one row)
+        step = max(1, BLOCK // (k + 1))
+        for lo in range(0, len(order) if k else 0, step):
+            up, hi = prefix[lo:lo + step], lo + step
+            # each row is its prefix's row, then its last vertex
+            verts[lo:hi, :k] = below[up]
+            if k > 1:  # face i < k is (face i of the prefix, last vertex)
+                face = inner[up, :k]
+                want = np.where(face >= 0, inner_order[face] * n
+                                + verts[lo:hi, k:], -1)
+                pos = np.searchsorted(below_keys, want)
+                faces[lo:hi, :k] = np.where(
+                    below_keys.take(pos, mode="clip") == want,
+                    rank.take(pos, mode="clip"), -1)
+        out.append((verts, prefix, level, code, faces))
+        below, inner = verts, faces
+        inner_order, below_order = below_order, order
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
     return out
@@ -200,60 +216,6 @@ def search(w, at_inf, max_dim, limit):
     joined += [(np.empty(0, VERTEX), np.empty(0), np.empty(0, np.intp))
                for _ in range(max_dim + 1 - len(joined))]
     return joined
-
-
-def face_table(prefix, last, below_last, inner, nrows, table):
-    """A row one degree down is keyed by (its prefix row) * n + (its last
-    vertex), n one more than the largest vertex, and every face (F, v) is
-    one binary search among the sorted keys."""
-    nrows = _row_count(nrows)
-    names = ("prefix", "last", "below_last", "inner", "table")
-    kinds = ("int64", "int32", "int32", "int64", "int64")
-    prefix, last, below_last, inner, table = (
-        _typed_array(obj, 2 if a >= 3 else 1, names[a], kinds[a],
-                     writable=a == 4)
-        for a, obj in enumerate((prefix, last, below_last, inner, table)))
-    rows, below, degree = len(prefix), len(inner), inner.shape[1]
-    if len(last) != rows or len(below_last) != below:
-        raise ValueError(f"last and below_last have {len(last)} and "
-                         f"{len(below_last)} rows but prefix and inner have "
-                         f"{rows} and {below}")
-    if degree < 2:
-        raise ValueError(f"inner must have at least 2 columns, got {degree}")
-    if table.shape != (rows, degree + 1):
-        raise ValueError(f"table must have {rows} rows and {degree + 1} "
-                         f"columns, got {table.shape[0]} x {table.shape[1]}")
-    below_prefix = inner[:, -1]
-    for values, lo, hi, what, kind in (
-            (prefix, 0, below - 1, "prefix", "row"),
-            (below_prefix, 0, nrows - 1, "inner's last column", "row"),
-            (inner.ravel(), -1, nrows - 1, "inner", "face")):
-        for bad in values[(values < lo) | (values > hi)][:1].tolist():
-            raise ValueError(f"{what} has the {kind} {bad}, outside "
-                             f"{lo}..{hi}")
-    for values, what in ((last, "last"), (below_last, "below_last")):
-        for bad in values[values < 0][:1].tolist():
-            raise ValueError(f"{what} has the vertex {bad}, below 0")
-    n = 1 + max(int(v.max(initial=-1)) for v in (last, below_last))
-    keys = below_prefix * n + below_last
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    for j in np.flatnonzero(keys[1:] == keys[:-1])[:1].tolist():
-        raise ValueError(f"two rows one degree down have the prefix row "
-                         f"{keys[j] // n} and the last vertex {keys[j] % n}")
-    # one entry past the end takes a search beyond the last key and gives
-    # -1 whatever it matches
-    keys = np.append(keys, -1)
-    order = np.append(order, -1)
-    table[:, degree] = prefix
-    # blocks of columns bound the scratch to one column or BLOCK cells
-    step = max(1, BLOCK // max(rows, 1))
-    for lo in range(0, degree, step):
-        hi = min(lo + step, degree)
-        # below 0 for a face of -1
-        want = inner[prefix, lo:hi] * n + last[:, None]
-        pos = np.searchsorted(keys[:below], want)
-        table[:, lo:hi] = np.where(keys[pos] == want, order[pos], -1)
 
 
 def reduce_faces(table, nrows, q, floor, lows) -> int:

@@ -12,9 +12,9 @@ ordering index rows is ordering name tuples, and each degree is an
 integer matrix (one row of vertex indices per tuple, stored
 column-major) with a float64 births vector, both sorted by (birth,
 vertices).  Each row also records the row of its prefix (the tuple
-without its last vertex) one degree down; ``FilteredComplex.faces``
-derives every face from it.  Names appear
-only when a result is emitted (``FilteredComplex.labels``).
+without its last vertex) one degree down, and each degree from 1 up its
+face table (``FilteredComplex.faces``).  Names appear only when a
+result is emitted (``FilteredComplex.labels``).
 
 Births are compared once, here: ``enumerate_complex`` clusters all births
 of all degrees by single linkage at a tolerance relative to the largest
@@ -29,8 +29,6 @@ so no birth is recomputed from scratch.  The compiled search visits one
 tuple at a time; its pure-Python twin expands blocks of tuples with
 numpy.  ``membership_scale`` computes one birth on its own and is the
 reference the search agrees with bit for bit.
-``FilteredComplex.faces`` builds each face table with
-``kernels.face_table``, from the lowest missing degree up.
 
 A birth is a non-decreasing function of one float, the tuple's top chain
 value, and a degree has few distinct tops.  So ``kernels.expand`` gives
@@ -39,18 +37,21 @@ degree's distinct tops, and afterwards sorts and powers only those tops;
 tops with one birth merge into one birth code.  It finds each degree in
 lexicographic order, so a stable counting sort of the codes puts it in
 (birth, vertices) order.  It returns per degree the sorted vertex
-matrix and prefix rows, the increasing distinct births and each row's
-code among them.  ``enumerate_complex`` clusters those few births into
-grades, and a tuple's birth and grade index are gathers through its
-code.
+matrix and prefix rows, the increasing distinct births, each row's
+code among them and the face table.  A face is found from the prefix's
+faces: deleting i < k from a tuple of degree k is deleting i from its
+prefix and appending its last vertex, and in search order the rows one
+degree down with one prefix are together, in last-vertex order.
+``enumerate_complex`` clusters those few births into grades, and a
+tuple's birth and grade index are gathers through its code.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,8 +73,9 @@ class FilteredComplex:
     indices (column-major, so each position is contiguous), ``births[k]``
     the float64 births, both sorted by (birth, vertices), ``prefix[k]``
     the row in degree k - 1 of each tuple without its last vertex (-1 at
-    degree 0), and ``grade[k]`` the grade index of each tuple,
-    non-decreasing.  ``grades[g]`` is the value of grade index g, the
+    degree 0), ``tables[k]`` the face table (see ``faces``) and
+    ``grade[k]`` the grade index of each tuple, non-decreasing.
+    ``grades[g]`` is the value of grade index g, the
     smallest birth of its cluster (``grades[0]`` is 0), and
     ``starts[k][g]`` the first row of degree k with grade index >= g, for
     g up to ``len(grades)``.
@@ -86,11 +88,10 @@ class FilteredComplex:
     tuples: List[np.ndarray]
     births: List[np.ndarray]
     prefix: List[np.ndarray]
+    tables: List[np.ndarray]
     grade: List[np.ndarray]
     grades: List[float]
     starts: List[np.ndarray]
-    _faces: Dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False)
 
     def size(self) -> int:
         return sum(len(level) for level in self.tuples)
@@ -105,32 +106,18 @@ class FilteredComplex:
         return [tuple(names[i] for i in row) for row in level.tolist()]
 
     def faces(self, degree: int) -> np.ndarray:
-        """Face-index table of a degree >= 1, computed once.
+        """Face-index table of a degree in 1..max_dim.
 
         Entry [r, i] is the row in ``degree - 1`` of tuple r with vertex i
         deleted, or -1 when that face is degenerate (0 < i < degree and the
         two neighbours of i are equal).  The last column is the prefix.
-        Other faces are found from the prefix's faces: deleting i < degree
-        from v is deleting i from the prefix and appending the last vertex.
-        ``kernels.face_table`` looks up (face of the prefix, last vertex)
-        among the rows one degree down, keyed by (prefix row, last vertex).
-        The missing degrees are built in one loop, upwards from the
-        highest one cached (the cache holds degrees 1 to some m).
+        ``kernels.expand`` builds every degree's table while it sorts;
+        ``InputError`` for a degree outside 1..max_dim.
         """
-        for k in range(len(self._faces) + 1, degree + 1):
-            level = self.tuples[k]
-            table = np.empty(level.shape, dtype=np.intp)
-            if k == 1:
-                table[:, 0] = level[:, 1]  # degree-0 rows are the vertices
-                table[:, 1] = self.prefix[1]
-            else:
-                # tuples are column-major, so each last column is contiguous
-                kernels.face_table(self.prefix[k], level[:, -1],
-                                   self.tuples[k - 1][:, -1],
-                                   self._faces[k - 1], len(self.tuples[k - 2]),
-                                   table)
-            self._faces[k] = table
-        return self._faces[degree]
+        if not 1 <= degree <= self.max_dim:
+            raise InputError(f"a face table needs a degree in "
+                             f"1..{self.max_dim}, got {degree}")
+        return self.tables[degree]
 
 
 def grade_clusters(values: np.ndarray, tol: float, hops: int = 1
@@ -237,16 +224,22 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
     d = X.dist[np.ix_(perm, perm)]
     w = d if p == INF else python_power(d, p)
     limit = INF if budget is None else budget
-    tuples, prefix, levels, codes = (
-        list(part) for part in zip(*kernels.expand(w, p, max_dim, limit)))
+    found = kernels.expand(w, p, max_dim, limit)
     # a leading 0 keeps grade 0 when there are no vertices
-    grades = grade_clusters(np.concatenate([np.zeros(1), *levels]),
-                            tolerance(X, eps), max(max_dim, 1))
-    # a tuple's birth and grade index are those of its birth code
-    births = [level[code] for level, code in zip(levels, codes)]
-    grade = [(np.searchsorted(grades, level, side="right") - 1)[code]
-             for level, code in zip(levels, codes)]
-    starts = [np.searchsorted(level, np.arange(len(grades) + 1))
-              for level in grade]
+    grades = grade_clusters(
+        np.concatenate([np.zeros(1), *(level for _, _, level, _, _ in found)]),
+        tolerance(X, eps), max(max_dim, 1))
+    values = np.array(grades)
+    tuples, prefix, tables, births, grade = [], [], [], [], []
+    for k, (verts, rows, level, code, table) in enumerate(found):
+        found[k] = None  # drop each degree's births and codes once read
+        tuples.append(verts)
+        prefix.append(rows)
+        tables.append(table)
+        # a tuple's birth and grade index are those of its birth code
+        births.append(level[code])
+        grade.append((values.searchsorted(level, side="right") - 1)[code])
+    ramp = np.arange(len(grades) + 1)
+    starts = [level.searchsorted(ramp) for level in grade]
     return FilteredComplex(X, p, max_dim, names, tuples, births, prefix,
-                           grade, grades, starts)
+                           tables, grade, grades, starts)

@@ -67,8 +67,7 @@ def backend(request):
 
 @pytest.fixture
 def nerve_backend(backend, monkeypatch):
-    """``lpnerve.kernels`` searching and building face tables with
+    """``lpnerve.kernels`` searching, and building face tables, with
     ``backend``, which is returned."""
     monkeypatch.setattr(kernels, "expand", backend.expand)
-    monkeypatch.setattr(kernels, "face_table", backend.face_table)
     return backend

@@ -297,7 +297,7 @@ def test_each_boundary_built_once(capsys, monkeypatch, tmp_path):
     ["free", "--budget", "10"], ["analyze", "--max-dim", "2"],
     ["analyze", "--degrees", "1"], ["analyze", "--budget", "10"],
     ["automaton", "--p", "2"], ["automaton", "--degrees", "1"],
-    ["automaton", "--format", "csv"]])
+    ["automaton", "--format", "csv"], ["nerve", "--degrees", "1"]])
 def test_flags_a_command_does_not_read(capsys, line_path, argv):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], line_path, *argv[1:]])
@@ -309,8 +309,8 @@ def test_flags_a_command_reads(capsys, line_path, tmp_path):
     auto = tmp_path / "auto.json"
     auto.write_text(json.dumps(AUTOMATON))
     for argv in (
-            ["nerve", line_path, "--p", "2", "--max-dim", "1", "--degrees",
-             "0", "--budget", "100", "--eps", "0", "--format", "json"],
+            ["nerve", line_path, "--p", "2", "--max-dim", "1",
+             "--budget", "100", "--eps", "0", "--format", "json"],
             ["ph", line_path, "--coeff", "z3", "--format", "svg"],
             ["mh", line_path, "--max-dim", "3", "--budget", "1000",
              "--format", "csv"],
@@ -693,6 +693,34 @@ def test_exit_code_bad_json(capsys, tmp_path, command, name, text):
     err = capsys.readouterr().err
     assert "not valid JSON" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,text", [
+    ("bom.csv", "a,b\n0,1\n1,0\n"),
+    ("labels.csv", "a,b\na,0,1\nb,1,0\n"),
+    ("bom.json", '{"vertices": ["a", "b"], "symmetric": true, '
+     '"edges": [{"from": "a", "to": "b", "dist": 1}]}'),
+], ids=["csv", "csv-row-labels", "json"])
+def test_a_byte_order_mark_is_not_read(capsys, tmp_path, name, text):
+    """Spreadsheets write UTF-8 with a byte-order mark; it does not
+    become part of the first vertex's name."""
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    code, obj = run_json(capsys, ["nerve", str(path), "--max-dim", "1"])
+    assert code == 0
+    assert [t["verts"] for t in obj["tuples"] if t["degree"] == 0] == [
+        ["a"], ["b"]]
+
+
+@pytest.mark.parametrize("command", ["mh", "automaton"])
+def test_deeply_nested_json_is_bad_input(capsys, tmp_path, command):
+    """JSON nested deeper than the parser's recursion allows is one error
+    line and exit code 2, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path} nests JSON values too deeply\n"
 
 
 @pytest.mark.parametrize("command,name,content", [

@@ -539,15 +539,6 @@ def test_barcode_matches_global_filtration(seed, make, n, p, max_dim):
                 global_filtration_barcode(fc, max_degree, q)
 
 
-def test_barcode_builds_no_face_table_above_the_requested_degree():
-    """Bars up to degree d need the face tables of degrees 1 .. d + 1."""
-    for d in range(3):
-        fc = enumerate_complex(random_honest_space(random.Random(d), 5),
-                               INF, d + 3)
-        persistence_barcode(fc, d)
-        assert sorted(fc._faces) == list(range(1, d + 2))
-
-
 def test_barcode_reduces_each_degree_once(monkeypatch):
     """Bars up to degree d reduce d_1 .. d_(d+1), one call each."""
     calls = []

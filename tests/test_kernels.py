@@ -17,7 +17,7 @@ from lpnerve.homology import (INTEGERS, Coefficients, homology_table,
 from lpnerve.kernels import _reduction_py, reduce_columns, reduce_faces
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF, BudgetExceededError
-from lpnerve.vgraph import VGraph, asymmetrize
+from lpnerve.vgraph import asymmetrize
 from util import (KERNELS, random_floors, random_honest_space, random_vgraph,
                   spaces)
 
@@ -352,55 +352,55 @@ def test_search_stops_at_the_budget(backend):
     2, so a budget of 20 raises and one of 21 passes; a huge ``max_dim``
     costs nothing before the budget stops the search."""
     found = backend.expand(W, 1.0, 2, 21)
-    assert [len(prefix) for _, prefix, _, _ in found] == [3, 6, 12]
+    assert [len(prefix) for _, prefix, _, _, _ in found] == [3, 6, 12]
     for limit, max_dim in ((20, 2), (2, 0), (100, 10 ** 6), (100, 1 << 70)):
         with pytest.raises(BudgetExceededError,
                            match=f"exceeded the budget of {limit}$"):
             backend.expand(W, 1.0, max_dim, limit)
     assert len(backend.expand(W, 1.0, 0, 3)) == 1
-    assert [len(prefix) for _, prefix, _, _ in backend.expand(
+    assert [len(prefix) for _, prefix, _, _, _ in backend.expand(
         np.full((2, 2), INF), INF, 3, INF)] == [2, 0, 0, 0]
 
 
 def test_search_sorts_each_degree(backend):
     """On the 3-point line at p = 1 and p = 2, each degree comes back in
-    (birth, vertices) order, with its distinct births and birth codes;
-    -0.0 is the top 0 and no birth is -0.0."""
+    (birth, vertices) order, with its distinct births, birth codes and
+    face table; -0.0 is the top 0 and no birth is -0.0."""
     found = backend.expand(W, 1.0, 1, INF)
-    tuples, prefix, level, code = found[1]
+    tuples, prefix, level, code, faces = found[1]
     assert tuples.tolist() == [[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]]
     assert prefix.tolist() == [0, 1, 1, 2, 0, 2]
     assert level.tolist() == [1.0, 2.0] and code.tolist() == [0] * 4 + [1] * 2
+    assert faces.tolist() == [[1, 0], [0, 1], [2, 1], [1, 2], [2, 0], [0, 2]]
     assert [a.tolist() for a in found[0]] == [[[0], [1], [2]], [-1, -1, -1],
-                                              [0.0], [0, 0, 0]]
+                                              [0.0], [0, 0, 0],
+                                              [[-1], [-1], [-1]]]
     # at p = 2 the births of degree 1 are the square roots of the tops
-    _, _, level, _ = backend.expand(W, 2.0, 1, INF)[1]
+    _, _, level, _, _ = backend.expand(W, 2.0, 1, INF)[1]
     assert level.tolist() == [1.0, 2.0 ** 0.5]
     zeros = np.array([[0.0, -0.0], [-0.0, 0.0]])
     for p in (1.0, INF):
-        tuples, _, level, code = backend.expand(zeros, p, 2, INF)[2]
+        tuples, _, level, code, faces = backend.expand(zeros, p, 2, INF)[2]
         assert tuples.tolist() == [[0, 1, 0], [1, 0, 1]]
         assert level.tolist() == [0.0] and not np.signbit(level).any()
         assert code.tolist() == [0, 0]
+        # deleting the middle vertex makes a degenerate face
+        assert faces.tolist() == [[1, -1, 0], [0, -1, 1]]
 
 
-def face_args(degree=2):
-    """Valid ``face_table`` arguments for a degree of the complete
-    3-point space, each its own array, and the table they give."""
-    fc = enumerate_complex(
-        VGraph(["a", "b", "c"], W), 1.0, degree, budget=None)
-    args = {"prefix": fc.prefix[degree].copy(),
-            "last": fc.tuples[degree][:, -1].copy(),
-            "below_last": fc.tuples[degree - 1][:, -1].copy(),
-            "inner": fc.faces(degree - 1).copy(),
-            "nrows": len(fc.tuples[degree - 2]),
-            "table": np.full(fc.tuples[degree].shape, -7, dtype=np.intp)}
-    return args, fc.faces(degree)
+def face_args(backend, degree=2):
+    """``reduce_faces`` arguments for the face table ``backend.expand``
+    gives a degree of the complete 3-point space, each its own array."""
+    found = backend.expand(W, 1.0, degree, INF)
+    table = found[degree][4].copy()
+    return {"table": table, "nrows": len(found[degree - 1][0]), "q": 2,
+            "floor": np.zeros(len(table), dtype=np.int64),
+            "lows": np.full(len(table), -7, dtype=np.int64)}
 
 
-def _set(name, index, value):
+def _set(index, value):
     def change(args):
-        args[name][index] = value
+        args["table"][index] = value
     return change
 
 
@@ -410,114 +410,88 @@ def _replace(name, make):
     return change
 
 
-def _read_only(array):
-    array = array.copy()
-    array.flags.writeable = False
-    return array
-
-
-def _nrows(value):
-    def change(args):
-        args["nrows"] = value
-    return change
+def _repeat_the_prefix(args):
+    args["table"][1, 0] = args["table"][1, -1]
 
 
 @pytest.mark.parametrize("change,error,message", [
-    (_set("prefix", 3, 6), ValueError, "prefix has the row 6, outside 0..5"),
-    (_set("prefix", 0, -1), ValueError, "prefix has the row -1, outside"),
-    (_set("inner", (5, 1), 3), ValueError,
-     "inner's last column has the row 3, outside 0..2"),
-    (_set("inner", (5, 1), -1), ValueError,
-     "inner's last column has the row -1, outside 0..2"),
-    (_set("inner", (2, 0), 3), ValueError, "inner has the face 3, outside -1..2"),
-    (_set("inner", (0, 0), -2), ValueError, "inner has the face -2"),
-    (_nrows(2), ValueError, "inner's last column has the row 2, outside 0..1"),
-    (_nrows(-1), ValueError, r"nrows must be a count of rows in \[0, 2\^63\), "
-     "got -1"),
-    (_nrows(1 << 63), ValueError, "nrows must be a count of rows"),
-    (_nrows(3.0), TypeError, None),
-    (_set("last", 1, -1), ValueError, "last has the vertex -1, below 0"),
-    (_set("below_last", 1, -3), ValueError, "below_last has the vertex -3"),
-    (_set("below_last", 1, 2), ValueError, "two rows one degree down have "
-     "the prefix row 1 and the last vertex 2"),
-    (_replace("prefix", lambda a: a.astype(np.int32)), ValueError,
-     "prefix must be a 1-d C-contiguous int64 array"),
-    (_replace("last", lambda a: a.astype(np.int64)), ValueError,
-     "last must be a 1-d C-contiguous int32 array"),
-    (_replace("below_last", lambda a: a.astype(np.float64)), ValueError,
-     "below_last must be"),
-    (_replace("prefix", lambda a: np.repeat(a, 2)[::2]), ValueError,
-     "prefix must be a 1-d C-contiguous"),
-    (_replace("inner", lambda a: np.asfortranarray(a)), ValueError,
-     "inner must be a 2-d C-contiguous int64"),
-    (_replace("inner", lambda a: a[:, :1].copy()), ValueError,
-     "inner must have at least 2 columns, got 1"),
-    (_replace("table", _read_only), ValueError,
-     "table must be a writable 2-d"),
-    (_replace("table", lambda a: a[:, :2].copy()), ValueError,
-     "table must have 12 rows and 3 columns, got 12 x 2"),
-    (_replace("last", lambda a: a[:-1].copy()), ValueError,
-     "last and below_last have 11 and 6 rows but prefix and inner have 12 "
-     "and 6"),
-    (_replace("below_last", lambda a: a[:-1].copy()), ValueError,
-     "last and below_last have 12 and 5 rows but prefix and inner have 12 "
-     "and 6"),
-    (_replace("prefix", lambda a: a.tolist()), TypeError, None),
-], ids=["prefix-beyond-rows", "prefix-negative", "below-prefix-beyond-rows",
-        "below-prefix-minus-one", "face-beyond-rows", "face-below-minus-one",
-        "nrows-below-a-prefix", "nrows-negative", "nrows-beyond-int64",
-        "nrows-float", "negative-last", "negative-below-last", "repeated-row",
-        "prefix-int32", "last-int64", "below-last-float", "not-contiguous",
-        "inner-fortran", "inner-one-column", "table-read-only",
-        "table-shape", "row-counts", "below-row-counts", "not-a-buffer"])
+    (_set((3, 2), 6), ValueError, "column 3 has the face 6, outside -1..5"),
+    (_set((0, 2), -2), ValueError, "column 0 has the face -2, outside -1..5"),
+    (_set((2, 0), 6), ValueError, "column 2 has the face 6, outside -1..5"),
+    (_set((0, 0), -2), ValueError, "column 0 has the face -2"),
+    (_replace("nrows", lambda n: 2), ValueError, "outside -1..1"),
+    (_replace("nrows", lambda n: -1), ValueError,
+     r"nrows must be a count of rows in \[0, 2\^63\), got -1"),
+    (_replace("nrows", lambda n: 1 << 63), ValueError,
+     "nrows must be a count of rows"),
+    (_replace("nrows", float), TypeError, None),
+    (_repeat_the_prefix, ValueError, "column 1 has the row 0 twice"),
+    (_replace("lows", lambda a: a[:-1].copy()), ValueError,
+     "the face table has 12 columns but lows has 11 slots"),
+    (_replace("table", lambda a: np.repeat(a, 2, axis=0)[::2]), ValueError,
+     "the face table must be"),
+    (_replace("table", lambda a: a.tolist()), TypeError, None),
+], ids=["prefix-beyond-rows", "prefix-negative", "face-beyond-rows",
+        "face-below-minus-one", "nrows-below-a-prefix", "nrows-negative",
+        "nrows-beyond-int64", "nrows-float", "repeated-row", "row-counts",
+        "not-contiguous", "not-a-buffer"])
 def test_face_table_out_of_contract_input_raises(backend, change, error,
                                                  message):
-    """Both backends check their input the same way, and raise before
-    they write to the table."""
-    args, want = face_args()
-    assert want.shape == (12, 3)
-    table = args["table"]
-    backend.face_table(**args)
-    assert np.array_equal(table, want)
-    args["table"] = table = np.full(want.shape, -7, dtype=np.intp)
+    """A face table from ``expand`` reduces as the list oracle does; with
+    one entry or argument out of contract, ``reduce_faces``, which checks
+    every table it is given, raises on both backends before it writes to
+    ``lows``.  The last column is the prefix: a face like the others."""
+    args = face_args(backend)
+    assert args["table"].shape == (12, 3)
+    want = oracle(args["table"], 2)
+    assert backend.reduce_faces(**args) == sum(low >= 0 for low in want)
+    assert args["lows"].tolist() == want
+    args = face_args(backend)
+    lows = args["lows"]
     change(args)
     with pytest.raises(error, match=message):
-        backend.face_table(**args)
-    assert (args["table"] == -7).all() and (table == -7).all()
+        backend.reduce_faces(**args)
+    assert (args["lows"] == -7).all() and (lows == -7).all()
 
 
 def test_backends_have_the_same_signatures(compiled_kernels):
-    """Each compiled entry names its parameters as its twin does, so a
-    call by keyword reads the same on either backend."""
-    for name in ("expand", "face_table", "reduce_faces"):
+    """``lpnerve.kernels`` exports only entries that both backends have
+    (and the list oracle), and each compiled entry names its parameters
+    as its twin does, so a call by keyword reads the same on either."""
+    entries = [name for name in kernels.__all__
+               if callable(getattr(kernels, name)) and name != "reduce_columns"]
+    assert entries == ["expand", "reduce_faces"]
+    for name in entries:
         compiled = inspect.signature(getattr(compiled_kernels, name))
         twin = inspect.signature(getattr(_reduction_py, name))
         assert list(compiled.parameters) == list(twin.parameters)
 
 
 def test_face_table_fuzz_raises_or_agrees(compiled_kernels):
-    """Random entries written into valid arguments: the compiled kernel
-    raises the twin's error, or fills the table the twin fills; it never
-    reads outside its buffers (an out-of-range row would crash it)."""
+    """Random entries written into the face tables ``expand`` gives
+    degrees 2 and 3: the compiled ``reduce_faces`` raises the twin's
+    error, or returns and writes what the twin does (the lows over Z only
+    when it did not flag); it never reads outside its buffers (an
+    out-of-range face would crash it)."""
     rng = random.Random(89)
     for degree in (2, 3):
         for _ in range(300):
-            args, _ = face_args(degree)
+            args = face_args(_reduction_py, degree)
+            args["q"] = rng.choice([2, 3, 0])
             for _ in range(rng.randint(1, 3)):
-                name = rng.choice(["prefix", "last", "below_last", "inner",
-                                   "nrows"])
-                if name == "nrows":  # its memory grows with nrows
-                    args[name] = rng.choice([-2, -1, 0, 1, 2, 3, 5, 6, 12])
+                if rng.random() < 0.2:  # its memory grows with nrows
+                    args["nrows"] = rng.choice([-2, -1, 0, 1, 2, 3, 5, 6, 12])
                     continue
-                flat = args[name].reshape(-1)
+                flat = args["table"].reshape(-1)
                 flat[rng.randrange(len(flat))] = rng.choice(
                     [-2, -1, 0, 1, 2, 3, 5, 6, 12, 1 << 30])
             results = []
             for module in (compiled_kernels, _reduction_py):
-                table = np.full(args["table"].shape, -7, dtype=np.intp)
+                lows = np.full(len(args["table"]), -7, dtype=np.int64)
                 try:
-                    module.face_table(**dict(args, table=table))
-                    results.append(table.tolist())
+                    count = module.reduce_faces(**dict(args, lows=lows))
+                    results.append((count, lows.tolist() if count >= 0
+                                    else None))
                 except ValueError as exc:
                     results.append(str(exc))
             assert results[0] == results[1]

@@ -378,7 +378,7 @@ def test_search_reach_memory_is_blocked(monkeypatch):
 
 def assert_same_complex(fc, want):
     """Every field of two complexes is equal, dtypes included."""
-    for name in ("tuples", "births", "prefix", "grade", "starts"):
+    for name in ("tuples", "births", "prefix", "tables", "grade", "starts"):
         for a, b in zip(getattr(fc, name), getattr(want, name), strict=True):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
@@ -432,7 +432,6 @@ def test_birth_sort_and_face_lookup_match_the_full_sorts(X, p, max_dim, block):
     the pure-Python search visits its blocks in."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "expand", _reduction_py.expand)
-        patch.setattr(kernels, "face_table", _reduction_py.face_table)
         # BLOCK counts cells: blocks of 1 to 5 rows
         patch.setattr(_reduction_py, "BLOCK", block * len(X))
         fc = enumerate_complex(X, p, max_dim, budget=None)
@@ -444,26 +443,29 @@ def test_birth_sort_and_face_lookup_match_the_full_sorts(X, p, max_dim, block):
         assert np.array_equal(a, b)
 
 
-def test_face_lookup_memory_is_linear(nerve_backend):
+def test_face_lookup_memory_is_linear(backend):
     """1000 pairs of points, infinitely far apart, at max_dim 3: 2000 rows
     per degree, so a lookup table of (prefix rows) x n cells would take
-    some 30 MB, where the face tables need well under 2 MB."""
+    some 30 MB, where the search and its face tables need well under
+    2 MB."""
     n = 2000
     dist = np.full((n, n), INF)
     for lo in range(0, n, 2):
         dist[lo:lo + 2, lo:lo + 2] = 1.0
     np.fill_diagonal(dist, 0.0)
-    fc = enumerate_complex(VGraph([f"x{i:04d}" for i in range(n)], dist),
-                           1.0, 3, budget=None)
-    assert [len(level) for level in fc.tuples] == [n] * 4
+    X = VGraph([f"x{i:04d}" for i in range(n)], dist)
+    w = powered(X, 1.0)
     tracemalloc.start()
     try:
-        for degree in range(1, 4):
-            fc.faces(degree)
+        found = backend.expand(w, 1.0, 3, INF)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+    assert [len(prefix) for _, prefix, _, _, _ in found] == [n] * 4
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "expand", backend.expand)
+        fc = enumerate_complex(X, 1.0, 3, budget=None)
     for degree in range(1, 4):
         assert np.array_equal(fc.faces(degree), searched_faces(fc, degree))
 
@@ -476,31 +478,19 @@ def powered(X, p):
     return d if p == INF else python_power(d, p)
 
 
-def face_tables(backend, fc):
-    """The face tables of degrees 2 and up that ``backend`` builds from
-    the complex's own tables one degree down."""
-    tables = []
-    for k in range(2, fc.max_dim + 1):
-        table = np.full(fc.tuples[k].shape, -7, dtype=np.intp)
-        backend.face_table(fc.prefix[k], fc.tuples[k][:, -1],
-                           fc.tuples[k - 1][:, -1], fc.faces(k - 1),
-                           len(fc.tuples[k - 2]), table)
-        tables.append(table)
-    return tables
-
-
 @settings(max_examples=150, deadline=None)
 @given(X=spaces(), twist=st.booleans(),
        p=st.sampled_from([1.0, 1.5, 2.0, INF]), max_dim=st.integers(0, 4))
 def test_compiled_search_and_face_table_match_the_twins(compiled_kernels, X,
                                                         twist, p, max_dim):
     """The compiled search gives the pure-Python twin's sorted arrays
-    (vertex matrix, prefix rows, distinct births and birth codes), dtypes,
-    memory order and bits included, and raises at the same budgets; the
-    complex each backend gives is that of the full sorts of the raw
-    search, and the compiled face tables are those of one binary search
-    per face.  Symmetric spaces are also tried after ``asymmetrize``,
-    where a row has far fewer children than a complete space gives it."""
+    (vertex matrix, prefix rows, distinct births, birth codes and face
+    tables), dtypes, memory order and bits included, and raises at the
+    same budgets; the complex each backend gives is that of the full
+    sorts of the raw search, and its face tables are those of one binary
+    search per face and those of a lookup by name.  Symmetric spaces are
+    also tried after ``asymmetrize``, where a row has far fewer children
+    than a complete space gives it."""
     if twist and np.array_equal(X.dist, X.dist.T):
         X = asymmetrize(X)
     w = powered(X, p)
@@ -508,14 +498,15 @@ def test_compiled_search_and_face_table_match_the_twins(compiled_kernels, X,
     want = _reduction_py.expand(w, p, max_dim, INF)
     assert len(found) == len(want) == max_dim + 1
     for k, (got, expected) in enumerate(zip(found, want)):
-        tuples, prefix, level, code = got
+        tuples, prefix, level, code, faces = got
         assert tuples.shape == (len(prefix), k + 1)
         assert tuples.flags.f_contiguous
+        assert faces.shape == tuples.shape and faces.flags.c_contiguous
         for a, b in zip(got, expected, strict=True):
             assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape,
                                                      b.strides)
             assert a.tobytes() == b.tobytes()  # births bit for bit
-    total = sum(len(prefix) for _, prefix, _, _ in want)
+    total = sum(len(prefix) for _, prefix, _, _, _ in want)
     for module in (compiled_kernels, _reduction_py):
         with pytest.raises(BudgetExceededError):
             module.expand(w, p, max_dim, total - 1)
@@ -524,15 +515,23 @@ def test_compiled_search_and_face_table_match_the_twins(compiled_kernels, X,
     for module in (_reduction_py, compiled_kernels):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "expand", module.expand)
-            patch.setattr(kernels, "face_table", compiled_kernels.face_table)
             fc = enumerate_complex(X, p, max_dim, budget=None)
-            for degree in range(1, max_dim + 1):
-                fc.faces(degree)
         assert_same_complex(fc, sorted_fc)
-    for degree in range(1, max_dim + 1):
-        a, b = fc.faces(degree), searched_faces(sorted_fc, degree)
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
-    for a, b in zip(face_tables(compiled_kernels, fc),
-                    face_tables(_reduction_py, fc), strict=True):
-        assert np.array_equal(a, b)
+        for degree in range(1, max_dim + 1):
+            a, b = fc.faces(degree), searched_faces(sorted_fc, degree)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, dense_face_table(fc, degree))
+
+
+def test_faces_need_a_degree_of_the_complex():
+    """A face table exists for each degree 1..max_dim, and any other
+    degree is an input error, not a lookup error."""
+    X = VGraph(["a", "b", "c"],
+               np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+    fc = enumerate_complex(X, 1.0, 2)
+    for degree in (1, 2):
+        assert fc.faces(degree).shape == (len(fc.tuples[degree]), degree + 1)
+    for degree in (-1, 0, 3):
+        with pytest.raises(InputError, match=r"degree in 1\.\.2, got"):
+            fc.faces(degree)

@@ -302,9 +302,9 @@ def dense_face_table(fc, degree: int) -> np.ndarray:
 def lexsorted_complex(X: VGraph, p: float, max_dim: int,
                       eps: float = EPS) -> FilteredComplex:
     """``enumerate_complex`` with each degree put in order by a full sort on
-    (birth, vertices), which does not rely on the search order; the
-    tuples come from the pure-Python twin's raw search, in the order it
-    finds them."""
+    (birth, vertices), which does not rely on the search order, and the
+    face tables of ``searched_faces``; the tuples come from the
+    pure-Python twin's raw search, in the order it finds them."""
     names = sorted(X.vertices)
     perm = [X.index(v) for v in names]
     d = X.dist[np.ix_(perm, perm)]
@@ -328,18 +328,21 @@ def lexsorted_complex(X: VGraph, p: float, max_dim: int,
              for level in births]
     starts = [np.searchsorted(level, np.arange(len(grades) + 1))
               for level in grade]
-    return FilteredComplex(X, p, max_dim, names, tuples, births, prefix,
-                           grade, grades, starts)
+    fc = FilteredComplex(X, p, max_dim, names, tuples, births, prefix, [],
+                         grade, grades, starts)
+    fc.tables.extend(searched_faces(fc, k) for k in range(max_dim + 1))
+    return fc
 
 
 def searched_faces(fc, degree: int) -> np.ndarray:
     """``fc.faces(degree)`` by one binary search per face over the sorted
-    keys (prefix row) * n + (last vertex) of the rows one degree down."""
+    keys (prefix row) * n + (last vertex) of the rows one degree down
+    (at degree 0, the one column of prefix rows, all -1)."""
     level = fc.tuples[degree]
     table = np.empty(level.shape, dtype=np.intp)
     table[:, degree] = fc.prefix[degree]
-    if degree == 1:
-        table[:, 0] = level[:, 1]
+    if degree < 2:
+        table[:, :degree] = level[:, 1:]
         return table
     n = len(fc.names)
     keys = fc.prefix[degree - 1] * n + fc.tuples[degree - 1][:, -1]
