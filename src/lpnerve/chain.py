@@ -7,7 +7,7 @@ the integer grade indices the complex gave every tuple, and a sieve kills,
 at grade index g, every grade below its floor ``floor(g) <= g``, so the
 rows that survive have grade index in floor(g)..g.  Each degree is sorted
 by birth, so these rows are one contiguous slice, read from the complex's
-per-degree grade offsets (``FilteredComplex.starts``).  Every boundary is
+per-degree grade offsets (``FilteredComplex.degree``).  Every boundary is
 read from the complex's face-index table (``FilteredComplex.faces``),
 which holds for each tuple and deleted vertex the row of the face one
 degree down.
@@ -108,23 +108,13 @@ def check_grade(fc: FilteredComplex, g: int) -> None:
                          f"grade indices 0..{len(fc.grades) - 1}")
 
 
-def _span(fc: FilteredComplex, degree: int, g: int,
-          sieve: SieveSpec) -> Tuple[int, int]:
-    """First and past-last row of the given degree that survive at grade
-    index g: those with grade index in ``sieve.floor(g) .. g``."""
-    if not 0 <= degree <= fc.max_dim:
-        raise InputError(f"degree {degree} is outside the complex: "
-                         f"degrees 0..{fc.max_dim}")
-    check_grade(fc, g)
-    starts = fc.starts[degree]
-    return int(starts[sieve.floor(g)]), int(starts[g + 1])
-
-
 def generators_at(fc: FilteredComplex, degree: int, g: int,
                   sieve: SieveSpec) -> np.ndarray:
     """Rows of the tuples of the given degree that survive at grade index
-    g, increasing."""
-    return np.arange(*_span(fc, degree, g, sieve))
+    g, those with grade index in ``sieve.floor(g) .. g``, increasing."""
+    starts = fc.degree(degree).starts
+    check_grade(fc, g)
+    return np.arange(starts[sieve.floor(g)], starts[g + 1])
 
 
 def sieve_boundary(fc: FilteredComplex, degree: int, floors: np.ndarray
@@ -145,14 +135,13 @@ def sieve_boundary(fc: FilteredComplex, degree: int, floors: np.ndarray
     indices ``floor(g)..g`` are the boundary at each g of the run, and the
     pivots of a left-to-right column reduction count its rank there.
     """
-    if not 1 <= degree <= fc.max_dim:
-        raise InputError(f"a boundary needs a degree in 1..{fc.max_dim}, "
-                         f"got {degree}")
+    faces = fc.faces(degree)  # InputError for a degree outside 1..max_dim
     base = int(floors[0])
-    lo, hi = fc.starts[degree][[base, base + len(floors)]].tolist()
-    faces, grade = fc.faces(degree)[lo:hi], fc.grade[degree][lo:hi]
-    lowest = fc.starts[degree - 1][floors]  # first row kept, per grade index
-    return faces, lowest[grade - base], grade
+    level = fc.degree(degree)
+    lo, hi = level.starts[[base, base + len(floors)]].tolist()
+    grade = level.grade[lo:hi]
+    lowest = fc.degree(degree - 1).starts[floors]  # first row kept per grade
+    return faces[lo:hi], lowest[grade - base], grade
 
 
 def boundary_matrix(fc: FilteredComplex, degree: int, g: int,
@@ -167,4 +156,5 @@ def boundary_matrix(fc: FilteredComplex, degree: int, g: int,
     check_grade(fc, g)
     f = sieve.floor(g)
     faces, floor, _ = sieve_boundary(fc, degree, np.full(g - f + 1, f))
-    return columns(faces - fc.starts[degree - 1][f], faces >= floor[:, None])
+    # every column's floor is the first row of grade index f one degree down
+    return columns(faces - floor[:, None], faces >= floor[:, None])

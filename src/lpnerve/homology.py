@@ -164,7 +164,7 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
             runs[-1].append((g, f))
         else:
             runs.append([(g, f)])
-    starts = [level.tolist() for level in fc.starts]
+    starts = {n: fc.degree(n).starts.tolist() for n in degrees}
     out: List[HomologySummary] = []
     for run in runs:
         first, floor = run[0]
@@ -173,7 +173,7 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
         ranks = {0: [(0, ())] * len(run)}
         for k in {k for n in degrees for k in (n, n + 1)} - {0}:
             ranks[k] = _ranks(*sieve_boundary(fc, k, floors),
-                              len(fc.grade[k - 1]), coefficients, run)
+                              len(fc.degree(k - 1).grade), coefficients, run)
         for i, (g, f) in enumerate(run):
             for n in degrees:
                 gens = starts[n][g + 1] - starts[n][f]
@@ -230,21 +230,21 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
     bars: List[Bar] = []
     grades = fc.grades
     floors = np.zeros(len(grades), dtype=np.intp)  # the empty sieve's run
-    cycle = np.ones(len(fc.grade[0]), dtype=bool)  # d_0 is zero
+    below = fc.grade[0]
+    cycle = np.ones(len(below), dtype=bool)  # d_0 is zero
     for k in range(1, max_degree + 2):
-        faces, floor, _ = sieve_boundary(fc, k, floors)
+        faces, floor, grade = sieve_boundary(fc, k, floors)  # every row
         lows = np.empty(len(faces), dtype=np.int64)
-        kernels.reduce_faces(faces, len(fc.grade[k - 1]),
-                             field_coeffs.modulus, floor, lows)
+        kernels.reduce_faces(faces, len(below), field_coeffs.modulus, floor,
+                             lows)
         killer = np.flatnonzero(lows >= 0)
-        birth, death = fc.grade[k - 1][lows[killer]], fc.grade[k][killer]
+        birth, death = below[lows[killer]], grade[killer]
         live = birth != death
         bars += [Bar(k - 1, grades[b], grades[d]) for b, d in
                  zip(birth[live].tolist(), death[live].tolist())]
         cycle[lows[killer]] = False
-        bars += [Bar(k - 1, grades[b], INF)
-                 for b in fc.grade[k - 1][cycle].tolist()]
-        cycle = lows < 0
+        bars += [Bar(k - 1, grades[b], INF) for b in below[cycle].tolist()]
+        below, cycle = grade, lows < 0
     return Barcode(bars).sort()
 
 

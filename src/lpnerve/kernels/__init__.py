@@ -3,9 +3,9 @@
 Two entries carry the per-tuple loops of the library.
 ``expand(w, p, max_dim, limit)`` is the nerve's tuple search: it finds
 every finite-birth nondegenerate tuple depth first, carrying the
-longest-chain values down, and returns each degree sorted by (birth,
-vertices): the vertex matrix, the prefix rows, the increasing distinct
-births, each row's index (birth code) among them and the face table.
+longest-chain values down, and returns each degree up to max_dim or the
+first empty one sorted by (birth, vertices): the vertex matrix, the
+distinct births, each row's birth code among them and the face table.
 ``reduce_faces(table, nrows, q, floor, lows)`` is the one column
 reduction: it reduces a boundary straight from its face table, each
 column keeping only its faces from row ``floor[j]`` on (so a sieve needs

@@ -29,16 +29,17 @@
  * and 0 for a top of 0; the top itself at p = inf) and sorted, tops with
  * one birth merge, and a stable counting sort by birth puts the rows in
  * (birth, vertices) order.  Per degree k the result is the column-major
- * int32 vertex matrix, the prefix rows renumbered to that order (intp, -1
- * at degree 0), the increasing distinct births (float64), each row's
- * index among them (intp) and the face table (intp, rows x (k + 1)):
+ * int32 vertex matrix, the increasing distinct births (float64), each
+ * row's index among them (intp) and the face table (intp, rows x (k + 1)):
  * entry [r, i] is the row one degree down of tuple r with vertex i
  * deleted, or -1 where that face is degenerate, and the last column is
- * the prefix.  Deleting vertex i < k from a tuple is deleting i from its
- * prefix (face F, a row two degrees down) and appending its last vertex
- * v.  The children of F one degree down were found together, in
- * last-vertex order, so (F, v) is one binary search among them.  The
- * search state grows with the tuples and the depth actually reached.
+ * the prefix, renumbered to that order (-1 at degree 0).  Deleting vertex
+ * i < k from a tuple is deleting i from its prefix (face F, a row two
+ * degrees down) and appending its last vertex v.  The children of F one
+ * degree down were found together, in last-vertex order, so (F, v) is one
+ * binary search among them.  The result ends at max_dim or at the first
+ * empty degree: every prefix is a tuple.  The search state grows with the
+ * tuples and the depth actually reached.
  *
  * ``reduce_faces(table, nrows, q, floor, lows)`` reduces columns left to
  * right.  ``table`` is a 2-d int64 buffer: row j lists the faces of
@@ -373,7 +374,7 @@ static void face_row(const Below *below, const Py_ssize_t *inner, int32_t v,
     }
 }
 
-/* (tuples, prefix, level, code, faces) of degree k, whose tuples the
+/* (tuples, level, code, faces) of degree k, whose tuples the
    search found in lexicographic order, sorted by (birth, vertices);
    below is the degree under it, and becomes this one, which takes the
    level's last vertices. */
@@ -389,10 +390,10 @@ static PyObject *sorted_level(PyObject *empty, Level *level, Py_ssize_t k,
     Py_ssize_t *start = PyMem_Calloc(m + 1, sizeof(Py_ssize_t));
     Py_ssize_t *first = PyMem_Malloc(up * sizeof(Py_ssize_t));
     Py_ssize_t *count = PyMem_Calloc(up, sizeof(Py_ssize_t));
-    PyObject *tuples = NULL, *prefix = NULL, *values = NULL, *codes = NULL;
-    PyObject *faces = NULL, *result = NULL;
+    PyObject *tuples = NULL, *values = NULL, *codes = NULL, *faces = NULL;
+    PyObject *result = NULL;
     int32_t *verts;
-    Py_ssize_t *pre, *code, *table;
+    Py_ssize_t *code, *table;
     double *value;
 
     if (births == NULL || merged == NULL || rank == NULL || start == NULL
@@ -417,8 +418,7 @@ static PyObject *sorted_level(PyObject *empty, Level *level, Py_ssize_t k,
     }
     values = new_array(empty, nlevel, -1, "float64", "F", &value);
     tuples = values ? new_array(empty, rows, k + 1, "int32", "F", &verts) : NULL;
-    prefix = tuples ? new_array(empty, rows, -1, "intp", "F", &pre) : NULL;
-    codes = prefix ? new_array(empty, rows, -1, "intp", "F", &code) : NULL;
+    codes = tuples ? new_array(empty, rows, -1, "intp", "F", &code) : NULL;
     faces = codes ? new_array(empty, rows, k + 1, "intp", "C", &table) : NULL;
     if (faces == NULL)
         goto done;
@@ -432,30 +432,24 @@ static PyObject *sorted_level(PyObject *empty, Level *level, Py_ssize_t k,
         start[b + 1] += start[b];
     for (Py_ssize_t r = 0; r < rows; r++) {
         Py_ssize_t b = merged[level->code[r]], j = start[b]++;
+        Py_ssize_t f = k > 0 ? below->rank[level->parent[r]] : -1;
+        Py_ssize_t *out = table + j * (k + 1);
+        int32_t v = level->last[r];
         rank[r] = j;
         code[j] = b;
-        pre[j] = -1;
-        if (k > 0) {
-            Py_ssize_t f = below->rank[level->parent[r]];
-            pre[j] = f;
-            if (count[f]++ == 0)
-                first[f] = r;
-        }
-        verts[k * rows + j] = level->last[r];
-    }
-    for (Py_ssize_t j = 0; j < rows; j++) {
+        if (k > 0 && count[f]++ == 0)
+            first[f] = r;
         /* each row is its prefix's row, then its last vertex */
         for (Py_ssize_t i = 0; i < k; i++)
-            verts[i * rows + j] = below->verts[i * below->rows + pre[j]];
-        Py_ssize_t *out = table + j * (k + 1);
+            verts[i * rows + j] = below->verts[i * below->rows + f];
+        verts[k * rows + j] = v;
         if (k == 1)
-            out[0] = verts[rows + j];  /* degree-0 rows are the vertices */
+            out[0] = v;  /* degree-0 rows are the vertices */
         else if (k > 1)
-            face_row(below, below->faces + pre[j] * k, verts[k * rows + j],
-                     k, out);
-        out[k] = pre[j];
+            face_row(below, below->faces + f * k, v, k, out);
+        out[k] = f;  /* the last face is the prefix */
     }
-    result = PyTuple_Pack(5, tuples, prefix, values, codes, faces);
+    result = PyTuple_Pack(4, tuples, values, codes, faces);
     if (result != NULL) {
         below_free(below);
         *below = (Below){rank, level->last, verts, table, rows, first, count};
@@ -470,7 +464,6 @@ done:
     PyMem_Free(first);
     PyMem_Free(count);
     Py_XDECREF(tuples);
-    Py_XDECREF(prefix);
     Py_XDECREF(values);
     Py_XDECREF(codes);
     Py_XDECREF(faces);
@@ -497,8 +490,8 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
     PyObject *w_obj, *p_obj, *max_dim_obj, *limit_obj, *result = NULL;
     PyObject *numpy = NULL, *empty = NULL;
     Py_buffer w_view = {0};
-    Level *levels = NULL;  /* one per degree reached */
-    Py_ssize_t nlevels = 0, levels_cap = 0;
+    Level *levels = NULL;  /* one per degree reached, room for depths + 1 */
+    Py_ssize_t nlevels = 0;
     /* per depth: the next row to visit, the end of its run, and the reach
        row of the tuple visited there */
     Py_ssize_t *cursor = NULL, *end = NULL, depths = 0;
@@ -563,9 +556,8 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
         budget_exceeded(limit_obj);
         goto done;
     }
-    if (resize(&levels, 4, sizeof(Level)) < 0)
+    if (resize(&levels, 1, sizeof(Level)) < 0)
         goto done;
-    levels_cap = 4;
     levels[0] = (Level){0};
     nlevels = 1;
     if (level_reserve(&levels[0], n) < 0)
@@ -581,7 +573,8 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
     if (max_dim > 0 && n > 0) {
         if (resize(&cursor, 1, sizeof(Py_ssize_t)) < 0
             || resize(&end, 1, sizeof(Py_ssize_t)) < 0
-            || resize(&reach, n, sizeof(double)) < 0)
+            || resize(&reach, n, sizeof(double)) < 0
+            || resize(&levels, 2, sizeof(Level)) < 0)
             goto done;
         depths = 1;
         cursor[0] = 0;
@@ -609,14 +602,8 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
                 for (Py_ssize_t u = 0; u < n; u++)
                     row[u] = maximum(up[u], top + wv[u]);
         }
-        if (depth + 1 == nlevels) {  /* the first tuple to reach a degree */
-            if (nlevels == levels_cap) {
-                if (resize(&levels, 2 * levels_cap, sizeof(Level)) < 0)
-                    goto done;
-                levels_cap *= 2;
-            }
+        if (depth + 1 == nlevels)  /* the first tuple to reach a degree */
             levels[nlevels++] = (Level){0};
-        }
         Level *children = &levels[depth + 1];
         if (level_reserve(children, children->size + n) < 0)
             goto done;
@@ -640,7 +627,8 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
                 Py_ssize_t more = 2 * depths;
                 if (resize(&cursor, more, sizeof(Py_ssize_t)) < 0
                     || resize(&end, more, sizeof(Py_ssize_t)) < 0
-                    || resize(&reach, more * n, sizeof(double)) < 0)
+                    || resize(&reach, more * n, sizeof(double)) < 0
+                    || resize(&levels, more + 1, sizeof(Level)) < 0)
                     goto done;
                 depths = more;
             }
@@ -652,14 +640,12 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
     numpy = PyImport_ImportModule("numpy");
     if (numpy == NULL || (empty = PyObject_GetAttrString(numpy, "empty")) == NULL)
         goto done;
-    PyObject *found = PyList_New((Py_ssize_t)max_dim + 1);
+    PyObject *found = PyList_New(nlevels);
     if (found == NULL)
         goto done;
-    Level none = {0};
-    for (Py_ssize_t k = 0; k <= max_dim; k++) {
-        Level *level = k < nlevels ? &levels[k] : &none;
-        PyObject *sorted = sorted_level(empty, level, k, p, &below);
-        level_free(level);  /* drop the search's arrays once sorted */
+    for (Py_ssize_t k = 0; k < nlevels; k++) {
+        PyObject *sorted = sorted_level(empty, &levels[k], k, p, &below);
+        level_free(&levels[k]);  /* drop the search's arrays once sorted */
         if (sorted == NULL) {
             Py_DECREF(found);
             goto done;
@@ -855,7 +841,7 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "expand($module, /, w, p, max_dim, limit)\n--\n\n"
      "Every finite-birth nondegenerate tuple of degree <= max_dim of the space\n"
-     "with p-th-power distances ``w``: per degree (tuples, prefix, level, code,\n"
+     "with p-th-power distances ``w``: per degree reached (tuples, level, code,\n"
      "faces) in (birth, vertices) order.  BudgetExceededError past ``limit`` tuples."},
     {"reduce_faces", (PyCFunction)(void (*)(void))reduce_faces,
      METH_VARARGS | METH_KEYWORDS,

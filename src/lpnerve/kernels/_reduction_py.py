@@ -6,23 +6,24 @@ ValueError, or TypeError for something other than a buffer or a number.
 Arrays are read through the buffer protocol and must be C-contiguous
 with the stated element type.
 
-``expand(w, p, max_dim, limit)`` returns, per degree k = 0..max_dim, the
+``expand(w, p, max_dim, limit)`` returns, per degree k from 0, the
 finite-birth nondegenerate tuples sorted by (birth, vertices): their
-column-major int32 vertex matrix ``tuples``, their prefix rows ``prefix``
-(intp, -1 at degree 0), the increasing distinct births ``level``
-(float64), each row's index among them ``code`` (intp) and the face
-table ``faces`` (intp, rows x (k + 1)): entry [r, i] is the row one
-degree down of tuple r with vertex i deleted, or -1 where that face is
-degenerate, and the last column is ``prefix``.  ``w`` is the n x n
-float64 matrix of p-th-power distances (plain distances at p = inf),
-and p lies in [1, inf].  A birth is top^(1/p) of the tuple's top chain
-value (0 for a top of 0) by Python's float power, which is libm's pow,
-and the top itself at p = inf; it is never -0.0.  It raises
-``BudgetExceededError`` as soon as more than ``limit`` tuples are found.
+column-major int32 vertex matrix ``tuples``, the increasing distinct
+births ``level`` (float64), each row's index among them ``code`` (intp)
+and the face table ``faces`` (intp, rows x (k + 1)): entry [r, i] is the
+row one degree down of tuple r with vertex i deleted, or -1 where that
+face is degenerate, and the last column is the prefix's row (-1 at
+degree 0).  The degrees end at max_dim or at the first empty one: every
+tuple's prefix is a tuple.  ``w`` is the n x n float64 matrix of
+p-th-power distances (plain distances at p = inf), and p lies in
+[1, inf].  A birth is top^(1/p) of the tuple's top chain value (0 for a
+top of 0) by Python's float power, which is libm's pow, and the top
+itself at p = inf; it is never -0.0.  It raises ``BudgetExceededError``
+as soon as more than ``limit`` tuples are found.
 ``search(w, at_inf, max_dim, limit)`` is its raw search, which only the
-twin has: per degree the last vertex (int32), the top (float64) and the
-prefix row (intp) of each tuple, in the lexicographic order it finds
-them.
+twin has: per degree, with the same end, the last vertex (int32), the
+top (float64) and the prefix row (intp) of each tuple, in the
+lexicographic order it finds them.
 
 ``reduce_faces(table, nrows, q, floor, lows)``: ``table`` is a 2-d int64
 buffer: row j lists the faces of column j, entry i a row index in [0,
@@ -103,20 +104,21 @@ def expand(w, p, max_dim, limit):
         order = np.argsort(code.astype(np.min_scalar_type(len(level))),
                            kind="stable")
         code = code[order]
-        # parents were numbered in search order; renumber them sorted
-        prefix = rank[parent[order]] if k else parent
         verts = np.empty((len(order), k + 1), dtype=VERTEX, order="F")
         verts[:, k] = last[order]
         below_keys, keys = keys, parent * n + last
-        del last, top, parent  # the search's arrays go before the tables come
+        # parents were numbered in search order; renumber them sorted
+        parent = rank[parent[order]] if k else parent
+        del last, top  # the search's arrays go before the tables come
         faces = np.empty((len(order), k + 1), dtype=np.intp)
-        faces[:, k] = prefix
+        faces[:, k] = parent  # the last face is the prefix
+        del parent
         if k == 1:
             faces[:, 0] = verts[:, 1]  # degree-0 rows are the vertices
         # blocks of rows bound the scratch to BLOCK cells (or one row)
         step = max(1, BLOCK // (k + 1))
         for lo in range(0, len(order) if k else 0, step):
-            up, hi = prefix[lo:lo + step], lo + step
+            up, hi = faces[lo:lo + step, k], lo + step
             # each row is its prefix's row, then its last vertex
             verts[lo:hi, :k] = below[up]
             if k > 1:  # face i < k is (face i of the prefix, last vertex)
@@ -127,7 +129,7 @@ def expand(w, p, max_dim, limit):
                 faces[lo:hi, :k] = np.where(
                     below_keys.take(pos, mode="clip") == want,
                     rank.take(pos, mode="clip"), -1)
-        out.append((verts, prefix, level, code, faces))
+        out.append((verts, level, code, faces))
         below, inner = verts, faces
         inner_order, below_order = below_order, order
         rank = np.empty_like(order)
@@ -213,8 +215,6 @@ def search(w, at_inf, max_dim, limit):
     for k in range(len(found)):
         joined.append(tuple(np.concatenate(parts) for parts in zip(*found[k])))
         found[k] = None  # drop the chunks once joined
-    joined += [(np.empty(0, VERTEX), np.empty(0), np.empty(0, np.intp))
-               for _ in range(max_dim + 1 - len(joined))]
     return joined
 
 

@@ -11,10 +11,10 @@ The complex is columnar.  Vertices are numbered in sorted-name order, so
 ordering index rows is ordering name tuples, and each degree is an
 integer matrix (one row of vertex indices per tuple, stored
 column-major) with a float64 births vector, both sorted by (birth,
-vertices).  Each row also records the row of its prefix (the tuple
-without its last vertex) one degree down, and each degree from 1 up its
-face table (``FilteredComplex.faces``).  Names appear only when a
-result is emitted (``FilteredComplex.labels``).
+vertices), and a face table (``FilteredComplex.faces``), whose last
+column is the row one degree down of each tuple's prefix (the tuple
+without its last vertex).  Names appear only when a result is emitted
+(``FilteredComplex.labels``).
 
 Births are compared once, here: ``enumerate_complex`` clusters all births
 of all degrees by single linkage at a tolerance relative to the largest
@@ -37,11 +37,12 @@ degree's distinct tops, and afterwards sorts and powers only those tops;
 tops with one birth merge into one birth code.  It finds each degree in
 lexicographic order, so a stable counting sort of the codes puts it in
 (birth, vertices) order.  It returns per degree the sorted vertex
-matrix and prefix rows, the increasing distinct births, each row's
-code among them and the face table.  A face is found from the prefix's
-faces: deleting i < k from a tuple of degree k is deleting i from its
-prefix and appending its last vertex, and in search order the rows one
-degree down with one prefix are together, in last-vertex order.
+matrix, the increasing distinct births, each row's code among them and
+the face table, and stops at the first degree it found empty.  A face
+is found from the prefix's faces: deleting i < k from a tuple of degree
+k is deleting i from its prefix and appending its last vertex, and in
+search order the rows one degree down with one prefix are together, in
+last-vertex order.
 ``enumerate_complex`` clusters those few births into grades, and a
 tuple's birth and grade index are gathers through its code.
 """
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -64,21 +66,25 @@ from .vgraph import VGraph, tolerance
 DEFAULT_BUDGET = 2_000_000
 
 
+#: one degree of a complex, as ``FilteredComplex.degree`` gives it
+Degree = namedtuple("Degree", "tuples births grade starts faces")
+
+
 @dataclass(eq=False)
 class FilteredComplex:
     """All finite-birth nondegenerate tuples of degree <= ``max_dim``.
 
     Vertex index ``i`` stands for ``names[i]``, and ``names`` is sorted.
-    Per degree k: ``tuples[k]`` is a (rows, k + 1) integer matrix of vertex
-    indices (column-major, so each position is contiguous), ``births[k]``
-    the float64 births, both sorted by (birth, vertices), ``prefix[k]``
-    the row in degree k - 1 of each tuple without its last vertex (-1 at
-    degree 0), ``tables[k]`` the face table (see ``faces``) and
-    ``grade[k]`` the grade index of each tuple, non-decreasing.
-    ``grades[g]`` is the value of grade index g, the
-    smallest birth of its cluster (``grades[0]`` is 0), and
-    ``starts[k][g]`` the first row of degree k with grade index >= g, for
-    g up to ``len(grades)``.
+    Per stored degree k: ``tuples[k]`` is a (rows, k + 1) integer matrix
+    of vertex indices (column-major, so each position is contiguous),
+    ``births[k]`` the float64 births, both sorted by (birth, vertices),
+    ``tables[k]`` the face table (see ``faces``) and ``grade[k]`` the
+    grade index of each tuple, non-decreasing.  ``grades[g]`` is the
+    value of grade index g, the smallest birth of its cluster
+    (``grades[0]`` is 0), and ``starts[k][g]`` the first row of degree k
+    with grade index >= g, for g up to ``len(grades)``.  The stored
+    degrees end at ``max_dim`` or one past the last nonempty degree,
+    whichever comes first; ``degree`` reads any degree up to ``max_dim``.
     """
 
     space: VGraph
@@ -87,7 +93,6 @@ class FilteredComplex:
     names: List[str]
     tuples: List[np.ndarray]
     births: List[np.ndarray]
-    prefix: List[np.ndarray]
     tables: List[np.ndarray]
     grade: List[np.ndarray]
     grades: List[float]
@@ -99,11 +104,27 @@ class FilteredComplex:
     def labels(self, degree: int,
                rows: Optional[Sequence[int]] = None) -> List[Tuple[str, ...]]:
         """Vertex-name tuples of the given rows (default all) of a degree."""
-        level = self.tuples[degree]
+        level = self.degree(degree).tuples
         if rows is not None:
             level = level[np.asarray(rows, dtype=np.intp)]
         names = self.names
         return [tuple(names[i] for i in row) for row in level.tolist()]
+
+    def degree(self, k: int) -> Degree:
+        """The tuples, births, grade indices, grade offsets and face table
+        of a degree k in 0..max_dim.  Every degree above the stored ones is
+        empty, since every tuple's prefix is a tuple; ``InputError`` for a
+        degree outside 0..max_dim."""
+        if not 0 <= k <= self.max_dim:
+            raise InputError(f"degree {k} is outside the complex: "
+                             f"degrees 0..{self.max_dim}")
+        if k < len(self.tuples):
+            return Degree(self.tuples[k], self.births[k], self.grade[k],
+                          self.starts[k], self.tables[k])
+        return Degree(np.empty((0, k + 1), np.int32, order="F"),
+                      np.empty(0), np.empty(0, np.intp),
+                      np.zeros(len(self.grades) + 1, np.intp),
+                      np.empty((0, k + 1), np.intp))
 
     def faces(self, degree: int) -> np.ndarray:
         """Face-index table of a degree in 1..max_dim.
@@ -111,13 +132,12 @@ class FilteredComplex:
         Entry [r, i] is the row in ``degree - 1`` of tuple r with vertex i
         deleted, or -1 when that face is degenerate (0 < i < degree and the
         two neighbours of i are equal).  The last column is the prefix.
-        ``kernels.expand`` builds every degree's table while it sorts;
         ``InputError`` for a degree outside 1..max_dim.
         """
         if not 1 <= degree <= self.max_dim:
             raise InputError(f"a face table needs a degree in "
                              f"1..{self.max_dim}, got {degree}")
-        return self.tables[degree]
+        return self.degree(degree).faces
 
 
 def grade_clusters(values: np.ndarray, tol: float, hops: int = 1
@@ -227,19 +247,18 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
     found = kernels.expand(w, p, max_dim, limit)
     # a leading 0 keeps grade 0 when there are no vertices
     grades = grade_clusters(
-        np.concatenate([np.zeros(1), *(level for _, _, level, _, _ in found)]),
+        np.concatenate([np.zeros(1), *(level for _, level, _, _ in found)]),
         tolerance(X, eps), max(max_dim, 1))
     values = np.array(grades)
-    tuples, prefix, tables, births, grade = [], [], [], [], []
-    for k, (verts, rows, level, code, table) in enumerate(found):
+    tuples, tables, births, grade = [], [], [], []
+    for k, (verts, level, code, table) in enumerate(found):
         found[k] = None  # drop each degree's births and codes once read
         tuples.append(verts)
-        prefix.append(rows)
         tables.append(table)
         # a tuple's birth and grade index are those of its birth code
         births.append(level[code])
         grade.append((values.searchsorted(level, side="right") - 1)[code])
     ramp = np.arange(len(grades) + 1)
     starts = [level.searchsorted(ramp) for level in grade]
-    return FilteredComplex(X, p, max_dim, names, tuples, births, prefix,
-                           tables, grade, grades, starts)
+    return FilteredComplex(X, p, max_dim, names, tuples, births, tables,
+                           grade, grades, starts)

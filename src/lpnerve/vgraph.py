@@ -235,8 +235,8 @@ def coproduct(Xs: Sequence[VGraph]) -> VGraph:
     names: List[str] = []
     blocks: List[np.ndarray] = []
     for k, X in enumerate(Xs):
-        prefix = f"{k}:" if len(Xs) > 1 else ""
-        names.extend(prefix + v for v in X.vertices)
+        tag = f"{k}:" if len(Xs) > 1 else ""
+        names.extend(tag + v for v in X.vertices)
         blocks.append(X.dist)
     n = sum(len(X) for X in Xs)
     mat = np.full((n, n), INF)

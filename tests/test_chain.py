@@ -13,7 +13,7 @@ from lpnerve.homology import GF2, INTEGERS, _ranks, homology_at, homology_table
 from lpnerve.nerve import enumerate_complex
 from lpnerve.snf import smith_normal_form
 from lpnerve.values import EPS, INF, InputError
-from lpnerve.vgraph import VGraph, tolerance
+from lpnerve.vgraph import VGraph, asymmetrize, tolerance
 from util import (columns_to_dense, dense_boundary, dense_to_columns, faces,
                   index_at, is_degenerate, random_floors, random_honest_space,
                   random_l1_space, random_vgraph)
@@ -151,7 +151,8 @@ def test_strict_sieve_partitions_every_degree(X, p, eps):
     fc = enumerate_complex(X, p, max_dim, eps=eps)
     for k in range(max_dim + 1):
         rows = [generators_at(fc, k, g, STRICT) for g in range(len(fc.grades))]
-        assert np.concatenate(rows).tolist() == list(range(len(fc.tuples[k])))
+        assert np.concatenate(rows).tolist() == list(
+            range(len(fc.degree(k).tuples)))
     births = np.concatenate(fc.births)
     grade = np.concatenate(fc.grade)
     lo = [births[grade == g].min() for g in range(len(fc.grades))]
@@ -160,6 +161,27 @@ def test_strict_sieve_partitions_every_degree(X, p, eps):
     assert lo == fc.grades
     assert all(b - a <= max_dim * tol for a, b in zip(lo, hi))
     assert all(a - b > tol for a, b in zip(lo[1:], hi))
+
+
+def test_degrees_past_the_last_stored_one_are_empty():
+    """The asymmetrized 3-point space has no tuple of degree 3, so a
+    complex at max_dim 5 stores degrees 0..3 only.  Every degree up to
+    max_dim still has a face table, generators and boundaries, all empty,
+    and a degree past max_dim is an input error."""
+    X = asymmetrize(random_honest_space(random.Random(59), 3))
+    fc = enumerate_complex(X, 1.0, 5)
+    assert [len(level) for level in fc.tuples] == [3, 3, 1, 0]
+    g = len(fc.grades) - 1
+    for k in range(3, 6):
+        assert fc.faces(k).shape == (0, k + 1) and fc.labels(k) == []
+        for sieve in (GLOBAL, STRICT):
+            assert len(generators_at(fc, k, g, sieve)) == 0
+            assert boundary_matrix(fc, k, g, sieve) == ([], [])
+    for read in (fc.faces, fc.degree, fc.labels,
+                 lambda k: generators_at(fc, k, g, GLOBAL),
+                 lambda k: boundary_matrix(fc, k, g, GLOBAL)):
+        with pytest.raises(InputError, match=r"degree.*5"):
+            read(6)
 
 
 def test_boundary_global_two_points():
@@ -190,7 +212,8 @@ def label_boundary(fc, degree, g, sieve):
     surviving tuple less one vertex i, with sign (-1)^i where that face
     survives; a degenerate face is no tuple of the complex."""
     def survivors(k):
-        return [t for t, grade in zip(fc.labels(k), fc.grade[k].tolist())
+        return [t for t, grade in zip(fc.labels(k),
+                                      fc.degree(k).grade.tolist())
                 if sieve.floor(g) <= grade <= g]
 
     rows = {t: i for i, t in enumerate(survivors(degree - 1))}
@@ -242,13 +265,13 @@ def test_one_run_of_shared_floor_then_strict_grades():
                     boundary = sieve_boundary(fc, degree, floors)
                     faces, floor, grade = boundary
                     keep = faces >= floor[:, None]
-                    nrows = len(fc.grade[degree - 1])
+                    nrows = len(fc.degree(degree - 1).grade)
                     over_z = _ranks(*boundary, nrows, INTEGERS, run)
                     over_2 = _ranks(*boundary, nrows, GF2, run)
                     for g, f in run:
                         expected = label_boundary(fc, degree, g, sieve)
                         cols = (grade >= f) & (grade <= g)
-                        shift = fc.starts[degree - 1][f]
+                        shift = fc.degree(degree - 1).starts[f]
                         assert columns_to_dense(
                             columns(faces[cols] - shift, keep[cols]),
                             len(expected)) == expected.tolist()

@@ -19,6 +19,7 @@ from lpnerve import homology, io, kernels
 from lpnerve.chain import (CUSTOM_GRID, STRICT_PREDECESSORS, SieveSpec,
                            generators_at)
 from lpnerve.cli import main
+from lpnerve.kernels import _reduction_py
 from lpnerve.homology import (Barcode, Coefficients, homology_table,
                               magnitude_homology, persistence_barcode)
 from lpnerve.nerve import enumerate_complex
@@ -990,6 +991,87 @@ def run_cli(argv, timeout=60):
     return subprocess.run([sys.executable, "-m", "lpnerve.cli", *argv],
                           capture_output=True, text=True, env=env,
                           timeout=timeout)
+
+
+#: a child that runs the CLI with its address space capped at ``cap``
+#: bytes, on the compiled kernel at the path ``kernel``, or on the
+#: pure-Python twin where that is empty
+BOUNDED_CLI = """
+import importlib.util, resource, sys
+kernel, cap, *argv = sys.argv[1:]
+resource.setrlimit(resource.RLIMIT_AS, (int(cap), int(cap)))
+name = "lpnerve.kernels._reduction"
+if kernel:
+    spec = importlib.util.spec_from_file_location(name, kernel)
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+else:
+    sys.modules[name] = None  # an import error: lpnerve takes the twin
+from lpnerve import cli, kernels
+assert kernels.BACKEND == ("compiled" if kernel else "python")
+sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("max_dim", [10 ** 6, 10 ** 20])
+def test_a_huge_max_dim_costs_nothing_past_the_last_tuple(backend, tmp_path,
+                                                          max_dim):
+    """Two points infinitely far apart have no edge, so the complex ends
+    at degree 1 whatever ``--max-dim`` asks: on either backend, with its
+    address space capped at 1 GiB and a timeout, ``nerve`` prints the two
+    tuples and the ``max_dim`` it was asked for.  Arrays or list slots
+    per requested degree would spend the cap (or the time) first."""
+    path = tmp_path / "inf2.csv"
+    path.write_text(",a,b\na,0,inf\nb,inf,0\n")
+    kernel = "" if backend is _reduction_py else backend.__file__
+    src = os.path.dirname(os.path.dirname(lpnerve.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", BOUNDED_CLI, kernel, str(2 ** 30), "nerve",
+         str(path), "--max-dim", str(max_dim)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert f'"max_dim": {max_dim},' in done.stdout
+    tuples = json.loads(done.stdout)["tuples"]
+    assert [t["verts"] for t in tuples] == [["a"], ["b"]]
+
+
+def test_degrees_past_the_last_stored_one(capsys, tmp_path):
+    """An asymmetrized space of n points has no tuple of degree n, so its
+    complex ends by degree n whatever ``--max-dim`` asks.  At a
+    ``--max-dim`` above n, the bars (with the essential ones of the last
+    nonempty degree: the 4-cycle's loop) are those of a run at the
+    smallest ``--max-dim`` the degrees need, byte for byte, and degrees
+    past the last nonempty one add no homology rows."""
+    cycle = VGraph(list("abcd"), np.array([
+        [0.0, 1.0, INF, 1.0], [1.0, 0.0, 1.0, INF],
+        [INF, 1.0, 0.0, 1.0], [1.0, INF, 1.0, 0.0]]))
+    path = str(tmp_path / "x.csv")
+    for X, loops in ((asymmetrize(cycle), 1),
+                     (asymmetrize(random_honest_space(random.Random(61), 4)),
+                      0)):
+        pathlib.Path(path).write_text(io.vgraph_to_csv(X))
+        high = str(len(X) + 2)
+        for p in ("1", "2", "inf"):
+            fc = enumerate_complex(X, float(p), len(X))
+            last = max(k for k, level in enumerate(fc.tuples) if len(level))
+            def out(*argv):
+                assert main([argv[0], path, "--p", p, *argv[1:]]) == 0
+                return capsys.readouterr().out
+            for top in range(last + 3):
+                degrees = ["--degrees", f"0..{top}"]
+                assert out("ph", *degrees) == out("ph", *degrees,
+                                                  "--max-dim", high)
+            for sieve in ("none", "strict"):
+                assert out("homology", "--degrees", f"{last + 1}..{last + 2}",
+                           "--sieve", sieve, "--max-dim", high) == "[]\n"
+                assert out("homology", "--degrees", f"0..{last}",
+                           "--sieve", sieve) == out(
+                    "homology", "--degrees", f"0..{last + 2}", "--sieve",
+                    sieve, "--max-dim", high)
+            # the cycle's loop is essential, and nothing kills it
+            assert out("ph", "--degrees", "1..1").count("inf") == loops
 
 
 @pytest.mark.parametrize("flag,value,code", [

@@ -165,7 +165,7 @@ def test_floor_drops_the_faces_below_it(compiled_kernels, X, twist, p, seed):
     rng = random.Random(seed)
     fc = enumerate_complex(X, p, 3, budget=None)
     for k in range(1, 4):
-        faces, nrows = fc.faces(k), len(fc.grade[k - 1])
+        faces, nrows = fc.faces(k), len(fc.degree(k - 1).grade)
         floor = np.array([rng.randint(-1, nrows + 1) for _ in faces],
                          dtype=np.int64)
         masked = np.where(faces >= floor[:, None], faces, -1)
@@ -350,16 +350,18 @@ def test_search_out_of_contract_input_raises(backend, args, error, message):
 def test_search_stops_at_the_budget(backend):
     """The 3-point space has 3 * 2^k tuples in degree k: 21 up to degree
     2, so a budget of 20 raises and one of 21 passes; a huge ``max_dim``
-    costs nothing before the budget stops the search."""
+    costs nothing before the budget stops the search, nor past the first
+    empty degree, where the degrees end."""
     found = backend.expand(W, 1.0, 2, 21)
-    assert [len(prefix) for _, prefix, _, _, _ in found] == [3, 6, 12]
+    assert [len(tuples) for tuples, _, _, _ in found] == [3, 6, 12]
     for limit, max_dim in ((20, 2), (2, 0), (100, 10 ** 6), (100, 1 << 70)):
         with pytest.raises(BudgetExceededError,
                            match=f"exceeded the budget of {limit}$"):
             backend.expand(W, 1.0, max_dim, limit)
     assert len(backend.expand(W, 1.0, 0, 3)) == 1
-    assert [len(prefix) for _, prefix, _, _, _ in backend.expand(
-        np.full((2, 2), INF), INF, 3, INF)] == [2, 0, 0, 0]
+    for max_dim in (1, 3, 1 << 70):
+        assert [len(tuples) for tuples, _, _, _ in backend.expand(
+            np.full((2, 2), INF), INF, max_dim, INF)] == [2, 0]
 
 
 def test_search_sorts_each_degree(backend):
@@ -367,20 +369,18 @@ def test_search_sorts_each_degree(backend):
     (birth, vertices) order, with its distinct births, birth codes and
     face table; -0.0 is the top 0 and no birth is -0.0."""
     found = backend.expand(W, 1.0, 1, INF)
-    tuples, prefix, level, code, faces = found[1]
+    tuples, level, code, faces = found[1]
     assert tuples.tolist() == [[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]]
-    assert prefix.tolist() == [0, 1, 1, 2, 0, 2]
     assert level.tolist() == [1.0, 2.0] and code.tolist() == [0] * 4 + [1] * 2
     assert faces.tolist() == [[1, 0], [0, 1], [2, 1], [1, 2], [2, 0], [0, 2]]
-    assert [a.tolist() for a in found[0]] == [[[0], [1], [2]], [-1, -1, -1],
-                                              [0.0], [0, 0, 0],
-                                              [[-1], [-1], [-1]]]
+    assert [a.tolist() for a in found[0]] == [[[0], [1], [2]], [0.0],
+                                              [0, 0, 0], [[-1], [-1], [-1]]]
     # at p = 2 the births of degree 1 are the square roots of the tops
-    _, _, level, _, _ = backend.expand(W, 2.0, 1, INF)[1]
+    _, level, _, _ = backend.expand(W, 2.0, 1, INF)[1]
     assert level.tolist() == [1.0, 2.0 ** 0.5]
     zeros = np.array([[0.0, -0.0], [-0.0, 0.0]])
     for p in (1.0, INF):
-        tuples, _, level, code, faces = backend.expand(zeros, p, 2, INF)[2]
+        tuples, level, code, faces = backend.expand(zeros, p, 2, INF)[2]
         assert tuples.tolist() == [[0, 1, 0], [1, 0, 1]]
         assert level.tolist() == [0.0] and not np.signbit(level).any()
         assert code.tolist() == [0, 0]
@@ -392,7 +392,7 @@ def face_args(backend, degree=2):
     """``reduce_faces`` arguments for the face table ``backend.expand``
     gives a degree of the complete 3-point space, each its own array."""
     found = backend.expand(W, 1.0, degree, INF)
-    table = found[degree][4].copy()
+    table = found[degree][3].copy()
     return {"table": table, "nrows": len(found[degree - 1][0]), "q": 2,
             "floor": np.zeros(len(table), dtype=np.int64),
             "lows": np.full(len(table), -7, dtype=np.int64)}

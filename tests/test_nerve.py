@@ -17,8 +17,8 @@ from lpnerve.values import (INF, BudgetExceededError, InputError, close,
 from lpnerve.vgraph import VGraph, asymmetrize, free_category
 from util import (dense_face_table, is_degenerate, levels, lexsorted_complex,
                   membership_scale_category, random_honest_space,
-                  random_l1_space, random_vgraph, search, searched_faces,
-                  sigma_oracle, spaces)
+                  random_l1_space, random_vgraph, search, sigma_oracle,
+                  spaces)
 
 
 def test_is_degenerate():
@@ -124,7 +124,9 @@ def test_face_monotonicity():
 
 def test_enumerate_one_point():
     fc = enumerate_complex(VGraph.point(), 1.0, 2)
-    assert [len(level) for level in fc.tuples] == [1, 0, 0]
+    # the stored degrees end at the first empty one
+    assert [len(level) for level in fc.tuples] == [1, 0]
+    assert fc.faces(2).shape == (0, 3)
     assert fc.grades == [0.0]
 
 
@@ -149,8 +151,8 @@ def test_enumerate_prunes_infinite_births():
     X = VGraph.from_entries(["a", "b"], {("a", "b"): 1.0})
     fc = enumerate_complex(X, 1.0, 3)
     assert fc.labels(1) == [("a", "b")]
-    assert len(fc.tuples[2]) == 0
-    assert len(fc.tuples[3]) == 0
+    assert [len(level) for level in fc.tuples] == [2, 1, 0]
+    assert fc.labels(3) == [] and fc.faces(3).shape == (0, 4)
 
 
 def test_enumerate_sorted_and_sizes():
@@ -233,13 +235,14 @@ def test_budget_stops_a_huge_max_dim_at_once(nerve_backend):
 
 def test_empty_degrees_up_to_a_large_max_dim_are_cheap():
     """Two points infinitely far apart have no edge, so every degree
-    above 0 is empty; 4000 of them take a few numpy calls each, not one
-    per column (8 million gathers, about 16 s on a 2-core x86_64)."""
+    above 0 is empty: the complex stores degrees 0 and 1 and no array for
+    the 3999 empty degrees above them, which it still reads as empty."""
     X = VGraph(["a", "b"], np.array([[0.0, INF], [INF, 0.0]]))
     started = time.perf_counter()
     fc = enumerate_complex(X, 1.0, 4000, budget=None)
     assert time.perf_counter() - started < 5.0
-    assert fc.size() == 2 and fc.tuples[4000].shape == (0, 4001)
+    assert fc.size() == 2 and len(fc.tuples) == 2
+    assert fc.faces(4000).shape == (0, 4001)
 
 
 def test_budget_warning_compares_the_power_exactly():
@@ -376,12 +379,15 @@ def test_search_reach_memory_is_blocked(monkeypatch):
     assert 4 * peak <= full_reach
 
 
-def assert_same_complex(fc, want):
-    """Every field of two complexes is equal, dtypes included."""
-    for name in ("tuples", "births", "prefix", "tables", "grade", "starts"):
+def assert_same_complex(fc, want, prefix):
+    """Every field of two complexes is equal, dtypes included, and the
+    last column of each face table holds the prefix rows ``prefix``."""
+    for name in ("tuples", "births", "tables", "grade", "starts"):
         for a, b in zip(getattr(fc, name), getattr(want, name), strict=True):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+    for table, rows in zip(fc.tables, prefix, strict=True):
+        assert np.array_equal(table[:, -1], rows)
     assert fc.grades == want.grades
 
 
@@ -417,7 +423,7 @@ def test_equal_births_from_distinct_tops_stay_lexicographic():
         pytest.fail("no space with a falling tie")
     X = VGraph(["a", "b", "c"], dist)
     fc = enumerate_complex(X, p, max_dim)
-    assert_same_complex(fc, lexsorted_complex(X, p, max_dim))
+    assert_same_complex(fc, *lexsorted_complex(X, p, max_dim))
     for level in levels(fc):
         assert level == sorted(level)
 
@@ -435,12 +441,8 @@ def test_birth_sort_and_face_lookup_match_the_full_sorts(X, p, max_dim, block):
         # BLOCK counts cells: blocks of 1 to 5 rows
         patch.setattr(_reduction_py, "BLOCK", block * len(X))
         fc = enumerate_complex(X, p, max_dim, budget=None)
-        want = lexsorted_complex(X, p, max_dim)
-    assert_same_complex(fc, want)
-    for degree in range(1, max_dim + 1):
-        a, b = fc.faces(degree), searched_faces(want, degree)
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
+        want, prefix = lexsorted_complex(X, p, max_dim)
+    assert_same_complex(fc, want, prefix)
 
 
 def test_face_lookup_memory_is_linear(backend):
@@ -462,12 +464,11 @@ def test_face_lookup_memory_is_linear(backend):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
-    assert [len(prefix) for _, prefix, _, _, _ in found] == [n] * 4
+    assert [len(tuples) for tuples, _, _, _ in found] == [n] * 4
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "expand", backend.expand)
         fc = enumerate_complex(X, 1.0, 3, budget=None)
-    for degree in range(1, 4):
-        assert np.array_equal(fc.faces(degree), searched_faces(fc, degree))
+    assert_same_complex(fc, *lexsorted_complex(X, 1.0, 3))
 
 
 def powered(X, p):
@@ -484,44 +485,49 @@ def powered(X, p):
 def test_compiled_search_and_face_table_match_the_twins(compiled_kernels, X,
                                                         twist, p, max_dim):
     """The compiled search gives the pure-Python twin's sorted arrays
-    (vertex matrix, prefix rows, distinct births, birth codes and face
-    tables), dtypes, memory order and bits included, and raises at the
-    same budgets; the complex each backend gives is that of the full
-    sorts of the raw search, and its face tables are those of one binary
-    search per face and those of a lookup by name.  Symmetric spaces are
-    also tried after ``asymmetrize``, where a row has far fewer children
-    than a complete space gives it."""
+    (vertex matrix, distinct births, birth codes and face tables), dtypes,
+    memory order and bits included, ends at the same degree, the first
+    empty one or ``max_dim``, also for a ``max_dim`` of 2^70, past the C
+    kernel's clamp, and raises at the same budgets; the complex each
+    backend gives is that of the full sorts of the raw search, with the
+    face tables of one binary search per face, and its face tables up to
+    ``max_dim`` are those of a lookup by name.  Symmetric spaces are also
+    tried after ``asymmetrize``, where a row has far fewer children than
+    a complete space gives it."""
     if twist and np.array_equal(X.dist, X.dist.T):
         X = asymmetrize(X)
     w = powered(X, p)
     found = compiled_kernels.expand(w, p, max_dim, INF)
     want = _reduction_py.expand(w, p, max_dim, INF)
-    assert len(found) == len(want) == max_dim + 1
+    sizes = [len(tuples) for tuples, _, _, _ in want]
+    assert len(found) == len(sizes) and 0 not in sizes[:-1]
+    assert len(sizes) == max_dim + 1 or sizes[-1] == 0
     for k, (got, expected) in enumerate(zip(found, want)):
-        tuples, prefix, level, code, faces = got
-        assert tuples.shape == (len(prefix), k + 1)
+        tuples, level, code, faces = got
+        assert tuples.shape == (len(code), k + 1)
         assert tuples.flags.f_contiguous
         assert faces.shape == tuples.shape and faces.flags.c_contiguous
         for a, b in zip(got, expected, strict=True):
             assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape,
                                                      b.strides)
             assert a.tobytes() == b.tobytes()  # births bit for bit
-    total = sum(len(prefix) for _, prefix, _, _, _ in want)
+    total = sum(sizes)
     for module in (compiled_kernels, _reduction_py):
         with pytest.raises(BudgetExceededError):
             module.expand(w, p, max_dim, total - 1)
-        assert len(module.expand(w, p, max_dim, total)) == max_dim + 1
-    sorted_fc = lexsorted_complex(X, p, max_dim)
+        assert len(module.expand(w, p, max_dim, total)) == len(sizes)
+        if sizes[-1] == 0:  # nothing lies past the degrees found
+            assert [len(tuples) for tuples, _, _, _ in module.expand(
+                w, p, 2 ** 70, total)] == sizes
+    sorted_fc, prefix = lexsorted_complex(X, p, max_dim)
     for module in (_reduction_py, compiled_kernels):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "expand", module.expand)
             fc = enumerate_complex(X, p, max_dim, budget=None)
-        assert_same_complex(fc, sorted_fc)
+        assert_same_complex(fc, sorted_fc, prefix)
         for degree in range(1, max_dim + 1):
-            a, b = fc.faces(degree), searched_faces(sorted_fc, degree)
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-            assert np.array_equal(a, dense_face_table(fc, degree))
+            assert np.array_equal(fc.faces(degree),
+                                  dense_face_table(fc, degree))
 
 
 def test_faces_need_a_degree_of_the_complex():

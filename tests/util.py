@@ -264,9 +264,10 @@ def search(X: VGraph, p: float,
 
 
 def levels(fc) -> List[List[Tuple[float, Tuple[str, ...]]]]:
-    """The complex as (birth, name tuple) pairs per degree, in its order."""
-    return [list(zip(births.tolist(), fc.labels(k)))
-            for k, births in enumerate(fc.births)]
+    """The complex as (birth, name tuple) pairs per degree up to
+    ``max_dim``, in its order."""
+    return [list(zip(fc.degree(k).births.tolist(), fc.labels(k)))
+            for k in range(fc.max_dim + 1)]
 
 
 def faces(verts: Tuple[str, ...]) -> Iterator[Tuple[Tuple[str, ...], int]]:
@@ -290,7 +291,7 @@ def dense_face_table(fc, degree: int) -> np.ndarray:
     """``fc.faces(degree)`` by name lookup: the row one degree down of each
     face, -1 for a degenerate face."""
     index = {verts: i for i, verts in enumerate(fc.labels(degree - 1))}
-    table = np.full((len(fc.tuples[degree]), degree + 1), -1)
+    table = np.full((len(fc.degree(degree).tuples), degree + 1), -1)
     for r, verts in enumerate(fc.labels(degree)):
         for i in range(degree + 1):
             face = verts[:i] + verts[i + 1:]
@@ -299,12 +300,14 @@ def dense_face_table(fc, degree: int) -> np.ndarray:
     return table
 
 
-def lexsorted_complex(X: VGraph, p: float, max_dim: int,
-                      eps: float = EPS) -> FilteredComplex:
+def lexsorted_complex(X: VGraph, p: float, max_dim: int, eps: float = EPS
+                      ) -> Tuple[FilteredComplex, List[np.ndarray]]:
     """``enumerate_complex`` with each degree put in order by a full sort on
     (birth, vertices), which does not rely on the search order, and the
     face tables of ``searched_faces``; the tuples come from the
-    pure-Python twin's raw search, in the order it finds them."""
+    pure-Python twin's raw search, in the order it finds them.  Also
+    returns per degree each row's prefix row, renumbered from the raw
+    search's parent rows to the sorted order (-1 at degree 0)."""
     names = sorted(X.vertices)
     perm = [X.index(v) for v in names]
     d = X.dist[np.ix_(perm, perm)]
@@ -328,31 +331,32 @@ def lexsorted_complex(X: VGraph, p: float, max_dim: int,
              for level in births]
     starts = [np.searchsorted(level, np.arange(len(grades) + 1))
               for level in grade]
-    fc = FilteredComplex(X, p, max_dim, names, tuples, births, prefix, [],
-                         grade, grades, starts)
-    fc.tables.extend(searched_faces(fc, k) for k in range(max_dim + 1))
-    return fc
+    fc = FilteredComplex(X, p, max_dim, names, tuples, births, [], grade,
+                         grades, starts)
+    fc.tables.extend(searched_faces(fc, prefix, k) for k in range(len(tuples)))
+    return fc, prefix
 
 
-def searched_faces(fc, degree: int) -> np.ndarray:
+def searched_faces(fc, prefix: List[np.ndarray], degree: int) -> np.ndarray:
     """``fc.faces(degree)`` by one binary search per face over the sorted
-    keys (prefix row) * n + (last vertex) of the rows one degree down
+    keys (prefix row) * n + (last vertex) of the rows one degree down,
+    with each degree's prefix rows as ``lexsorted_complex`` gives them
     (at degree 0, the one column of prefix rows, all -1)."""
     level = fc.tuples[degree]
     table = np.empty(level.shape, dtype=np.intp)
-    table[:, degree] = fc.prefix[degree]
+    table[:, degree] = prefix[degree]
     if degree < 2:
         table[:, :degree] = level[:, 1:]
         return table
     n = len(fc.names)
-    keys = fc.prefix[degree - 1] * n + fc.tuples[degree - 1][:, -1]
+    keys = prefix[degree - 1] * n + fc.tuples[degree - 1][:, -1]
     order = np.argsort(keys, kind="stable")
     keys = np.append(keys[order], -1)
     order = np.append(order, -1)
     last = level[:, -1].astype(np.intp)
-    inner = searched_faces(fc, degree - 1)
+    inner = searched_faces(fc, prefix, degree - 1)
     for i in range(degree):
-        face = inner[fc.prefix[degree], i]
+        face = inner[prefix[degree], i]
         want = face * n + last
         pos = np.searchsorted(keys[:-1], want)
         hit = (face >= 0) & (keys[pos] == want)
