@@ -39,7 +39,7 @@
  * degree down were found together, in last-vertex order, so (F, v) is one
  * binary search among them.  The result ends at max_dim or at the first
  * empty degree: every prefix is a tuple.  The search state grows with the
- * tuples and the depth actually reached.
+ * tuples and the depth actually reached.  A sum that overflows is inf.
  *
  * ``reduce_faces(table, nrows, q, floor, lows)`` reduces columns left to
  * right.  ``table`` is a 2-d int64 buffer: row j lists the faces of

@@ -13,13 +13,14 @@ births ``level`` (float64), each row's index among them ``code`` (intp)
 and the face table ``faces`` (intp, rows x (k + 1)): entry [r, i] is the
 row one degree down of tuple r with vertex i deleted, or -1 where that
 face is degenerate, and the last column is the prefix's row (-1 at
-degree 0).  The degrees end at max_dim or at the first empty one: every
-tuple's prefix is a tuple.  ``w`` is the n x n float64 matrix of
-p-th-power distances (plain distances at p = inf), and p lies in
-[1, inf].  A birth is top^(1/p) of the tuple's top chain value (0 for a
-top of 0) by Python's float power, which is libm's pow, and the top
-itself at p = inf; it is never -0.0.  It raises ``BudgetExceededError``
-as soon as more than ``limit`` tuples are found.
+degree 0).  A chain sum that overflows is an infinite birth.  The
+degrees end at max_dim or at the first empty one: every tuple's prefix
+is a tuple.  ``w`` is the n x n float64 matrix of p-th-power distances
+(plain distances at p = inf), and p lies in [1, inf].  A birth is
+top^(1/p) of the tuple's top chain value (0 for a top of 0) by Python's
+float power, which is libm's pow, and the top itself at p = inf; it is
+never -0.0.  It raises ``BudgetExceededError`` as soon as more than
+``limit`` tuples are found.
 ``search(w, at_inf, max_dim, limit)`` is its raw search, which only the
 twin has: per degree, with the same end, the last vertex (int32), the
 top (float64) and the prefix row (intp) of each tuple, in the
@@ -147,7 +148,8 @@ def search(w, at_inf, max_dim, limit):
     (``max(reach, max(top, w[nxt]))`` at p = inf).  Every candidate is the
     same single addition that ``membership_scale`` makes and maxima are
     exact, so the births are bit-identical to it.  Extending a tuple can
-    only raise its birth, so infinite branches are pruned.
+    only raise its birth, so infinite branches are pruned; a sum that
+    overflows counts as infinite.
 
     Rows are numbered in search order, which is lexicographic: blocks of
     each degree are popped in row order and a row's children come in
@@ -189,8 +191,9 @@ def search(w, at_inf, max_dim, limit):
             reach = w[last]
         elif at_inf:
             reach = np.maximum(base[parents], np.maximum(top[:, None], w[last]))
-        else:
-            reach = np.maximum(base[parents], top[:, None] + w[last])
+        else:  # a sum that overflows is inf, and is pruned like one
+            with np.errstate(over="ignore"):
+                reach = np.maximum(base[parents], top[:, None] + w[last])
         grow = reach < np.inf
         grow[np.arange(len(last)), last] = False
         count = int(np.count_nonzero(grow))

@@ -50,7 +50,6 @@ tuple's birth and grade index are gathers through its code.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -87,7 +86,6 @@ class FilteredComplex:
     whichever comes first; ``degree`` reads any degree up to ``max_dim``.
     """
 
-    space: VGraph
     p: float
     max_dim: int
     names: List[str]
@@ -158,9 +156,10 @@ def grade_clusters(values: np.ndarray, tol: float, hops: int = 1
     firsts, lasts = ordered[first], ordered[np.roll(first, -1)]
     wide = np.flatnonzero(lasts - firsts > hops * tol)
     if len(wide):
-        raise InputError(f"grades {firsts[wide[0]]!r} to {lasts[wide[0]]!r} "
-                         f"span more than {hops * tol!r} in steps of at most "
-                         f"{tol!r}, so they cannot be told apart")
+        low, high = float(firsts[wide[0]]), float(lasts[wide[0]])
+        raise InputError(f"grades {low!r} to {high!r} span more than "
+                         f"{hops * tol!r} in steps of at most {tol!r}, so "
+                         f"they cannot be told apart")
     return firsts.tolist()
 
 
@@ -197,32 +196,22 @@ def membership_scale(X: VGraph, verts: Sequence[str], p: float) -> float:
     return total ** (1.0 / p) if total > 0.0 else 0.0
 
 
-def _power_exceeds(n: int, exponent: int, bound: int) -> bool:
-    """``n ** exponent > bound`` for ints >= 0, without building a power
-    much larger than ``bound``."""
-    if n <= 1:
-        return n ** exponent > bound
-    power = 1
-    for _ in range(exponent):  # at most about log2(bound) + 2 steps
-        if power > bound:
-            break
-        power *= n
-    return power > bound
-
-
 def enumerate_complex(X: VGraph, p: float, max_dim: int,
                       budget: int | None = DEFAULT_BUDGET,
                       eps: float = EPS) -> FilteredComplex:
     """All nondegenerate tuples of degree <= max_dim with finite birth.
 
     Births are clustered by ``grade_clusters`` at ``tolerance(X, eps)``,
-    ``eps`` times the largest finite distance; a birth folds at most
-    ``max_dim`` hops, so a grade may span ``max_dim`` tolerances.
+    ``eps`` times the largest finite distance; a birth of degree k folds
+    at most k hops, so a grade may span as many tolerances as the last
+    nonempty degree (at least one).
 
     Raises ``BudgetExceededError`` as soon as more than ``budget`` tuples
     have been found, and ``InputError`` for a negative ``max_dim`` or
     ``budget``, an ``eps`` that is not a finite number >= 0, births that
-    cannot be told apart, or when a birth at finite p would overflow.
+    cannot be told apart, or a chain sum at finite p that could overflow:
+    the search prunes a sum that overflows as infinite, and the check
+    after it is sized by the degrees it reached.
     """
     p = check_exponent(p)
     if max_dim < 0:
@@ -231,24 +220,23 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
         raise InputError(f"budget must be >= 0, got {budget}")
     if not 0.0 <= eps < INF:
         raise InputError(f"eps must be a finite number >= 0, got {eps}")
-    check_powers(X.dist.flat, p, max_dim)
-    n = len(X)
-    if budget is not None and _power_exceeds(n, max_dim + 1, budget):
-        warnings.warn(
-            f"up to {n}^{max_dim + 1} tuples may be enumerated, "
-            f"which exceeds the budget of {budget}",
-            RuntimeWarning,
-        )
+    check_powers(X.dist.flat, p, 1)  # the powers themselves are finite
     names = sorted(X.vertices)
     perm = [X.index(v) for v in names]
     d = X.dist[np.ix_(perm, perm)]
     w = d if p == INF else python_power(d, p)
     limit = INF if budget is None else budget
     found = kernels.expand(w, p, max_dim, limit)
+    # a chain sum that overflows is inf and its tuple was pruned, but in a
+    # degree the search reached, so the chain had at most len(found) - 1
+    # hops: if no such chain can overflow, no tuple was lost
+    check_powers(X.dist.flat, p, len(found) - 1)
+    # a birth of degree k folds k hops; only the last degree may be empty
+    last = len(found) - 1 - (len(found[-1][0]) == 0)
     # a leading 0 keeps grade 0 when there are no vertices
     grades = grade_clusters(
         np.concatenate([np.zeros(1), *(level for _, level, _, _ in found)]),
-        tolerance(X, eps), max(max_dim, 1))
+        tolerance(X, eps), max(last, 1))
     values = np.array(grades)
     tuples, tables, births, grade = [], [], [], []
     for k, (verts, level, code, table) in enumerate(found):
@@ -260,5 +248,5 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
         grade.append((values.searchsorted(level, side="right") - 1)[code])
     ramp = np.arange(len(grades) + 1)
     starts = [level.searchsorted(ramp) for level in grade]
-    return FilteredComplex(X, p, max_dim, names, tuples, births, tables,
+    return FilteredComplex(p, max_dim, names, tuples, births, tables,
                            grade, grades, starts)

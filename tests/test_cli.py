@@ -121,8 +121,7 @@ def test_mh_two_points_at_degree_1200(nerve_backend, monkeypatch, capsys,
     cycles of H_1200 at grade 1200."""
     monkeypatch.setattr(kernels, "reduce_faces", nerve_backend.reduce_faces)
     X = VGraph(["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.warns(RuntimeWarning, match="exceeds the budget"):
-        rows = magnitude_homology(X, 1, [1200])
+    rows = magnitude_homology(X, 1, [1200])
     assert [(r.grade, r.degree, r.rank, r.torsion) for r in rows] == [
         (1200.0, 1200, 2, ())]
     path = tmp_path / "two.csv"
@@ -838,25 +837,26 @@ def test_exit_code_budget(capsys, c4_path):
     code = main(["ph", c4_path, "--degrees", "0..2", "--budget", "10"])
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
-        "warning: up to 4^4 tuples may be enumerated, which exceeds the "
-        "budget of 10", "error: tuple count exceeded the budget of 10"]
+        "error: tuple count exceeded the budget of 10"]
 
 
 def test_warnings_print_one_line_with_no_source(tmp_path):
     """A warning prints as ``warning: <message>``: no path, line number
     or line of library source, in a fresh process as in-process."""
-    path = tmp_path / "tri.csv"
-    path.write_text("a,b,c\n0,1,1\n1,0,1\n1,1,0\n")
-    argv = ["nerve", str(path), "--max-dim", "4000000", "--budget", "100"]
+    path = tmp_path / "auto.json"
+    path.write_text('{"states": ["s"], "alphabet": {"a": 1, "b": 0.3333333}, '
+                    '"transitions": [{"from": "s", "to": "s", "label": "a"}]}')
+    argv = ["automaton", str(path)]
     done = run_cli(argv)
-    assert done.returncode == 3 and done.stdout == ""
+    assert done.returncode == 0 and done.stdout
     assert done.stderr.splitlines() == [
-        "warning: up to 3^4000001 tuples may be enumerated, which exceeds "
-        "the budget of 100", "error: tuple count exceeded the budget of 100"]
-    err = _io.StringIO()
-    with contextlib.redirect_stderr(err):
-        assert main(argv) == 3
-    assert err.getvalue() == done.stderr
+        "warning: cost of letter 'b' is not a short decimal fraction of the "
+        "dearest letter's; the degree-1 generator equivalence assumes a "
+        "discrete cost range"]
+    out, err = _io.StringIO(), _io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    assert (out.getvalue(), err.getvalue()) == (done.stdout, done.stderr)
 
 
 def test_negative_zero_distances_print_no_negative_zero(capsys, tmp_path):
@@ -947,15 +947,16 @@ def test_exit_code_overflowing_powers(capsys, tmp_path, command):
 
 
 def test_overflowing_powers_edge_cases(capsys, tmp_path):
-    # every chain sum of a degree-2 tuple would overflow to inf
-    path = tmp_path / "mid.csv"
-    path.write_text("a,b,c\n0,1e154,1e154\n1e154,0,1e154\n1e154,1e154,0\n")
-    assert main(["nerve", str(path), "--p", "2", "--max-dim", "2"]) == 2
-    assert main(["nerve", str(path), "--p", "2", "--max-dim", "1"]) == 0
-    capsys.readouterr()
     path = tmp_path / "two.csv"
     path.write_text("a,b\n0,1e200\n1e200,0\n")
     assert main(["free", str(path), "--p", "2"]) == 2
+    capsys.readouterr()
+    # the powers are checked before they are taken, also for a complex
+    # of degree 0 only, whose births sum nothing
+    assert main(["nerve", str(path), "--p", "2", "--max-dim", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: distance 1e+200 is too large at p = 2.0: 1 times its p-th "
+        "power overflows a float\n")
     path = tmp_path / "big.csv"
     path.write_text(BIG_CSV)
     for p, dist in (("1", 2.0), ("inf", 1.0)):
@@ -967,6 +968,63 @@ def test_overflowing_powers_edge_cases(capsys, tmp_path):
         assert code == 0
         births = {tuple(t["verts"]): t["birth"] for t in obj["tuples"]}
         assert births[("a", "b")] == 1e200
+
+
+#: births 1, 1.0000009 and 1.0000018 of degree 1, and no tuple above it
+SPAN_CSV = """a,b,c,d
+0,1,1.0000009,1.0000018
+inf,0,inf,inf
+inf,inf,0,inf
+inf,inf,inf,0
+"""
+
+SPAN_ERROR = ("error: grades 1.0 to 1.0000018 span more than 1.0000018e-06 "
+              "in steps of at most 1.0000018e-06, so they cannot be told "
+              "apart\n")
+
+
+def test_checks_follow_the_degrees_searched(nerve_backend, capsys, tmp_path):
+    """The overflow check and the span a grade may have are sized by the
+    degrees the search reached, not by ``--max-dim``: a complex that ends
+    below ``--max-dim`` prints, or fails, the same at any ``--max-dim``
+    above it, with nothing on stderr but an error."""
+    path = tmp_path / "x.csv"
+    def run(text, *argv):
+        path.write_text(text)
+        code = main(["nerve", str(path), *argv])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+    # d(a, b) = 1e300 and d(b, a) = inf: a tuple folds at most one hop
+    big = "a,b\n0,1e300\ninf,0\n"
+    code, out, err = run(big, "--p", "1", "--max-dim", "2")
+    assert (code, err) == (0, "") and len(json.loads(out)["tuples"]) == 3
+    assert run(big, "--p", "1", "--max-dim", str(10 ** 20)) == (
+        0, out.replace('"max_dim": 2,', f'"max_dim": {10 ** 20},'), "")
+    # no warning guesses a tuple count from --max-dim
+    code, out, err = run("a,b\n0,inf\ninf,0\n", "--max-dim", "100")
+    assert (code, err) == (0, "") and len(json.loads(out)["tuples"]) == 2
+    # a degree-1 birth is one distance, known to within one tolerance
+    for max_dim in ("1", "2", "5"):
+        assert run(SPAN_CSV, "--eps", "1e-6", "--max-dim", max_dim) == (
+            2, "", SPAN_ERROR)
+    # d^p is finite but 2 d^p is not: the degree-2 sums overflow to inf,
+    # and the search prunes them without a warning, but the check after
+    # it finds that a tuple was lost
+    mid = "a,b,c\n0,1e154,1e154\n1e154,0,1e154\n1e154,1e154,0\n"
+    code, out, err = run(mid, "--p", "2", "--max-dim", "1")
+    assert (code, err) == (0, "") and len(json.loads(out)["tuples"]) == 9
+    assert run(mid, "--p", "2", "--max-dim", "2") == (
+        2, "", "error: distance 1e+154 is too large at p = 2.0: 2 times its "
+        "p-th power overflows a float\n")
+
+
+def test_grade_span_error_prints_plain_floats(capsys, tmp_path):
+    """``analyze`` clusters its distances with a span of one tolerance,
+    and names the grades as plain floats."""
+    path = tmp_path / "span.csv"
+    path.write_text(SPAN_CSV)
+    assert main(["analyze", str(path), "--eps", "1e-6"]) == 2
+    assert capsys.readouterr() == ("", SPAN_ERROR)
 
 
 def test_homology_prints_the_torsion_of_the_projective_plane(capsys, tmp_path):

@@ -325,13 +325,14 @@ def lexsorted_complex(X: VGraph, p: float, max_dim: int, eps: float = EPS
         prefix.append(rank[parent[order]] if k else parent)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
+    last = len(births) - 1 - (len(births[-1]) == 0)
     grades = grade_clusters(np.concatenate([np.zeros(1), *births]),
-                            tolerance(X, eps), max(max_dim, 1))
+                            tolerance(X, eps), max(last, 1))
     grade = [np.searchsorted(grades, level, side="right") - 1
              for level in births]
     starts = [np.searchsorted(level, np.arange(len(grades) + 1))
               for level in grade]
-    fc = FilteredComplex(X, p, max_dim, names, tuples, births, [], grade,
+    fc = FilteredComplex(p, max_dim, names, tuples, births, [], grade,
                          grades, starts)
     fc.tables.extend(searched_faces(fc, prefix, k) for k in range(len(tuples)))
     return fc, prefix
