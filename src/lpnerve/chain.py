@@ -6,11 +6,11 @@ group is a set of rows of one degree of the columnar complex.  Grades are
 the integer grade indices the complex gave every tuple, and a sieve kills,
 at grade index g, every grade below its floor ``floor(g) <= g``, so the
 rows that survive have grade index in floor(g)..g.  Each degree is sorted
-by birth, so these rows are one contiguous slice, read from the complex's
-per-degree grade offsets (``FilteredComplex.degree``).  Every boundary is
-read from the complex's face-index table (``FilteredComplex.faces``),
-which holds for each tuple and deleted vertex the row of the face one
-degree down.
+by birth, so these rows are one contiguous slice, found by a binary
+search of the degree's grade indices (``FilteredComplex.degree``).
+Every boundary is read from the complex's face-index table
+(``FilteredComplex.faces``), which holds for each tuple and deleted
+vertex the row of the face one degree down.
 
 Every boundary is built by ``sieve_boundary`` for a run of consecutive
 grade indices as one slice of the face table, with the lowest row each
@@ -112,9 +112,9 @@ def generators_at(fc: FilteredComplex, degree: int, g: int,
                   sieve: SieveSpec) -> np.ndarray:
     """Rows of the tuples of the given degree that survive at grade index
     g, those with grade index in ``sieve.floor(g) .. g``, increasing."""
-    starts = fc.degree(degree).starts
+    grade = fc.degree(degree).grade
     check_grade(fc, g)
-    return np.arange(starts[sieve.floor(g)], starts[g + 1])
+    return np.arange(*grade.searchsorted([sieve.floor(g), g + 1]))
 
 
 def sieve_boundary(fc: FilteredComplex, degree: int, floors: np.ndarray
@@ -138,9 +138,10 @@ def sieve_boundary(fc: FilteredComplex, degree: int, floors: np.ndarray
     faces = fc.faces(degree)  # InputError for a degree outside 1..max_dim
     base = int(floors[0])
     level = fc.degree(degree)
-    lo, hi = level.starts[[base, base + len(floors)]].tolist()
+    lo, hi = level.grade.searchsorted([base, base + len(floors)]).tolist()
     grade = level.grade[lo:hi]
-    lowest = fc.degree(degree - 1).starts[floors]  # first row kept per grade
+    # the first row kept per grade
+    lowest = fc.degree(degree - 1).grade.searchsorted(floors)
     return faces[lo:hi], lowest[grade - base], grade
 
 

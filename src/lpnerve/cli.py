@@ -57,7 +57,7 @@ def _parse_coeff(text: str) -> Coefficients:
     text = text.lower()
     if text == "z":
         return INTEGERS
-    if text.startswith("z") and text[1:].isdigit():
+    if text.startswith("z") and text[1:].isdecimal():
         return Coefficients(int(text[1:]))
     raise InputError(f"unknown coefficient spec {text!r} (use z, z2, z5, ...)")
 

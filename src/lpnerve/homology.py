@@ -117,9 +117,8 @@ def _ranks(faces: np.ndarray, floor: np.ndarray, grade: np.ndarray,
     form (``snf.smith_normal_form``, one sparse elimination loop) run,
     once per grade index on its columns, with the kept faces as a mask.
     """
-    q = coefficients.modulus or 0
-    lows = np.empty(len(faces), dtype=np.int64)
-    if kernels.reduce_faces(faces, nrows, q, floor, lows) >= 0:
+    lows = kernels.reduce_faces(faces, nrows, coefficients.modulus or 0, floor)
+    if lows is not None:
         pivots = np.bincount(grade[lows >= 0], minlength=run[-1][0] + 1)
         below = [0] + np.cumsum(pivots).tolist()  # pivots below each grade
         return [(below[g + 1] - below[f], ()) for g, f in run]
@@ -164,7 +163,10 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
             runs[-1].append((g, f))
         else:
             runs.append([(g, f)])
-    starts = {n: fc.degree(n).starts.tolist() for n in degrees}
+    # per degree, the first row of each grade index (and the row count)
+    ramp = np.arange(len(fc.grades) + 1)
+    starts = {n: fc.degree(n).grade.searchsorted(ramp).tolist()
+              for n in degrees}
     out: List[HomologySummary] = []
     for run in runs:
         first, floor = run[0]
@@ -234,9 +236,8 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
     cycle = np.ones(len(below), dtype=bool)  # d_0 is zero
     for k in range(1, max_degree + 2):
         faces, floor, grade = sieve_boundary(fc, k, floors)  # every row
-        lows = np.empty(len(faces), dtype=np.int64)
-        kernels.reduce_faces(faces, len(below), field_coeffs.modulus, floor,
-                             lows)
+        lows = kernels.reduce_faces(faces, len(below), field_coeffs.modulus,
+                                    floor)
         killer = np.flatnonzero(lows >= 0)
         birth, death = below[lows[killer]], grade[killer]
         live = birth != death

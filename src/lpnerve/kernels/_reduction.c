@@ -40,24 +40,23 @@
  * binary search among them.  The result ends at max_dim or at the first
  * empty degree: every prefix is a tuple.  The search state grows with the
  * tuples and the depth actually reached.  A sum that overflows is inf.
+ * The budget ``limit`` is an int >= 0; a float raises TypeError.
  *
- * ``reduce_faces(table, nrows, q, floor, lows)`` reduces columns left to
+ * ``reduce_faces(table, nrows, q, floor)`` reduces columns left to
  * right.  ``table`` is a 2-d int64 buffer: row j lists the faces of
  * column j, entry i a row index in [0, nrows) with the sign (-1)^i, or -1
  * for a face not kept; no row may repeat within a column.  ``floor`` is a
  * 1-d int64 buffer with the lowest row each column keeps: a face below
- * it counts as absent, as -1 does.  ``lows`` is a writable 1-d int64
- * buffer with one slot per column, filled with the lowest row of each
- * reduced column, or -1 where it reduces to zero.  The return value is
- * the number of pivots.  q is a prime below 2^31, so that
- * a product of two residues fits in int64, or 0 for the integers: then
- * every pivot must be +-1 and every entry must stay below 2^63 in
- * magnitude, and the return value is -1 as soon as either fails.  Each
- * column's kept faces are sorted in place of a small working column.
- * While its lowest row is the low of an earlier column, the multiple of
- * that column that cancels it is added.  A column left nonzero is a
- * pivot: it is scaled so that its low entry is 1 and appended to one
- * pool, and ``pivot[row]`` records where.
+ * it counts as absent, as -1 does.  It returns a new int64 array with
+ * the lowest row of each reduced column, or -1 where it reduces to zero.
+ * q is a prime below 2^31, so that a product of two residues fits in
+ * int64, or 0 for the integers: then every pivot must be +-1 and every
+ * entry must stay below 2^63 in magnitude, and it returns None as soon
+ * as either fails.  Each column's kept faces are sorted in place of a
+ * small working column.  While its lowest row is the low of an earlier
+ * column, the multiple of that column that cancels it is added.  A
+ * column left nonzero is a pivot: it is scaled so that its low entry is 1
+ * and appended to one pool, and ``pivot[row]`` records where.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -157,10 +156,10 @@ static int axpy(Column *dst, const Column *a, const int64_t *b_rows,
 enum { INT64, FLOAT64 };
 static const char *const type_names[] = {"int64", "float64"};
 
-/* The buffer of obj with the given ndim and element type, C-contiguous
-   (and writable if asked); ValueError otherwise. */
+/* The buffer of obj with the given ndim and element type, C-contiguous;
+   ValueError otherwise. */
 static int typed_buffer(PyObject *obj, Py_buffer *view, int ndim, int type,
-                        int writable, const char *what)
+                        const char *what)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
@@ -173,11 +172,9 @@ static int typed_buffer(PyObject *obj, Py_buffer *view, int ndim, int type,
                                      || (strcmp(fmt, "l") == 0 && sizeof(long) == 8));
     else
         ok = view->itemsize == 8 && strcmp(fmt, "d") == 0;
-    if (view->ndim != ndim || !ok || !PyBuffer_IsContiguous(view, 'C')
-        || (writable && view->readonly)) {
-        PyErr_Format(PyExc_ValueError, "%s must be a %s%d-d C-contiguous "
-                     "%s array", what, writable ? "writable " : "", ndim,
-                     type_names[type]);
+    if (view->ndim != ndim || !ok || !PyBuffer_IsContiguous(view, 'C')) {
+        PyErr_Format(PyExc_ValueError, "%s must be a %d-d C-contiguous %s "
+                     "array", what, ndim, type_names[type]);
         PyBuffer_Release(view);
         return -1;
     }
@@ -289,6 +286,15 @@ static Py_ssize_t top_code(Level *level, double top)
 static inline double maximum(double a, double b)
 {
     return a > b || a != a ? a : b;
+}
+
+/* numpy.empty, a new reference; NULL with an exception */
+static PyObject *numpy_empty(void)
+{
+    PyObject *numpy = PyImport_ImportModule("numpy");
+    PyObject *empty = numpy ? PyObject_GetAttrString(numpy, "empty") : NULL;
+    Py_XDECREF(numpy);
+    return empty;
 }
 
 /* A new numpy.empty array of rows (by cols unless cols < 0) items of the
@@ -470,6 +476,22 @@ done:
     return result;
 }
 
+/* obj as a count >= 0, clamped below PY_SSIZE_T_MAX, which no search
+   reaches; -1 with ValueError for a negative int, TypeError for no int */
+static Py_ssize_t count_arg(PyObject *obj, const char *what)
+{
+    int overflow;
+    long long value = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow < 0 || (overflow == 0 && value < 0)) {
+        PyErr_Format(PyExc_ValueError, "%s must be >= 0, got %R", what, obj);
+        return -1;
+    }
+    return overflow > 0 || value >= PY_SSIZE_T_MAX ? PY_SSIZE_T_MAX - 1
+                                                   : (Py_ssize_t)value;
+}
+
 /* lpnerve.values.BudgetExceededError for the given limit */
 static void budget_exceeded(PyObject *limit)
 {
@@ -488,7 +510,7 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {"w", "p", "max_dim", "limit", NULL};
     PyObject *w_obj, *p_obj, *max_dim_obj, *limit_obj, *result = NULL;
-    PyObject *numpy = NULL, *empty = NULL;
+    PyObject *empty = NULL;
     Py_buffer w_view = {0};
     Level *levels = NULL;  /* one per degree reached, room for depths + 1 */
     Py_ssize_t nlevels = 0;
@@ -497,7 +519,6 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t *cursor = NULL, *end = NULL, depths = 0;
     double *reach = NULL;
     Below below = {0};
-    int overflow;
 
     (void)self;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:expand", keywords,
@@ -510,36 +531,11 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
         return PyErr_Format(PyExc_ValueError, "p must lie in [1, inf], got %R",
                             p_obj);
     int at_inf = p == INFINITY;
-    long long max_dim = PyLong_AsLongLongAndOverflow(max_dim_obj, &overflow);
-    if (max_dim == -1 && PyErr_Occurred())
-        return NULL;
-    if (overflow < 0 || (overflow == 0 && max_dim < 0))
-        return PyErr_Format(PyExc_ValueError, "max_dim must be >= 0, got %R",
-                            max_dim_obj);
-    if (overflow > 0 || max_dim >= PY_SSIZE_T_MAX)
-        max_dim = PY_SSIZE_T_MAX - 1;  /* no search gets that deep */
     /* at most `most` tuples: storing one more makes the count exceed limit */
-    Py_ssize_t most;
-    if (PyLong_Check(limit_obj)) {
-        long long limit = PyLong_AsLongLongAndOverflow(limit_obj, &overflow);
-        if (limit == -1 && PyErr_Occurred())
-            return NULL;
-        if (overflow < 0 || (overflow == 0 && limit < 0))
-            return PyErr_Format(PyExc_ValueError, "limit must be a number "
-                                ">= 0, got %R", limit_obj);
-        most = overflow > 0 || limit > PY_SSIZE_T_MAX ? PY_SSIZE_T_MAX
-                                                      : (Py_ssize_t)limit;
-    } else {
-        double limit = PyFloat_AsDouble(limit_obj);
-        if (limit == -1.0 && PyErr_Occurred())
-            return NULL;
-        if (!(limit >= 0.0))
-            return PyErr_Format(PyExc_ValueError, "limit must be a number "
-                                ">= 0, got %R", limit_obj);
-        most = limit >= (double)PY_SSIZE_T_MAX ? PY_SSIZE_T_MAX
-                                               : (Py_ssize_t)limit;
-    }
-    if (typed_buffer(w_obj, &w_view, 2, FLOAT64, 0, "w") < 0)
+    Py_ssize_t most, max_dim = count_arg(max_dim_obj, "max_dim");
+    if (max_dim < 0 || (most = count_arg(limit_obj, "limit")) < 0)
+        return NULL;
+    if (typed_buffer(w_obj, &w_view, 2, FLOAT64, "w") < 0)
         return NULL;
     const double *w = w_view.buf;
     Py_ssize_t n = w_view.shape[0];
@@ -637,8 +633,7 @@ static PyObject *expand(PyObject *self, PyObject *args, PyObject *kwargs)
             end[depth] = size;
         }
     }
-    numpy = PyImport_ImportModule("numpy");
-    if (numpy == NULL || (empty = PyObject_GetAttrString(numpy, "empty")) == NULL)
+    if ((empty = numpy_empty()) == NULL)
         goto done;
     PyObject *found = PyList_New(nlevels);
     if (found == NULL)
@@ -662,7 +657,6 @@ done:
     PyMem_Free(reach);
     below_free(&below);
     Py_XDECREF(empty);
-    Py_XDECREF(numpy);
     if (w_view.obj != NULL)
         PyBuffer_Release(&w_view);
     return result;
@@ -707,18 +701,17 @@ static int check_table(const int64_t *table, Py_ssize_t ncols, Py_ssize_t width,
 
 static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *keywords[] = {"table", "nrows", "q", "floor", "lows", NULL};
-    PyObject *table_obj, *nrows_obj, *q_obj, *floor_obj, *lows_obj;
-    PyObject *result = NULL;
-    Py_buffer table_view = {0}, floor_view = {0}, lows_view = {0};
+    static char *keywords[] = {"table", "nrows", "q", "floor", NULL};
+    PyObject *table_obj, *nrows_obj, *q_obj, *floor_obj;
+    PyObject *result = NULL, *empty = NULL, *found = NULL;
+    Py_buffer table_view = {0}, floor_view = {0};
     Column cur = {0}, scratch = {0}, pool = {0};
     Py_ssize_t *pivot = NULL, *start = NULL;  /* pivot[row]: 1 + its pivot */
     int overflow;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOO:reduce_faces", keywords,
-                                     &table_obj, &nrows_obj, &q_obj, &floor_obj,
-                                     &lows_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:reduce_faces", keywords,
+                                     &table_obj, &nrows_obj, &q_obj, &floor_obj))
         return NULL;
     long long q = PyLong_AsLongLongAndOverflow(q_obj, &overflow);
     if (q == -1 && PyErr_Occurred())
@@ -729,25 +722,21 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t nrows = row_count(nrows_obj);
     if (nrows < 0)
         return NULL;
-    if (typed_buffer(table_obj, &table_view, 2, INT64, 0, "the face table") < 0)
+    if (typed_buffer(table_obj, &table_view, 2, INT64, "the face table") < 0)
         return NULL;
-    if (typed_buffer(floor_obj, &floor_view, 1, INT64, 0, "floor") < 0
-        || typed_buffer(lows_obj, &lows_view, 1, INT64, 1, "lows") < 0)
+    if (typed_buffer(floor_obj, &floor_view, 1, INT64, "floor") < 0)
         goto done;
     const int64_t *table = table_view.buf, *floor = floor_view.buf;
-    int64_t *lows = lows_view.buf;
+    int64_t *lows;
     Py_ssize_t ncols = table_view.shape[0], width = table_view.shape[1];
     if (floor_view.shape[0] != ncols) {
         PyErr_Format(PyExc_ValueError, "the face table has %zd columns but "
                      "floor has %zd entries", ncols, floor_view.shape[0]);
         goto done;
     }
-    if (lows_view.shape[0] != ncols) {
-        PyErr_Format(PyExc_ValueError, "the face table has %zd columns but "
-                     "lows has %zd slots", ncols, lows_view.shape[0]);
-        goto done;
-    }
-    if (check_table(table, ncols, width, nrows) < 0)
+    if (check_table(table, ncols, width, nrows) < 0
+        || (empty = numpy_empty()) == NULL
+        || (found = new_array(empty, ncols, -1, "int64", "C", &lows)) == NULL)
         goto done;
     Py_ssize_t most = ncols < nrows ? ncols : nrows;  /* pivots */
     pivot = PyMem_Calloc(nrows > 0 ? nrows : 1, sizeof(Py_ssize_t));
@@ -787,7 +776,7 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
             if (status < 0)
                 goto done;
             if (status > 0) {
-                result = PyLong_FromLong(-1);
+                result = Py_NewRef(Py_None);
                 goto done;
             }
             Column tmp = cur;
@@ -800,7 +789,7 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
         }
         int64_t low = cur.rows[cur.size - 1], unit = cur.coeffs[cur.size - 1];
         if (q == 0 && unit != 1 && unit != -1) {
-            result = PyLong_FromLong(-1);
+            result = Py_NewRef(Py_None);
             goto done;
         }
         if (reserve(&pool, pool.size + cur.size) < 0)
@@ -817,7 +806,7 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
         start[npivots] = pool.size;
         lows[j] = low;
     }
-    result = PyLong_FromSsize_t(npivots);
+    result = Py_NewRef(found);
 done:
     PyMem_Free(cur.rows);
     PyMem_Free(cur.coeffs);
@@ -827,12 +816,12 @@ done:
     PyMem_Free(pool.coeffs);
     PyMem_Free(pivot);
     PyMem_Free(start);
+    Py_XDECREF(found);
+    Py_XDECREF(empty);
     if (table_view.obj != NULL)
         PyBuffer_Release(&table_view);
     if (floor_view.obj != NULL)
         PyBuffer_Release(&floor_view);
-    if (lows_view.obj != NULL)
-        PyBuffer_Release(&lows_view);
     return result;
 }
 
@@ -842,15 +831,15 @@ static PyMethodDef methods[] = {
      "expand($module, /, w, p, max_dim, limit)\n--\n\n"
      "Every finite-birth nondegenerate tuple of degree <= max_dim of the space\n"
      "with p-th-power distances ``w``: per degree reached (tuples, level, code,\n"
-     "faces) in (birth, vertices) order.  BudgetExceededError past ``limit`` tuples."},
+     "faces) in (birth, vertices) order.  BudgetExceededError past ``limit``\n"
+     "tuples, an int >= 0."},
     {"reduce_faces", (PyCFunction)(void (*)(void))reduce_faces,
      METH_VARARGS | METH_KEYWORDS,
-     "reduce_faces($module, /, table, nrows, q, floor, lows)\n--\n\n"
+     "reduce_faces($module, /, table, nrows, q, floor)\n--\n\n"
      "Column reduction of the boundary with face table ``table``, each column\n"
      "keeping its faces from row ``floor[j]`` on, over GF(q), or over Z for\n"
-     "q = 0; writes each column's low (-1 for zero) into ``lows`` and returns\n"
-     "the number of pivots, or over Z -1 for a pivot other than +-1 or an\n"
-     "entry that reaches 2^63."},
+     "q = 0; returns each column's low (-1 for zero) as an int64 array, or\n"
+     "over Z None for a pivot other than +-1 or an entry that reaches 2^63."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -20,24 +20,24 @@ is a tuple.  ``w`` is the n x n float64 matrix of p-th-power distances
 top^(1/p) of the tuple's top chain value (0 for a top of 0) by Python's
 float power, which is libm's pow, and the top itself at p = inf; it is
 never -0.0.  It raises ``BudgetExceededError`` as soon as more than
-``limit`` tuples are found.
+``limit`` tuples are found; ``limit`` is an int >= 0 (a float raises
+TypeError).
 ``search(w, at_inf, max_dim, limit)`` is its raw search, which only the
 twin has: per degree, with the same end, the last vertex (int32), the
 top (float64) and the prefix row (intp) of each tuple, in the
 lexicographic order it finds them.
 
-``reduce_faces(table, nrows, q, floor, lows)``: ``table`` is a 2-d int64
+``reduce_faces(table, nrows, q, floor)``: ``table`` is a 2-d int64
 buffer: row j lists the faces of column j, entry i a row index in [0,
 nrows) with the sign (-1)^i, or -1 for a face not kept; no row may
 repeat within a column.  ``floor`` is a 1-d int64 buffer with one entry
 per column, the lowest row it keeps: a face below it counts as absent,
-as -1 does.  ``lows`` is a writable 1-d int64 buffer with one slot per
-column, filled with the lowest row of each reduced column, or -1 where
-it reduces to zero.  The return value is the number of pivots.  q
-is a prime below 2^31, so that the compiled kernel's products fit in
-int64, or 0 for the integers: then every pivot must be +-1 and every
-entry, and every product that forms one, must stay below 2^63 in
-magnitude, and the return value is -1 as soon as either fails.
+as -1 does.  It returns a new int64 array with the lowest row of each
+reduced column, or -1 where it reduces to zero.  q is a prime below
+2^31, so that the compiled kernel's products fit in int64, or 0 for the
+integers: then every pivot must be +-1 and every entry, and every
+product that forms one, must stay below 2^63 in magnitude, and it
+returns None as soon as either fails.
 
 ``reduce_columns`` is the plain reduction over GF(q) of sparse columns
 given as lists: parallel lists of strictly increasing int rows in
@@ -49,7 +49,7 @@ not call it; it is the test oracle of ``reduce_faces``.
 from __future__ import annotations
 
 import operator
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -170,8 +170,9 @@ def search(w, at_inf, max_dim, limit):
     max_dim = operator.index(max_dim)
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
-    if not limit >= 0:
-        raise ValueError(f"limit must be a number >= 0, got {limit!r}")
+    limit = operator.index(limit)
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     if n > limit:
         raise BudgetExceededError(f"tuple count exceeded the budget of {limit}")
     vertices = np.arange(n, dtype=VERTEX)
@@ -221,7 +222,7 @@ def search(w, at_inf, max_dim, limit):
     return joined
 
 
-def reduce_faces(table, nrows, q, floor, lows) -> int:
+def reduce_faces(table, nrows, q, floor) -> Optional[np.ndarray]:
     q = operator.index(q)
     if q != 0 and not 2 <= q < MAX_ORDER:
         raise ValueError(f"q must be 0 (the integers) or a prime in "
@@ -229,14 +230,10 @@ def reduce_faces(table, nrows, q, floor, lows) -> int:
     nrows = _row_count(nrows)
     faces = _typed_array(table, 2, "the face table")
     lowest = _typed_array(floor, 1, "floor")
-    out = _typed_array(lows, 1, "lows", writable=True)
-    ncols, width = faces.shape
+    ncols = len(faces)
     if len(lowest) != ncols:
         raise ValueError(f"the face table has {ncols} columns but floor has "
                          f"{len(lowest)} entries")
-    if len(out) != ncols:
-        raise ValueError(f"the face table has {ncols} columns but lows has "
-                         f"{len(out)} slots")
     _check_table(faces, nrows)
     faces = np.where(faces >= lowest[:, None], faces, -1)
     counts = (faces >= 0).sum(axis=1)
@@ -255,7 +252,7 @@ def reduce_faces(table, nrows, q, floor, lows) -> int:
         low = rows[m - 1]
         while low in pivots:
             if not _subtract(col, pivots[low], col[low], q):
-                return -1  # an entry over Z reached 2^63
+                return None  # an entry over Z reached 2^63
             if not col:
                 break
             low = max(col)
@@ -264,15 +261,14 @@ def reduce_faces(table, nrows, q, floor, lows) -> int:
         unit = col[low]
         if q == 0 and unit != 1:
             if unit != -1:
-                return -1
+                return None
             col = {r: -c for r, c in col.items()}  # 1/u = u over Z
         elif unit != 1:
             inverse = pow(unit, q - 2, q)
             col = {r: c * inverse % q for r, c in col.items()}
         pivots[low] = col
         found[j] = low
-    out[:] = found
-    return len(pivots)
+    return np.array(found, dtype=np.int64)
 
 
 def _row_count(nrows) -> int:
@@ -283,17 +279,17 @@ def _row_count(nrows) -> int:
     return nrows
 
 
-def _typed_array(obj, ndim: int, what: str, kind: str = "int64",
-                 writable: bool = False) -> np.ndarray:
+def _typed_array(obj, ndim: int, what: str, kind: str = "int64"
+                 ) -> np.ndarray:
     """``obj`` as an array on its own buffer, which must have the given
-    ndim and element type and be C-contiguous (and writable if asked)."""
+    ndim and element type and be C-contiguous."""
     view = memoryview(obj)
     fmt = view.format[1:] if view.format[:1] in ("@", "=") else view.format
     itemsize, formats = _TYPES[kind]
     if (view.ndim != ndim or view.itemsize != itemsize or fmt not in formats
-            or not view.c_contiguous or (writable and view.readonly)):
-        raise ValueError(f"{what} must be a {'writable ' if writable else ''}"
-                         f"{ndim}-d C-contiguous {kind} array")
+            or not view.c_contiguous):
+        raise ValueError(f"{what} must be a {ndim}-d C-contiguous {kind} "
+                         f"array")
     return np.asarray(view)
 
 

@@ -50,6 +50,7 @@ tuple's birth and grade index are gathers through its code.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -66,7 +67,7 @@ DEFAULT_BUDGET = 2_000_000
 
 
 #: one degree of a complex, as ``FilteredComplex.degree`` gives it
-Degree = namedtuple("Degree", "tuples births grade starts faces")
+Degree = namedtuple("Degree", "tuples births grade faces")
 
 
 @dataclass(eq=False)
@@ -80,10 +81,9 @@ class FilteredComplex:
     ``tables[k]`` the face table (see ``faces``) and ``grade[k]`` the
     grade index of each tuple, non-decreasing.  ``grades[g]`` is the
     value of grade index g, the smallest birth of its cluster
-    (``grades[0]`` is 0), and ``starts[k][g]`` the first row of degree k
-    with grade index >= g, for g up to ``len(grades)``.  The stored
-    degrees end at ``max_dim`` or one past the last nonempty degree,
-    whichever comes first; ``degree`` reads any degree up to ``max_dim``.
+    (``grades[0]`` is 0).  The stored degrees end at ``max_dim`` or one
+    past the last nonempty degree, whichever comes first; ``degree``
+    reads any degree up to ``max_dim``.
     """
 
     p: float
@@ -94,7 +94,6 @@ class FilteredComplex:
     tables: List[np.ndarray]
     grade: List[np.ndarray]
     grades: List[float]
-    starts: List[np.ndarray]
 
     def size(self) -> int:
         return sum(len(level) for level in self.tuples)
@@ -109,19 +108,18 @@ class FilteredComplex:
         return [tuple(names[i] for i in row) for row in level.tolist()]
 
     def degree(self, k: int) -> Degree:
-        """The tuples, births, grade indices, grade offsets and face table
-        of a degree k in 0..max_dim.  Every degree above the stored ones is
-        empty, since every tuple's prefix is a tuple; ``InputError`` for a
-        degree outside 0..max_dim."""
+        """The tuples, births, grade indices and face table of a degree k
+        in 0..max_dim.  Every degree above the stored ones is empty, since
+        every tuple's prefix is a tuple; ``InputError`` for a degree
+        outside 0..max_dim."""
         if not 0 <= k <= self.max_dim:
             raise InputError(f"degree {k} is outside the complex: "
                              f"degrees 0..{self.max_dim}")
         if k < len(self.tuples):
             return Degree(self.tuples[k], self.births[k], self.grade[k],
-                          self.starts[k], self.tables[k])
+                          self.tables[k])
         return Degree(np.empty((0, k + 1), np.int32, order="F"),
                       np.empty(0), np.empty(0, np.intp),
-                      np.zeros(len(self.grades) + 1, np.intp),
                       np.empty((0, k + 1), np.intp))
 
     def faces(self, degree: int) -> np.ndarray:
@@ -225,7 +223,7 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
     perm = [X.index(v) for v in names]
     d = X.dist[np.ix_(perm, perm)]
     w = d if p == INF else python_power(d, p)
-    limit = INF if budget is None else budget
+    limit = sys.maxsize if budget is None else budget
     found = kernels.expand(w, p, max_dim, limit)
     # a chain sum that overflows is inf and its tuple was pruned, but in a
     # degree the search reached, so the chain had at most len(found) - 1
@@ -246,7 +244,5 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
         # a tuple's birth and grade index are those of its birth code
         births.append(level[code])
         grade.append((values.searchsorted(level, side="right") - 1)[code])
-    ramp = np.arange(len(grades) + 1)
-    starts = [level.searchsorted(ramp) for level in grade]
     return FilteredComplex(p, max_dim, names, tuples, births, tables,
-                           grade, grades, starts)
+                           grade, grades)

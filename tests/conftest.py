@@ -67,7 +67,8 @@ def backend(request):
 
 @pytest.fixture
 def nerve_backend(backend, monkeypatch):
-    """``lpnerve.kernels`` searching, and building face tables, with
-    ``backend``, which is returned."""
+    """``lpnerve.kernels`` searching, building face tables and reducing
+    them with ``backend``, which is returned."""
     monkeypatch.setattr(kernels, "expand", backend.expand)
+    monkeypatch.setattr(kernels, "reduce_faces", backend.reduce_faces)
     return backend

@@ -271,7 +271,8 @@ def test_one_run_of_shared_floor_then_strict_grades():
                     for g, f in run:
                         expected = label_boundary(fc, degree, g, sieve)
                         cols = (grade >= f) & (grade <= g)
-                        shift = fc.degree(degree - 1).starts[f]
+                        shift = np.searchsorted(
+                            fc.degree(degree - 1).grade, f)
                         assert columns_to_dense(
                             columns(faces[cols] - shift, keep[cols]),
                             len(expected)) == expected.tolist()

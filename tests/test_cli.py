@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpnerve.cli
-from lpnerve import homology, io, kernels
+from lpnerve import homology, io
 from lpnerve.chain import (CUSTOM_GRID, STRICT_PREDECESSORS, SieveSpec,
                            generators_at)
 from lpnerve.cli import main
@@ -113,13 +113,11 @@ def test_mh(capsys, c4_path):
     assert all(r["torsion"] == [] for r in rows)
 
 
-def test_mh_two_points_at_degree_1200(nerve_backend, monkeypatch, capsys,
-                                      tmp_path):
+def test_mh_two_points_at_degree_1200(nerve_backend, capsys, tmp_path):
     """The face tables are built in one loop, with no Python frame per
     degree, so a degree above the default recursion limit of 1000 runs:
     two points at distance 1 have two tuples per degree, and both are
     cycles of H_1200 at grade 1200."""
-    monkeypatch.setattr(kernels, "reduce_faces", nerve_backend.reduce_faces)
     X = VGraph(["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]))
     rows = magnitude_homology(X, 1, [1200])
     assert [(r.grade, r.degree, r.rank, r.torsion) for r in rows] == [
@@ -913,6 +911,19 @@ def test_exit_code_field_order_too_large(capsys, c4_path):
     assert run_json(capsys, ["ph", c4_path, "--degrees", "0..1",
                              "--coeff", "z2147483647"]) == \
         run_json(capsys, ["ph", c4_path, "--degrees", "0..1"])
+
+
+@pytest.mark.parametrize("command", ["homology", "ph"])
+def test_exit_code_coefficient_spec_with_a_digit_that_is_no_number(
+        capsys, c4_path, command):
+    """``'²'.isdigit()`` is true but ``int('²')`` fails, so ``z²`` is an
+    unknown spec: exit 2 with one error line.  ``z٣`` (an Arabic-Indic
+    3) is a decimal number, and reads as GF(3)."""
+    assert main([command, c4_path, "--coeff", "z²"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown coefficient spec "
+                                       "'z²' (use z, z2, z5, ...)\n")
+    assert run_json(capsys, [command, c4_path, "--coeff", "z٣"]) == \
+        run_json(capsys, [command, c4_path, "--coeff", "z3"])
 
 
 @pytest.mark.parametrize("flag,value", [("--max-dim", "-1"), ("--budget", "-5")])

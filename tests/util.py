@@ -8,6 +8,7 @@ import math
 import operator
 import pathlib
 import random
+import sys
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -314,7 +315,7 @@ def lexsorted_complex(X: VGraph, p: float, max_dim: int, eps: float = EPS
     w = d if p == INF else python_power(d, p)
     tuples, births, prefix = [], [], []
     for k, (last, top, parent) in enumerate(
-            _reduction_py.search(w, p == INF, max_dim, INF)):
+            _reduction_py.search(w, p == INF, max_dim, sys.maxsize)):
         # rows in search order: the parent's row (the last degree's verts,
         # not yet sorted), then the last vertex
         verts = np.column_stack([verts[parent], last]) if k else last[:, None]
@@ -330,10 +331,8 @@ def lexsorted_complex(X: VGraph, p: float, max_dim: int, eps: float = EPS
                             tolerance(X, eps), max(last, 1))
     grade = [np.searchsorted(grades, level, side="right") - 1
              for level in births]
-    starts = [np.searchsorted(level, np.arange(len(grades) + 1))
-              for level in grade]
     fc = FilteredComplex(p, max_dim, names, tuples, births, [], grade,
-                         grades, starts)
+                         grades)
     fc.tables.extend(searched_faces(fc, prefix, k) for k in range(len(tuples)))
     return fc, prefix
 
