@@ -63,22 +63,25 @@ def _parse_coeff(text: str) -> Coefficients:
 
 
 def _add_common(sub: argparse.ArgumentParser, default_p: Optional[str],
-                formats=("json",), tuples: bool = True, degrees: bool = True,
+                formats=("json",), budget: bool = True, degrees: bool = True,
                 input_help: str = "distance matrix (CSV or JSON)") -> None:
-    """The input and output, and only the flags the command reads."""
+    """The input and output, and only the flags the command reads.  A
+    command that computes homology enumerates tuples up to one degree
+    above the highest it reports, all that its boundaries read, so only
+    ``nerve`` adds a tuple dimension cap, ``--max-dim``."""
     sub.add_argument("input", help=input_help)
     if default_p is not None:
         sub.add_argument("--p", default=default_p,
                          help="exponent in [1, inf] (default %(default)s)")
-    if tuples:
-        sub.add_argument("--max-dim", type=_count, default=None,
-                         help="tuple dimension cap (default: "
-                              + ("max degree + 1)" if degrees else "2)"))
+    if budget:
         sub.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                          help="tuple count cap (default %(default)s)")
     if degrees:
         sub.add_argument("--degrees", type=_parse_degrees, default=None,
-                         metavar="A..B", help="homology degrees to report")
+                         metavar="A..B",
+                         help="homology degrees to report (default 0..1); "
+                              "tuples are enumerated up to one degree "
+                              "above the highest")
     sub.add_argument("--eps", type=_nonnegative, default=EPS,
                      help="relative tolerance: grades closer than eps times "
                           "the largest finite distance are one grade")
@@ -98,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     nerve = subs.add_parser("nerve", help="dump the filtered complex")
     _add_common(nerve, "inf", degrees=False)
+    nerve.add_argument("--max-dim", type=_count, default=2,
+                       help="tuple dimension cap (default %(default)s)")
 
     ph = subs.add_parser("ph", help="persistence barcode (default p=inf, GF(2))")
     _add_common(ph, "inf", formats=("json", "csv", "svg"))
@@ -113,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--coeff", default="z")
 
     free = subs.add_parser("free", help="(min, +_p) path closure of a space")
-    _add_common(free, "1", formats=("json", "csv"), tuples=False,
+    _add_common(free, "1", formats=("json", "csv"), budget=False,
                 degrees=False)
 
     an = subs.add_parser("analyze",
                          help="ultrametric flag, critical exponents, "
                               "degree-1 generator pairs")
-    _add_common(an, "1", tuples=False, degrees=False)
+    _add_common(an, "1", budget=False, degrees=False)
     an.add_argument("--tol", type=_positive, default=1e-6)
 
     auto = subs.add_parser("automaton",
@@ -153,17 +158,6 @@ def _degrees(args) -> range:
     return args.degrees if args.degrees is not None else range(0, 2)
 
 
-def _max_dim(args, degrees: range) -> int:
-    need = max(degrees) + 1
-    if args.max_dim is None:
-        return need
-    if args.max_dim < need:
-        raise InputError(
-            f"--max-dim {args.max_dim} is too small for degree "
-            f"{max(degrees)} (need at least {need})")
-    return args.max_dim
-
-
 def _emit_rows(args, rows) -> None:
     if args.format == "csv":
         _emit(args, io.homology_to_csv(rows))
@@ -175,9 +169,8 @@ def run(args) -> int:
     p = parse_exponent(args.p) if "p" in args else None
     if args.command == "nerve":
         X, _ = _load_validated(args)
-        # no homology here, so max_dim is just the tuple cap
-        dim = 2 if args.max_dim is None else args.max_dim
-        fc = enumerate_complex(X, p, dim, budget=args.budget, eps=args.eps)
+        fc = enumerate_complex(X, p, args.max_dim, budget=args.budget,
+                               eps=args.eps)
         _emit(args, io.dumps(io.complex_to_json(fc)))
         return 0
 
@@ -189,8 +182,8 @@ def run(args) -> int:
             # same bars from the ordered-subset (Vietoris-Rips) complex,
             # which has one tuple per subset instead of all orderings
             X = asymmetrize(X)
-        fc = enumerate_complex(X, p, _max_dim(args, degrees),
-                               budget=args.budget, eps=args.eps)
+        fc = enumerate_complex(X, p, max(degrees) + 1, budget=args.budget,
+                               eps=args.eps)
         bc = persistence_barcode(fc, max(degrees), coeff)
         bc.bars = [b for b in bc.bars if b.degree in degrees]
         if args.format == "svg":
@@ -204,9 +197,8 @@ def run(args) -> int:
     if args.command == "mh":
         X, _ = _load_validated(args)
         degrees = _degrees(args)
-        _emit_rows(args, magnitude_homology(
-            X, p, degrees, _max_dim(args, degrees), budget=args.budget,
-            eps=args.eps))
+        _emit_rows(args, magnitude_homology(X, p, degrees, args.budget,
+                                            args.eps))
         return 0
 
     if args.command == "homology":
@@ -214,8 +206,8 @@ def run(args) -> int:
         degrees = _degrees(args)
         coeff = _parse_coeff(args.coeff)
         sieve = SieveSpec(STRICT_PREDECESSORS if args.sieve == "strict" else EMPTY)
-        fc = enumerate_complex(X, p, _max_dim(args, degrees),
-                               budget=args.budget, eps=args.eps)
+        fc = enumerate_complex(X, p, max(degrees) + 1, budget=args.budget,
+                               eps=args.eps)
         _emit_rows(args, homology_table(fc, degrees, sieve, coeff))
         return 0
 
@@ -271,9 +263,8 @@ def run(args) -> int:
         strict_C, proj = automata.strictify(C, tol)
         primitives = automata.cost_primitive_pairs(strict_C, tol)
         # degree 1 at p = 1 is where the cost-primitive theorem applies
-        table = magnitude_homology(strict_C, 1.0, [1],
-                                   _max_dim(args, range(1, 2)),
-                                   budget=args.budget, eps=args.eps)
+        table = magnitude_homology(strict_C, 1.0, [1], args.budget,
+                                   args.eps)
         _emit(args, io.dumps({
             "cost_space": {
                 "vertices": C.vertices,

@@ -24,7 +24,8 @@ degree n reduces d_1 .. d_(n+1) one degree at a time over GF(q).  The
 rows of one degree are already in filtration order and a column
 reduction only adds columns of one degree, so this pairs as a reduction
 of the whole filtration would; a pair born and killed at the same grade
-index is no bar.  A classical Vietoris-Rips computation on unordered
+index is no bar.  Neither the table nor the barcode builds a boundary
+past the complex's last stored degree: every degree above it is empty.  A classical Vietoris-Rips computation on unordered
 simplices, with its own mod-2 reduction and pairing, serves as an
 independent cross-check.
 """
@@ -150,11 +151,13 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
     follows that run's last grade and its floor is its own or the floor of
     the run's first grade.  Each d_k is built (``sieve_boundary``) and
     ranked once per run: once for all grades under the empty and the
-    strict sieve, once per run of a custom sieve.  A grade index off the
-    complex raises ``InputError``.
+    strict sieve, once per run of a custom sieve.  A degree past the last
+    stored one has no generators, so it gives no row and builds nothing.
+    A grade index off the complex raises ``InputError``.
     """
     degrees = sorted(set(degrees))
     _check_degrees(degrees, fc.max_dim)
+    degrees = [n for n in degrees if n < len(fc.tuples)]
     runs: List[List[Tuple[int, int]]] = []  # per run, each grade and floor
     for g in range(len(fc.grades)) if grades is None else grades:
         check_grade(fc, g)
@@ -196,19 +199,18 @@ def homology_at(fc: FilteredComplex, degree: int, g: int,
 
 
 def magnitude_homology(X: VGraph, p: float, degrees: Iterable[int],
-                       max_dim: Optional[int] = None,
                        budget: Optional[int] = DEFAULT_BUDGET,
                        eps: float = EPS) -> List[HomologySummary]:
     """``homology_table`` under the strict sieve over the integers, on the
-    complex ``enumerate_complex(X, p, max_dim, budget, eps)``.
+    complex ``enumerate_complex(X, p, max(degrees) + 1, budget, eps)``:
+    H_n reads d_n and d_(n+1) only, so no tuple above that is enumerated.
 
     p = 1 on a space satisfying the additive triangle inequality gives the
     classical magnitude homology; other p give its +_p variants.
     """
     degrees = sorted(set(degrees))
-    if max_dim is None:
-        max_dim = max(degrees, default=0) + 1
-    fc = enumerate_complex(X, p, max_dim, budget=budget, eps=eps)
+    fc = enumerate_complex(X, p, max(degrees, default=0) + 1, budget=budget,
+                           eps=eps)
     return homology_table(fc, degrees, SieveSpec(STRICT_PREDECESSORS))
 
 
@@ -220,11 +222,12 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
     """Barcode of the global (unlocalized) complex over a prime field.
 
     d_1 .. d_(max_degree+1) are reduced one at a time, each built by
-    ``sieve_boundary`` as the empty sieve's one run.  The pivot of column
-    j at row ``low`` is a bar from the grade of ``low`` to that of j
-    unless the two grade indices are equal; a row that is no pivot of the
-    degree above, and whose own column reduced to zero, is an essential
-    bar.
+    ``sieve_boundary`` as the empty sieve's one run, up to the last stored
+    degree: every degree above it is empty, and gives no bar.  The pivot
+    of column j at row ``low`` is a bar from the grade of ``low`` to that
+    of j unless the two grade indices are equal; a row that is no pivot
+    of the degree above, and whose own column reduced to zero, is an
+    essential bar.
     """
     if field_coeffs.modulus is None:
         raise InputError("persistence requires field coefficients")
@@ -234,7 +237,7 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
     floors = np.zeros(len(grades), dtype=np.intp)  # the empty sieve's run
     below = fc.grade[0]
     cycle = np.ones(len(below), dtype=bool)  # d_0 is zero
-    for k in range(1, max_degree + 2):
+    for k in range(1, min(max_degree + 2, len(fc.tuples))):
         faces, floor, grade = sieve_boundary(fc, k, floors)  # every row
         lows = kernels.reduce_faces(faces, len(below), field_coeffs.modulus,
                                     floor)

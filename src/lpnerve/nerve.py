@@ -53,7 +53,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -98,14 +98,11 @@ class FilteredComplex:
     def size(self) -> int:
         return sum(len(level) for level in self.tuples)
 
-    def labels(self, degree: int,
-               rows: Optional[Sequence[int]] = None) -> List[Tuple[str, ...]]:
-        """Vertex-name tuples of the given rows (default all) of a degree."""
-        level = self.degree(degree).tuples
-        if rows is not None:
-            level = level[np.asarray(rows, dtype=np.intp)]
+    def labels(self, degree: int) -> List[Tuple[str, ...]]:
+        """Vertex-name tuples of the rows of a degree, in row order."""
         names = self.names
-        return [tuple(names[i] for i in row) for row in level.tolist()]
+        return [tuple(names[i] for i in row)
+                for row in self.degree(degree).tuples.tolist()]
 
     def degree(self, k: int) -> Degree:
         """The tuples, births, grade indices and face table of a degree k

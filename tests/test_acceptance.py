@@ -32,13 +32,13 @@ from lpnerve.vgraph import (GraphMorphism, VGraph, check_morphism, coequalizer,
                             tolerance)
 from util import (columns_to_dense, coproduct_injections, decode_codes,
                   dense_boundary, dense_to_columns, direct_local_boundary,
-                  direct_local_generators, graphs_equal, index_at, levels,
-                  magnitude_series, morphisms, orbit_representatives,
-                  p_closure, path_closure, product_projections,
-                  random_floors, random_honest_space, random_l1_space,
-                  random_real_honest_space, random_ultrametric,
-                  random_vgraph, sigma_oracle, sigma_oracle_chains,
-                  sweep_four_vertex, unique_factorization)
+                  direct_local_generators, generator_labels, graphs_equal,
+                  index_at, levels, magnitude_series, morphisms,
+                  orbit_representatives, p_closure, path_closure,
+                  product_projections, random_floors, random_honest_space,
+                  random_l1_space, random_real_honest_space,
+                  random_ultrametric, random_vgraph, sigma_oracle,
+                  sigma_oracle_chains, sweep_four_vertex, unique_factorization)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -158,8 +158,8 @@ def test_criterion_5_subfunctor_inclusion():
         grades = sorted({g for p in ps for g in complexes[p].grades})
         def at(p, r):
             fc = complexes[p]
-            return {verts for n in range(3) for verts in fc.labels(
-                n, generators_at(fc, n, index_at(fc, r), GLOBAL))}
+            return {verts for n in range(3) for verts in
+                    generator_labels(fc, n, index_at(fc, r), GLOBAL)}
 
         for p in ps[:-1]:
             for r in grades:
@@ -408,13 +408,12 @@ def test_criterion_8_magnitude_nerve_identity():
         fc = enumerate_complex(X, 1.0, 3)
         for g, r in enumerate(fc.grades):
             for n in (1, 2):
-                gens = generators_at(fc, n, g, STRICT)
-                assert fc.labels(n, gens) == \
+                assert generator_labels(fc, n, g, STRICT) == \
                     direct_local_generators(X, 1.0, r, n)
             rows, cols, entries = direct_local_boundary(X, 1.0, r, 2)
             M = boundary_matrix(fc, 2, g, STRICT)
-            assert fc.labels(1, generators_at(fc, 1, g, STRICT)) == rows
-            assert fc.labels(2, generators_at(fc, 2, g, STRICT)) == cols
+            assert generator_labels(fc, 1, g, STRICT) == rows
+            assert generator_labels(fc, 2, g, STRICT) == cols
             assert len(M[0]) == len(cols)
             assert columns_to_dense(M, len(rows)) == entries
             record(fc, STRICT, g, 1)
@@ -652,7 +651,7 @@ def _localized_euler(X, p, fc, count):
     """Sum_n (-1)^n rank MH_n at each of the first ``count`` grade indices
     of ``fc``, over every degree below ``fc.max_dim``."""
     euler = [0] * count
-    for h in magnitude_homology(X, p, range(fc.max_dim), max_dim=fc.max_dim):
+    for h in magnitude_homology(X, p, range(fc.max_dim)):
         g = fc.grades.index(h.grade)
         if g < count:
             euler[g] += (-1) ** h.degree * h.rank

@@ -15,8 +15,8 @@ from lpnerve.snf import smith_normal_form
 from lpnerve.values import EPS, INF, InputError
 from lpnerve.vgraph import VGraph, asymmetrize, tolerance
 from util import (columns_to_dense, dense_boundary, dense_to_columns, faces,
-                  index_at, is_degenerate, random_floors, random_honest_space,
-                  random_l1_space, random_vgraph)
+                  generator_labels, index_at, is_degenerate, random_floors,
+                  random_honest_space, random_l1_space, random_vgraph)
 
 GLOBAL = SieveSpec(EMPTY)
 STRICT = SieveSpec(STRICT_PREDECESSORS)
@@ -57,7 +57,7 @@ def test_sieve_kinds():
 def test_generators_at_global():
     fc = two_point_complex()
     assert fc.grades == [0.0, 1.0, 2.0]
-    assert fc.labels(0, generators_at(fc, 0, 0, GLOBAL)) == [("a",), ("b",)]
+    assert generator_labels(fc, 0, 0, GLOBAL) == [("a",), ("b",)]
     assert len(generators_at(fc, 1, 0, GLOBAL)) == 0
     assert len(generators_at(fc, 1, 1, GLOBAL)) == 2
     assert len(generators_at(fc, 1, 2, GLOBAL)) == 2
@@ -84,7 +84,7 @@ def test_generators_at_strict():
     # at grade 2 only the tuples born exactly at 2 survive
     assert len(generators_at(fc, 0, 2, STRICT)) == 0
     assert len(generators_at(fc, 1, 2, STRICT)) == 0
-    assert fc.labels(2, generators_at(fc, 2, 2, STRICT)) == [
+    assert generator_labels(fc, 2, 2, STRICT) == [
         ("a", "b", "a"), ("b", "a", "b")]
 
 
@@ -192,7 +192,7 @@ def test_boundary_global_two_points():
     assert columns_to_dense(M, 2) == [[-1, 1], [1, -1]]
     M2 = boundary_matrix(fc, 2, 2, GLOBAL)
     # faces (a,a) and (b,b) are degenerate, so only the middle face remains
-    cols = fc.labels(2, generators_at(fc, 2, 2, GLOBAL))
+    cols = generator_labels(fc, 2, 2, GLOBAL)
     assert cols == [("a", "b", "a"), ("b", "a", "b")]
     assert len(M2[0]) == 2
     for coeffs in M2[1]:
@@ -306,10 +306,10 @@ def test_localization_commutes_with_boundary():
         for n in (1, 2, 3):
             A = dense_boundary(fc, n, g, GLOBAL)
             L = dense_boundary(fc, n, g, STRICT)
-            glob_rows = fc.labels(n - 1, generators_at(fc, n - 1, g, GLOBAL))
-            glob_cols = fc.labels(n, generators_at(fc, n, g, GLOBAL))
-            loc_rows = fc.labels(n - 1, generators_at(fc, n - 1, g, STRICT))
-            loc_cols = fc.labels(n, generators_at(fc, n, g, STRICT))
+            glob_rows = generator_labels(fc, n - 1, g, GLOBAL)
+            glob_cols = generator_labels(fc, n, g, GLOBAL)
+            loc_rows = generator_labels(fc, n - 1, g, STRICT)
+            loc_cols = generator_labels(fc, n, g, STRICT)
             # quotient matrices: identity on survivors, zero elsewhere
             keep_rows = set(loc_rows)
             keep_cols = set(loc_cols)
@@ -333,17 +333,16 @@ def test_exponent_inclusion_commutes_with_boundary():
             Mp = dense_boundary(fp, 1, g, GLOBAL)
             Mq = dense_boundary(fq, 1, h, GLOBAL)
             # inclusion on generators: birth can only drop as p grows
-            p_col_labels = fp.labels(1, generators_at(fp, 1, g, GLOBAL))
-            q_col_labels = fq.labels(1, generators_at(fq, 1, h, GLOBAL))
+            p_col_labels = generator_labels(fp, 1, g, GLOBAL)
+            q_col_labels = generator_labels(fq, 1, h, GLOBAL)
             p_cols = set(p_col_labels)
             q_cols = set(q_col_labels)
             assert p_cols <= q_cols
             qi = {t: i for i, t in enumerate(q_col_labels)}
             qr = {t: i for i, t in enumerate(
-                fq.labels(0, generators_at(fq, 0, h, GLOBAL)))}
+                generator_labels(fq, 0, h, GLOBAL))}
             for j, t in enumerate(p_col_labels):
-                for i, s in enumerate(
-                        fp.labels(0, generators_at(fp, 0, g, GLOBAL))):
+                for i, s in enumerate(generator_labels(fp, 0, g, GLOBAL)):
                     assert Mp[i, j] == Mq[qr[s], qi[t]]
 
 
@@ -371,7 +370,7 @@ def test_faces_match_degeneracy_oracle():
             if length > 1:
                 k = length - 1
                 table = fc.faces(k)[row[k][verts]]
-                assert [(fc.labels(k - 1, [i])[0], -1 if d % 2 else 1)
+                assert [(fc.labels(k - 1)[i], -1 if d % 2 else 1)
                         for d, i in enumerate(table.tolist()) if i >= 0] \
                     == expected
             checked += 1

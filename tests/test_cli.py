@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io as _io
 import json
@@ -5,6 +6,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpnerve.cli
-from lpnerve import homology, io
-from lpnerve.chain import (CUSTOM_GRID, STRICT_PREDECESSORS, SieveSpec,
-                           generators_at)
+from lpnerve import homology, io, kernels
+from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS,
+                           SieveSpec, generators_at)
 from lpnerve.cli import main
 from lpnerve.kernels import _reduction_py
 from lpnerve.homology import (Barcode, Coefficients, homology_table,
@@ -295,7 +297,9 @@ def test_each_boundary_built_once(capsys, monkeypatch, tmp_path):
     ["free", "--budget", "10"], ["analyze", "--max-dim", "2"],
     ["analyze", "--degrees", "1"], ["analyze", "--budget", "10"],
     ["automaton", "--p", "2"], ["automaton", "--degrees", "1"],
-    ["automaton", "--format", "csv"], ["nerve", "--degrees", "1"]])
+    ["automaton", "--format", "csv"], ["nerve", "--degrees", "1"],
+    ["ph", "--max-dim", "3"], ["mh", "--max-dim", "3"],
+    ["homology", "--max-dim", "3"], ["automaton", "--max-dim", "3"]])
 def test_flags_a_command_does_not_read(capsys, line_path, argv):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], line_path, *argv[1:]])
@@ -310,14 +314,13 @@ def test_flags_a_command_reads(capsys, line_path, tmp_path):
             ["nerve", line_path, "--p", "2", "--max-dim", "1",
              "--budget", "100", "--eps", "0", "--format", "json"],
             ["ph", line_path, "--coeff", "z3", "--format", "svg"],
-            ["mh", line_path, "--max-dim", "3", "--budget", "1000",
-             "--format", "csv"],
+            ["mh", line_path, "--budget", "1000", "--format", "csv"],
             ["homology", line_path, "--sieve", "strict", "--format", "csv"],
             ["free", line_path, "--p", "2", "--eps", "0", "--format", "csv"],
             ["analyze", line_path, "--p", "2", "--tol", "1e-3",
              "--format", "json"],
-            ["automaton", str(auto), "--max-dim", "3", "--budget", "1000",
-             "--eps", "1e-6", "--format", "json"]):
+            ["automaton", str(auto), "--budget", "1000", "--eps", "1e-6",
+             "--format", "json"]):
         assert main(argv) == 0
         assert capsys.readouterr().out
 
@@ -578,8 +581,9 @@ def bars_json(X, p, degrees, max_dim, q):
         Barcode([b for b in bc.bars if b.degree in degrees])))
 
 
-def run_ph(capsys, monkeypatch, path, p, max_dim, q):
-    """CLI ``ph`` output, and the spaces the CLI enumerated."""
+def run_ph(capsys, monkeypatch, path, p, q):
+    """CLI ``ph`` output at degrees 0..1, and the spaces the CLI
+    enumerated."""
     seen = []
 
     def recording(X, *args, **kwargs):
@@ -588,7 +592,7 @@ def run_ph(capsys, monkeypatch, path, p, max_dim, q):
 
     monkeypatch.setattr(lpnerve.cli, "enumerate_complex", recording)
     code = main(["ph", path, "--p", p, "--degrees", "0..1",
-                 "--max-dim", str(max_dim), "--coeff", f"z{q}"])
+                 "--coeff", f"z{q}"])
     assert code == 0
     return capsys.readouterr().out, seen
 
@@ -606,11 +610,14 @@ SYMMETRIC_KINDS = {
 @pytest.mark.parametrize("max_dim", [2, 3])
 def test_ph_symmetric_inf_matches_general_path(capsys, monkeypatch, tmp_path,
                                                kind, q, max_dim):
+    """The CLI, which enumerates degrees 0..2 of the ordered-subset
+    complex, gives the bars of the general path on X itself at a library
+    ``max_dim`` of 2 or 3."""
     rng = random.Random(61)
     for k in range(3):
         X = SYMMETRIC_KINDS[kind](rng)
         path = write_space(tmp_path / f"s{k}.csv", X)
-        out, seen = run_ph(capsys, monkeypatch, path, "inf", max_dim, q)
+        out, seen = run_ph(capsys, monkeypatch, path, "inf", q)
         # the ordered-subset complex ran, and gave the general path's bars
         assert [Y.dist.tolist() for Y in seen] == [asymmetrize(X).dist.tolist()]
         assert out == bars_json(X, math.inf, range(0, 2), max_dim, q)
@@ -634,7 +641,7 @@ def test_ph_general_path_off_the_gate(capsys, monkeypatch, tmp_path):
     differs = set()
     for k, (X, p, comparable) in enumerate(cases):
         path = write_space(tmp_path / f"s{k}.csv", X)
-        out, seen = run_ph(capsys, monkeypatch, path, p, 2, 2)
+        out, seen = run_ph(capsys, monkeypatch, path, p, 2)
         assert [Y.dist.tolist() for Y in seen] == [X.dist.tolist()]
         want = bars_json(X, float(p), range(0, 2), 2, 2)
         assert out == want
@@ -895,10 +902,6 @@ def test_exit_code_bad_degrees(capsys, c4_path, degrees):
     assert "--degrees" in capsys.readouterr().err
 
 
-def test_exit_code_bad_max_dim(capsys, c4_path):
-    assert main(["ph", c4_path, "--degrees", "2", "--max-dim", "1"]) == 2
-
-
 def test_exit_code_field_order_too_large(capsys, c4_path):
     """A prime order of 2^31 or more would overflow the reduction's int64
     products (and once made it loop forever); 2^31 - 1 is the largest
@@ -1108,39 +1111,94 @@ def test_a_huge_max_dim_costs_nothing_past_the_last_tuple(backend, tmp_path,
 
 def test_degrees_past_the_last_stored_one(capsys, tmp_path):
     """An asymmetrized space of n points has no tuple of degree n, so its
-    complex ends by degree n whatever ``--max-dim`` asks.  At a
-    ``--max-dim`` above n, the bars (with the essential ones of the last
-    nonempty degree: the 4-cycle's loop) are those of a run at the
-    smallest ``--max-dim`` the degrees need, byte for byte, and degrees
-    past the last nonempty one add no homology rows."""
+    complex ends by degree n whatever ``max_dim`` asks.  The CLI, which
+    enumerates one degree above the highest it reports, prints the bars
+    and rows the library finds at a ``max_dim`` above n, byte for byte
+    (with the essential bars of the last nonempty degree: the 4-cycle's
+    loop), and degrees past the last nonempty one add no rows."""
     cycle = VGraph(list("abcd"), np.array([
         [0.0, 1.0, INF, 1.0], [1.0, 0.0, 1.0, INF],
         [INF, 1.0, 0.0, 1.0], [1.0, INF, 1.0, 0.0]]))
     path = str(tmp_path / "x.csv")
+    sieves = {"none": SieveSpec(EMPTY),
+              "strict": SieveSpec(STRICT_PREDECESSORS)}
     for X, loops in ((asymmetrize(cycle), 1),
                      (asymmetrize(random_honest_space(random.Random(61), 4)),
                       0)):
         pathlib.Path(path).write_text(io.vgraph_to_csv(X))
-        high = str(len(X) + 2)
         for p in ("1", "2", "inf"):
-            fc = enumerate_complex(X, float(p), len(X))
+            fc = enumerate_complex(X, float(p), len(X) + 2)
             last = max(k for k, level in enumerate(fc.tuples) if len(level))
             def out(*argv):
                 assert main([argv[0], path, "--p", p, *argv[1:]]) == 0
                 return capsys.readouterr().out
             for top in range(last + 3):
-                degrees = ["--degrees", f"0..{top}"]
-                assert out("ph", *degrees) == out("ph", *degrees,
-                                                  "--max-dim", high)
-            for sieve in ("none", "strict"):
-                assert out("homology", "--degrees", f"{last + 1}..{last + 2}",
-                           "--sieve", sieve, "--max-dim", high) == "[]\n"
-                assert out("homology", "--degrees", f"0..{last}",
-                           "--sieve", sieve) == out(
-                    "homology", "--degrees", f"0..{last + 2}", "--sieve",
-                    sieve, "--max-dim", high)
+                assert out("ph", "--degrees", f"0..{top}") == io.dumps(
+                    io.barcode_to_json(persistence_barcode(fc, top)))
+            for sieve, spec in sieves.items():
+                assert homology_table(fc, range(last + 1, last + 3),
+                                      spec) == []
+                rows = out("homology", "--degrees", f"0..{last}",
+                           "--sieve", sieve)
+                assert rows == io.dumps(io.homology_to_json(
+                    homology_table(fc, range(last + 3), spec)))
+                assert rows == out("homology", "--degrees", f"0..{last + 2}",
+                                   "--sieve", sieve)
             # the cycle's loop is essential, and nothing kills it
             assert out("ph", "--degrees", "1..1").count("inf") == loops
+
+
+def test_degrees_past_the_complex_reduce_nothing(nerve_backend, capsys,
+                                                monkeypatch, tmp_path):
+    """Two points infinitely far apart store degrees 0 and 1 only.  At
+    ``--degrees 0..100000`` each homology command prints, on either
+    backend, what it prints at ``0..1``, and reduces at most two
+    boundaries: none past the complex's last stored degree."""
+    path = tmp_path / "inf2.csv"
+    path.write_text(",a,b\na,0,inf\nb,inf,0\n")
+    calls = []
+    def counting(*args):
+        calls.append(args)
+        return nerve_backend.reduce_faces(*args)
+    monkeypatch.setattr(kernels, "reduce_faces", counting)
+    commands = [["mh"], ["ph"]] + [
+        ["homology", "--sieve", sieve, "--coeff", coeff]
+        for sieve in ("none", "strict") for coeff in ("z", "z2")]
+    for command, *flags in commands:
+        outs = []
+        for top in (1, 100000):
+            calls.clear()
+            assert main([command, str(path), *flags,
+                         "--degrees", f"0..{top}"]) == 0
+            assert len(calls) <= 2
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and outs[0].err == ""
+
+
+def test_readme_flag_table_matches_the_parser():
+    """README's table of the flags each command reads names every command
+    of ``build_parser`` with exactly its options and formats, besides the
+    input, ``--eps``, ``--format``, ``-o`` and ``-h`` that all share."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("Each command takes only the flags it reads:\n\n")[1]
+    listed = {}
+    for line in table.split("\n\n")[0].splitlines()[2:]:
+        command, flags, formats = line.split("|")[1:-1]
+        listed[re.fullmatch(r" `(\w+)` ", command).group(1)] = (
+            set(re.findall(r"`(--[\w-]+)`", flags)),
+            re.findall(r"`(\w+)`", formats))
+    subs = next(action.choices
+                for action in lpnerve.cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(subs)
+    shared = {"--eps", "--format", "--output", "--help"}
+    for name, sub in subs.items():
+        options = {flag for action in sub._actions
+                   for flag in action.option_strings if flag.startswith("--")}
+        formats = next(action.choices for action in sub._actions
+                       if "--format" in action.option_strings)
+        assert listed[name] == (options - shared, list(formats)), name
 
 
 @pytest.mark.parametrize("flag,value,code", [

@@ -685,7 +685,7 @@ def test_magnitude_homology_euler_characteristic():
     rng = random.Random(41)
     for _ in range(4):
         X = random_connected_graph(rng, 5)
-        rows = magnitude_homology(X, 1.0, range(5), max_dim=5)
+        rows = magnitude_homology(X, 1.0, range(5))
         euler = [0] * 5
         for h in rows:
             assert h.grade == int(h.grade)

@@ -271,6 +271,14 @@ def levels(fc) -> List[List[Tuple[float, Tuple[str, ...]]]]:
             for k in range(fc.max_dim + 1)]
 
 
+def generator_labels(fc, degree: int, g: int, sieve
+                     ) -> List[Tuple[str, ...]]:
+    """Vertex-name tuples of the generators of a degree at grade index g
+    under ``sieve``, in row order."""
+    labels = fc.labels(degree)
+    return [labels[i] for i in generators_at(fc, degree, g, sieve)]
+
+
 def faces(verts: Tuple[str, ...]) -> Iterator[Tuple[Tuple[str, ...], int]]:
     """The nondegenerate faces of a tuple with their boundary signs.
 
