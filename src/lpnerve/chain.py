@@ -17,8 +17,9 @@ grade indices as one slice of the face table, with the lowest row each
 column keeps (its floor), which is the form ``kernels.reduce_faces``
 takes: a face below its column's floor counts as absent.  A run's
 grades share its first grade's floor, or keep only themselves: the
-empty sieve kills nothing, so all its grades make one run (the run the
-barcode reduces), and so does the strict-predecessor sieve, the
+empty sieve kills nothing, so all its grades make one run (the whole
+face table, whose coboundary the barcode reduces), and so does the
+strict-predecessor sieve, the
 magnitude-style localization, which keeps only generators born exactly
 at the grade.  A face is never born after its tuple, so the columns of
 the shared-floor grades are the boundary at the last of them, and each

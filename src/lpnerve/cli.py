@@ -182,9 +182,9 @@ def run(args) -> int:
             # same bars from the ordered-subset (Vietoris-Rips) complex,
             # which has one tuple per subset instead of all orderings
             X = asymmetrize(X)
-        fc = enumerate_complex(X, p, max(degrees) + 1, budget=args.budget,
+        fc = enumerate_complex(X, p, degrees[-1] + 1, budget=args.budget,
                                eps=args.eps)
-        bc = persistence_barcode(fc, max(degrees), coeff)
+        bc = persistence_barcode(fc, degrees[-1], coeff)
         bc.bars = [b for b in bc.bars if b.degree in degrees]
         if args.format == "svg":
             _emit(args, io.barcode_to_svg(bc))
@@ -206,7 +206,7 @@ def run(args) -> int:
         degrees = _degrees(args)
         coeff = _parse_coeff(args.coeff)
         sieve = SieveSpec(STRICT_PREDECESSORS if args.sieve == "strict" else EMPTY)
-        fc = enumerate_complex(X, p, max(degrees) + 1, budget=args.budget,
+        fc = enumerate_complex(X, p, degrees[-1] + 1, budget=args.budget,
                                eps=args.eps)
         _emit_rows(args, homology_table(fc, degrees, sieve, coeff))
         return 0

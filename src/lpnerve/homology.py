@@ -11,27 +11,36 @@ empty and the strict sieve make one run each.  Each d_n is built once
 per run and ranked once (``_ranks``): a left-to-right column reduction
 of a prefix of the columns is the prefix of the whole one, so the rank
 at grade index g is the pivot count of the columns of grade indices
-floor(g)..g.  The barcode builds each d_n the same way, as the empty
-sieve's one run, so under the empty sieve the table and the barcode
-reduce the same matrix.  Every rank comes from the one column reduction
+floor(g)..g.  Every rank of a table comes from the one column reduction
 ``kernels.reduce_faces`` (compiled kernel when available), which reads
 a face table directly, with the lowest row each column keeps, and skips
 the faces below it itself: over GF(q), and over Z with pivots of +-1
 only.  Only a boundary whose Z reduction meets a non-unit pivot (or an
 int64 overflow) goes to the exact Smith normal form of ``snf``, once per
-grade index of the run, which then gives its torsion.  The barcode up to
-degree n reduces d_1 .. d_(n+1) one degree at a time over GF(q).  The
-rows of one degree are already in filtration order and a column
-reduction only adds columns of one degree, so this pairs as a reduction
-of the whole filtration would; a pair born and killed at the same grade
-index is no bar.  Neither the table nor the barcode builds a boundary
-past the complex's last stored degree: every degree above it is empty.  A classical Vietoris-Rips computation on unordered
-simplices, with its own mod-2 reduction and pairing, serves as an
-independent cross-check.
+grade index of the run, which then gives its torsion.
+
+The barcode up to degree n reduces the coboundaries delta_0 .. delta_n
+over GF(q) instead (``kernels.reduce_cofaces``), one degree at a time,
+each straight from the face table of d_(k+1): delta_k is the
+anti-transpose of d_(k+1), with a column per row of degree k, youngest
+first, whose pivot is its oldest coface, and its pairs are those of
+d_(k+1) (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
+persistent (co)homology", 2011).  A row that was a pivot of delta_(k-1)
+is cleared: its column would reduce to zero, so it is skipped (Chen and
+Kerber, "Persistent homology computation with a twist", 2011).  The
+rows of one degree are already in filtration order and a reduction only
+adds columns of one degree, so this pairs as a reduction of the whole
+filtration would; a pair born and killed at the same grade index is no
+bar, and a row neither cleared nor paired is an essential bar.  Neither
+the table nor the barcode reads a degree past the complex's last stored
+one: every degree above it is empty.  A classical Vietoris-Rips
+computation on unordered simplices, with its own mod-2 reduction and
+pairing, serves as an independent cross-check.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -133,7 +142,15 @@ def _ranks(faces: np.ndarray, floor: np.ndarray, grade: np.ndarray,
     return out
 
 
-def _check_degrees(degrees: List[int], max_dim: int) -> None:
+def _distinct(degrees: Iterable[int]) -> Sequence[int]:
+    """The degrees increasing and distinct: a range as an increasing range,
+    read by its ends and never listed, anything else as a sorted list."""
+    if isinstance(degrees, range):
+        return degrees if degrees.step > 0 else degrees[::-1]
+    return sorted(set(degrees))
+
+
+def _check_degrees(degrees: Sequence[int], max_dim: int) -> None:
     if not degrees or degrees[0] < 0 or degrees[-1] >= max_dim:
         raise InputError(
             f"degrees must be a nonempty set of integers in 0..{max_dim - 1}"
@@ -152,12 +169,13 @@ def homology_table(fc: FilteredComplex, degrees: Iterable[int],
     the run's first grade.  Each d_k is built (``sieve_boundary``) and
     ranked once per run: once for all grades under the empty and the
     strict sieve, once per run of a custom sieve.  A degree past the last
-    stored one has no generators, so it gives no row and builds nothing.
-    A grade index off the complex raises ``InputError``.
+    stored one has no generators, so it gives no row and builds nothing,
+    and a range of degrees is read only up to it.  A grade index off the
+    complex raises ``InputError``.
     """
-    degrees = sorted(set(degrees))
+    degrees = _distinct(degrees)
     _check_degrees(degrees, fc.max_dim)
-    degrees = [n for n in degrees if n < len(fc.tuples)]
+    degrees = degrees[:bisect.bisect_left(degrees, len(fc.tuples))]
     runs: List[List[Tuple[int, int]]] = []  # per run, each grade and floor
     for g in range(len(fc.grades)) if grades is None else grades:
         check_grade(fc, g)
@@ -208,9 +226,9 @@ def magnitude_homology(X: VGraph, p: float, degrees: Iterable[int],
     p = 1 on a space satisfying the additive triangle inequality gives the
     classical magnitude homology; other p give its +_p variants.
     """
-    degrees = sorted(set(degrees))
-    fc = enumerate_complex(X, p, max(degrees, default=0) + 1, budget=budget,
-                           eps=eps)
+    degrees = _distinct(degrees)
+    fc = enumerate_complex(X, p, degrees[-1] + 1 if degrees else 1,
+                           budget=budget, eps=eps)
     return homology_table(fc, degrees, SieveSpec(STRICT_PREDECESSORS))
 
 
@@ -221,34 +239,38 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
                         field_coeffs: Coefficients = GF2) -> Barcode:
     """Barcode of the global (unlocalized) complex over a prime field.
 
-    d_1 .. d_(max_degree+1) are reduced one at a time, each built by
-    ``sieve_boundary`` as the empty sieve's one run, up to the last stored
-    degree: every degree above it is empty, and gives no bar.  The pivot
-    of column j at row ``low`` is a bar from the grade of ``low`` to that
-    of j unless the two grade indices are equal; a row that is no pivot
-    of the degree above, and whose own column reduced to zero, is an
-    essential bar.
+    The coboundaries delta_0 .. delta_max_degree are reduced one at a time
+    (``kernels.reduce_cofaces``), each from the face table of d_(k+1):
+    delta_k has a column per row of degree k, youngest first, and its
+    pivot is the oldest coface, so its pairs are those of d_(k+1).  A row
+    that was a pivot of delta_(k-1) is cleared: its column is skipped.  A
+    pivot (row, coface) is a bar from the grade of the row to that of the
+    coface unless the two grade indices are equal; a row of degree k that
+    is neither cleared nor the column of a pivot is an essential bar.
+    Past the last stored degree every coboundary is zero, so no degree
+    above it is read.
     """
     if field_coeffs.modulus is None:
         raise InputError("persistence requires field coefficients")
     _check_degrees([max_degree], fc.max_dim)
     bars: List[Bar] = []
     grades = fc.grades
-    floors = np.zeros(len(grades), dtype=np.intp)  # the empty sieve's run
-    below = fc.grade[0]
-    cycle = np.ones(len(below), dtype=bool)  # d_0 is zero
-    for k in range(1, min(max_degree + 2, len(fc.tuples))):
-        faces, floor, grade = sieve_boundary(fc, k, floors)  # every row
-        lows = kernels.reduce_faces(faces, len(below), field_coeffs.modulus,
-                                    floor)
-        killer = np.flatnonzero(lows >= 0)
-        birth, death = below[lows[killer]], grade[killer]
-        live = birth != death
-        bars += [Bar(k - 1, grades[b], grades[d]) for b, d in
-                 zip(birth[live].tolist(), death[live].tolist())]
-        cycle[lows[killer]] = False
-        bars += [Bar(k - 1, grades[b], INF) for b in below[cycle].tolist()]
-        below, cycle = grade, lows < 0
+    cleared = np.zeros(len(fc.grade[0]), dtype=bool)  # delta_(-1) is zero
+    for k in range(min(max_degree + 1, len(fc.tuples))):
+        grade = fc.grade[k]
+        essential = ~cleared
+        if k + 1 < len(fc.tuples):
+            lows = kernels.reduce_cofaces(fc.faces(k + 1), len(grade),
+                                          field_coeffs.modulus, cleared)
+            paired = np.flatnonzero(lows >= 0)
+            birth, death = grade[paired], fc.grade[k + 1][lows[paired]]
+            live = birth != death
+            bars += [Bar(k, grades[b], grades[d]) for b, d in
+                     zip(birth[live].tolist(), death[live].tolist())]
+            essential[paired] = False
+            cleared = np.zeros(len(fc.grade[k + 1]), dtype=bool)
+            cleared[lows[paired]] = True
+        bars += [Bar(k, grades[b], INF) for b in grade[essential].tolist()]
     return Barcode(bars).sort()
 
 

@@ -1,7 +1,7 @@
 /*
  * The compiled kernel: the nerve's tuple search with its face tables, and
- * the column reduction of a boundary given by its face table, over GF(q)
- * or Z.
+ * the column reductions of a boundary given by its face table, over GF(q)
+ * or Z, and of the coboundary whose transpose it is, over GF(q).
  *
  * Each entry has the contract of its twin in ``_reduction_py``.  Input
  * outside it raises ValueError, or TypeError for something other than a
@@ -57,6 +57,24 @@
  * column, the multiple of that column that cancels it is added.  A
  * column left nonzero is a pivot: it is scaled so that its low entry is 1
  * and appended to one pool, and ``pivot[row]`` records where.
+ *
+ * ``reduce_cofaces(table, nrows, q, cleared)`` reduces the coboundary
+ * delta_k over GF(q), given the face table of d_(k+1) as for
+ * ``reduce_faces`` (every face kept): its anti-transpose, with one column
+ * per row of degree k, youngest first, whose pivot is its oldest coface
+ * (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+ * (co)homology", 2011: the pairs are those of d_(k+1)).  ``cleared`` is a
+ * 1-d bool buffer with one entry per row; a marked row, a pivot of
+ * delta_(k-1), is skipped, since its column would reduce to zero (Chen
+ * and Kerber, "Persistent homology computation with a twist", 2011).  It
+ * returns a new int64 array with each row's pivot coface, or -1 where its
+ * column is cleared or reduces to zero.  The transpose is built by a
+ * counting sort on the face rows, in O(entries), each entry with the sign
+ * (-1)^i of its face position i, and every column goes through the one
+ * column loop that ``reduce_faces`` runs, ``reduce_column``.  Most
+ * columns become pivots as they stand; such a pivot is read where it is
+ * in the transpose, and only a column that was added to is copied to the
+ * pool.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -118,25 +136,27 @@ static int checked_axpy(int64_t x, int64_t f, int64_t y, int64_t *out)
     return 0;
 }
 
-/* dst = a - f * b over GF(q), or over Z when q is 0; dst is storage apart
-   from a and b.  0, -1 with an exception set, or 1 on overflow over Z. */
-static int axpy(Column *dst, const Column *a, const int64_t *b_rows,
+/* dst = a - f * b over GF(q), or over Z when q is 0, for sparse a and b
+   with increasing rows; dst is storage apart from a and b.  0, -1 with an
+   exception set, or 1 on overflow over Z. */
+static int axpy(Column *dst, const int64_t *a_rows, const int64_t *a_coeffs,
+                Py_ssize_t a_size, const int64_t *b_rows,
                 const int64_t *b_coeffs, Py_ssize_t b_size, int64_t f,
                 int64_t q)
 {
     Py_ssize_t i = 0, k = 0, n = 0;
     int64_t scale = q - f;  /* -f mod q, for f in [1, q) */
-    if (reserve(dst, a->size + b_size) < 0)
+    if (reserve(dst, a_size + b_size) < 0)
         return -1;
-    while (i < a->size || k < b_size) {
+    while (i < a_size || k < b_size) {
         int64_t c;
-        if (k >= b_size || (i < a->size && a->rows[i] < b_rows[k])) {
-            dst->rows[n] = a->rows[i];
-            dst->coeffs[n++] = a->coeffs[i++];
+        if (k >= b_size || (i < a_size && a_rows[i] < b_rows[k])) {
+            dst->rows[n] = a_rows[i];
+            dst->coeffs[n++] = a_coeffs[i++];
             continue;
         }
-        int both = i < a->size && a->rows[i] == b_rows[k];
-        int64_t x = both ? a->coeffs[i++] : 0;
+        int both = i < a_size && a_rows[i] == b_rows[k];
+        int64_t x = both ? a_coeffs[i++] : 0;
         if (q == 0) {
             if (checked_axpy(x, f, b_coeffs[k], &c))
                 return 1;
@@ -153,8 +173,8 @@ static int axpy(Column *dst, const Column *a, const int64_t *b_rows,
 }
 
 /* element types of the buffers the entries read */
-enum { INT64, FLOAT64 };
-static const char *const type_names[] = {"int64", "float64"};
+enum { INT64, FLOAT64, BOOL };
+static const char *const type_names[] = {"int64", "float64", "bool"};
 
 /* The buffer of obj with the given ndim and element type, C-contiguous;
    ValueError otherwise. */
@@ -170,8 +190,10 @@ static int typed_buffer(PyObject *obj, Py_buffer *view, int ndim, int type,
     if (type == INT64)
         ok = view->itemsize == 8 && (strcmp(fmt, "q") == 0
                                      || (strcmp(fmt, "l") == 0 && sizeof(long) == 8));
-    else
+    else if (type == FLOAT64)
         ok = view->itemsize == 8 && strcmp(fmt, "d") == 0;
+    else
+        ok = view->itemsize == 1 && strcmp(fmt, "?") == 0;
     if (view->ndim != ndim || !ok || !PyBuffer_IsContiguous(view, 'C')) {
         PyErr_Format(PyExc_ValueError, "%s must be a %d-d C-contiguous %s "
                      "array", what, ndim, type_names[type]);
@@ -699,14 +721,145 @@ static int check_table(const int64_t *table, Py_ssize_t ncols, Py_ssize_t width,
     return 0;
 }
 
+/* A pivot: size entries from at in the pool, scaled so that its low
+   entry is 1, or, for at < 0, from ~at in the packed columns, as they
+   are, with a low entry of +-1.  Either way the low entry is its own
+   inverse. */
+typedef struct {
+    Py_ssize_t at, size;
+} Pivot;
+
+/* The one column loop of both reductions and the pivots it has found:
+   pivot[row] is 1 + the number of the pivot whose low is row (0 for
+   none).  A pivot that was a column of ``packed`` and was left as it was
+   is read there; any other is copied to the pool.  ``packed`` holds one
+   int64 per entry of columns over GF(q), its row shifted left by one and
+   1 in the low bit for the coefficient -1 (0 for 1), and stays put while
+   the reduction runs.  cur is the working column, scratch the target of
+   a sum and unpacked a packed pivot read for one. */
+typedef struct {
+    Column cur, scratch, pool, unpacked;
+    const int64_t *packed;
+    Py_ssize_t *pivot;
+    Pivot *pivots;
+    Py_ssize_t npivots;
+    int64_t q;
+} Reduction;
+
+/* for ncols columns over rows 0..nrows-1; -1 with MemoryError */
+static int reduction_init(Reduction *r, Py_ssize_t nrows, Py_ssize_t ncols,
+                          int64_t q, const int64_t *packed)
+{
+    Py_ssize_t most = ncols < nrows ? ncols : nrows;  /* pivots */
+    *r = (Reduction){.q = q, .packed = packed};
+    r->pivot = PyMem_Calloc(nrows > 0 ? nrows : 1, sizeof(Py_ssize_t));
+    r->pivots = PyMem_Malloc((most > 0 ? most : 1) * sizeof(Pivot));
+    if (r->pivot == NULL || r->pivots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+static void reduction_free(Reduction *r)
+{
+    Column *columns[] = {&r->cur, &r->scratch, &r->pool, &r->unpacked};
+    for (size_t i = 0; i < sizeof columns / sizeof *columns; i++) {
+        PyMem_Free(columns[i]->rows);
+        PyMem_Free(columns[i]->coeffs);
+    }
+    PyMem_Free(r->pivot);
+    PyMem_Free(r->pivots);
+    *r = (Reduction){0};
+}
+
+/* *c = the m entries of r->packed from at; -1 with MemoryError */
+static int unpack(const Reduction *r, Column *c, Py_ssize_t at, Py_ssize_t m)
+{
+    if (reserve(c, m) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        int64_t e = r->packed[at + i];
+        c->rows[i] = e >> 1;
+        c->coeffs[i] = e & 1 ? r->q - 1 : 1;
+    }
+    c->size = m;
+    return 0;
+}
+
+/* Reduces the column in the first m entries of r->cur, with increasing
+   rows, which is also the column of r->packed from at unless at is -1:
+   while its lowest row is the low of a pivot, the multiple of the pivot
+   that cancels it is added.  A column left nonzero becomes a pivot.  0
+   with its low in *low (-1 for zero), -1 with an exception set, or 1
+   over Z at a pivot other than +-1 or an entry that reaches 2^63. */
+static int reduce_column(Reduction *r, Py_ssize_t m, Py_ssize_t at,
+                         int64_t *low)
+{
+    int64_t q = r->q;
+    Column *cur = &r->cur;
+    cur->size = m;
+    while (cur->size > 0) {
+        Py_ssize_t p = r->pivot[cur->rows[cur->size - 1]] - 1;
+        if (p < 0)
+            break;
+        const Pivot *b = &r->pivots[p];
+        const Column *src = &r->pool;
+        Py_ssize_t from = b->at;
+        if (from < 0) {
+            if (unpack(r, &r->unpacked, ~from, b->size) < 0)
+                return -1;
+            src = &r->unpacked;
+            from = 0;
+        }
+        /* the multiple: the column's low entry over the pivot's */
+        int64_t f = cur->coeffs[cur->size - 1]
+                    * src->coeffs[from + b->size - 1];
+        int status = axpy(&r->scratch, cur->rows, cur->coeffs, cur->size,
+                          src->rows + from, src->coeffs + from, b->size,
+                          q == 0 ? f : f % q, q);
+        if (status != 0)
+            return status;
+        Column tmp = *cur;
+        *cur = r->scratch;
+        r->scratch = tmp;
+        at = -1;  /* no longer the packed column */
+    }
+    *low = -1;
+    m = cur->size;
+    if (m == 0)
+        return 0;
+    int64_t unit = cur->coeffs[m - 1];
+    if (q == 0 && unit != 1 && unit != -1)
+        return 1;
+    Pivot *pivot = &r->pivots[r->npivots];
+    *pivot = (Pivot){~at, m};
+    if (at < 0) {
+        if (reserve(&r->pool, r->pool.size + m) < 0)
+            return -1;
+        /* scaled by the inverse of its low entry, 1/u = u over Z */
+        int64_t inverse = q == 0 ? unit : mod_inverse(unit, q);
+        for (Py_ssize_t i = 0; i < m; i++) {
+            r->pool.rows[r->pool.size + i] = cur->rows[i];
+            r->pool.coeffs[r->pool.size + i] =
+                q == 0 ? cur->coeffs[i] * inverse
+                       : cur->coeffs[i] * inverse % q;
+        }
+        pivot->at = r->pool.size;
+        r->pool.size += m;
+    }
+    *low = cur->rows[m - 1];
+    r->pivot[*low] = ++r->npivots;
+    return 0;
+}
+
 static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {"table", "nrows", "q", "floor", NULL};
     PyObject *table_obj, *nrows_obj, *q_obj, *floor_obj;
     PyObject *result = NULL, *empty = NULL, *found = NULL;
     Py_buffer table_view = {0}, floor_view = {0};
-    Column cur = {0}, scratch = {0}, pool = {0};
-    Py_ssize_t *pivot = NULL, *start = NULL;  /* pivot[row]: 1 + its pivot */
+    Reduction r = {0};
     int overflow;
 
     (void)self;
@@ -736,20 +889,12 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     if (check_table(table, ncols, width, nrows) < 0
         || (empty = numpy_empty()) == NULL
-        || (found = new_array(empty, ncols, -1, "int64", "C", &lows)) == NULL)
+        || (found = new_array(empty, ncols, -1, "int64", "C", &lows)) == NULL
+        || reduction_init(&r, nrows, ncols, q, NULL) < 0)
         goto done;
-    Py_ssize_t most = ncols < nrows ? ncols : nrows;  /* pivots */
-    pivot = PyMem_Calloc(nrows > 0 ? nrows : 1, sizeof(Py_ssize_t));
-    start = PyMem_Malloc((most + 1) * sizeof(Py_ssize_t));
-    if (pivot == NULL || start == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    Py_ssize_t npivots = 0;
-    start[0] = 0;
     for (Py_ssize_t j = 0; j < ncols; j++) {
         /* cur may be the scratch of the last column, of any capacity */
-        if (reserve(&cur, width) < 0)
+        if (reserve(&r.cur, width) < 0)
             goto done;
         const int64_t *face = table + j * width;
         int64_t lowest = floor[j] > 0 ? floor[j] : 0;  /* -1 is no face */
@@ -758,70 +903,125 @@ static PyObject *reduce_faces(PyObject *self, PyObject *args, PyObject *kwargs)
             if (face[i] < lowest)
                 continue;
             Py_ssize_t h = m++;
-            for (; h > 0 && cur.rows[h - 1] > face[i]; h--) {
-                cur.rows[h] = cur.rows[h - 1];
-                cur.coeffs[h] = cur.coeffs[h - 1];
+            for (; h > 0 && r.cur.rows[h - 1] > face[i]; h--) {
+                r.cur.rows[h] = r.cur.rows[h - 1];
+                r.cur.coeffs[h] = r.cur.coeffs[h - 1];
             }
-            cur.rows[h] = face[i];
-            cur.coeffs[h] = i % 2 == 0 ? 1 : (q == 0 ? -1 : q - 1);
+            r.cur.rows[h] = face[i];
+            r.cur.coeffs[h] = i % 2 == 0 ? 1 : (q == 0 ? -1 : q - 1);
         }
-        cur.size = m;
-        while (cur.size > 0) {
-            Py_ssize_t p = pivot[cur.rows[cur.size - 1]] - 1;
-            if (p < 0)
-                break;
-            int status = axpy(&scratch, &cur, pool.rows + start[p],
-                              pool.coeffs + start[p], start[p + 1] - start[p],
-                              cur.coeffs[cur.size - 1], q);
-            if (status < 0)
-                goto done;
-            if (status > 0) {
-                result = Py_NewRef(Py_None);
-                goto done;
-            }
-            Column tmp = cur;
-            cur = scratch;
-            scratch = tmp;
-        }
-        if (cur.size == 0) {
-            lows[j] = -1;
-            continue;
-        }
-        int64_t low = cur.rows[cur.size - 1], unit = cur.coeffs[cur.size - 1];
-        if (q == 0 && unit != 1 && unit != -1) {
+        int status = reduce_column(&r, m, -1, &lows[j]);
+        if (status < 0)
+            goto done;
+        if (status > 0) {
             result = Py_NewRef(Py_None);
             goto done;
         }
-        if (reserve(&pool, pool.size + cur.size) < 0)
-            goto done;
-        /* scaled by the inverse of its low entry, 1/u = u over Z */
-        int64_t inverse = q == 0 ? unit : mod_inverse(unit, q);
-        for (Py_ssize_t i = 0; i < cur.size; i++) {
-            pool.rows[pool.size + i] = cur.rows[i];
-            pool.coeffs[pool.size + i] = q == 0 ? cur.coeffs[i] * inverse
-                                                : cur.coeffs[i] * inverse % q;
-        }
-        pool.size += cur.size;
-        pivot[low] = ++npivots;
-        start[npivots] = pool.size;
-        lows[j] = low;
     }
     result = Py_NewRef(found);
 done:
-    PyMem_Free(cur.rows);
-    PyMem_Free(cur.coeffs);
-    PyMem_Free(scratch.rows);
-    PyMem_Free(scratch.coeffs);
-    PyMem_Free(pool.rows);
-    PyMem_Free(pool.coeffs);
-    PyMem_Free(pivot);
-    PyMem_Free(start);
+    reduction_free(&r);
     Py_XDECREF(found);
     Py_XDECREF(empty);
     if (table_view.obj != NULL)
         PyBuffer_Release(&table_view);
     if (floor_view.obj != NULL)
         PyBuffer_Release(&floor_view);
+    return result;
+}
+
+static PyObject *reduce_cofaces(PyObject *self, PyObject *args,
+                                PyObject *kwargs)
+{
+    static char *keywords[] = {"table", "nrows", "q", "cleared", NULL};
+    PyObject *table_obj, *nrows_obj, *q_obj, *cleared_obj;
+    PyObject *result = NULL, *empty = NULL, *found = NULL;
+    Py_buffer table_view = {0}, cleared_view = {0};
+    Reduction r = {0};
+    Py_ssize_t *end = NULL;
+    int64_t *entries = NULL;  /* the transpose, packed, one column per row */
+    int overflow;
+
+    (void)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:reduce_cofaces",
+                                     keywords, &table_obj, &nrows_obj, &q_obj,
+                                     &cleared_obj))
+        return NULL;
+    long long q = PyLong_AsLongLongAndOverflow(q_obj, &overflow);
+    if (q == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow || q < 2 || q >= MAX_ORDER)
+        return PyErr_Format(PyExc_ValueError, "q must be a prime in "
+                            "[2, 2^31), got %R", q_obj);
+    Py_ssize_t nrows = row_count(nrows_obj);
+    if (nrows < 0)
+        return NULL;
+    if (typed_buffer(table_obj, &table_view, 2, INT64, "the face table") < 0)
+        return NULL;
+    if (typed_buffer(cleared_obj, &cleared_view, 1, BOOL, "cleared") < 0)
+        goto done;
+    const int64_t *table = table_view.buf;
+    const char *cleared = cleared_view.buf;
+    int64_t *lows;
+    Py_ssize_t ncofaces = table_view.shape[0], width = table_view.shape[1];
+    if (cleared_view.shape[0] != nrows) {
+        PyErr_Format(PyExc_ValueError, "cleared has %zd entries but there are "
+                     "%zd rows", cleared_view.shape[0], nrows);
+        goto done;
+    }
+    if (check_table(table, ncofaces, width, nrows) < 0
+        || (empty = numpy_empty()) == NULL
+        || (found = new_array(empty, nrows, -1, "int64", "C", &lows)) == NULL)
+        goto done;
+    /* The transpose by a counting sort on the face rows: end[s] ends the
+       entries of row s, each a coface as a row of the coboundary, in
+       reverse coface order, packed with the sign of its face position. */
+    end = PyMem_Calloc(nrows + 1, sizeof(Py_ssize_t));
+    if (end == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t t = 0; t < ncofaces * width; t++)
+        if (table[t] >= 0)
+            end[table[t] + 1]++;
+    for (Py_ssize_t s = 0; s < nrows; s++)
+        end[s + 1] += end[s];
+    entries = PyMem_Malloc((end[nrows] > 0 ? end[nrows] : 1) * sizeof(int64_t));
+    if (entries == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (reduction_init(&r, ncofaces, nrows, q, entries) < 0)
+        goto done;
+    /* youngest coface first, so each row's entries increase; end[s] moves
+       from the start of row s to its end */
+    for (Py_ssize_t t = ncofaces - 1; t >= 0; t--)
+        for (Py_ssize_t i = 0; i < width; i++) {
+            int64_t s = table[t * width + i];
+            if (s >= 0)
+                entries[end[s]++] = (int64_t)(ncofaces - 1 - t) << 1 | (i & 1);
+        }
+    for (Py_ssize_t s = nrows - 1; s >= 0; s--) {  /* youngest row first */
+        Py_ssize_t first = s > 0 ? end[s - 1] : 0;
+        int64_t low = -1;
+        /* over a field reduce_column returns 0 or -1 */
+        if (!cleared[s] && (unpack(&r, &r.cur, first, end[s] - first) < 0
+                            || reduce_column(&r, end[s] - first, first,
+                                             &low) < 0))
+            goto done;
+        lows[s] = low < 0 ? -1 : ncofaces - 1 - low;
+    }
+    result = Py_NewRef(found);
+done:
+    reduction_free(&r);
+    PyMem_Free(entries);
+    PyMem_Free(end);
+    Py_XDECREF(found);
+    Py_XDECREF(empty);
+    if (table_view.obj != NULL)
+        PyBuffer_Release(&table_view);
+    if (cleared_view.obj != NULL)
+        PyBuffer_Release(&cleared_view);
     return result;
 }
 
@@ -840,13 +1040,21 @@ static PyMethodDef methods[] = {
      "keeping its faces from row ``floor[j]`` on, over GF(q), or over Z for\n"
      "q = 0; returns each column's low (-1 for zero) as an int64 array, or\n"
      "over Z None for a pivot other than +-1 or an entry that reaches 2^63."},
+    {"reduce_cofaces", (PyCFunction)(void (*)(void))reduce_cofaces,
+     METH_VARARGS | METH_KEYWORDS,
+     "reduce_cofaces($module, /, table, nrows, q, cleared)\n--\n\n"
+     "Reduction over GF(q) of the coboundary whose transpose has the face table\n"
+     "``table``: one column per row, youngest first, skipping the rows that\n"
+     "``cleared`` marks; returns each row's pivot coface, its oldest after\n"
+     "reduction (-1 for zero or cleared), as an int64 array."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_reduction",
-    .m_doc = "Compiled tuple search with face tables, and column reduction.",
+    .m_doc = "Compiled tuple search with face tables, and column reductions "
+             "of boundaries and coboundaries.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,6 +1,8 @@
 """The pure-Python twin of the compiled kernel in ``_reduction.c``: the
-nerve's tuple search with its face tables (``expand``) and the column
-reduction of a face table over a prime field or Z (``reduce_faces``).
+nerve's tuple search with its face tables (``expand``), the column
+reduction of a face table over a prime field or Z (``reduce_faces``) and
+that of the coboundary it transposes, over a prime field
+(``reduce_cofaces``).
 Each has the contract of its compiled twin; input outside it raises
 ValueError, or TypeError for something other than a buffer or a number.
 Arrays are read through the buffer protocol and must be C-contiguous
@@ -39,6 +41,16 @@ integers: then every pivot must be +-1 and every entry, and every
 product that forms one, must stay below 2^63 in magnitude, and it
 returns None as soon as either fails.
 
+``reduce_cofaces(table, nrows, q, cleared)``: ``table`` is a face table
+as for ``reduce_faces``, that of d_(k+1), read with every face kept, and
+``cleared`` a 1-d bool buffer with one entry per row.  It reduces the
+coboundary delta_k, the anti-transpose of d_(k+1), over GF(q), q a prime
+below 2^31: one column per row, youngest first, whose pivot is its
+oldest coface, and a column is skipped where ``cleared`` is true.  It
+returns a new int64 array with each row's pivot coface, or -1 where its
+column is skipped or reduces to zero.  The pairs are those of
+``reduce_faces`` on the same table.
+
 ``reduce_columns`` is the plain reduction over GF(q) of sparse columns
 given as lists: parallel lists of strictly increasing int rows in
 [0, 2^63) and int coefficients that are nonzero mod q (a negative one
@@ -70,7 +82,8 @@ BLOCK = 2 ** 14
 VERTEX = np.int32
 
 #: element type -> (buffer item size, buffer formats)
-_TYPES = {"int64": (8, ("q", "l")), "float64": (8, ("d",))}
+_TYPES = {"int64": (8, ("q", "l")), "float64": (8, ("d",)),
+          "bool": (1, ("?",))}
 
 
 def expand(w, p, max_dim, limit):
@@ -242,14 +255,54 @@ def reduce_faces(table, nrows, q, floor) -> Optional[np.ndarray]:
     order = np.argsort(np.where(faces >= 0, faces, np.iinfo(np.int64).max),
                        axis=1, kind="stable")
     minus = -1 if q == 0 else q - 1
+    return _reduce(((j, rows[:m], signs[:m]) for j, m, rows, signs in zip(
+        live.tolist(), counts[live].tolist(),
+        np.take_along_axis(faces, order, axis=1).tolist(),
+        np.where(order % 2, minus, 1).tolist())), ncols, q)
+
+
+def reduce_cofaces(table, nrows, q, cleared) -> np.ndarray:
+    """The transpose of the face table as numpy index arrays: its entries
+    sorted by row, youngest first, and within a row by coface, youngest
+    first, each coface renumbered in reverse order; then the column loop
+    of ``reduce_faces``."""
+    q = operator.index(q)
+    if not 2 <= q < MAX_ORDER:
+        raise ValueError(f"q must be a prime in [2, 2^31), got {q}")
+    nrows = _row_count(nrows)
+    faces = _typed_array(table, 2, "the face table")
+    skip = _typed_array(cleared, 1, "cleared", "bool")
+    if len(skip) != nrows:
+        raise ValueError(f"cleared has {len(skip)} entries but there are "
+                         f"{nrows} rows")
+    _check_table(faces, nrows)
+    coface, position = np.nonzero(faces >= 0)
+    row = faces[coface, position]
+    kept = ~skip[row]
+    coface, position, row = coface[kept], position[kept], row[kept]
+    order = np.lexsort((-coface, -row))  # row, then coface, decreasing
+    row = row[order]
+    first = np.flatnonzero(np.diff(row, prepend=-1)).tolist()  # of each row
+    row = row.tolist()
+    cofaces = (len(faces) - 1 - coface[order]).tolist()
+    signs = np.where(position[order] % 2, q - 1, 1).tolist()
+    lows = _reduce(((row[lo], cofaces[lo:hi], signs[lo:hi])
+                    for lo, hi in zip(first, first[1:] + [len(row)])),
+                   nrows, q)
+    return np.where(lows >= 0, len(faces) - 1 - lows, -1)
+
+
+def _reduce(columns, ncols: int, q: int) -> Optional[np.ndarray]:
+    """The column loop of both reductions.  ``columns`` yields, in the
+    order they are reduced, the nonzero columns: each one's index among
+    the ``ncols``, its increasing rows and their coefficients.  Returns
+    each column's low (-1 for one not given or reducing to zero), or None
+    over Z as ``reduce_faces`` does."""
     found: List[int] = [-1] * ncols
     pivots: Dict[int, Dict[int, int]] = {}  # low -> its column, low entry 1
-    for j, m, rows, signs in zip(
-            live.tolist(), counts[live].tolist(),
-            np.take_along_axis(faces, order, axis=1).tolist(),
-            np.where(order % 2, minus, 1).tolist()):
-        col = dict(zip(rows[:m], signs[:m]))
-        low = rows[m - 1]
+    for j, rows, signs in columns:
+        col = dict(zip(rows, signs))
+        low = rows[-1]
         while low in pivots:
             if not _subtract(col, pivots[low], col[low], q):
                 return None  # an entry over Z reached 2^63

@@ -68,7 +68,9 @@ def backend(request):
 @pytest.fixture
 def nerve_backend(backend, monkeypatch):
     """``lpnerve.kernels`` searching, building face tables and reducing
-    them with ``backend``, which is returned."""
+    their boundaries and coboundaries with ``backend``, which is
+    returned."""
     monkeypatch.setattr(kernels, "expand", backend.expand)
     monkeypatch.setattr(kernels, "reduce_faces", backend.reduce_faces)
+    monkeypatch.setattr(kernels, "reduce_cofaces", backend.reduce_cofaces)
     return backend

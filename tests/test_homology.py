@@ -477,11 +477,24 @@ def test_magnitude_homology_degree0():
     assert all(r.grade == 0.0 for r in rows)
 
 
-@pytest.mark.parametrize("degrees", [[], [-1], [0, -1]])
+@pytest.mark.parametrize("degrees", [[], [-1], [0, -1], range(0),
+                                     range(-1, 2), range(2, -2, -1)])
 def test_magnitude_homology_bad_degrees(degrees):
     X = random_honest_space(random.Random(7), 3)
     with pytest.raises(InputError):
         magnitude_homology(X, 1.0, degrees)
+
+
+def test_magnitude_homology_reads_a_range_by_its_ends():
+    """Two points infinitely far apart store degrees 0 and 1 only, so
+    ``range(10**15)`` gives the rows of ``range(2)``: the range is never
+    listed, and read no further than the complex's last stored degree.
+    A decreasing range reads as the increasing one."""
+    X = VGraph(["a", "b"], np.array([[0.0, INF], [INF, 0.0]]))
+    rows = magnitude_homology(X, 1.0, range(2))
+    assert rows == [HomologySummary(0.0, 0, 2, ())]
+    assert magnitude_homology(X, 1.0, range(10 ** 15)) == rows
+    assert magnitude_homology(X, 1.0, range(10 ** 15, -1, -1)) == rows
 
 
 def test_magnitude_homology_is_scale_free():
@@ -540,50 +553,57 @@ def test_barcode_matches_global_filtration(seed, make, n, p, max_dim):
 
 
 def test_barcode_reduces_each_degree_once(monkeypatch):
-    """Bars up to degree d reduce d_1 .. d_(d+1), one call each."""
+    """Bars up to degree d reduce the coboundaries delta_0 .. delta_d, one
+    ``reduce_cofaces`` call each, on the face tables of d_1 .. d_(d+1),
+    and no boundary."""
     calls = []
-    reduce_faces = kernels.reduce_faces
+    reduce_cofaces = kernels.reduce_cofaces
 
-    def counting(*args):
-        calls.append(1)
-        return reduce_faces(*args)
+    def counting(table, *args):
+        calls.append(table.shape[1] - 1)
+        return reduce_cofaces(table, *args)
 
-    monkeypatch.setattr(kernels, "reduce_faces", counting)
+    monkeypatch.setattr(kernels, "reduce_cofaces", counting)
+    monkeypatch.setattr(kernels, "reduce_faces", None)
     for d in range(3):
         fc = enumerate_complex(random_honest_space(random.Random(d), 5),
                                INF, d + 3)
         calls.clear()
         persistence_barcode(fc, d)
-        assert len(calls) == d + 1
+        assert calls == list(range(1, d + 2))
 
 
 def test_empty_sieve_table_reduces_the_barcode_face_tables(monkeypatch):
     """Under the empty sieve all grades make one run, so over GF(2) and
-    over Z ``homology_table`` reduces each d_k once, and on the face table
-    that ``persistence_barcode`` reduces for that d_k."""
-    tables = []
-    reduce_faces = kernels.reduce_faces
+    over Z ``homology_table`` reduces each d_k once, as a boundary, on the
+    face table whose coboundary ``persistence_barcode`` reduces."""
+    tables, cotables = [], []
 
-    def recording(table, *args):
-        tables.append(table.copy())
-        return reduce_faces(table, *args)
+    def recording(into, reduce):
+        def call(table, *args):
+            into.append(table.copy())
+            return reduce(table, *args)
+        return call
 
-    monkeypatch.setattr(kernels, "reduce_faces", recording)
+    monkeypatch.setattr(kernels, "reduce_faces",
+                        recording(tables, kernels.reduce_faces))
+    monkeypatch.setattr(kernels, "reduce_cofaces",
+                        recording(cotables, kernels.reduce_cofaces))
     rng = random.Random(53)
     for make in (random_honest_space, random_vgraph):
         X = make(rng, 5)
         for p in (1.0, INF):
             fc = enumerate_complex(X, p, 3)
+            cotables.clear()
             persistence_barcode(fc, 2)
-            barcode = {t.shape[1] - 1: t for t in tables}
-            assert sorted(barcode) == [1, 2, 3]
+            barcode = {t.shape[1] - 1: t for t in cotables}
+            assert sorted(barcode) == [1, 2, 3] and len(cotables) == 3
             for ring in (GF2, INTEGERS):
                 tables.clear()
                 homology_table(fc, [0, 1, 2], GLOBAL, ring)
                 assert len(tables) == 3
                 for t in tables:
                     assert np.array_equal(t, barcode[t.shape[1] - 1])
-            tables.clear()
 
 
 def test_vr_oracle_agreement_random():

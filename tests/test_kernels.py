@@ -14,6 +14,7 @@ from lpnerve.chain import (CUSTOM_GRID, EMPTY, STRICT_PREDECESSORS, SieveSpec,
                            columns)
 from lpnerve.homology import (INTEGERS, Coefficients, homology_table,
                               persistence_barcode)
+from lpnerve.io import barcode_to_csv, barcode_to_json, dumps
 from lpnerve.kernels import _reduction_py, reduce_columns
 from lpnerve.nerve import enumerate_complex
 from lpnerve.values import INF, BudgetExceededError
@@ -227,6 +228,92 @@ def test_backends_give_the_same_tables(compiled_kernels, monkeypatch):
                                                       ring)
 
 
+def copairs(backend, fc, q):
+    """Per degree k from 0 while degree k + 1 is stored, the pairs (row,
+    coface) of ``backend.reduce_cofaces`` on delta_k, each with the rows
+    paired by delta_(k-1) cleared, and the pairs (face row, column) of
+    ``backend.reduce_faces`` on d_(k+1).  Checks that no cleared row is
+    paired and that the pivot cofaces are distinct, and that a row is
+    skipped where it is cleared even if its column would pair: with every
+    row cleared, none pairs."""
+    out = []
+    cleared = np.zeros(len(fc.grade[0]), dtype=bool)
+    for k in range(len(fc.tuples) - 1):
+        faces, nrows = fc.faces(k + 1), len(fc.grade[k])
+        cofaces = backend.reduce_cofaces(faces, nrows, q, cleared)
+        assert cofaces.dtype == np.int64 and cofaces.shape == (nrows,)
+        paired = cofaces >= 0
+        assert not (paired & cleared).any()
+        assert len(set(cofaces[paired].tolist())) == paired.sum()
+        assert (backend.reduce_cofaces(faces, nrows, q, np.ones(
+            nrows, dtype=bool)) == -1).all()
+        lows = run(backend, faces, nrows, q)
+        out.append(({(s, t) for s, t in enumerate(cofaces.tolist()) if t >= 0},
+                    {(low, j) for j, low in enumerate(lows) if low >= 0}))
+        cleared = np.zeros(len(faces), dtype=bool)
+        cleared[cofaces[paired]] = True
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(X=spaces(), twist=st.booleans(), p=st.sampled_from([1.0, 2.0, INF]),
+       q=st.sampled_from([2, 3]))
+def test_coboundary_pairs_are_the_boundary_pairs(compiled_kernels, X, twist,
+                                                 p, q):
+    """Over GF(2) and GF(3), at p = 1, 2 and inf, on spaces with and
+    without ``asymmetrize``: on every coboundary up to delta_2, the
+    clearing reduction pairs each row with the coface that the boundary
+    reduction of d_(k+1) pairs it with, on both backends, and the two
+    backends give the same pairs."""
+    if twist and np.array_equal(X.dist, X.dist.T):
+        X = asymmetrize(X)
+    fc = enumerate_complex(X, p, 3, budget=None)
+    compiled, python = (copairs(backend, fc, q)
+                        for backend in (compiled_kernels, _reduction_py))
+    for cofaces, faces in compiled:
+        assert cofaces == faces
+    assert compiled == python
+
+
+def test_coboundary_pairs_with_degenerate_faces(compiled_kernels):
+    """Spaces where a tuple revisits a vertex, so that degree 2 and up
+    have degenerate faces (-1 in the face table): the pairs of each
+    coboundary with clearing are the boundary's, on both backends."""
+    rng = random.Random(97)
+    for n in (2, 3, 4):
+        for make in (random_honest_space, random_vgraph):
+            X = make(rng, n)
+            for p in (1.0, INF):
+                fc = enumerate_complex(X, p, 4, budget=None)
+                assert (fc.faces(2) < 0).any()
+                for q in (2, 3):
+                    pairs = copairs(compiled_kernels, fc, q)
+                    assert pairs == copairs(_reduction_py, fc, q)
+                    for cofaces, faces in pairs:
+                        assert cofaces == faces
+
+
+def test_backends_give_byte_identical_bars(compiled_kernels, monkeypatch):
+    """``persistence_barcode`` with the compiled and the python
+    ``reduce_cofaces``: the same bars, printed to the same bytes, over
+    GF(2), GF(3) and GF(5), at p = 1, 2 and inf, with and without
+    ``asymmetrize``."""
+    rng = random.Random(101)
+    for q in (2, 3, 5):
+        X = random_honest_space(rng, rng.randint(4, 6))
+        for space in (X, asymmetrize(X)):
+            for p in (1.0, 2.0, INF):
+                fc = enumerate_complex(space, p, 3)
+                printed = []
+                for backend in (compiled_kernels, _reduction_py):
+                    monkeypatch.setattr(kernels, "reduce_cofaces",
+                                        backend.reduce_cofaces)
+                    bc = persistence_barcode(fc, 2, Coefficients(q))
+                    printed.append((repr(bc.bars), dumps(barcode_to_json(bc)),
+                                    barcode_to_csv(bc)))
+                assert printed[0] == printed[1]
+
+
 TABLE = np.array([[0, 1], [1, 2]], dtype=np.int64)
 #: a floor of 0 for each column of TABLE
 FLOOR = np.zeros(2, dtype=np.int64)
@@ -272,6 +359,47 @@ def test_out_of_contract_input_raises(backend, args, error, message):
     """Both backends check their input the same way."""
     with pytest.raises(error, match=message):
         backend.reduce_faces(*args)
+
+
+#: no row of TABLE cleared
+CLEARED = np.zeros(3, dtype=bool)
+
+
+@pytest.mark.parametrize("args,error,message", [
+    ((np.array([[0, -2]]), 3, 2, CLEARED), ValueError,
+     "column 0 has the face -2, outside -1..2"),
+    ((TABLE, 2, 2, CLEARED[:2]), ValueError,
+     "column 1 has the face 2, outside -1..1"),
+    ((np.array([[0, 1], [2, 2]]), 3, 2, CLEARED), ValueError,
+     "column 1 has the row 2 twice"),
+    ((TABLE, 3, 2, CLEARED[:2]), ValueError,
+     "cleared has 2 entries but there are 3 rows"),
+    ((TABLE, 3, 2, np.zeros(4, dtype=bool)), ValueError,
+     "cleared has 4 entries but there are 3 rows"),
+    ((TABLE, 3, 2, CLEARED.astype(np.int64)), ValueError,
+     "cleared must be a 1-d C-contiguous bool array"),
+    ((TABLE, 3, 2, CLEARED.astype(np.uint8)), ValueError, "cleared must be"),
+    ((TABLE, 3, 2, np.zeros(6, dtype=bool)[::2]), ValueError,
+     "cleared must be"),
+    ((TABLE, 3, 2, np.zeros((3, 1), dtype=bool)), ValueError,
+     "cleared must be"),
+    ((TABLE.astype(np.int32), 3, 2, CLEARED), ValueError,
+     "face table must be"),
+    ((TABLE, 1 << 63, 2, CLEARED), ValueError, "nrows"),
+    ((TABLE, 3, 0, CLEARED), ValueError, r"q must be a prime in \[2, 2\^31\)"),
+    ((TABLE, 3, 1 << 31, CLEARED), ValueError, "q must be a prime"),
+    ((TABLE, 3, 2, [False] * 3), TypeError, None),
+    ((TABLE.tolist(), 3, 2, CLEARED), TypeError, None),
+], ids=["negative-row", "row-beyond-nrows", "repeated-row", "cleared-short",
+        "cleared-long", "cleared-int64", "cleared-uint8",
+        "cleared-not-contiguous", "cleared-ndim", "table-int32",
+        "row-beyond-int64", "order-zero", "order-too-large",
+        "cleared-not-a-buffer", "not-a-buffer"])
+def test_coboundary_out_of_contract_input_raises(backend, args, error,
+                                                 message):
+    """Both backends check ``reduce_cofaces``'s input the same way."""
+    with pytest.raises(error, match=message):
+        backend.reduce_cofaces(*args)
 
 
 @pytest.mark.parametrize("col_rows,col_coeffs,q,error,message", [
@@ -433,7 +561,7 @@ def test_backends_have_the_same_signatures(compiled_kernels):
     as its twin does, so a call by keyword reads the same on either."""
     entries = [name for name in kernels.__all__
                if callable(getattr(kernels, name)) and name != "reduce_columns"]
-    assert entries == ["expand", "reduce_faces"]
+    assert entries == ["expand", "reduce_faces", "reduce_cofaces"]
     for name in entries:
         compiled = inspect.signature(getattr(compiled_kernels, name))
         twin = inspect.signature(getattr(_reduction_py, name))
@@ -442,10 +570,10 @@ def test_backends_have_the_same_signatures(compiled_kernels):
 
 def test_face_table_fuzz_raises_or_agrees(compiled_kernels):
     """Random entries written into the face tables ``expand`` gives
-    degrees 2 and 3: the compiled ``reduce_faces`` raises the twin's
-    error, or returns the array the twin does (None where Z flagged); it
-    never reads outside its buffers (an out-of-range face would crash
-    it)."""
+    degrees 2 and 3: the compiled ``reduce_faces`` and ``reduce_cofaces``
+    (with random rows cleared) raise the twin's error, or return the
+    array the twin does (None where Z flagged); they never read outside
+    their buffers (an out-of-range face would crash them)."""
     rng = random.Random(89)
     for degree in (2, 3):
         for _ in range(300):
@@ -458,15 +586,21 @@ def test_face_table_fuzz_raises_or_agrees(compiled_kernels):
                 flat = args["table"].reshape(-1)
                 flat[rng.randrange(len(flat))] = rng.choice(
                     [-2, -1, 0, 1, 2, 3, 5, 6, 12, 1 << 30])
+            coargs = dict(args, q=rng.choice([2, 3]), cleared=np.array(
+                [rng.random() < 0.3 for _ in range(max(args["nrows"], 0))],
+                dtype=bool))
+            del coargs["floor"]
             results = []
             for module in (compiled_kernels, _reduction_py):
-                try:
-                    lows = module.reduce_faces(**args)
-                    results.append(lows if lows is None
-                                   else (lows.dtype, lows.tolist()))
-                except ValueError as exc:
-                    results.append(str(exc))
-            assert results[0] == results[1]
+                for reduce, kwargs in ((module.reduce_faces, args),
+                                       (module.reduce_cofaces, coargs)):
+                    try:
+                        lows = reduce(**kwargs)
+                        results.append(lows if lows is None
+                                       else (lows.dtype, lows.tolist()))
+                    except ValueError as exc:
+                        results.append(str(exc))
+            assert results[:2] == results[2:]
 
 
 def test_sparse_huge_rows(backend):
