@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .values import INF, InputError, check_exponent, check_powers, close
+from .values import EPS, INF, InputError, check_exponent, check_powers, close
 from .vgraph import VGraph, is_enriched_category, tolerance
 
 
@@ -30,30 +30,26 @@ class InterpolationReport:
         return bool(self.witnesses)
 
 
-def is_ultrametric(X: VGraph, eps: Optional[float] = None) -> bool:
-    """Strict, symmetric, and max-triangle inequality, up to the absolute
-    tolerance ``eps`` (by default ``tolerance(X)``)."""
-    if eps is None:
-        eps = tolerance(X)
+def is_ultrametric(X: VGraph, eps: float = EPS) -> bool:
+    """Strict, symmetric and max-triangle, up to ``tolerance(X, eps)``."""
     return (X.is_strict(eps) and X.is_symmetric(eps)
             and is_enriched_category(X, INF, eps))
 
 
 def interpolators(X: VGraph, a: str, b: str, p: float,
-                  eps: Optional[float] = None) -> InterpolationReport:
+                  eps: float = EPS) -> InterpolationReport:
     """Points strictly between a and b at exponent p, up to the absolute
-    tolerance ``eps`` (by default ``tolerance(X)``) on d(a, b): c
-    interpolates when d(a,c)^p + d(c,b)^p <= (d(a,b) + eps)^p.
+    tolerance ``t = tolerance(X, eps)`` on d(a, b): c interpolates when
+    d(a,c)^p + d(c,b)^p <= (d(a,b) + t)^p.
 
     p = inf is accepted with the max feasibility rule but is outside the
     scope of the degree-1 generator characterization, so it warns.
     """
-    if eps is None:
-        eps = tolerance(X)
+    eps = tolerance(X, eps)
     p = check_exponent(p)
     if a == b:
         raise InputError("interpolation needs two distinct endpoints")
-    check_powers(X.dist.flat, p, 2)
+    check_powers(X.dist, p, 2)
     D = X.d(a, b)
     if p == math.inf:
         warnings.warn(
@@ -78,15 +74,13 @@ def interpolators(X: VGraph, a: str, b: str, p: float,
 
 
 def h1_generators(X: VGraph, p: float, grade: float,
-                  eps: Optional[float] = None) -> List[Tuple[str, str]]:
+                  eps: float = EPS) -> List[Tuple[str, str]]:
     """Ordered pairs at the given distance with no interpolating point.
 
     On honest metric spaces these freely generate the localized degree-1
-    homology at that grade.  ``eps`` is an absolute tolerance, by default
-    ``tolerance(X)``.
+    homology at that grade.  Distances, strictness and interpolation are
+    compared up to ``tolerance(X, eps)``.
     """
-    if eps is None:
-        eps = tolerance(X)
     p = check_exponent(p)
     if p == math.inf:
         raise InputError("the generator characterization requires finite p")
@@ -94,13 +88,14 @@ def h1_generators(X: VGraph, p: float, grade: float,
         raise InputError(
             "h1_generators requires a strict space; collapse zero-distance "
             "pairs first (automata.strictify)")
+    margin = tolerance(X, eps)
     out = []
     for a in X.vertices:
         for b in X.vertices:
             if a == b:
                 continue
             d = X.d(a, b)
-            if math.isinf(d) or not close(d, grade, eps):
+            if math.isinf(d) or not close(d, grade, margin):
                 continue
             if not interpolators(X, a, b, p, eps).feasible:
                 out.append((a, b))
@@ -108,22 +103,21 @@ def h1_generators(X: VGraph, p: float, grade: float,
 
 
 def p_critical(X: VGraph, a: str, b: str, tol: float = 1e-6,
-               eps: Optional[float] = None) -> float:
+               eps: float = EPS) -> float:
     """Infimal exponent at which some point starts to interpolate.
 
     Bisection on (u/D)^p + (v/D)^p = 1 per candidate, to within ``tol``
     or until no float lies between the ends; candidates with a
-    leg not strictly shorter than D (by more than the absolute tolerance
-    ``eps``, by default ``tolerance(X)``) never become feasible.
+    leg not strictly shorter than D (by more than ``tolerance(X, eps)``)
+    never become feasible.
     """
-    if eps is None:
-        eps = tolerance(X)
+    margin = tolerance(X, eps)
     if a == b:
         raise InputError("p_critical needs two distinct endpoints")
     if not tol > 0.0:
         raise InputError(f"p_critical needs a positive tolerance, got {tol!r}")
     D = X.d(a, b)
-    if D <= eps or math.isinf(D):
+    if D <= margin or math.isinf(D):
         raise InputError(
             f"p_critical needs a finite positive distance between {a!r} "
             f"and {b!r}")
@@ -133,7 +127,7 @@ def p_critical(X: VGraph, a: str, b: str, tol: float = 1e-6,
         if c in (a, b):
             continue
         u, v = X.d(a, c), X.d(c, b)
-        if not (u < D - eps and v < D - eps):
+        if not (u < D - margin and v < D - margin):
             continue
 
         def excess(p: float) -> float:

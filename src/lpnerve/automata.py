@@ -13,11 +13,11 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .values import INF, InputError, close
+from .values import EPS, INF, InputError, close
 from .vgraph import GraphMorphism, VGraph, coequalizer, free_category, tolerance
 
 
@@ -101,20 +101,18 @@ def cost_space(A: Automaton) -> VGraph:
     return VGraph(list(A.states), mat)
 
 
-def cost_primitive_pairs(C: VGraph, eps: Optional[float] = None
+def cost_primitive_pairs(C: VGraph, eps: float = EPS
                          ) -> List[Tuple[str, str, float]]:
     """Ordered pairs whose optimal cost beats every two-leg composite.
 
     Each returned pair carries its cost as the grade.  These are exactly
     the degree-1 generators of the localized homology of a strict cost
-    space.  Costs are compared up to the absolute tolerance ``eps``, by
-    default ``tolerance(C)``.
+    space.  Costs are compared up to ``tolerance(C, eps)``.
     """
-    if eps is None:
-        eps = tolerance(C)
     if not C.is_strict(eps):
         raise InputError(
             "cost space has distinct states at cost 0; apply strictify first")
+    eps = tolerance(C, eps)
     out = []
     for a in C.vertices:
         for b in C.vertices:
@@ -132,17 +130,15 @@ def cost_primitive_pairs(C: VGraph, eps: Optional[float] = None
     return out
 
 
-def strictify(X: VGraph, eps: Optional[float] = None
+def strictify(X: VGraph, eps: float = EPS
               ) -> Tuple[VGraph, GraphMorphism]:
     """Collapse mutually-zero-distance vertices and restore transitivity.
 
     Quotient distances take the infimum over representatives; the additive
     path closure afterwards repairs any triangle-inequality damage.  Two
-    vertices are at distance zero within the absolute tolerance ``eps``,
-    by default ``tolerance(X)``.
+    vertices are at distance zero within ``tolerance(X, eps)``.
     """
-    if eps is None:
-        eps = tolerance(X)
+    eps = tolerance(X, eps)
     pairs = [
         (a, b)
         for a in X.vertices for b in X.vertices

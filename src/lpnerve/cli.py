@@ -145,13 +145,12 @@ def _emit(args, text: str) -> None:
 
 
 def _load_validated(args):
-    """The input space and its absolute tolerance, ``tolerance(X, eps)``."""
+    """The input space, validated at the relative tolerance ``--eps``."""
     X = io.load_vgraph(args.input)
-    tol = tolerance(X, args.eps)
-    report = validate(X, tol)
+    report = validate(X, args.eps)
     if not report.ok:
         raise InputError("; ".join(report.violations))
-    return X, tol
+    return X
 
 
 def _degrees(args) -> range:
@@ -168,14 +167,14 @@ def _emit_rows(args, rows) -> None:
 def run(args) -> int:
     p = parse_exponent(args.p) if "p" in args else None
     if args.command == "nerve":
-        X, _ = _load_validated(args)
+        X = _load_validated(args)
         fc = enumerate_complex(X, p, args.max_dim, budget=args.budget,
                                eps=args.eps)
         _emit(args, io.dumps(io.complex_to_json(fc)))
         return 0
 
     if args.command == "ph":
-        X, _ = _load_validated(args)
+        X = _load_validated(args)
         degrees = _degrees(args)
         coeff = _parse_coeff(args.coeff)
         if p == INF and X.is_symmetric(0.0):
@@ -195,14 +194,14 @@ def run(args) -> int:
         return 0
 
     if args.command == "mh":
-        X, _ = _load_validated(args)
+        X = _load_validated(args)
         degrees = _degrees(args)
         _emit_rows(args, magnitude_homology(X, p, degrees, args.budget,
                                             args.eps))
         return 0
 
     if args.command == "homology":
-        X, _ = _load_validated(args)
+        X = _load_validated(args)
         degrees = _degrees(args)
         coeff = _parse_coeff(args.coeff)
         sieve = SieveSpec(STRICT_PREDECESSORS if args.sieve == "strict" else EMPTY)
@@ -212,7 +211,7 @@ def run(args) -> int:
         return 0
 
     if args.command == "free":
-        X, _ = _load_validated(args)
+        X = _load_validated(args)
         closed = free_category(X, p)
         if args.format == "csv":
             _emit(args, io.vgraph_to_csv(closed))
@@ -228,9 +227,10 @@ def run(args) -> int:
 
     if args.command == "analyze":
         import math
-        X, tol = _load_validated(args)
+        X = _load_validated(args)
+        tol = tolerance(X, args.eps)
         # interpolation sums the p-th powers of two hops
-        values.check_powers(X.dist.flat, p, 2)
+        values.check_powers(X.dist, p, 2)
         pairs = []
         for a in X.vertices:
             for b in X.vertices:
@@ -240,17 +240,17 @@ def run(args) -> int:
                 pairs.append({
                     "a": a, "b": b, "dist": d,
                     "p_critical": analysis.p_critical(X, a, b, tol=args.tol,
-                                                      eps=tol),
+                                                      eps=args.eps),
                 })
         grades = grade_clusters([row["dist"] for row in pairs], tol)
         generators = [
             {"grade": r, "p": p,
              "pairs": [list(g) for g in analysis.h1_generators(X, p, r,
-                                                               eps=tol)]}
+                                                               args.eps)]}
             for r in grades
-        ] if X.is_strict(tol) and not math.isinf(p) else []
+        ] if X.is_strict(args.eps) and not math.isinf(p) else []
         _emit(args, io.dumps({
-            "ultrametric": analysis.is_ultrametric(X, tol),
+            "ultrametric": analysis.is_ultrametric(X, args.eps),
             "p_critical": pairs,
             "h1_generators": generators,
         }))
@@ -259,9 +259,8 @@ def run(args) -> int:
     if args.command == "automaton":
         A = io.load_automaton(args.input)
         C = automata.cost_space(A)
-        tol = tolerance(C, args.eps)
-        strict_C, proj = automata.strictify(C, tol)
-        primitives = automata.cost_primitive_pairs(strict_C, tol)
+        strict_C, proj = automata.strictify(C, args.eps)
+        primitives = automata.cost_primitive_pairs(strict_C, args.eps)
         # degree 1 at p = 1 is where the cost-primitive theorem applies
         table = magnitude_homology(strict_C, 1.0, [1], args.budget,
                                    args.eps)

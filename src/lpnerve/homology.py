@@ -278,19 +278,18 @@ def persistence_barcode(fc: FilteredComplex, max_degree: int,
 
 
 def vr_oracle(X: VGraph, max_degree: int, *,
-              eps: Optional[float] = None) -> Barcode:
+              eps: float = EPS) -> Barcode:
     """Persistence of the classical Vietoris-Rips complex over GF(2).
 
     Works on unordered vertex subsets with its own mod-2 reduction and
-    pairing, sharing no code with the tuple-nerve pipeline.  ``eps`` is
-    an absolute tolerance, by default ``tolerance(X)``.
+    pairing, sharing no code with the tuple-nerve pipeline.  The checks
+    on X, and the bars of zero length it drops, use ``tolerance(X, eps)``.
     """
-    if eps is None:
-        eps = tolerance(X)
     if not X.is_symmetric(eps) or not X.is_strict(eps):
         raise InputError("the classical oracle needs a symmetric strict space")
     if not is_enriched_category(X, 1.0, eps):
         raise InputError("the classical oracle needs the triangle inequality")
+    eps = tolerance(X, eps)
     n = len(X)
     verts = list(range(n))
     simplices: List[Tuple[float, Tuple[int, ...]]] = []

@@ -698,26 +698,38 @@ static Py_ssize_t row_count(PyObject *obj)
 }
 
 /* Every face in -1..nrows-1, no row twice in a column; ValueError at the
-   first column that breaks this. */
+   first column that breaks this (MemoryError if its stamps do not fit).
+   stamp[row] is 1 + the last column that holds row (0 for none), so a
+   row is repeated where its stamp is already that of its column. */
 static int check_table(const int64_t *table, Py_ssize_t ncols, Py_ssize_t width,
                        Py_ssize_t nrows)
 {
+    int64_t *stamp = PyMem_Calloc(nrows > 0 ? nrows : 1, sizeof(int64_t));
+    if (stamp == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
     for (Py_ssize_t j = 0; j < ncols; j++) {
         const int64_t *face = table + j * width;
         for (Py_ssize_t i = 0; i < width; i++) {
             if (face[i] < -1 || face[i] >= nrows) {
                 PyErr_Format(PyExc_ValueError, "column %zd has the face %lld, "
                              "outside -1..%zd", j, (long long)face[i], nrows - 1);
+                PyMem_Free(stamp);
                 return -1;
             }
-            for (Py_ssize_t h = 0; h < i; h++)
-                if (face[i] >= 0 && face[h] == face[i]) {
-                    PyErr_Format(PyExc_ValueError, "column %zd has the row "
-                                 "%lld twice", j, (long long)face[i]);
-                    return -1;
-                }
+            if (face[i] < 0)
+                continue;
+            if (stamp[face[i]] == j + 1) {
+                PyErr_Format(PyExc_ValueError, "column %zd has the row "
+                             "%lld twice", j, (long long)face[i]);
+                PyMem_Free(stamp);
+                return -1;
+            }
+            stamp[face[i]] = j + 1;
         }
     }
+    PyMem_Free(stamp);
     return 0;
 }
 

@@ -215,7 +215,7 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
         raise InputError(f"budget must be >= 0, got {budget}")
     if not 0.0 <= eps < INF:
         raise InputError(f"eps must be a finite number >= 0, got {eps}")
-    check_powers(X.dist.flat, p, 1)  # the powers themselves are finite
+    check_powers(X.dist, p, 1)  # the powers themselves are finite
     names = sorted(X.vertices)
     perm = [X.index(v) for v in names]
     d = X.dist[np.ix_(perm, perm)]
@@ -225,7 +225,7 @@ def enumerate_complex(X: VGraph, p: float, max_dim: int,
     # a chain sum that overflows is inf and its tuple was pruned, but in a
     # degree the search reached, so the chain had at most len(found) - 1
     # hops: if no such chain can overflow, no tuple was lost
-    check_powers(X.dist.flat, p, len(found) - 1)
+    check_powers(X.dist, p, len(found) - 1)
     # a birth of degree k folds k hops; only the last degree may be empty
     last = len(found) - 1 - (len(found[-1][0]) == 0)
     # a leading 0 keeps grade 0 when there are no vertices

@@ -2,10 +2,11 @@
 
 Grades live in [0, inf].  ``math.inf`` is the absorbing element: it is a
 genuine IEEE infinity, so max/addition absorb exactly and no sentinel
-arithmetic is needed.  ``EPS`` is the one default tolerance: relative for
-grades (``enumerate_complex`` and the CLI use ``EPS`` times the largest
-finite distance), and absolute for the metric checks in ``vgraph``,
-``analysis`` and ``automata``, which the CLI hands that same product.
+arithmetic is needed.  ``EPS`` is the one default tolerance.  Every
+``eps`` of a function given a space X is relative to X, as ``--eps`` is:
+it compares with ``vgraph.tolerance(X, eps)``, ``eps`` times the largest
+finite distance of X.  Only :func:`leq` and :func:`close`, which see two
+numbers and no space, take an absolute tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 INF = math.inf
 
-#: default tolerance, relative to the largest finite distance for grades
+#: default tolerance, relative to the largest finite distance of a space
 EPS = 1e-9
 
 
@@ -42,12 +43,15 @@ def check_powers(distances: Iterable[float], p: float, hops: int) -> None:
 
     Finite-p code adds up to ``hops`` p-th powers of distances; that sum
     stays a finite float for every path exactly when ``hops * dmax ** p``
-    does, where ``dmax`` is the largest finite distance.  Raises
-    ``InputError`` otherwise.  Nothing is summed at p = inf.
+    does, where ``dmax`` is the largest finite distance (0 if there is
+    none); ``distances`` may be a matrix.  Raises ``InputError``
+    otherwise.  Nothing is summed at p = inf.
     """
     if p == INF or hops < 1:
         return
-    dmax = max((float(d) for d in distances if d < INF), default=0.0)
+    d = np.array(list(distances), dtype=float)  # a matrix lists its rows
+    finite = d[d < INF]
+    dmax = float(finite.max()) if finite.size else 0.0
     try:
         total = hops * dmax ** p
     except OverflowError:

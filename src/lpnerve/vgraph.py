@@ -5,7 +5,9 @@ every ordered pair, zero on the diagonal and no other laws assumed.  On top
 of that this module provides morphism checking, the +_p triangle-inequality
 test, path graphs and their triangle-closed counterparts, the (min, +_p)
 path closure, (co)products, (co)equalizers, and the directed trick that
-turns a symmetric space into an order-filtered one.
+turns a symmetric space into an order-filtered one.  Every check takes a
+tolerance ``eps`` relative to its space: it compares with
+``tolerance(X, eps)``, so rescaling a space changes no answer.
 """
 
 from __future__ import annotations
@@ -57,16 +59,18 @@ class VGraph:
         return float(self.dist[self.index(a), self.index(b)])
 
     def is_symmetric(self, eps: float = EPS) -> bool:
+        """d(a, b) = d(b, a) for every pair, up to ``tolerance(self, eps)``."""
         finite = np.isfinite(self.dist)
         if not np.array_equal(finite, finite.T):
             return False
         diff = np.abs(np.where(finite, self.dist, 0.0) - np.where(finite.T, self.dist.T, 0.0))
-        return bool(np.all(diff <= eps))
+        return bool(np.all(diff <= tolerance(self, eps)))
 
     def is_strict(self, eps: float = EPS) -> bool:
+        """Every off-diagonal distance exceeds ``tolerance(self, eps)``."""
         n = len(self)
         off = ~np.eye(n, dtype=bool)
-        return bool(np.all(self.dist[off] > eps))
+        return bool(np.all(self.dist[off] > tolerance(self, eps)))
 
     @classmethod
     def from_entries(cls, vertices: Sequence[str], entries: Mapping[Tuple[str, str], float],
@@ -120,9 +124,10 @@ def tolerance(X: VGraph, eps: float = EPS) -> float:
 
 def validate(X: VGraph, eps: float = EPS) -> ValidationReport:
     """Report structural violations: a nonzero diagonal, missing or
-    negative entries."""
+    negative entries, each beyond ``tolerance(X, eps)``."""
     report = ValidationReport()
     d = X.dist
+    eps = tolerance(X, eps)
     diagonal = np.diagonal(d)
     for i in np.flatnonzero(np.isnan(diagonal) | (np.abs(diagonal) > eps)):
         report.violations.append(f"nonzero diagonal at {X.vertices[i]}")
@@ -135,22 +140,20 @@ def validate(X: VGraph, eps: float = EPS) -> ValidationReport:
 
 
 def check_morphism(f: GraphMorphism, eps: float = EPS) -> bool:
-    """True iff f is distance-nonincreasing on every ordered pair."""
+    """True iff f is distance-nonincreasing on every ordered pair, up to
+    ``eps`` times the larger of the two spaces' largest finite distances."""
     X, Y = f.source, f.target
-    for v in X.vertices:
-        Y.index(f(v))
-    for a in X.vertices:
-        fa = Y.index(f(a))
-        ia = X.index(a)
-        for b in X.vertices:
-            if not leq(Y.dist[fa, Y.index(f(b))], X.dist[ia, X.index(b)], eps):
-                return False
-    return True
+    eps = max(tolerance(X, eps), tolerance(Y, eps))
+    image = [Y.index(f(v)) for v in X.vertices]
+    pulled = Y.dist[np.ix_(image, image)]  # d(f(a), f(b)) at (a, b)
+    return all(leq(y, x, eps) for y, x in zip(pulled.flat, X.dist.flat))
 
 
 def is_enriched_category(X: VGraph, p: float, eps: float = EPS) -> bool:
-    """True iff every ordered triple satisfies the +_p triangle inequality."""
+    """True iff every ordered triple satisfies the +_p triangle inequality,
+    up to ``tolerance(X, eps)``."""
     check_exponent(p)
+    eps = tolerance(X, eps)
     n = len(X)
     d = X.dist
     for a, b, c in itertools.product(range(n), repeat=3):
@@ -191,7 +194,7 @@ def free_category(X: VGraph, p: float) -> VGraph:
     """
     p = check_exponent(p)
     n = len(X)
-    check_powers(X.dist.flat, p, n - 1)
+    check_powers(X.dist, p, n - 1)
     d = X.dist.copy()
     np.fill_diagonal(d, 0.0)
     if p == math.inf:
@@ -321,7 +324,7 @@ def asymmetrize(X: VGraph, order: Sequence[str] | None = None) -> VGraph:
     unordered simplices into unique ordered ones without changing homology.
     Symmetry is checked to within ``tolerance(X)``, relative to the scale.
     """
-    if not X.is_symmetric(tolerance(X)):
+    if not X.is_symmetric():
         raise InputError("asymmetrize requires a symmetric space")
     if order is None:
         order = list(X.vertices)

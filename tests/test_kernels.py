@@ -194,17 +194,20 @@ def test_backend_flag():
 
 
 def test_backends_give_the_same_barcodes(compiled_kernels, monkeypatch):
+    """The whole barcode, search, face tables and coboundary reduction,
+    with every entry of ``lpnerve.kernels`` taken from one backend."""
     rng = random.Random(73)
     for q in (2, 3, 5):
         X = random_honest_space(rng, rng.randint(4, 7))
         for space in (X, asymmetrize(X)):
-            fc = enumerate_complex(space, INF, 3)
-            monkeypatch.setattr(kernels, "reduce_faces",
-                                compiled_kernels.reduce_faces)
-            compiled = persistence_barcode(fc, 2, Coefficients(q)).bars
-            monkeypatch.setattr(kernels, "reduce_faces",
-                                _reduction_py.reduce_faces)
-            assert compiled == persistence_barcode(fc, 2, Coefficients(q)).bars
+            bars = []
+            for backend in (compiled_kernels, _reduction_py):
+                for entry in ("expand", "reduce_faces", "reduce_cofaces"):
+                    monkeypatch.setattr(kernels, entry,
+                                        getattr(backend, entry))
+                fc = enumerate_complex(space, INF, 3)
+                bars.append(persistence_barcode(fc, 2, Coefficients(q)).bars)
+            assert bars[0] == bars[1]
 
 
 def test_backends_give_the_same_tables(compiled_kernels, monkeypatch):

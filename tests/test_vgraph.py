@@ -71,8 +71,9 @@ def test_validate_reports_in_order():
         "nonzero diagonal at b", "nonzero diagonal at c",
         "negative entry at (a, b)", "missing entry at (a, c)",
         "missing entry at (b, b)", "missing entry at (c, a)"]
+    # entries within eps times the largest distance, 1, are no violation
     assert validate(VGraph(["a", "b"], np.array([[1e-10, -1e-10],
-                                                 [0.0, 0.0]]))).ok
+                                                 [1.0, 0.0]]))).ok
 
 
 def test_check_morphism():
